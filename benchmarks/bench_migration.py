@@ -82,8 +82,8 @@ def _span_s(n: int = N_REQUESTS) -> float:
 def _engines(n: int) -> list:
     return [ContinuousBatchScheduler(
         CycleModelBackend(TINY_MODEL, QUANT, n_slots=MAX_BATCH),
-        max_batch=MAX_BATCH, kv_token_budget=KV_BUDGET,
-        fast_forward="multi") for _ in range(n)]
+        max_batch=MAX_BATCH, kv_token_budget=KV_BUDGET)
+        for _ in range(n)]
 
 
 def _trace(rate: float = LOAD_RPS) -> list:

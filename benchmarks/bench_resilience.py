@@ -76,8 +76,8 @@ RECORD: dict = {"schema": "faults-v1", "sections": {}}
 def _engines() -> list:
     return [ContinuousBatchScheduler(
         CycleModelBackend(TINY_MODEL, QUANT, n_slots=MAX_BATCH),
-        max_batch=MAX_BATCH, kv_token_budget=KV_BUDGET,
-        fast_forward="multi") for _ in range(REPLICAS)]
+        max_batch=MAX_BATCH, kv_token_budget=KV_BUDGET)
+        for _ in range(REPLICAS)]
 
 
 def _trace() -> list:

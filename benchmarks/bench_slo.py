@@ -70,8 +70,7 @@ RECORD: dict = {"schema": "slo-v1", "sections": {}}
 def _engine() -> ContinuousBatchScheduler:
     backend = CycleModelBackend(TINY_MODEL, QUANT, n_slots=MAX_BATCH)
     return ContinuousBatchScheduler(backend, max_batch=MAX_BATCH,
-                                    kv_token_budget=KV_BUDGET,
-                                    fast_forward="multi")
+                                    kv_token_budget=KV_BUDGET)
 
 
 def _trace(rate: float) -> list:

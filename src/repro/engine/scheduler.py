@@ -65,8 +65,8 @@ class KilledRequest:
     batch — KV and generated tokens lost), ``"queued"`` (waiting), or
     ``"arrival"`` (arrived during the outage, nobody listening).  Kill
     times are pure functions of the fault and the request, never of
-    the discovering tier's clock, so fault replay stays bit-identical
-    across scheduler tiers.
+    the discovering clock, so fault replay stays bit-identical with
+    fast-forward on or off.
     """
 
     request: Request
@@ -85,7 +85,7 @@ class MigratedRequest:
     zero-byte handoff), or ``"arrival"`` (arrived mid-drain, admission
     closed).  Migration times are pure functions of the fault and the
     request, like kill times, so the router's re-dispatch plan is
-    bit-identical across scheduler tiers.
+    bit-identical with fast-forward on or off.
     """
 
     request: Request
@@ -192,33 +192,24 @@ class ContinuousBatchScheduler:
                  system: "BareMetalSystem | None" = None,
                  max_batch: int = 8,
                  kv_token_budget: int | None = None,
-                 fast_forward: bool | str = True) -> None:
+                 fast_forward: bool = True) -> None:
         if max_batch <= 0:
             raise SimulationError(f"max_batch must be positive: {max_batch}")
+        if not isinstance(fast_forward, bool):
+            raise SimulationError(
+                "fast_forward must be True (event-horizon windows) or "
+                f"False (eager step loop): {fast_forward!r}")
         self.backend = backend
         self.max_batch = max_batch
-        #: timing-only backends may advance fast-forward windows in one
-        #: call.  Tiers: ``"multi"`` (the default, ``True``) charges
-        #: multi-segment windows that span predicted retirements and
-        #: block frontiers; ``"single"`` is the piecewise-static window
-        #: that breaks at every state change; ``False``/``"off"`` forces
-        #: the eager step loop.  The differential tests pin all three to
-        #: identical reports, and a reference-cost backend is a
-        #: deliberate baseline that always runs eager.  The attribute
-        #: stays falsy whenever fast-forward is off.
-        tier: bool | str = fast_forward
-        if tier is True:
-            tier = "multi"
-        elif tier == "off":
-            tier = False
-        if tier not in (False, "single", "multi"):
-            raise SimulationError(
-                "fast_forward must be a bool or one of 'off', 'single', "
-                f"'multi': {fast_forward!r}")
-        if not getattr(backend, "supports_fast_forward", False) \
-                or getattr(backend, "reference_costs", False):
-            tier = False
-        self.fast_forward = tier
+        #: timing-only backends may advance event-horizon windows in one
+        #: call: multi-segment windows that span predicted retirements
+        #: and block frontiers.  ``False`` forces the eager step loop,
+        #: the oracle the differential tests pin the windows to; a
+        #: reference-cost backend is a deliberate baseline that always
+        #: runs eager.
+        self.fast_forward = fast_forward \
+            and bool(getattr(backend, "supports_fast_forward", False)) \
+            and not getattr(backend, "reference_costs", False)
         model = backend.model_config
         self.paged_kv = getattr(backend, "paged_kv", None)
         if self.paged_kv is not None:
@@ -504,8 +495,8 @@ class ContinuousBatchScheduler:
     # Faults are serviced only at decision points (run-loop top and the
     # idle-jump clamp in step()), never mid-window: the window machinery
     # instead *cuts* at the next fault boundary with the same
-    # ``searchsorted`` discipline as arrival cuts, so all fast-forward
-    # tiers observe every fault at the identical clock and stay
+    # ``searchsorted`` discipline as arrival cuts, so fast-forward
+    # windows observe every fault at the identical clock and stay
     # bit-identical to the eager loop.
 
     def _fault_boundary(self) -> float | None:
@@ -524,10 +515,10 @@ class ContinuousBatchScheduler:
         return nxt
 
     def _boundary_reason(self, boundary: float) -> str:
-        """Window-break label for a cut at ``boundary``: ``"drain"``
-        when the binding boundary is a drain transition (the active
-        drain's deadline, or the start of the next drain action),
-        ``"fault"`` for everything else."""
+        """Flight-recorder label of a window that ends at ``boundary``:
+        ``"drain"`` when the binding boundary is a drain transition
+        (the active drain's deadline, or the start of the next drain
+        action), ``"fault"`` for everything else."""
         if self._drain_until is not None \
                 and boundary == self._drain_until:
             return "drain"
@@ -582,8 +573,8 @@ class ContinuousBatchScheduler:
         work loses its KV and tokens, queued work and arrivals during
         the outage find nobody listening.  Every kill time is a pure
         function of the fault and the request — ``max(start,
-        arrival)`` — never of the discovering tier's clock, so the
-        router's re-dispatch plan is tier-independent."""
+        arrival)`` — never of the discovering clock, so the router's
+        re-dispatch plan does not depend on fast-forward."""
         self._fault_counts["crash"] += 1
         self._downtime_s += action.duration_s
         down_until = action.start_s + action.duration_s
@@ -632,7 +623,7 @@ class ContinuousBatchScheduler:
     # deadline, and whatever is still in flight then checkpoints into
     # ``drained`` instead of dying.  Like kill times, every migration
     # time is a pure function of the fault and the request, so the
-    # router's handoff plan is identical across scheduler tiers.
+    # router's handoff plan is identical with fast-forward on or off.
 
     def _begin_drain(self, action) -> None:
         """Close admission for ``[start, start + duration)``: queued
@@ -821,7 +812,8 @@ class ContinuousBatchScheduler:
         result (``FinishReason.REJECTED``, zero tokens, no TTFT) so a
         streamed run drains and reports instead of aborting mid-trace.
         Rejection is instantaneous at arrival — ``finish_s`` is pinned
-        to the arrival time so the verdict is tier-independent."""
+        to the arrival time so the verdict does not depend on
+        fast-forward."""
         state = RequestState(request=request)
         state.finish_s = request.arrival_s
         self._finalize(state, FinishReason.REJECTED)
@@ -990,8 +982,8 @@ class ContinuousBatchScheduler:
             cycles = self.backend.prefill(state)
             if self._slow_factor != 1.0:
                 # Slowdown faults scale cycles, not time: the identical
-                # IEEE multiply is applied per element by the windowed
-                # tiers, keeping clocks bit-identical.
+                # IEEE multiply is applied per element by the
+                # fast-forward windows, keeping clocks bit-identical.
                 cycles = cycles * self._slow_factor
             state.prefill_cycles += cycles
             self._advance(cycles)
@@ -1028,67 +1020,6 @@ class ContinuousBatchScheduler:
 
     # -- fast forward --------------------------------------------------------
 
-    def _fast_forward_window(self) -> tuple[int, str | None]:
-        """``(steps, break_reason)``: how far the running set can
-        advance with no admission, retire, preemption, or paged block
-        boundary — 0 when any could occur — plus the binding reason
-        (None only when there is nothing running to advance).
-
-        While the set is static each step only increments every context
-        by one, so per-step cycles become a pure function of the step
-        index and a whole window can be charged in one backend call.
-        """
-        pending = self.running
-        if not pending:
-            return 0, None
-        if any(not s.has_pending_forward for s in pending):
-            return 0, "retirement-unpredicted"
-        if self.waiting and len(self.running) < self.max_batch:
-            _, head, _, _ = self._admission_scan()
-            if head is not None:
-                # step() may admit (or preempt lower-class work to
-                # admit) right now; blocked heads stay blocked inside a
-                # window (pool and quota pressure only grow while the
-                # set is static), and arrival-gated heads are handled
-                # by the clock cut.
-                return 0, "admission"
-        max_context = self.backend.model_config.max_context
-        # The window stops one step short of the earliest retirement it
-        # cannot fold (this tier folds none).
-        limit = min(
-            min(s.request.max_new_tokens - s.n_generated for s in pending),
-            min(max_context - 1 - s.position for s in pending),
-        )
-        reason = "retirement-unpredicted"
-        if self.paged_kv is not None:
-            block = self.paged_kv.block_size
-            for s in pending:
-                assert s.slot is not None
-                if self.paged_kv.append_needs_block(s.slot):
-                    return 0, "block-frontier"
-                room = s.position % block
-                cap = block - room if room else block
-                if cap < limit:
-                    limit, reason = cap, "block-frontier"
-        else:
-            cap = (self.kv_token_budget - self._cached_total) \
-                // len(pending)
-            if cap < limit:
-                limit, reason = cap, "preemption-risk"
-        if self._quota_specs:
-            for name, quota in self._quota_specs.items():
-                members = sum(1 for s in pending
-                              if s.request.tenant.name == name)
-                if not members:
-                    continue
-                # k steps are quota-safe iff cached + k*members stays
-                # within the quota — the same closed form as the pool
-                # cap, scoped to one tenant.
-                cap = (quota - self._tenant_cached[name]) // members
-                if cap < limit:
-                    limit, reason = cap, "quota"
-        return max(0, limit), reason
-
     def _next_admission_arrival(self) -> float | None:
         """Earliest future arrival that could flip the admission
         verdict mid-window: a not-yet-arrived class head, or the
@@ -1103,104 +1034,7 @@ class ContinuousBatchScheduler:
             nxt = head.arrival_s
         return nxt
 
-    def _fast_forward_single(self) -> int:
-        """Advance one static window in one closed-form charge; returns
-        the steps applied.
-
-        The per-step loop is gone: the window clock is one sequential
-        ``cumsum`` over the backend's window cycles (the same IEEE fold
-        as stepping ``clock += cycles / freq``), the arrival cut is a
-        ``searchsorted`` into those cumulative clocks, and the
-        per-member token/latency recording is bulk array work — so
-        every observable is bit-identical to the step-by-step loop
-        while a K-step window costs O(batch) Python operations.
-        """
-        limit, reason = self._fast_forward_window()
-        if limit < 2:
-            if reason is not None:
-                self._recorder.note_break(reason)
-            return 0
-        pending = self.running
-        planned: list[np.ndarray] = []
-        for s in pending:
-            tokens = np.asarray(self.backend.planned_tokens(s, limit),
-                                dtype=np.int64)
-            eos = s.request.eos_id
-            if eos is not None:
-                hits = np.nonzero(tokens == eos)[0]
-                if len(hits) and int(hits[0]) < limit:
-                    # The step that samples EOS retires the request: it
-                    # ends the window and runs through the normal loop.
-                    limit, reason = int(hits[0]), "eos"
-            planned.append(tokens)
-        if limit < 2:
-            self._recorder.note_break(reason)
-            return 0
-        cycles = np.asarray(
-            self.backend.fast_forward_cycles(pending, limit),
-            dtype=np.float64)
-        if self._slow_factor != 1.0:
-            # Elementwise copy (never in place — the backend may memo
-            # the unscaled array): the same IEEE multiply the eager
-            # loop applies per step.
-            cycles = cycles * self._slow_factor
-        deltas = cycles / self.backend.freq_hz
-        # Sequential prefix fold seeded with the current clock — the
-        # identical IEEE adds as stepping ``clock += cycles / freq``.
-        clocks = np.empty(limit + 1)
-        clocks[0] = self.clock_s
-        clocks[1:] = deltas
-        np.cumsum(clocks, out=clocks)
-        applied = limit
-        if len(self.running) < self.max_batch:
-            next_arrival = self._next_admission_arrival()
-            if next_arrival is not None:
-                # Steps apply while the clock has not reached the next
-                # arrival; step() admits the head right after.
-                cut = int(np.searchsorted(clocks[:limit],
-                                          next_arrival, side="left"))
-                if cut < applied:
-                    applied, reason = cut, "arrival"
-        if self._fault_actions:
-            boundary = self._fault_boundary()
-            if boundary is not None:
-                # Same cut discipline as arrivals: steps whose
-                # *pre-step* clock has reached the boundary belong to
-                # the post-fault regime and must run through the eager
-                # loop after the fault is serviced.
-                cut = int(np.searchsorted(clocks[:limit],
-                                          boundary, side="left"))
-                if cut < applied:
-                    applied = cut
-                    reason = self._boundary_reason(boundary)
-        if applied <= 0:
-            # Zero-step arrival cut: no window advanced, so nothing to
-            # account — the eager step takes over immediately.
-            return 0
-        self._recorder.note_break(reason)
-        batch = len(pending)
-        clock0 = self.clock_s
-        self.clock_s = float(clocks[applied])
-        self._decode_steps += applied
-        self._recorder.record_window(clock0, clocks[1:applied + 1],
-                                     batch, cycles[:applied],
-                                     deltas[:applied])
-        if self.flight is not None:
-            self.flight.span("window", clock0, self.clock_s,
-                             batch=batch, steps=applied, reason=reason)
-        full = self._recorder.level == "full"
-        lat_list = cycles[:applied].tolist() if full else None
-        for i, s in enumerate(pending):
-            if full:
-                s.decode_cycles.extend(lat_list)
-            s.generated.extend(planned[i][:applied].tolist())
-        self.backend.commit_fast_forward(pending, applied)
-        self._cached_total += applied * batch
-        if self._quota_specs:
-            self._grow_tenants(pending, applied)
-        return applied
-
-    def _fast_forward_multi(self) -> int:
+    def _fast_forward(self) -> int:
         """Advance a multi-segment window: piecewise-static segments
         separated by *predicted* retirements and block-frontier
         crossings, all charged before control returns to the eager
@@ -1208,8 +1042,8 @@ class ContinuousBatchScheduler:
 
         Retirement steps are pure functions of each member's planned
         token stream — the length budget is arithmetic and the EOS
-        position comes from the same ``planned_tokens`` replay the
-        single-segment tier consults — and paged block allocation is
+        position comes from the backend's pure ``planned_tokens``
+        replay — and paged block allocation is
         arithmetic on context length, so the event horizon (the next
         *unavoidable* scheduler state change) is computable without
         stepping.  Each segment is evaluated with the vectorized
@@ -1323,8 +1157,7 @@ class ContinuousBatchScheduler:
                 break
             if not total_applied and seg_cap == 1 and horizon >= 1:
                 # A lone static step with no boundary to fold is not
-                # worth a window; the eager loop takes it (the PR 5
-                # tier's ``limit < 2`` rule).
+                # worth a window; the eager loop takes it.
                 break_reason = cap_reason
                 break
             # Planned tokens up to each member's own horizon — never
@@ -1365,6 +1198,8 @@ class ContinuousBatchScheduler:
             if can_admit:
                 next_arrival = self._next_admission_arrival()
                 if next_arrival is not None:
+                    # Steps apply while the clock has not reached the
+                    # next arrival; step() admits the head right after.
                     cut = int(np.searchsorted(clocks[:n_seg],
                                               next_arrival, side="left"))
                     if cut < applied:
@@ -1386,8 +1221,7 @@ class ContinuousBatchScheduler:
             if applied <= 0:
                 # First possible step already crosses the arrival.  A
                 # window that never advanced is note-free: no steps
-                # were accounted, so no break is either — the single
-                # tier's zero-step rule, kept in lockstep.
+                # were accounted, so no break is either.
                 if not total_applied:
                     break_reason = None
                 break
@@ -1465,9 +1299,9 @@ class ContinuousBatchScheduler:
                 if self._fault_actions:
                     # Never jump past a fault: land on its boundary,
                     # service it (run-loop top), then resume.  The
-                    # zero-work step this produces is identical in all
-                    # tiers, since windowed paths fall through to
-                    # step() when nothing is running.
+                    # zero-work step this produces is identical with
+                    # fast-forward on or off, since the window path
+                    # falls through to step() when nothing is running.
                     boundary = self._fault_boundary()
                     if boundary is not None \
                             and self.clock_s < boundary < next_arrival:
@@ -1672,7 +1506,6 @@ class ContinuousBatchScheduler:
                         # streamed path: reject, don't abort the run.
                         self._reject(request)
         self._refill()
-        multi = self.fast_forward == "multi"
         steps = 0
         while self.waiting or self.running or self._stream is not None:
             if self._fault_actions:
@@ -1684,12 +1517,7 @@ class ContinuousBatchScheduler:
                 if not (self.waiting or self.running
                         or self._stream is not None):
                     break
-            if multi:
-                applied = self._fast_forward_multi()
-            elif self.fast_forward:
-                applied = self._fast_forward_single()
-            else:
-                applied = 0
+            applied = self._fast_forward() if self.fast_forward else 0
             if not applied:
                 self.step()
                 applied = 1

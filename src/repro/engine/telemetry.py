@@ -7,13 +7,14 @@ The scheduler can record what happened at four levels of detail
   every request keeps its per-token latencies and tokens, and the run
   returns the eager :class:`ServeReport`.  This is the reference
   representation the differential harness compares against.
-* ``"windows"`` — a fast-forwarded static window is stored as ONE
-  :class:`StepWindow` (count + per-step cycle array shared by every
-  batch member) and per-request detail collapses to columnar scalars
-  plus *span* indices into the global decode-step stream.  The step
-  stream itself lives in :class:`repro.obs.ColumnarRecords` — typed
-  columns, a few dozen bytes per record instead of a Python object —
-  so million-request runs fit in bounded memory.  The existing APIs —
+* ``"windows"`` — a fast-forwarded window is stored as ONE
+  :class:`StepWindow` (per-segment batch sizes + one per-step cycle
+  array shared by every batch member) and per-request detail collapses
+  to columnar scalars plus *span* indices into the global decode-step
+  stream.  The step stream itself lives in
+  :class:`repro.obs.ColumnarRecords` — typed columns, a few dozen
+  bytes per record instead of a Python object — so million-request
+  runs fit in bounded memory.  The existing APIs —
   ``events``, ``step_batches``, ``results`` with ``decode_step_s`` and
   ``tokens`` — are served by lazy exact expansion, so every value is
   bit-identical to ``"full"``.
@@ -53,15 +54,12 @@ _RECORDING_LEVELS = ("full", "windows")
 #: Why a fast-forward window ended (or could not start).  Fixed key set
 #: so histograms from different runs/replicas merge by plain addition.
 #: ``"quota"`` marks windows capped where a tenant's KV quota could
-#: force a preemption decision the window must not fold over;
-#: ``"fault"`` marks windows cut at an injected fault boundary (crash /
-#: hang / slowdown transition) so fast-forward never folds over a
-#: scheduler state change a fault would have caused mid-window;
-#: ``"drain"`` is the same cut at a drain transition (admission stops,
-#: or the drain deadline checkpoints the survivors for migration).
+#: force a preemption decision the window must not fold over.  EOS
+#: retirements and fault/drain boundaries are planned window ends, not
+#: breaks: the event horizon folds the first and ends its chains
+#: exactly at the second.
 WINDOW_BREAK_REASONS = ("admission", "arrival", "retirement-unpredicted",
-                        "preemption-risk", "block-frontier", "eos",
-                        "quota", "fault", "drain")
+                        "preemption-risk", "block-frontier", "quota")
 
 #: FinishReason <-> small-int codes for the columnar result store.
 _REASON_LIST = list(FinishReason)
@@ -469,30 +467,23 @@ class TelemetryRecorder:
     def record_window(self, clock0_s: float, clocks_after: np.ndarray,
                       batch: int, cycles: np.ndarray,
                       latencies: np.ndarray,
-                      segments: tuple[tuple[int, int, int], ...] | None
-                      = None) -> None:
+                      segments: tuple[tuple[int, int, int], ...]) -> None:
         """One fast-forwarded window of ``len(cycles)`` decode steps.
 
         ``clocks_after[j]`` is the engine clock after step ``j`` and
         ``latencies`` is ``cycles / freq_hz`` — both already computed
         by the scheduler's closed-form charge, so recording reuses the
-        exact floats instead of re-deriving them.  ``segments`` (one
-        ``(count, batch, retired)`` triple per piecewise-static
-        segment) describes a multi-segment window whose batch shrinks
-        at predicted retirements; None means one static segment of
-        ``batch`` throughout.
+        exact floats instead of re-deriving them.  ``segments`` holds
+        one ``(count, batch, retired)`` triple per piecewise-static
+        segment: the batch shrinks at predicted retirements, and
+        ``batch`` is the first segment's.
         """
         count = len(cycles)
         self.n_steps += count
         self.n_decode_steps += count
         self.n_windows += 1
-        if segments is None:
-            segments_iter: tuple[tuple[int, int, int], ...] = \
-                ((count, batch, 0),)
-        else:
-            segments_iter = segments
-        self.n_window_segments += len(segments_iter)
-        for seg_count, seg_batch, seg_retired in segments_iter:
+        self.n_window_segments += len(segments)
+        for seg_count, seg_batch, seg_retired in segments:
             self.batch_sum += seg_batch * seg_count
             if seg_batch > self.max_batch:
                 self.max_batch = seg_batch
@@ -501,7 +492,7 @@ class TelemetryRecorder:
             clock_list = clocks_after.tolist()
             cycle_list = cycles.tolist()
             pos = 0
-            for seg_count, seg_batch, seg_retired in segments_iter:
+            for seg_count, seg_batch, seg_retired in segments:
                 for j in range(seg_count):
                     self.records.append(StepEvent(
                         clock_s=clock_list[pos], batch=seg_batch,
@@ -510,7 +501,7 @@ class TelemetryRecorder:
                     pos += 1
             return
         pos = 0
-        for seg_count, seg_batch, _ in segments_iter:
+        for seg_count, seg_batch, _ in segments:
             if self.level == "sketch":
                 self.digest.add_array(latencies[pos:pos + seg_count],
                                       seg_batch)
@@ -594,11 +585,8 @@ class TelemetryRecorder:
         out: list[int] = []
         for record in self.records:
             if isinstance(record, StepWindow):
-                if record.segments is None:
-                    out.extend([record.batch] * record.count)
-                else:
-                    for seg_count, seg_batch, _ in record.segments:
-                        out.extend([seg_batch] * seg_count)
+                for seg_count, seg_batch, _ in record.segments:
+                    out.extend([seg_batch] * seg_count)
             elif record.batch:
                 out.append(record.batch)
         return out

@@ -38,17 +38,16 @@ class StepEvent:
 class StepWindow:
     """A run of ``count`` fast-forwarded decode steps as one object.
 
-    A *single-segment* window (``segments is None``) is a static run:
-    nothing admitted, retired, or preempted, one batch size throughout.
-    A *multi-segment* window chains piecewise-static segments separated
-    by predicted retirements: ``segments`` holds one ``(count, batch,
-    retired)`` triple per segment (``retired`` members leave at the end
-    of that segment's last step), with ``sum(counts) == count`` and
-    ``batch`` the first segment's batch.  Either way the only per-step
-    facts are the cycle counts — one float64 array over the whole
-    window — and the clocks, which :meth:`expand` re-derives through
-    the same sequential ``cumsum`` the scheduler used to advance its
-    clock, reproducing the eager :class:`StepEvent` stream bit for bit.
+    The window chains piecewise-static segments separated by predicted
+    retirements: ``segments`` holds one ``(count, batch, retired)``
+    triple per segment (``retired`` members leave at the end of that
+    segment's last step), with ``sum(counts) == count`` and ``batch``
+    the first segment's batch.  Nothing is admitted or preempted inside
+    a window, so the only per-step facts are the cycle counts — one
+    float64 array over the whole window — and the clocks, which
+    :meth:`expand` re-derives through the same sequential ``cumsum``
+    the scheduler used to advance its clock, reproducing the eager
+    :class:`StepEvent` stream bit for bit.
     """
 
     clock0_s: float  # engine clock before the window's first step
@@ -56,7 +55,7 @@ class StepWindow:
     batch: int
     count: int
     cycles: np.ndarray
-    segments: tuple[tuple[int, int, int], ...] | None = None
+    segments: tuple[tuple[int, int, int], ...]
 
     def latencies(self) -> np.ndarray:
         """Per-step seconds — the identical floats ``full`` telemetry
@@ -68,10 +67,6 @@ class StepWindow:
                                            self.latencies())))
         clock_list = clocks[1:].tolist()
         cycle_list = self.cycles.tolist()
-        if self.segments is None:
-            return [StepEvent(clock_s=clock, batch=self.batch, cycles=cyc,
-                              admitted=0, preempted=0, retired=0)
-                    for clock, cyc in zip(clock_list, cycle_list)]
         events: list[StepEvent] = []
         pos = 0
         for count, batch, retired in self.segments:
@@ -89,9 +84,8 @@ class ColumnarRecords:
 
     Append-only during a run; reads iterate (or index) and materialize
     record objects on the fly, bit-identical to what was appended —
-    cycle arrays round-trip through float64 columns unchanged, and a
-    window appended with ``segments=None`` comes back with
-    ``segments=None``.  Supports ``len``, iteration, and indexing, so
+    cycle arrays and segment triples round-trip through the columns
+    unchanged.  Supports ``len``, iteration, and indexing, so
     code written against the list representation keeps working.
     """
 
@@ -112,9 +106,8 @@ class ColumnarRecords:
         self._ev_preempted = array("q")
         self._ev_retired = array("q")
         # StepWindow columns; all windows' per-step cycles are packed
-        # into one flat column with per-window offsets, and explicit
-        # segment triples likewise (``_win_seg_n == 0`` marks a window
-        # appended with ``segments=None``).
+        # into one flat column with per-window offsets, and the segment
+        # triples likewise.
         self._win_clock0 = array("d")
         self._win_batch = array("q")
         self._win_count = array("q")
@@ -139,7 +132,7 @@ class ColumnarRecords:
 
     def append_window(
             self, clock0_s: float, batch: int, cycles: np.ndarray,
-            segments: tuple[tuple[int, int, int], ...] | None) -> None:
+            segments: tuple[tuple[int, int, int], ...]) -> None:
         self._kinds.append(1)
         self._win_clock0.append(clock0_s)
         self._win_batch.append(batch)
@@ -149,14 +142,11 @@ class ColumnarRecords:
             self._cycles.frombytes(np.ascontiguousarray(
                 cycles, dtype=np.float64).tobytes())
         self._win_seg_off.append(len(self._seg_counts))
-        if segments is None:
-            self._win_seg_n.append(0)
-        else:
-            self._win_seg_n.append(len(segments))
-            for seg_count, seg_batch, seg_retired in segments:
-                self._seg_counts.append(seg_count)
-                self._seg_batches.append(seg_batch)
-                self._seg_retired.append(seg_retired)
+        self._win_seg_n.append(len(segments))
+        for seg_count, seg_batch, seg_retired in segments:
+            self._seg_counts.append(seg_count)
+            self._seg_batches.append(seg_batch)
+            self._seg_retired.append(seg_retired)
 
     # -- reads -------------------------------------------------------
 
@@ -197,14 +187,11 @@ class ColumnarRecords:
         cycles = np.frombuffer(self._cycles, dtype=np.float64,
                                count=count, offset=off * 8).copy() \
             if count else np.empty(0, dtype=np.float64)
-        n_segs = self._win_seg_n[j]
-        segments = None
-        if n_segs:
-            seg0 = self._win_seg_off[j]
-            segments = tuple(
-                (self._seg_counts[k], self._seg_batches[k],
-                 self._seg_retired[k])
-                for k in range(seg0, seg0 + n_segs))
+        seg0 = self._win_seg_off[j]
+        segments = tuple(
+            (self._seg_counts[k], self._seg_batches[k],
+             self._seg_retired[k])
+            for k in range(seg0, seg0 + self._win_seg_n[j]))
         return StepWindow(clock0_s=self._win_clock0[j],
                           freq_hz=self.freq_hz,
                           batch=self._win_batch[j], count=count,

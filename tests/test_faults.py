@@ -24,14 +24,20 @@ from repro.cluster import (
     RetryPolicy,
 )
 from repro.config import TINY_MODEL
-from repro.engine import FinishReason, TenantSpec, synthetic_trace
+from repro.engine import (
+    WINDOW_BREAK_REASONS,
+    FinishReason,
+    TenantSpec,
+    synthetic_trace,
+)
 from repro.errors import SimulationError
+from repro.obs import FlightRecorder
 from test_telemetry_equivalence import (
     assert_reports_identical,
     make_engine,
 )
 
-FF_TIERS = ("multi", "single", False)
+FF_TIERS = (True, False)
 
 FG = TenantSpec("fg", "interactive")
 BULK = TenantSpec("bulk", "batch")
@@ -134,11 +140,20 @@ class TestDegradedMode:
 # Engine-level fault handling: every tier sees the same faults
 # ---------------------------------------------------------------------
 
-def run_with_plan(ff, plan, n=24, rate=3000.0, seed=0):
+def run_with_plan(ff, plan, n=24, rate=3000.0, seed=0, requests=None):
     eng = make_engine("cycle", "slotted", ff=ff)
     eng.fault_plan = plan
-    report = eng.run(trace(n=n, rate=rate, seed=seed), telemetry="full")
+    eng.flight = FlightRecorder()
+    if requests is None:
+        requests = trace(n=n, rate=rate, seed=seed)
+    report = eng.run(requests, telemetry="full")
     return eng, report
+
+
+def window_reasons(eng) -> list[str]:
+    """The ``reason`` label of every window span the engine traced."""
+    return [ev["args"]["reason"] for ev in eng.flight.chrome_events()
+            if ev["name"] == "window" and ev["ph"] == "B"]
 
 
 class TestEngineFaults:
@@ -146,21 +161,18 @@ class TestEngineFaults:
         sched = FaultSchedule.single_crash(
             0, 0.3 * span_s(), 0.25 * span_s(), warmup_s=0.1 * span_s())
         plan = sched.plan_for(0)
-        eng_m, rep_m = run_with_plan("multi", plan)
-        eng_s, rep_s = run_with_plan("single", plan)
+        eng_w, rep_w = run_with_plan(True, plan)
         eng_e, rep_e = run_with_plan(False, plan)
-        assert eng_m.killed, "crash must hit in-flight work"
-        assert eng_m.killed == eng_s.killed == eng_e.killed
-        assert eng_m.fault_stats() == eng_s.fault_stats() \
-            == eng_e.fault_stats()
-        assert_reports_identical(rep_m, rep_s)
-        assert_reports_identical(rep_m, rep_e)
+        assert eng_w.killed, "crash must hit in-flight work"
+        assert eng_w.killed == eng_e.killed
+        assert eng_w.fault_stats() == eng_e.fault_stats()
+        assert_reports_identical(rep_w, rep_e)
         # Killed requests do not retire: the report only holds the
         # survivors, and every kill is attributed a phase.
-        killed_ids = {k.request.request_id for k in eng_m.killed}
-        retired = {r.request_id for r in rep_m.results}
+        killed_ids = {k.request.request_id for k in eng_w.killed}
+        retired = {r.request_id for r in rep_w.results}
         assert killed_ids and not killed_ids & retired
-        assert {k.phase for k in eng_m.killed} \
+        assert {k.phase for k in eng_w.killed} \
             <= {"running", "queued", "arrival"}
 
     def test_hang_and_slowdown_are_tier_identical(self):
@@ -169,11 +181,9 @@ class TestEngineFaults:
                   FaultEvent("slowdown", 0, 0.5 * span_s(),
                              0.3 * span_s(), factor=3.0)]
         plan = FaultSchedule(events).plan_for(0)
-        _, rep_m = run_with_plan("multi", plan)
-        _, rep_s = run_with_plan("single", plan)
+        _, rep_w = run_with_plan(True, plan)
         _, rep_e = run_with_plan(False, plan)
-        assert_reports_identical(rep_m, rep_s)
-        assert_reports_identical(rep_m, rep_e)
+        assert_reports_identical(rep_w, rep_e)
 
     def test_slowdown_extends_compute_bound_run(self):
         base = make_engine("cycle", "slotted")
@@ -181,36 +191,34 @@ class TestEngineFaults:
         plan = FaultSchedule([FaultEvent(
             "slowdown", 0, 0.0, healthy.total_time_s * 10,
             factor=2.0)]).plan_for(0)
-        _, slowed = run_with_plan("multi", plan, rate=1e9)
+        _, slowed = run_with_plan(True, plan, rate=1e9)
         assert slowed.total_time_s > healthy.total_time_s
 
     def test_fault_window_break_reason(self):
-        """A fault boundary cuts fast-forward windows; the multi-step
-        predictor *plans* its chains to end exactly there (the boundary
-        is known in advance), so only the single-window tier records
-        the cut as a "fault" break."""
+        """A fault boundary ends fast-forward windows.  The event
+        horizon *plans* its chains to end exactly there (the boundary
+        is known in advance), so the cut notes no break; the flight
+        recorder still labels the window ``reason="fault"``, and the
+        report equals the eager loop's."""
         chaos_trace = synthetic_trace(
             TINY_MODEL, n_requests=4, arrival_rate_rps=1e9,
             prompt_len=(3, 8), decode_len=(64, 128), seed=0)
         plan = FaultSchedule([FaultEvent(
             "slowdown", 0, 0.0005, 0.001, factor=2.0)]).plan_for(0)
-        eng = make_engine("cycle", "slotted", ff="multi")
-        eng.fault_plan = plan
-        rep = eng.run(chaos_trace, telemetry="full")
+        eng, rep = run_with_plan(True, plan, requests=chaos_trace)
+        _, eager = run_with_plan(False, plan, requests=chaos_trace)
         assert not eng.killed
         assert len(rep.results) == 4
-        assert rep.window_stats["breaks"].get("fault", 0) == 0
-        eng_s = make_engine("cycle", "slotted", ff="single")
-        eng_s.fault_plan = plan
-        rep_s = eng_s.run(chaos_trace, telemetry="full")
-        assert rep_s.window_stats["breaks"]["fault"] > 0
-        assert_reports_identical(rep, rep_s)
+        assert_reports_identical(rep, eager)
+        assert sum(rep.window_stats["breaks"].values()) == 0
+        assert "fault" in window_reasons(eng)
 
     def test_fault_boundary_folding_shrinks_break_histogram(self):
         """Satellite metric of the event-horizon fold: on a chaotic
-        trace the multi tier's total unplanned-break count is strictly
-        below the single tier's, because every fault-boundary cut that
-        the single tier logs is a planned chain end for the predictor."""
+        trace every fault-boundary cut (two slowdowns and a hang) is a
+        planned chain end for the predictor, so it adds nothing to the
+        break histogram while each cut still shows as a ``"fault"``
+        window span — and the report equals the eager loop's."""
         chaos_trace = synthetic_trace(
             TINY_MODEL, n_requests=6, arrival_rate_rps=1e9,
             prompt_len=(3, 8), decode_len=(64, 128), seed=1)
@@ -220,18 +228,15 @@ class TestEngineFaults:
                              factor=1.5),
                   FaultEvent("hang", 0, 0.003, 0.0005)]
         plan = FaultSchedule(events).plan_for(0)
-        reps = {}
-        for tier in ("multi", "single"):
-            eng = make_engine("cycle", "slotted", ff=tier)
-            eng.fault_plan = plan
-            reps[tier] = eng.run(chaos_trace, telemetry="full")
-        rep_m, rep_s = reps["multi"], reps["single"]
-        assert_reports_identical(rep_m, rep_s)
-        breaks_m = rep_m.window_stats["breaks"]
-        breaks_s = rep_s.window_stats["breaks"]
-        assert breaks_s.get("fault", 0) > 0
-        assert breaks_m.get("fault", 0) == 0
-        assert sum(breaks_m.values()) < sum(breaks_s.values())
+        eng, rep = run_with_plan(True, plan, requests=chaos_trace)
+        _, eager = run_with_plan(False, plan, requests=chaos_trace)
+        assert_reports_identical(rep, eager)
+        # Six requests on four slots: the only breaks are the two
+        # admissions that fill slots freed by retirements.
+        assert rep.window_stats["breaks"] == {
+            reason: 2 if reason == "admission" else 0
+            for reason in WINDOW_BREAK_REASONS}
+        assert window_reasons(eng).count("fault") >= len(events)
 
     def test_fault_plan_is_inert_between_runs(self):
         """Clearing ``fault_plan`` restores healthy behavior exactly."""
@@ -250,7 +255,7 @@ class TestEngineFaults:
 # Router-level resilience: retry, health routing, degraded admission
 # ---------------------------------------------------------------------
 
-def cluster(ff="multi", n=3, faults=None, retry=None, degraded=None,
+def cluster(ff=True, n=3, faults=None, retry=None, degraded=None,
             policy="round_robin"):
     engines = [make_engine("cycle", "slotted", ff=ff) for _ in range(n)]
     return ReplicaRouter(engines, policy=policy, faults=faults,

@@ -6,7 +6,7 @@ checkpoint at the deadline and resume elsewhere with their KV shipped
 over the interconnect and *zero* prefill recompute; failure domains
 correlate faults and steer retries/handoffs across racks; hedged
 dispatch duplicates tail-latency requests first-token-wins.  All of it
-stays bit-identical across scheduler fast-forward tiers, and retried
+stays bit-identical with fast-forward on or off, and retried
 or migrated requests account TTFT/E2E from their *original* arrival.
 """
 
@@ -34,7 +34,7 @@ from test_telemetry_equivalence import (
     make_engine,
 )
 
-FF_TIERS = ("multi", "single", False)
+FF_TIERS = (True, False)
 
 
 def trace(n=32, rate=1e9, seed=0, decode=(64, 128), mix=None):
@@ -44,7 +44,7 @@ def trace(n=32, rate=1e9, seed=0, decode=(64, 128), mix=None):
                            tenant_mix=mix)
 
 
-def cluster(ff="multi", n=3, kv="slotted", **kwargs):
+def cluster(ff=True, n=3, kv="slotted", **kwargs):
     engines = [make_engine("cycle", kv, ff=ff) for _ in range(n)]
     return ReplicaRouter(engines, **kwargs)
 
@@ -263,14 +263,14 @@ class TestDrainMigration:
         assert any(router.assignments[r.request_id] == 1 for r in late)
 
     def test_extract_state_requires_running_member(self):
-        engine = make_engine("cycle", "slotted", ff="multi")
+        engine = make_engine("cycle", "slotted")
         with pytest.raises(SimulationError, match="not running"):
             engine.extract_state(123)
 
     def test_migration_instants_in_flight_recorder(self):
         from repro.obs import FlightRecorder
 
-        engines = [make_engine("cycle", "slotted", ff="multi")
+        engines = [make_engine("cycle", "slotted")
                    for _ in range(3)]
         for e in engines:
             e.flight = FlightRecorder()

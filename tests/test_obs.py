@@ -238,7 +238,7 @@ class TestColumnarRecords:
         win_a = StepWindow(clock0_s=0.2, freq_hz=self.FREQ, batch=3,
                            count=4,
                            cycles=np.array([10., 11., 12., 13.]),
-                           segments=None)
+                           segments=((4, 3, 0),))
         win_b = StepWindow(clock0_s=0.9, freq_hz=self.FREQ, batch=3,
                            count=3, cycles=np.array([20., 21., 22.]),
                            segments=((2, 3, 1), (1, 2, 0)))
@@ -289,14 +289,15 @@ class TestColumnarRecords:
         records = self._filled()
         window = next(r for r in records if isinstance(r, StepWindow))
         _ = window.cycles
-        records.append_window(2.0, 1, np.array([5.0]), None)  # no raise
+        records.append_window(2.0, 1, np.array([5.0]),
+                              ((1, 1, 0),))  # no raise
         assert records.n_windows == 3
 
     def test_n_bytes_tracks_columns(self):
         records = ColumnarRecords(self.FREQ)
         base = records.n_bytes
         records.append_window(0.0, 4, np.arange(100, dtype=np.float64),
-                              None)
+                              ((100, 4, 0),))
         assert records.n_bytes > base
 
     def test_engine_windows_level_uses_columns(self):

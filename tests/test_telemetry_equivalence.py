@@ -207,10 +207,10 @@ class TestWindowedExpansionIsExact:
 
 
 class TestEventHorizonTiers:
-    """Satellite: the multi-segment event-horizon tier is a pure
-    optimization.  ``fast_forward="multi"`` must reproduce the single
-    tier and the eager loop bit for bit on every observable, while the
-    recorded window count collapses on retirement-dominated traces."""
+    """Satellite: event-horizon fast-forward is a pure optimization.
+    ``fast_forward=True`` must reproduce the eager loop bit for bit on
+    every observable, while the recorded window count collapses on
+    retirement-dominated traces."""
 
     @pytest.mark.parametrize("kv_mode", ("slotted", "paged"))
     @pytest.mark.parametrize("kind", ("cycle", "analytical"))
@@ -223,17 +223,16 @@ class TestEventHorizonTiers:
                                      arrival_rate, n_requests,
                                      decode_hi):
         """Long decodes make predicted-retirement segments fire; the
-        three tiers must stay bit-identical through them."""
+        windows must stay bit-identical to the eager loop through
+        them."""
         kwargs = dict(arrival_rate_rps=arrival_rate, seed=seed,
                       prompt_len=(3, 10), decode_len=(25, decode_hi),
                       shared_prefix_len=8)
         trace = synthetic_trace(TINY_MODEL, n_requests, **kwargs)
         eager = make_engine(kind, kv_mode, ff=False).run(trace)
-        single = make_engine(kind, kv_mode, ff="single").run(trace)
-        multi = make_engine(kind, kv_mode, ff="multi").run(trace)
-        assert_reports_identical(single, eager)
-        assert_reports_identical(multi, eager)
-        assert_percentiles_identical(multi, eager)
+        windowed = make_engine(kind, kv_mode).run(trace)
+        assert_reports_identical(windowed, eager)
+        assert_percentiles_identical(windowed, eager)
 
     @pytest.mark.parametrize("kv_mode", ("slotted", "paged"))
     def test_oracle_mixed_eos_length_tiers_agree(self, kv_mode):
@@ -264,11 +263,9 @@ class TestEventHorizonTiers:
         requests = [Request(i, (5, 6 + i), max_new_tokens=6, eos_id=7)
                     for i in range(4)]
         eager = engine(False).run(requests)
-        single = engine("single").run(requests)
-        multi = engine("multi").run(requests)
-        assert_reports_identical(single, eager)
-        assert_reports_identical(multi, eager)
-        assert {r.finish_reason for r in multi.results} \
+        windowed = engine(True).run(requests)
+        assert_reports_identical(windowed, eager)
+        assert {r.finish_reason for r in windowed.results} \
             == {FinishReason.EOS, FinishReason.LENGTH}
 
     @pytest.mark.parametrize("kind", ("cycle", "analytical"))
@@ -277,41 +274,36 @@ class TestEventHorizonTiers:
                       prompt_len=(3, 10), decode_len=(20, 48))
         trace = synthetic_trace(TINY_MODEL, 10, **kwargs)
         eager = make_engine(kind, "slotted", tp=2, ff=False).run(trace)
-        single = make_engine(kind, "slotted", tp=2,
-                             ff="single").run(trace)
-        multi = make_engine(kind, "slotted", tp=2,
-                            ff="multi").run(trace)
-        assert_reports_identical(single, eager)
-        assert_reports_identical(multi, eager)
-        assert_percentiles_identical(multi, eager)
+        windowed = make_engine(kind, "slotted", tp=2).run(trace)
+        assert_reports_identical(windowed, eager)
+        assert_percentiles_identical(windowed, eager)
 
     def test_retirement_dominated_trace_collapses_windows(self):
-        """Staggered-length decodes with an empty arrival queue: the
-        single tier breaks a window at every horizon (one per
-        retirement), the multi tier folds the retirements into
-        segments of the same window — O(admissions) windows."""
+        """Staggered-length decodes with an empty arrival queue: every
+        retirement folds into a segment of the same window, so the
+        whole decode after the admission step is ONE window of
+        MAX_BATCH segments."""
         trace = [Request(i, (1, 2, 3), max_new_tokens=12 + 9 * i)
                  for i in range(MAX_BATCH)]
-        eng_single = make_engine("cycle", "slotted", ff="single")
-        single = eng_single.run(trace, telemetry="windows")
-        eng_multi = make_engine("cycle", "slotted", ff="multi")
-        multi = eng_multi.run(trace, telemetry="windows")
-        assert_reports_identical(multi, single)
-        assert_percentiles_identical(multi, single)
+        eager = make_engine("cycle", "slotted", ff=False).run(
+            trace, telemetry="windows")
+        eng = make_engine("cycle", "slotted")
+        report = eng.run(trace, telemetry="windows")
+        assert_reports_identical(report, eager)
+        assert_percentiles_identical(report, eager)
 
-        s_stats, m_stats = single.window_stats, multi.window_stats
-        assert m_stats["n_windows"] < s_stats["n_windows"]
-        assert m_stats["folded_retirements"] >= MAX_BATCH - 1
-        assert s_stats["folded_retirements"] == 0
-        assert m_stats["n_segments"] >= m_stats["n_windows"]
-        assert len(eng_multi._recorder.records) \
-            < len(eng_single._recorder.records)
+        assert report.window_stats == {
+            "n_windows": 1, "n_segments": MAX_BATCH,
+            "folded_retirements": MAX_BATCH,
+            "breaks": {reason: 0 for reason in WINDOW_BREAK_REASONS}}
+        assert eager.window_stats["n_windows"] == 0
+        assert len(eng._recorder.records) < report.n_steps
 
     def test_break_histogram_shape_and_reasons(self):
         trace = synthetic_trace(TINY_MODEL, 16, arrival_rate_rps=400.0,
                                 seed=5, prompt_len=(3, 8),
                                 decode_len=(12, 40))
-        report = make_engine("cycle", "slotted", ff="multi").run(
+        report = make_engine("cycle", "slotted").run(
             trace, telemetry="windows")
         stats = report.window_stats
         assert set(stats["breaks"]) == set(WINDOW_BREAK_REASONS)
@@ -319,28 +311,24 @@ class TestEventHorizonTiers:
         assert stats["n_windows"] > 0
         assert stats["n_segments"] >= stats["n_windows"]
         assert sum(stats["breaks"].values()) > 0
-        # The multi tier folds EOS horizons into segments and the
-        # slotted discipline never touches block frontiers.
-        assert stats["breaks"]["eos"] == 0
+        # The slotted discipline never touches block frontiers.
         assert stats["breaks"]["block-frontier"] == 0
 
-    @pytest.mark.parametrize("ff", ("single", "multi"))
-    def test_zero_step_windows_leave_no_break_note(self, ff):
+    def test_zero_step_windows_leave_no_break_note(self):
         """A fast-forward pass whose arrival cut lands on zero steps
         records no window — so it must not note a break either, or the
-        histogram counts phantom windows.  An "arrival" note is only
-        ever attached to a recorded window; in the multi tier every
-        note is, so the histogram total is bounded by n_windows."""
+        histogram counts phantom windows.  Every note is attached to a
+        recorded window, so the histogram total is bounded by
+        n_windows."""
         trace = synthetic_trace(TINY_MODEL, 24, arrival_rate_rps=900.0,
                                 seed=17, prompt_len=(3, 8),
                                 decode_len=(4, 30))
-        report = make_engine("cycle", "slotted", ff=ff).run(
+        report = make_engine("cycle", "slotted").run(
             trace, telemetry="windows")
         stats = report.window_stats
         assert stats["n_windows"] > 0
-        assert stats["breaks"]["arrival"] <= stats["n_windows"]
-        if ff == "multi":
-            assert sum(stats["breaks"].values()) <= stats["n_windows"]
+        assert stats["breaks"]["arrival"] > 0
+        assert sum(stats["breaks"].values()) <= stats["n_windows"]
 
     def test_streamed_report_carries_window_stats(self):
         kwargs = dict(arrival_rate_rps=600.0, seed=13,
@@ -354,7 +342,7 @@ class TestEventHorizonTiers:
         assert full.window_stats["n_windows"] > 0
 
     def test_off_tier_records_no_windows(self):
-        report = make_engine("cycle", "slotted", ff="off").run(
+        report = make_engine("cycle", "slotted", ff=False).run(
             [Request(0, (1, 2, 3), max_new_tokens=20)],
             telemetry="windows")
         stats = report.window_stats
@@ -362,8 +350,12 @@ class TestEventHorizonTiers:
         assert sum(stats["breaks"].values()) == 0
 
     def test_unknown_tier_rejected(self):
-        with pytest.raises(SimulationError):
-            make_engine("cycle", "slotted", ff="warp")
+        """``fast_forward`` is a plain bool: the retired tier names and
+        any other value fail fast, naming the accepted values."""
+        for bad in ("single", "multi", "off", "warp"):
+            with pytest.raises(SimulationError,
+                               match=r"must be True .* or False"):
+                make_engine("cycle", "slotted", ff=bad)
 
 
 class TestStreamedSubmission:

@@ -329,14 +329,14 @@ class TestBestEffortDrop:
         assert fg["n_rejected"] == 0 and fg["n_requests"] == 24
 
     def test_drop_is_tier_invariant(self):
-        eager = self.run_thrash(ff=False)
-        for ff in ("single", "multi"):
-            assert_reports_identical(self.run_thrash(ff), eager)
+        assert_reports_identical(self.run_thrash(ff=True),
+                                 self.run_thrash(ff=False))
 
 
 class TestTenancyTiersAgree:
     """Satellite: the differential harness over mixed-tenant traces —
-    multi == single == eager across backends, KV modes, and TP=2."""
+    event-horizon windows == eager across backends, KV modes, and
+    TP=2."""
 
     @pytest.mark.parametrize("kv_mode", ("slotted", "paged"))
     @pytest.mark.parametrize("kind", ("cycle", "analytical"))
@@ -354,10 +354,8 @@ class TestTenancyTiersAgree:
                                 decode_len=(4, decode_hi),
                                 tenant_mix=MIX)
         eager = make_engine(kind, kv_mode, ff=False).run(trace)
-        single = make_engine(kind, kv_mode, ff="single").run(trace)
-        multi = make_engine(kind, kv_mode, ff="multi").run(trace)
-        assert_reports_identical(single, eager)
-        assert_reports_identical(multi, eager)
+        windowed = make_engine(kind, kv_mode).run(trace)
+        assert_reports_identical(windowed, eager)
 
     def test_mixed_tenant_contention_tiers_agree(self):
         """Heavy preemption + quota churn: the regime where a wrong
@@ -369,19 +367,16 @@ class TestTenancyTiersAgree:
         eager = make_engine("cycle", "slotted", ff=False,
                             budget=64).run(trace)
         assert eager.preemptions > 0
-        for ff in ("single", "multi"):
-            got = make_engine("cycle", "slotted", ff=ff,
-                              budget=64).run(trace)
-            assert_reports_identical(got, eager)
+        windowed = make_engine("cycle", "slotted", budget=64).run(trace)
+        assert_reports_identical(windowed, eager)
 
     def test_sharded_tp2_mixed_tenant_tiers_agree(self):
         trace = synthetic_trace(TINY_MODEL, 16, arrival_rate_rps=2000.0,
                                 seed=5, prompt_len=(3, 10),
                                 decode_len=(8, 30), tenant_mix=MIX)
         eager = make_engine("cycle", "slotted", tp=2, ff=False).run(trace)
-        for ff in ("single", "multi"):
-            got = make_engine("cycle", "slotted", tp=2, ff=ff).run(trace)
-            assert_reports_identical(got, eager)
+        windowed = make_engine("cycle", "slotted", tp=2).run(trace)
+        assert_reports_identical(windowed, eager)
 
     @pytest.mark.parametrize("telemetry", ("windows", "summary",
                                            "sketch"))
