@@ -50,6 +50,11 @@ class Mcu:
         self.ddr_params = ddr_params if ddr_params is not None \
             else DdrTimingParams()
         self.bytes_moved = 0.0
+        # A stream's timing is a pure function of its arguments (axi and
+        # ddr_params are fixed at construction), so each distinct stream
+        # — one per weight-slice shape and KV fetch length — runs the DDR
+        # burst loop once.
+        self._streams: dict[tuple, TransferReport] = {}
 
     def _cycles_from_ns(self, ns: float) -> float:
         return ns * 1e-9 * self.axi.freq_hz
@@ -65,6 +70,16 @@ class Mcu:
         """
         if n_bytes <= 0:
             raise SimulationError(f"transfer size must be positive: {n_bytes}")
+        key = (n_bytes, contiguous, is_write, burst_bytes)
+        report = self._streams.get(key)
+        if report is None:
+            report = self._stream_report(*key)
+            self._streams[key] = report
+        self.bytes_moved += n_bytes
+        return report
+
+    def _stream_report(self, n_bytes: float, contiguous: bool,
+                       is_write: bool, burst_bytes: int) -> TransferReport:
         ddr = DdrModel(self.ddr_params)
         address = 0
         remaining = int(n_bytes)
@@ -74,7 +89,6 @@ class Mcu:
                                    is_write=is_write))
             address += size if contiguous else size + self.ddr_params.row_bytes
             remaining -= size
-        self.bytes_moved += n_bytes
         return TransferReport(
             n_bytes=n_bytes,
             axi_cycles=self.axi.transfer_cycles(n_bytes),
@@ -103,6 +117,7 @@ class Mcu:
     def streaming_efficiency(self) -> float:
         """DDR efficiency of an ideal maximal-burst stream — the ceiling
         the data arrangement format is designed to reach."""
+        moved = self.bytes_moved
         report = self.stream_transfer(64 * DEFAULT_BURST_BYTES)
-        self.bytes_moved -= report.n_bytes  # probe, not real traffic
+        self.bytes_moved = moved  # probe, not real traffic
         return report.axi_cycles / report.ddr_cycles

@@ -20,7 +20,7 @@ under the next projection's stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from ..config import ModelConfig, QuantConfig
@@ -163,6 +163,16 @@ class TokenScheduler:
             exposed = misc
         return Segment(name, dense + exposed, n_bytes, exposed)
 
+    def _stack_layers(self, layer0: list[Segment]) -> list[Segment]:
+        """Every decoder layer has one shape, so layer 0's segments,
+        priced once, are every layer's: one renamed copy per layer, in
+        the per-layer segment order (``layer`` only feeds the name, so
+        the schedule's float sums are unchanged)."""
+        suffixes = [s.name.removeprefix("layer0.") for s in layer0]
+        return [replace(s, name=f"layer{layer}.{suffix}")
+                for layer in range(self.model.num_layers)
+                for s, suffix in zip(layer0, suffixes)]
+
     # -- public API --------------------------------------------------------------
 
     def attention_segment(self, layer: int, context: int,
@@ -302,9 +312,9 @@ class TokenScheduler:
         emb = self.mcu.stream_transfer(row_bytes)
         sched.segments.append(Segment("embedding", emb.cycles, row_bytes))
 
-        for layer in range(m.num_layers):
-            sched.segments.append(self.attention_segment(layer, context, mode))
-            sched.segments.extend(self.mlp_segments(layer, mode))
+        sched.segments.extend(self._stack_layers(
+            [self.attention_segment(0, context, mode),
+             *self.mlp_segments(0, mode)]))
 
         # Final RMSNorm is serial before the LM head in both modes (the
         # logits projection cannot start without the normalized vector).
@@ -349,11 +359,9 @@ class TokenScheduler:
         sched.segments.append(Segment("embedding", batch * emb.cycles,
                                       batch * row_bytes))
 
-        for layer in range(m.num_layers):
-            sched.segments.append(
-                self.batched_attention_segment(layer, contexts, mode,
-                                               fetched))
-            sched.segments.extend(self.mlp_segments(layer, mode, batch=batch))
+        sched.segments.extend(self._stack_layers(
+            [self.batched_attention_segment(0, contexts, mode, fetched),
+             *self.mlp_segments(0, mode, batch=batch)]))
 
         # The final RMSNorm stays serial per sequence (each logits
         # projection input must be normalized before its head pass).

@@ -549,8 +549,11 @@ class _CycleTimedBackend(_KVMixin):
     # schedule.  The helpers below recompute exactly those terms with the
     # identical accumulation order while memoizing every deterministic
     # sub-result, so a K-step window costs O(K * (batch + layers)) float
-    # adds instead of K full schedule builds.  Memoized stream-transfer
-    # probes bypass the MCU's ``bytes_moved`` diagnostic accumulator.
+    # adds instead of K full schedule builds.  ``_ff_stream`` stays on top
+    # of the MCU's own stream memo: it serves a lookup per batch member
+    # on the eager-step path, where a plain dict hit skips the method
+    # call, the report's ``cycles`` property and the ``bytes_moved``
+    # diagnostic counter (which these probes bypass).
 
     def _ff_stream_cycles(self, n_bytes: float) -> float:
         val = self._ff_stream.get(n_bytes)

@@ -253,6 +253,27 @@ class TestFastForwardEquivalence:
         reports_identical(run(False, False), reference)
         reports_identical(run(True, False), reference)
 
+    def test_llama2_7b_paged_shared_prefix_is_bit_identical(self):
+        """The paper's deployment (LLaMA2-7B, paged KV, a 16-token
+        shared prefix): windows and eager steps both equal the
+        reference schedule builders, with arrivals spread over the run
+        so windows break mid-decode."""
+        trace = synthetic_trace(LLAMA2_7B, 8, arrival_rate_rps=2.0,
+                                seed=5, prompt_len=(3, 8),
+                                decode_len=(8, 40), shared_prefix_len=16)
+
+        def run(fast_forward, reference_costs):
+            backend = CycleModelBackend(
+                LLAMA2_7B, W4A16_KV8, n_slots=MAX_BATCH, kv_mode="paged",
+                block_size=BLOCK_SIZE, reference_costs=reference_costs)
+            engine = ContinuousBatchScheduler(
+                backend, max_batch=MAX_BATCH, fast_forward=fast_forward)
+            return engine.run(trace)
+
+        reference = run(False, True)
+        reports_identical(run(True, False), reference)
+        reports_identical(run(False, False), reference)
+
     @pytest.mark.parametrize("cls", [ShardedCycleBackend,
                                      ShardedAnalyticalBackend])
     def test_sharded_fast_forward_is_bit_identical(self, cls, quant32):

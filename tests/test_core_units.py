@@ -173,3 +173,53 @@ class TestMcu:
         mcu.stream_transfer(1000)
         mcu.stream_transfer(2000)
         assert mcu.bytes_moved == 3000
+
+    # -- stream memo: each distinct stream runs the DDR burst loop once --
+
+    SIZES = (1, 63, 64, 1000, 4097.5, 1 << 20, (1 << 20) + 1, (3 << 20) + 17)
+
+    def test_memo_hits_equal_fresh_mcu(self):
+        mcu = Mcu()
+        for _ in range(2):
+            for n in self.SIZES:
+                assert mcu.stream_transfer(n) == Mcu().stream_transfer(n)
+
+    def test_variants_keyed_apart(self):
+        mcu = Mcu()
+        misses = []
+        build = mcu._stream_report
+
+        def counting(*key):
+            misses.append(key)
+            return build(*key)
+
+        mcu._stream_report = counting
+        n = (3 << 20) + 17
+        variants = (dict(), dict(contiguous=False), dict(is_write=True),
+                    dict(burst_bytes=4096))
+        for _ in range(2):
+            for kw in variants:
+                assert mcu.stream_transfer(n, **kw) \
+                    == Mcu().stream_transfer(n, **kw)
+        assert len(misses) == len(variants)
+
+    def test_nonpositive_rejected_after_cached_call(self):
+        mcu = Mcu()
+        mcu.stream_transfer(1000)
+        for bad in (0, -1000, -1.5):
+            with pytest.raises(SimulationError):
+                mcu.stream_transfer(bad)
+
+    def test_bytes_moved_counts_hits(self):
+        mcu = Mcu()
+        for _ in range(3):
+            mcu.stream_transfer(1000)
+        assert mcu.bytes_moved == 3000
+
+    def test_streaming_efficiency_leaves_bytes_moved(self):
+        mcu = Mcu()
+        mcu.stream_transfer(1000.1)
+        before = mcu.bytes_moved
+        for _ in range(2):
+            mcu.streaming_efficiency()
+            assert mcu.bytes_moved == before

@@ -80,3 +80,34 @@ class TestModelBehaviour:
     def test_transfer_bytes_reported(self, cm):
         step = cm.decode_step(512)
         assert 3.4e9 < step.transfer_bytes < 3.8e9
+
+
+class TestBitIdentityGoldens:
+    """Exact ``float.hex`` cycle counts recorded before the cycle model
+    memoized its DRAM streams and reused one priced decoder layer for
+    all of them.  Those are pure accelerations: any change to a value
+    here is a change to the simulated board, not a refactor."""
+
+    @pytest.mark.parametrize("mode,ctx,want", [
+        ("fused", 0, "0x1.af94df6b70be6p+25"),
+        ("fused", 17, "0x1.b05e0dd8350e4p+25"),
+        ("fused", 1023, "0x1.d24287e02a71cp+25"),
+        ("coarse", 0, "0x1.ba4dd0a9c849dp+25"),
+        ("coarse", 17, "0x1.bb7cff168c99dp+25"),
+        ("coarse", 1023, "0x1.f4f5791e81fdap+25"),
+    ])
+    def test_token_schedule(self, cm, mode, ctx, want):
+        assert cm.token_schedule(ctx, mode).total_cycles.hex() == want
+
+    def test_prefill(self, cm):
+        assert cm.prefill_cycles(40, start=16).hex() \
+            == "0x1.44889a4ceec18p+30"
+
+    @pytest.mark.parametrize("tp,want", [
+        (1, "0x1.31550d9539094p+27"),
+        (2, "0x1.315b4d91e81fdp+26"),
+    ])
+    def test_batched_decode_step(self, tp, want):
+        cm = CycleModel(LLAMA2_7B, W4A16_KV8, KV260, tp=tp)
+        step = cm.batched_decode_step([5, 300, 1023], fetched=[5, 100, 1023])
+        assert step.cycles.hex() == want

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config import GPT2_1_5B, LLAMA2_7B, W4A16_KV8
+from repro.config import GPT2_1_5B, LLAMA2_7B, TINYLLAMA_1_1B, W4A16_KV8
 from repro.core.scheduler import TokenScheduler, build_token_schedule
 from repro.errors import ScheduleError
 
@@ -71,3 +71,39 @@ def test_convenience_wrapper_matches_class(sched):
     a = build_token_schedule(LLAMA2_7B, W4A16_KV8, context=32)
     b = sched.build(context=32)
     assert a.total_cycles == pytest.approx(b.total_cycles)
+
+
+def assemble(sched, attention, mode, batch=1):
+    """The per-layer reference assembly: each layer's segments from the
+    public per-layer builders, layer by layer."""
+    segs = []
+    for layer in range(sched.model.num_layers):
+        segs.append(attention(layer))
+        segs.extend(sched.mlp_segments(layer, mode, batch=batch))
+    return segs
+
+
+@pytest.mark.parametrize("model", [LLAMA2_7B, TINYLLAMA_1_1B],
+                         ids=lambda m: m.name)
+@pytest.mark.parametrize("mode", ["fused", "coarse"])
+@pytest.mark.parametrize("tp", [1, 2])
+class TestLayerReuse:
+    """``build``/``build_batched`` price one decoder layer and copy it per
+    layer; every segment must equal the per-layer assembly."""
+
+    def test_build_equals_per_layer_assembly(self, model, mode, tp):
+        sched = TokenScheduler(model, W4A16_KV8, tp=tp)
+        for ctx in (0, 37):
+            built = sched.build(ctx, mode).segments
+            assert built[1:-2] == assemble(
+                sched, lambda layer: sched.attention_segment(layer, ctx, mode),
+                mode)
+
+    def test_build_batched_equals_per_layer_assembly(self, model, mode, tp):
+        sched = TokenScheduler(model, W4A16_KV8, tp=tp)
+        contexts, fetched = [3, 120, 400], [3, 40, 400]
+        built = sched.build_batched(contexts, mode, fetched=fetched)
+        assert built.segments[1:-2] == assemble(
+            sched, lambda layer: sched.batched_attention_segment(
+                layer, contexts, mode, fetched),
+            mode, batch=len(contexts))
