@@ -240,7 +240,7 @@ row = {
         resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
 }
 if telemetry == "windows":
-    records = report._rec.records
+    records = report.recorders[0].records
     row["records_mb"] = round(records.n_bytes / 1e6, 1)
     row["n_windows"] = records.n_windows
 elif telemetry == "sketch":

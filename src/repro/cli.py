@@ -480,7 +480,7 @@ def cmd_serve_sim(args) -> int:
 
         _, text = replica_table(report)
         print("  " + text.replace("\n", "\n  "))
-    resilience = getattr(report, "resilience", None)
+    resilience = report.resilience
     if resilience:
         goodput = resilience.get("goodput_degraded_tokens_per_s")
         print(f"  chaos          : seed {args.fault_seed} -> "
@@ -513,15 +513,13 @@ def cmd_serve_sim(args) -> int:
     if mix is not None:
         from .report.tables import tenant_stats_table
 
-        _, text = tenant_stats_table(getattr(report, "tenant_stats",
-                                             None))
+        _, text = tenant_stats_table(report.tenant_stats)
         print("  tenant classes :")
         print("  " + text.replace("\n", "\n  "))
     if args.window_stats:
         from .report.tables import window_stats_table
 
-        _, text = window_stats_table(getattr(report, "window_stats",
-                                             None))
+        _, text = window_stats_table(report.window_stats)
         print("  window stats   : " + text.replace("\n", "\n  "))
     if args.per_request:
         print("  id  prompt  new  ttft_ms    e2e_ms  reason")

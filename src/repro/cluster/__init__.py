@@ -56,10 +56,7 @@ from .faults import (
 from .migration import HedgePolicy, MigrationPolicy
 from .router import (
     POLICIES,
-    ClusterServeReport,
     ReplicaRouter,
-    StreamedClusterReport,
-    merge_reports,
 )
 from .sharding import (
     PROJECTION_AXES,
@@ -87,7 +84,6 @@ from .tp import (
 __all__ = [
     "ACTION_KINDS",
     "AURORA_MESH",
-    "ClusterServeReport",
     "CollectiveCost",
     "DegradedModeConfig",
     "FAULT_KINDS",
@@ -113,14 +109,12 @@ __all__ = [
     "ShardedAnalyticalBackend",
     "ShardedCycleBackend",
     "ShardedFunctionalBackend",
-    "StreamedClusterReport",
     "TEN_GIG_ETHERNET",
     "TPCommModel",
     "all_gather_cost",
     "all_reduce_cost",
     "derive_tp_kv_token_budget",
     "functional_reduction_is_exact",
-    "merge_reports",
     "projection_shapes",
     "scaling_sweep",
     "shard_functional_weights",

@@ -6,7 +6,7 @@ The router assigns every incoming request to exactly one replica before
 the replay starts — the moment a real front-end would make the same
 decision — then runs each replica's engine over its share of the trace
 and merges the per-replica :class:`ServeReport` objects into one
-cluster view.
+cluster report of the same class (:meth:`ServeReport.merge`).
 
 Policies:
 
@@ -26,12 +26,12 @@ Streaming: :meth:`ReplicaRouter.run` also accepts a zero-argument
 deterministic state machine over the arrival sequence, so each replica
 replays the factory once and keeps only its own share — a
 million-request cluster sweep never materializes the trace, and the
-per-replica streamed reports merge without per-token lists.
+per-replica reports merge column by column, without per-token lists.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -39,13 +39,8 @@ import numpy as np
 from ..engine.request import FinishReason, Request, ResumeSpec
 from ..engine.scheduler import (ContinuousBatchScheduler, KilledRequest,
                                 MigratedRequest)
-from ..engine.telemetry import (RequestResult, ServeReport,
-                                StreamedServeReport, TenantStats,
-                                merge_tenant_accumulators,
-                                merge_window_stats, summarize_tenants,
-                                tenant_stats_from_results)
+from ..engine.telemetry import REASON_CODES, ServeReport
 from ..errors import SimulationError
-from ..stats import merge_sorted, percentile_of_runs, percentile_of_sorted
 from .faults import (DegradedModeConfig, FaultSchedule, HealthTracker,
                      RetryPolicy)
 from .migration import HedgePolicy, MigrationPolicy
@@ -144,235 +139,6 @@ class _RoutingState:
         self.loads[replica] += len(request.prompt) \
             + request.max_new_tokens
         return replica
-
-
-@dataclass
-class ClusterServeReport(ServeReport):
-    """Merged serving metrics of a replicated engine run.
-
-    Inherits every :class:`ServeReport` metric over the union of the
-    replicas' results; ``total_time_s`` is the cluster makespan (the
-    slowest replica), so ``aggregate_tokens_per_s`` is genuine cluster
-    throughput.
-    """
-
-    replica_reports: list[ServeReport] = field(default_factory=list)
-    #: request_id -> replica index, as routed.
-    assignments: dict[int, int] = field(default_factory=dict)
-    #: resilience metrics of a fault-injected run (kills, retries,
-    #: failures, shedding, MTTR, goodput during recovery); None on a
-    #: fault-free run.
-    resilience: dict | None = None
-
-    @property
-    def n_replicas(self) -> int:
-        return len(self.replica_reports)
-
-    def replica_request_counts(self) -> list[int]:
-        return [len(r.results) for r in self.replica_reports]
-
-    def _sorted_decode_latencies(self) -> list[float]:
-        """K-way merge of the replicas' already-sorted latency caches
-        (:func:`repro.stats.merge_sorted`) — the replicas partition the
-        cluster's results, so the merge IS the sorted union, without
-        re-sorting it from scratch."""
-        if self._decode_lat_sorted is None:
-            if self.replica_reports:
-                self._decode_lat_sorted = merge_sorted(
-                    [r._sorted_decode_latencies()
-                     for r in self.replica_reports])
-            else:
-                self._decode_lat_sorted = sorted(
-                    s for r in self.results for s in r.decode_step_s)
-        return self._decode_lat_sorted
-
-    def _sorted_ttfts(self) -> list[float]:
-        if self._ttft_sorted is None:
-            if self.replica_reports:
-                self._ttft_sorted = merge_sorted(
-                    [r._sorted_ttfts() for r in self.replica_reports])
-            else:
-                self._ttft_sorted = sorted(
-                    r.ttft_s for r in self.results
-                    if r.ttft_s is not None)
-        return self._ttft_sorted
-
-
-class StreamedClusterReport:
-    """Cluster merge of per-replica :class:`StreamedServeReport`\\ s.
-
-    Aggregates fold without expanding anything: counters add, the
-    decode-latency runs concatenate (still run-length), sorted TTFT
-    caches k-way merge through :func:`repro.stats.merge_sorted`, and at
-    ``"sketch"`` level the per-replica t-digests merge into one cluster
-    digest (digests are mergeable by construction, preserving the
-    documented rank-error bound).  Per-request results materialize
-    lazily at ``"windows"`` and ``"full"`` levels.
-    """
-
-    def __init__(self, reports: list[StreamedServeReport],
-                 assignments: dict[int, int] | None = None,
-                 extra_results: list[RequestResult] | None = None,
-                 resilience: dict | None = None) -> None:
-        if not reports:
-            raise SimulationError("no replica reports to merge")
-        self.replica_reports = reports
-        self.assignments = dict(assignments or {})
-        #: router-synthesized results no replica ever saw: requests
-        #: shed by degraded-mode admission (REJECTED) and requests that
-        #: exhausted their retry budget (FAILED).  Zero tokens and no
-        #: TTFT either way, so only counts and result listings change.
-        self.extra_results = list(extra_results or [])
-        #: resilience metrics of a fault-injected run; None otherwise.
-        self.resilience = resilience
-        self.telemetry = reports[0].telemetry
-        self.total_time_s = max(r.total_time_s for r in reports)
-        self.n_steps = sum(r.n_steps for r in reports)
-        self.preemptions = sum(r.preemptions for r in reports)
-        self.max_batch_observed = max(r.max_batch_observed
-                                      for r in reports)
-        self.window_stats = merge_window_stats(
-            [r.window_stats for r in reports])
-        #: per-class stats merge additively: accumulators concatenate
-        #: across replicas, then summarize against the cluster makespan
-        #: (so per-class goodput is genuine cluster goodput).
-        accs = merge_tenant_accumulators(
-            [r.tenant_accumulators() for r in reports])
-        for res in self.extra_results:
-            acc = accs.setdefault(res.tenant_class, TenantStats())
-            acc.n_requests += 1
-            if res.finish_reason is FinishReason.REJECTED:
-                acc.n_rejected += 1
-            else:
-                acc.n_failed += 1
-        self.tenant_stats = summarize_tenants(accs, self.total_time_s)
-        self._lat_runs: tuple[np.ndarray, np.ndarray] | None = None
-        self._lat_digest = None
-        self._ttft_sorted: list[float] | None = None
-        self._results: list[RequestResult] | None = None
-
-    @property
-    def n_replicas(self) -> int:
-        return len(self.replica_reports)
-
-    def replica_request_counts(self) -> list[int]:
-        return [r.n_requests for r in self.replica_reports]
-
-    @property
-    def n_requests(self) -> int:
-        return sum(r.n_requests for r in self.replica_reports) \
-            + len(self.extra_results)
-
-    @property
-    def total_new_tokens(self) -> int:
-        return sum(r.total_new_tokens for r in self.replica_reports)
-
-    @property
-    def aggregate_tokens_per_s(self) -> float:
-        if self.total_time_s <= 0:
-            raise SimulationError("report covers no simulated time")
-        return self.total_new_tokens / self.total_time_s
-
-    @property
-    def mean_batch(self) -> float:
-        decode = sum(r.n_decode_steps for r in self.replica_reports)
-        if not decode:
-            raise SimulationError("no decode steps recorded")
-        return sum(r.batch_sum for r in self.replica_reports) / decode
-
-    @property
-    def mean_ttft_s(self) -> float:
-        columns = [r.ttft_columns() for r in self.replica_reports]
-        ids = np.concatenate([c[0] for c in columns])
-        ttfts = np.concatenate([c[1] for c in columns])
-        valid = np.concatenate([c[2] for c in columns])
-        n_valid = int(valid.sum())
-        if not n_valid:
-            raise SimulationError("no retired requests")
-        # Request-id order: the accumulation order of the eager cluster
-        # report's mean, so the float matches bit for bit.  Placeholder
-        # entries (no first token) are masked out after ordering.
-        order = np.argsort(ids, kind="stable")
-        return sum(ttfts[order][valid[order]].tolist()) / n_valid
-
-    def latency_digest(self):
-        """Cluster-wide decode-latency :class:`repro.stats.TDigest`
-        (``"sketch"`` level only): the per-replica digests merged."""
-        if self.telemetry != "sketch":
-            raise SimulationError(
-                f"telemetry='{self.telemetry}' keeps the exact latency "
-                "sample, not a sketch; use latency_percentile_s()")
-        if self._lat_digest is None:
-            from ..stats import TDigest
-
-            merged = TDigest()
-            for report in self.replica_reports:
-                merged.merge(report.latency_digest())
-            self._lat_digest = merged
-        return self._lat_digest
-
-    def latency_percentile_s(self, percentile: float) -> float:
-        if self.telemetry == "sketch":
-            return self.latency_digest().percentile(percentile)
-        if self._lat_runs is None:
-            parts = [r.latency_runs() for r in self.replica_reports]
-            values = np.concatenate([p[0] for p in parts])
-            counts = np.concatenate([p[1] for p in parts])
-            if not len(values):
-                raise SimulationError("no decode steps recorded")
-            order = np.argsort(values, kind="stable")
-            self._lat_runs = (values[order], counts[order])
-        return percentile_of_runs(*self._lat_runs, percentile)
-
-    def ttft_percentile_s(self, percentile: float) -> float:
-        if self._ttft_sorted is None:
-            self._ttft_sorted = merge_sorted(
-                [r.sorted_ttfts() for r in self.replica_reports])
-        if not self._ttft_sorted:
-            raise SimulationError("no retired requests")
-        return percentile_of_sorted(self._ttft_sorted, percentile)
-
-    @property
-    def step_batches(self) -> list[int]:
-        return [b for r in self.replica_reports for b in r.step_batches]
-
-    @property
-    def results(self) -> list[RequestResult]:
-        if self._results is None:
-            self._results = sorted(
-                [res for r in self.replica_reports for res in r.results]
-                + self.extra_results,
-                key=lambda res: res.request_id)
-        return self._results
-
-
-def merge_reports(reports: list[ServeReport],
-                  assignments: dict[int, int],
-                  extra_results: list[RequestResult] | None = None,
-                  resilience: dict | None = None) -> ClusterServeReport:
-    """Fold per-replica reports into one cluster report.
-    ``extra_results`` carries router-synthesized verdicts (degraded-mode
-    sheds, retry-budget failures) that no replica ever served."""
-    if not reports:
-        raise SimulationError("no replica reports to merge")
-    results = sorted([res for r in reports for res in r.results]
-                     + list(extra_results or []),
-                     key=lambda res: res.request_id)
-    total_time_s = max(r.total_time_s for r in reports)
-    return ClusterServeReport(
-        results=results,
-        total_time_s=total_time_s,
-        n_steps=sum(r.n_steps for r in reports),
-        preemptions=sum(r.preemptions for r in reports),
-        max_batch_observed=max(r.max_batch_observed for r in reports),
-        step_batches=[b for r in reports for b in r.step_batches],
-        window_stats=merge_window_stats(
-            [r.window_stats for r in reports]),
-        tenant_stats=tenant_stats_from_results(results, total_time_s),
-        replica_reports=list(reports),
-        assignments=dict(assignments),
-        resilience=resilience,
-    )
 
 
 class ReplicaRouter:
@@ -486,8 +252,7 @@ class ReplicaRouter:
                 yield request
 
     def run(self, requests: TraceLike, telemetry: str = "full",
-            max_steps: int = 1_000_000
-            ) -> ClusterServeReport | StreamedClusterReport:
+            max_steps: int = 1_000_000) -> ServeReport:
         """Route every request, run each replica's engine, merge.
 
         Like :meth:`ContinuousBatchScheduler.run`, each call is a fresh
@@ -527,9 +292,7 @@ class ReplicaRouter:
             reports = [engine.run(share, telemetry=telemetry,
                                   max_steps=max_steps)
                        for engine, share in zip(self.engines, shares)]
-        if telemetry != "full":
-            return StreamedClusterReport(reports, self.assignments)
-        return merge_reports(reports, self.assignments)
+        return ServeReport.merge(reports, self.assignments)
 
     # -- fault-tolerant serving ---------------------------------------------
 
@@ -606,8 +369,7 @@ class ReplicaRouter:
         return tuple(entries)
 
     def _run_with_faults(self, requests: TraceLike, telemetry: str,
-                         max_steps: int
-                         ) -> ClusterServeReport | StreamedClusterReport:
+                         max_steps: int) -> ServeReport:
         """Serve a trace through the fault schedule: shed, route
         health-aware, then iterate crash re-dispatch to a fixed point.
 
@@ -627,18 +389,13 @@ class ReplicaRouter:
         # capacity, low classes are shed cluster-wide *before* routing
         # (the verdict is a pure function of arrival time and class, so
         # it consumes no routing state).
-        shed_results: list[RequestResult] = []
+        shed: list[tuple[Request, FinishReason, float]] = []
         admitted: list[Request] = []
         for request in trace:
             if self.degraded is not None and request.tenant.priority \
                     in self.degraded.shed_classes(
                         tracker.healthy_fraction(request.arrival_s)):
-                shed_results.append(RequestResult(
-                    request_id=request.request_id, tokens=(),
-                    prompt_len=len(request.prompt), ttft_s=None,
-                    e2e_s=0.0, finish_reason=FinishReason.REJECTED,
-                    preemptions=0, decode_step_s=(),
-                    tenant_class=request.tenant.priority))
+                shed.append((request, FinishReason.REJECTED, 0.0))
             else:
                 admitted.append(request)
         self._routing = _RoutingState(self.n_replicas, self.policy,
@@ -750,16 +507,15 @@ class ReplicaRouter:
         copy_ids: set[int] = set()
         if self.hedge is not None:
             delay = self.hedge.delay_s
-            by_id = {r.request_id: r
-                     for rep in reports for r in rep.results}
-            candidates = sorted(
-                {rid for rid, res in by_id.items()
-                 if res.finish_reason is not FinishReason.REJECTED
-                 and res.ttft_s is not None and res.ttft_s > delay}
-                | set(failed))
+            candidates = set(failed)
+            for rep in reports:
+                rows = rep.rows
+                slow = rows["ttft_valid"] & (rows["ttft_s"] > delay) \
+                    & (rows["reason"] != REASON_CODES[FinishReason.REJECTED])
+                candidates.update(rows["request_id"][slow].tolist())
             hedge_base = max(originals, default=0) + 1
             serial = 0
-            for rid in candidates:
+            for rid in sorted(candidates):
                 ids = []
                 for j in range(1, self.hedge.max_hedges + 1):
                     copy_id = hedge_base + serial
@@ -783,14 +539,11 @@ class ReplicaRouter:
             # from the primary's original arrival, so the TTFTs compare
             # directly as absolute first-token order; ties keep the
             # primary (no pointless cancellation).
-            by_id = {r.request_id: r
-                     for rep in reports for r in rep.results}
+            first_token = _first_token_times(reports)
 
             def first_token_rank(cid: int) -> tuple:
-                res = by_id.get(cid)
-                if res is None or res.ttft_s is None:
-                    return (1, 0.0)
-                return (0, res.ttft_s)
+                ttft = first_token.get(cid)
+                return (1, 0.0) if ttft is None else (0, ttft)
 
             clamped = False
             for rid, ids in sorted(hedge_copies.items()):
@@ -840,46 +593,23 @@ class ReplicaRouter:
                     flight.instant("hedge", originals[cid].arrival_s,
                                    cid, primary=rid, attempt=j)
 
-        # Collapse each hedge set to its frozen winner, keyed back to
-        # the primary request id.  A winner wiped out by a post-clamp
-        # fault shift falls back to the primary's own final verdict.
-        hedge_result: dict[int, RequestResult] = {}
-        if winner_of:
-            by_id = {r.request_id: r
-                     for rep in reports for r in rep.results}
-            for rid, winner in sorted(winner_of.items()):
-                res = by_id.get(winner)
-                if res is None:
-                    res = by_id.get(rid)
-                if res is not None:
-                    hedge_result[rid] = res if res.request_id == rid \
-                        else replace(res, request_id=rid)
-        recovered = {rid for rid in hedge_result if rid in failed}
-
         # A request past its budget surfaces as FAILED at its final
         # kill — never a silent loss.  E2E runs from the *original*
         # arrival: the client has been waiting since then.  Hedge
         # copies are router-internal (their failure is not a client
-        # verdict), and a primary whose hedge won did not fail.
-        failed_results = [
-            RequestResult(
-                request_id=rid, tokens=(),
-                prompt_len=len(originals[rid].prompt), ttft_s=None,
-                e2e_s=kill_s - originals[rid].arrival_s,
-                finish_reason=FinishReason.FAILED, preemptions=0,
-                decode_step_s=(),
-                tenant_class=originals[rid].tenant.priority)
+        # verdict), and a primary whose hedge set retired (a winner
+        # wiped out by a post-clamp fault shift falls back to the
+        # primary's own verdict) did not fail.
+        retired_ids = {rid for rep in reports
+                       for rid in rep.rows["request_id"].tolist()}
+        recovered = {rid for rid, winner in winner_of.items()
+                     if rid in failed and (winner in retired_ids
+                                           or rid in retired_ids)}
+        failed_verdicts = [
+            (originals[rid], FinishReason.FAILED,
+             kill_s - originals[rid].arrival_s)
             for rid, kill_s in sorted(failed.items())
             if rid not in copy_ids and rid not in recovered]
-        extras = sorted(shed_results + failed_results,
-                        key=lambda r: r.request_id)
-
-        retired_ids: set[int] = set()
-        for rep in reports:
-            if telemetry == "full":
-                retired_ids.update(r.request_id for r in rep.results)
-            else:
-                retired_ids.update(rep.ttft_columns()[0].tolist())
         lost = {r.request_id for r in admitted} \
             - retired_ids - set(failed)
         degraded_time = tracker.degraded_time_s()
@@ -897,9 +627,8 @@ class ReplicaRouter:
             "n_resumed": sum(s["n_resumed"] for s in stats),
             "resume_recompute_tokens":
                 sum(s["resume_recompute_tokens"] for s in stats),
-            "n_failed": len([r for r in failed if r not in copy_ids
-                             and r not in recovered]),
-            "n_shed": len(shed_results),
+            "n_failed": len(failed_verdicts),
+            "n_shed": len(shed),
             "n_lost": len(lost),
             "lost_request_ids": tuple(sorted(lost)),
             "n_hedged": len(hedge_copies),
@@ -913,38 +642,46 @@ class ReplicaRouter:
                 degraded_tokens / degraded_time
                 if degraded_time > 0 else None,
         }
-        if telemetry != "full":
-            return StreamedClusterReport(reports, self.assignments,
-                                         extra_results=extras,
-                                         resilience=resilience)
-        report = merge_reports(reports, self.assignments,
-                               extra_results=extras,
-                               resilience=resilience)
-        if hedge_copies:
-            # Collapse each hedge pair to its winner under the primary
-            # request id and re-derive the result-dependent caches; the
-            # replica reports still show the raw duplicate work (hedging
-            # is not free, and the throughput columns must say so).
-            corrected = []
-            seen: set[int] = set()
-            for res in report.results:
-                rid = res.request_id
-                if rid in copy_ids:
-                    continue
-                if rid in hedge_result:
-                    corrected.append(hedge_result[rid])
-                    seen.add(rid)
-                else:
-                    corrected.append(res)
-            corrected += [hedge_result[rid]
-                          for rid in sorted(hedge_result)
-                          if rid not in seen]
-            corrected.sort(key=lambda r: r.request_id)
-            report.results = corrected
-            report.tenant_stats = tenant_stats_from_results(
-                corrected, report.total_time_s)
-            report._ttft_sorted = sorted(
-                r.ttft_s for r in corrected if r.ttft_s is not None)
-            report._decode_lat_sorted = sorted(
-                s for r in corrected for s in r.decode_step_s)
+        report = ServeReport.merge(reports, self.assignments,
+                                   verdicts=shed + failed_verdicts,
+                                   resilience=resilience)
+        if winner_of:
+            report = _collapse_hedges(report, winner_of, copy_ids)
         return report
+
+
+def _first_token_times(reports: list[ServeReport]) -> dict:
+    """Request id -> TTFT (None without a first token) of every request
+    the replicas retired."""
+    out: dict[int, float | None] = {}
+    for rep in reports:
+        rows = rep.rows
+        out.update(
+            (rid, ttft if valid else None) for rid, ttft, valid in zip(
+                rows["request_id"].tolist(), rows["ttft_s"].tolist(),
+                rows["ttft_valid"].tolist()))
+    return out
+
+
+def _collapse_hedges(report: ServeReport, winner_of: dict[int, int],
+                     copy_ids: set[int]) -> ServeReport:
+    """Each hedge set collapsed to one row under the primary request id:
+    copy rows drop out, and the winner's row — the primary's own when
+    the winner retired nothing — is re-keyed to the primary.  The
+    replica reports and the token-latency sample keep the raw duplicate
+    work (hedging is not free, and the throughput columns must say
+    so)."""
+    rows = report.rows
+    ids = rows["request_id"].copy()
+    retired = np.flatnonzero(rows["source"] >= 0)
+    row_of = dict(zip(ids[retired].tolist(), retired.tolist()))
+    keep = ~np.isin(ids, list(copy_ids))
+    for rid, winner in winner_of.items():
+        i = row_of.get(winner, row_of.get(rid))
+        if i is None:
+            continue
+        if rid in row_of:
+            keep[row_of[rid]] = False
+        keep[i] = True
+        ids[i] = rid
+    return report.with_rows(keep, ids)

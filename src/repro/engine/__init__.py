@@ -24,7 +24,8 @@ Quickstart::
 At scale, stream instead of materializing — a generator trace is
 submitted incrementally and ``telemetry=`` picks how much detail the
 report keeps (``"windows"`` and ``"summary"`` are exact but
-run-length-encoded; see :mod:`repro.engine.telemetry`)::
+run-length-encoded; every level returns the same :class:`ServeReport`;
+see :mod:`repro.engine.telemetry`)::
 
     report = engine.run(
         iter_synthetic_trace(LLAMA2_7B, n_requests=1_000_000),
@@ -51,12 +52,7 @@ from .telemetry import (
     ServeReport,
     StepEvent,
     StepWindow,
-    StreamedServeReport,
-    TenantStats,
-    merge_tenant_accumulators,
     merge_window_stats,
-    summarize_tenants,
-    tenant_stats_from_results,
 )
 from .tenancy import DEFAULT_TENANT, PRIORITY_CLASSES, TenantSpec
 from .trace import iter_synthetic_trace, synthetic_trace
@@ -80,18 +76,13 @@ __all__ = [
     "ServeReport",
     "StepEvent",
     "StepWindow",
-    "StreamedServeReport",
     "TELEMETRY_LEVELS",
     "TenantSpec",
-    "TenantStats",
     "WINDOW_BREAK_REASONS",
     "build_backend",
     "derive_kv_token_budget",
     "iter_synthetic_trace",
     "kv_discipline_kwargs",
-    "merge_tenant_accumulators",
     "merge_window_stats",
-    "summarize_tenants",
     "synthetic_trace",
-    "tenant_stats_from_results",
 ]

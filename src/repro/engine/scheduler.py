@@ -46,7 +46,6 @@ from .telemetry import (  # noqa: F401  (re-exported: public API lives here)
     ServeReport,
     StepEvent,
     StepWindow,
-    StreamedServeReport,
     TelemetryRecorder,
 )
 
@@ -769,14 +768,12 @@ class ContinuousBatchScheduler:
                 state.finish_s, rid, reason=reason.name.lower(),
                 tokens=len(state.generated),
                 tenant=state.request.tenant.name)
-        self._recorder.fold_tenant(state)
+        # The request folds into the report columns; only the eager
+        # oracle level keeps the state object — elsewhere retired work
+        # must not grow with the trace.
+        self._recorder.fold_result(state)
         if self._recorder.level == "full":
             self.finished.append(state)
-        else:
-            # Streaming telemetry: fold the request into the report
-            # columns now and let the state object go — retired work
-            # must not grow with the trace.
-            self._recorder.fold_result(state)
 
     def _retire(self, state: RequestState, reason: FinishReason) -> None:
         self.backend.release(state)
@@ -1439,7 +1436,7 @@ class ContinuousBatchScheduler:
 
     def run(self, requests: Iterable[Request] | None = None,
             max_steps: int = 1_000_000,
-            telemetry: str = "full") -> ServeReport | StreamedServeReport:
+            telemetry: str = "full") -> ServeReport:
         """Drive the engine until every submitted request retires.
 
         A materialized ``requests`` collection (list, tuple, deque, any
@@ -1452,10 +1449,12 @@ class ContinuousBatchScheduler:
         ``telemetry`` picks the recording level: ``"full"`` materializes
         every per-step observable (the reference), ``"windows"`` keeps
         columnar run-length records that expand lazily to the identical
-        values, ``"summary"`` keeps only aggregates and exact
-        percentiles, ``"sketch"`` replaces the exact latency sample
-        with a bounded-memory t-digest (percentiles within its
-        documented rank-error bound; every counter stays exact).
+        values, ``"summary"`` drops per-request tokens and per-token
+        latencies but keeps every aggregate and exact percentile,
+        ``"sketch"`` replaces the exact latency sample with a
+        bounded-memory t-digest (percentiles within its documented
+        rank-error bound).  Every level returns the same
+        :class:`ServeReport`.
         """
         if self.running:
             raise SimulationError("engine is already mid-run")
@@ -1528,37 +1527,7 @@ class ContinuousBatchScheduler:
             self._refill()
         return self._report()
 
-    def _report(self) -> ServeReport | StreamedServeReport:
-        if self._recorder.level != "full":
-            return StreamedServeReport(self._recorder,
-                                       total_time_s=self.clock_s,
-                                       preemptions=self._preemptions)
-        freq = self.backend.freq_hz
-        results = []
-        for state in sorted(self.finished, key=lambda s: s.request_id):
-            assert state.finish_reason is not None
-            decode_step_s = tuple(
-                (np.asarray(state.decode_cycles) / freq).tolist()) \
-                if state.decode_cycles else ()
-            results.append(RequestResult(
-                request_id=state.request_id,
-                tokens=tuple(state.generated),
-                prompt_len=state.prompt_len,
-                ttft_s=None if state.first_token_s is None
-                else state.ttft_s,
-                e2e_s=state.e2e_s,
-                finish_reason=state.finish_reason,
-                preemptions=state.preemptions,
-                decode_step_s=decode_step_s,
-                tenant_class=state.request.tenant.priority,
-            ))
-        return ServeReport(
-            results=results,
-            total_time_s=self.clock_s,
-            n_steps=self._recorder.n_steps,
-            preemptions=self._preemptions,
-            max_batch_observed=self._recorder.max_batch,
-            step_batches=[e.batch for e in self.events if e.batch],
-            window_stats=self._recorder.window_stats(),
-            tenant_stats=self._recorder.tenant_summaries(self.clock_s),
-        )
+    def _report(self) -> ServeReport:
+        return ServeReport.from_recorder(self._recorder,
+                                         total_time_s=self.clock_s,
+                                         preemptions=self._preemptions)

@@ -1,49 +1,63 @@
-"""Serving telemetry: per-step records, run-length windows, reports.
+"""Serving telemetry: per-step records, run-length windows, one report.
 
 The scheduler can record what happened at four levels of detail
 (``telemetry=`` on :meth:`ContinuousBatchScheduler.run`):
 
-* ``"full"`` — every decode step materializes a :class:`StepEvent`,
-  every request keeps its per-token latencies and tokens, and the run
-  returns the eager :class:`ServeReport`.  This is the reference
-  representation the differential harness compares against.
+* ``"full"`` — every decode step materializes a :class:`StepEvent` in
+  a plain list.  This is the reference representation the
+  differential harness compares against.
 * ``"windows"`` — a fast-forwarded window is stored as ONE
   :class:`StepWindow` (per-segment batch sizes + one per-step cycle
-  array shared by every batch member) and per-request detail collapses
-  to columnar scalars plus *span* indices into the global decode-step
-  stream.  The step stream itself lives in
+  array shared by every batch member).  The step stream lives in
   :class:`repro.obs.ColumnarRecords` — typed columns, a few dozen
   bytes per record instead of a Python object — so million-request
-  runs fit in bounded memory.  The existing APIs —
-  ``events``, ``step_batches``, ``results`` with ``decode_step_s`` and
-  ``tokens`` — are served by lazy exact expansion, so every value is
-  bit-identical to ``"full"``.
-* ``"summary"`` — only aggregate counters and the run-length latency
-  sample survive; percentiles stay exact, per-request results are
-  gone.
-* ``"sketch"`` — like ``"summary"``, but the O(decode-steps)
-  run-length latency sample is replaced by a :class:`repro.stats.
-  TDigest` percentile sketch: O(compression) memory, latency
-  percentiles approximate within the digest's documented rank-error
-  bound.  Counters, TTFT aggregates, window stats, and tenant stats
-  stay exact.  The cheapest level, for million-request sweeps.
+  runs fit in bounded memory, and expands lazily to the bit-identical
+  ``"full"`` events.
+* ``"summary"`` — no step records: per-request tokens and per-token
+  latencies are gone, every other observable stays exact.
+* ``"sketch"`` — like ``"summary"``, but the run-length latency sample
+  is replaced by a :class:`repro.stats.TDigest` percentile sketch:
+  O(compression) memory, latency percentiles within the digest's
+  documented rank-error bound.  The cheapest level, for
+  million-request sweeps.
 
-Percentiles never need the expansion: the multiset of all requests'
-per-token latencies is exactly "each decode step's latency, once per
-batch member", so a run-length sample over the step stream
-(:func:`repro.stats.percentile_of_runs`) answers identically.
+Every level, and every cluster merge, returns the same
+:class:`ServeReport`.  Its per-request scalar columns (id, prompt
+length, token count, TTFT, e2e, finish reason, preemptions, tenant
+class) are kept at every level, so counts, TTFT aggregates, and tenant
+stats are exact everywhere.  ``results`` (tokens and per-token
+latencies included) expand lazily at ``"full"`` and ``"windows"``
+from the step records, each request's decode *spans* (index ranges
+into the global decode-step stream), and the backend's pure token
+replay.  A cluster report is the same class: :meth:`ServeReport.merge`
+concatenates the replicas' columns and latency samples, merges their
+t-digests, and sums their counters.
+
+**Token latency** is the board's decode-step stream: each decode
+step's latency, counted once per batch member.  Every level keeps it
+— as a :class:`RunLengthSample` at ``"full"``, ``"windows"`` and
+``"summary"`` (exact percentiles through
+:func:`repro.stats.percentile_of_runs`), as the t-digest at
+``"sketch"`` — so the levels agree by construction.  Steps whose work
+never reaches a result still count, because they occupied the board:
+decodes of a request later killed by a crash, or of a hedge copy that
+lost.  A result's own ``decode_step_s`` is that stream gathered over
+its spans.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
 from ..errors import SimulationError
 from ..obs.columns import ColumnarRecords, StepEvent, StepWindow
-from .request import FinishReason, RequestState
+from ..stats import TDigest, percentile_of_runs, percentile_of_sorted
+from .request import FinishReason, Request, RequestState
 from .tenancy import PRIORITY_CLASSES
 
 TELEMETRY_LEVELS = ("full", "windows", "summary", "sketch")
@@ -61,9 +75,31 @@ _RECORDING_LEVELS = ("full", "windows")
 WINDOW_BREAK_REASONS = ("admission", "arrival", "retirement-unpredicted",
                         "preemption-risk", "block-frontier", "quota")
 
-#: FinishReason <-> small-int codes for the columnar result store.
+#: FinishReason <-> small-int codes of the ``reason`` columns.
 _REASON_LIST = list(FinishReason)
-_REASON_CODES = {reason: i for i, reason in enumerate(_REASON_LIST)}
+REASON_CODES = {reason: i for i, reason in enumerate(_REASON_LIST)}
+#: requests that were never served: no tokens, timings, or goodput.
+_UNSERVED = [REASON_CODES[FinishReason.REJECTED],
+             REASON_CODES[FinishReason.FAILED]]
+
+#: Per-request scalar columns every recorder keeps, with their
+#: ``array`` typecodes; numpy reads the same codes, and the report
+#: reads the one-byte ``ttft_valid`` as bool.  ``ttft_s`` holds a 0.0
+#: placeholder where ``ttft_valid`` is 0 (no first token); ``eos_id``
+#: is -1 for a request without one.
+RECORDER_COLUMNS = (("request_id", "q"), ("prompt_len", "i"),
+                    ("n_tokens", "i"), ("ttft_s", "d"), ("ttft_valid", "b"),
+                    ("e2e_s", "d"), ("reason", "b"), ("preemptions", "i"),
+                    ("eos_id", "i"), ("tenant_rank", "b"))
+
+#: A report's per-request columns and their dtypes, in request-id
+#: order: the recorder's, less ``eos_id`` (only token replay needs it),
+#: plus ``source``, which indexes the report's recorders (-1 for a
+#: router verdict that no engine served), and ``row``, the request's
+#: row in that recorder.
+ROW_COLUMNS = {**{name: np.dtype(bool if name == "ttft_valid" else code)
+                  for name, code in RECORDER_COLUMNS if name != "eos_id"},
+               "source": np.dtype("i"), "row": np.dtype("q")}
 
 
 @dataclass(frozen=True)
@@ -84,89 +120,6 @@ class RequestResult:
     preemptions: int
     decode_step_s: tuple[float, ...]
     tenant_class: str = "batch"
-
-
-@dataclass
-class ServeReport:
-    """Aggregate serving metrics of one engine run."""
-
-    results: list[RequestResult] = field(default_factory=list)
-    total_time_s: float = 0.0
-    n_steps: int = 0
-    preemptions: int = 0
-    max_batch_observed: int = 0
-    step_batches: list[int] = field(default_factory=list)
-    #: fast-forward window accounting (window/segment counts plus a
-    #: break-reason histogram) — empty when fast-forward never ran.
-    window_stats: dict = field(default_factory=dict)
-    #: per-priority-class serving stats (see :class:`TenantStats`) —
-    #: one summary dict per class that retired at least one request.
-    tenant_stats: dict = field(default_factory=dict)
-    #: lazy percentile caches — reports are built once and then queried;
-    #: mutate ``results`` and these go stale.
-    _decode_lat_sorted: list[float] | None = field(
-        default=None, init=False, repr=False, compare=False)
-    _ttft_sorted: list[float] | None = field(
-        default=None, init=False, repr=False, compare=False)
-
-    @property
-    def n_requests(self) -> int:
-        return len(self.results)
-
-    @property
-    def total_new_tokens(self) -> int:
-        return sum(len(r.tokens) for r in self.results)
-
-    @property
-    def aggregate_tokens_per_s(self) -> float:
-        if self.total_time_s <= 0:
-            raise SimulationError("report covers no simulated time")
-        return self.total_new_tokens / self.total_time_s
-
-    @property
-    def mean_ttft_s(self) -> float:
-        ttfts = [r.ttft_s for r in self.results if r.ttft_s is not None]
-        if not ttfts:
-            raise SimulationError("no retired requests")
-        return sum(ttfts) / len(ttfts)
-
-    @property
-    def mean_batch(self) -> float:
-        if not self.step_batches:
-            raise SimulationError("no decode steps recorded")
-        return sum(self.step_batches) / len(self.step_batches)
-
-    def _sorted_decode_latencies(self) -> list[float]:
-        """Decode latencies flattened and sorted once, then reused by
-        every percentile query (serve-sim asks for three per report)."""
-        if self._decode_lat_sorted is None:
-            self._decode_lat_sorted = sorted(
-                s for r in self.results for s in r.decode_step_s)
-        return self._decode_lat_sorted
-
-    def _sorted_ttfts(self) -> list[float]:
-        if self._ttft_sorted is None:
-            self._ttft_sorted = sorted(
-                r.ttft_s for r in self.results if r.ttft_s is not None)
-        return self._ttft_sorted
-
-    def latency_percentile_s(self, percentile: float) -> float:
-        """Per-token decode latency percentile across all requests."""
-        from ..stats import percentile_of_sorted
-
-        lats = self._sorted_decode_latencies()
-        if not lats:
-            raise SimulationError("no decode steps recorded")
-        return percentile_of_sorted(lats, percentile)
-
-    def ttft_percentile_s(self, percentile: float) -> float:
-        """Time-to-first-token percentile across retired requests."""
-        from ..stats import percentile_of_sorted
-
-        ttfts = self._sorted_ttfts()
-        if not ttfts:
-            raise SimulationError("no retired requests")
-        return percentile_of_sorted(ttfts, percentile)
 
 
 def merge_window_stats(stats: "list[dict]") -> dict:
@@ -194,128 +147,16 @@ def merge_window_stats(stats: "list[dict]") -> dict:
     return merged
 
 
-class TenantStats:
-    """Per-priority-class serving accumulator.
-
-    Counts are plain integers; the TTFT and end-to-end latency samples
-    are per-request columns (one value each, so run-length encoding
-    buys nothing here).  Rejected requests count toward ``n_rejected``
-    only, and requests lost to faults past their retry budget toward
-    ``n_failed`` only — their tokens and timings never enter the
-    goodput or the latency samples (a FAILED request's wasted service
-    shows up in throughput, not as a fake latency sample).  Requests
-    that finished without producing a first token contribute e2e but no
-    TTFT.
-
-    Accumulators from different runs or replicas merge by column
-    concatenation (:func:`merge_tenant_accumulators`); every summary
-    statistic is computed over the *sorted* sample, so the summary is a
-    pure function of the multiset and identical across scheduler tiers
-    and merge orders.
-    """
-
-    __slots__ = ("n_requests", "n_rejected", "n_failed", "new_tokens",
-                 "ttfts", "e2es")
-
-    def __init__(self) -> None:
-        self.n_requests = 0
-        self.n_rejected = 0
-        self.n_failed = 0
-        self.new_tokens = 0
-        self.ttfts = array("d")
-        self.e2es = array("d")
-
-    def fold(self, state: RequestState) -> None:
-        self.n_requests += 1
-        if state.finish_reason is FinishReason.REJECTED:
-            self.n_rejected += 1
-            return
-        if state.finish_reason is FinishReason.FAILED:
-            self.n_failed += 1
-            return
-        self.new_tokens += len(state.generated)
-        if state.first_token_s is not None:
-            self.ttfts.append(state.ttft_s)
-        self.e2es.append(state.e2e_s)
-
-    def absorb(self, other: "TenantStats") -> None:
-        self.n_requests += other.n_requests
-        self.n_rejected += other.n_rejected
-        self.n_failed += other.n_failed
-        self.new_tokens += other.new_tokens
-        self.ttfts.extend(other.ttfts)
-        self.e2es.extend(other.e2es)
-
-    def summary(self, total_time_s: float) -> dict:
-        from ..stats import percentile_of_sorted
-
-        ttfts = sorted(self.ttfts)
-        e2es = sorted(self.e2es)
-        out = {
-            "n_requests": self.n_requests,
-            "n_rejected": self.n_rejected,
-            "n_failed": self.n_failed,
-            "new_tokens": self.new_tokens,
-            "goodput_tokens_per_s": self.new_tokens / total_time_s
-            if total_time_s > 0 else 0.0,
-            "mean_ttft_s": sum(ttfts) / len(ttfts) if ttfts else None,
-        }
-        for p in (50, 99):
-            out[f"p{p}_ttft_s"] = percentile_of_sorted(ttfts, p) \
-                if ttfts else None
-            out[f"p{p}_e2e_s"] = percentile_of_sorted(e2es, p) \
-                if e2es else None
-        return out
-
-
-def summarize_tenants(accs: "dict[str, TenantStats]",
-                      total_time_s: float) -> dict:
-    """Per-class summary dicts, in priority order."""
-    return {name: accs[name].summary(total_time_s)
-            for name in PRIORITY_CLASSES if name in accs}
-
-
-def merge_tenant_accumulators(
-        accs: "list[dict[str, TenantStats]]") -> "dict[str, TenantStats]":
-    """Additive cluster merge of per-replica tenant accumulators."""
-    merged: dict[str, TenantStats] = {}
-    for one in accs:
-        for name, acc in one.items():
-            merged.setdefault(name, TenantStats()).absorb(acc)
-    return merged
-
-
-def tenant_stats_from_results(results: "list[RequestResult]",
-                              total_time_s: float) -> dict:
-    """Per-class summaries recomputed from eager per-request results —
-    the cluster merge path at ``telemetry="full"``, where the merged
-    result list already carries every per-request fact."""
-    accs: dict[str, TenantStats] = {}
-    for r in results:
-        acc = accs.setdefault(r.tenant_class, TenantStats())
-        acc.n_requests += 1
-        if r.finish_reason is FinishReason.REJECTED:
-            acc.n_rejected += 1
-            continue
-        if r.finish_reason is FinishReason.FAILED:
-            acc.n_failed += 1
-            continue
-        acc.new_tokens += len(r.tokens)
-        if r.ttft_s is not None:
-            acc.ttfts.append(r.ttft_s)
-        acc.e2es.append(r.e2e_s)
-    return summarize_tenants(accs, total_time_s)
-
-
 class RunLengthSample:
     """Run-length-encoded latency sample: values with multiplicities.
 
     One decode step contributes its latency once per batch member, so
     a window of K steps at batch B adds K runs of count B — O(K)
-    storage for K x B samples.  Queries sort the runs once (stable)
-    and select by cumulative count, matching
-    :func:`repro.stats.percentile_of_sorted` over the expanded sample
-    exactly.
+    storage for K x B samples.  :meth:`sorted_runs` sorts once
+    (stable), and :func:`repro.stats.percentile_of_runs` selects by
+    cumulative count, matching :func:`repro.stats.percentile_of_sorted`
+    over the expanded sample exactly.  ``add``/``add_array`` mirror :class:`repro.stats.TDigest`,
+    so the recorder feeds either one the same way.
     """
 
     def __init__(self) -> None:
@@ -326,22 +167,18 @@ class RunLengthSample:
         self._cnts = array("q")
         self._sorted: tuple[np.ndarray, np.ndarray] | None = None
 
-    def add_single(self, value: float, count: int) -> None:
+    def add(self, value: float, count: int) -> None:
         self._vals.append(value)
         self._cnts.append(count)
         self._sorted = None
 
-    def add_run(self, values: np.ndarray, count: int) -> None:
+    def add_array(self, values: np.ndarray, count: int) -> None:
         """``count`` occurrences of every entry of ``values``."""
         if len(values):
             self._vals.frombytes(np.ascontiguousarray(values).tobytes())
             self._cnts.frombytes(
                 np.full(len(values), count, dtype=np.int64).tobytes())
             self._sorted = None
-
-    @property
-    def n_samples(self) -> int:
-        return int(sum(self._cnts))
 
     def sorted_runs(self) -> tuple[np.ndarray, np.ndarray]:
         """``(values, counts)`` with values ascending."""
@@ -354,23 +191,14 @@ class RunLengthSample:
             self._sorted = (values[order], counts[order])
         return self._sorted
 
-    def percentile(self, percentile: float) -> float:
-        from ..stats import percentile_of_runs
-
-        values, counts = self.sorted_runs()
-        if not len(values):
-            raise SimulationError("no decode steps recorded")
-        return percentile_of_runs(values, counts, percentile)
-
 
 class TelemetryRecorder:
     """Accumulates one run's step records and retired-request columns.
 
     The scheduler drives it level-agnostically: every eager step calls
     :meth:`record_event`, every fast-forwarded window calls
-    :meth:`record_window`, every retirement at a streaming level calls
-    :meth:`fold_result` (at ``"full"`` the scheduler keeps the state
-    object instead).
+    :meth:`record_window`, and every retirement calls
+    :meth:`fold_result`.
     """
 
     def __init__(self, level: str, freq_hz: float,
@@ -394,42 +222,26 @@ class TelemetryRecorder:
         self.n_decode_steps = 0
         self.batch_sum = 0
         self.max_batch = 0
-        self.runs = RunLengthSample()
-        #: percentile sketch replacing ``runs`` at ``"sketch"`` level.
-        self.digest = None
-        if level == "sketch":
-            from ..stats import TDigest
-            self.digest = TDigest()
+        #: the decode-latency sample (see the module doc).
+        self.latency: "RunLengthSample | TDigest" = \
+            TDigest() if level == "sketch" else RunLengthSample()
         # Fast-forward window accounting (all levels; O(1) state).
         self.n_windows = 0
         self.n_window_segments = 0
         self.n_folded_retirements = 0
         self.window_breaks = {reason: 0 for reason in WINDOW_BREAK_REASONS}
-        # Per-priority-class accumulators (all levels).
-        self.tenants: dict[str, TenantStats] = {}
-        # Columnar per-request results (streaming levels).
-        self.ids = array("q")
-        self.prompt_lens = array("q")
-        self.n_tokens = array("q")
-        self.ttfts = array("d")
-        #: 1 where the aligned ``ttfts`` entry is a real first-token
-        #: time, 0 for requests that never produced one (the stored
-        #: 0.0 is a placeholder excluded from every TTFT aggregate).
-        self.ttft_valid = array("b")
-        self.e2es = array("d")
-        self.reasons = array("b")
-        self.n_preempts = array("q")
-        self.eos_ids = array("q")
-        self.tenant_ranks = array("b")
-        # Request decode spans, flattened: request i's spans are the
-        # ``(lo, hi)`` pairs at ``span_bounds[2k:2k+2]`` for ``k`` in
+        #: per-request scalar columns in retire order (all levels).
+        self.columns = {name: array(code)
+                        for name, code in RECORDER_COLUMNS}
+        # Request decode spans, flattened (recording levels only):
+        # request i's spans are the ``(lo, hi)`` pairs at
+        # ``span_bounds[2k:2k+2]`` for ``k`` in
         # ``[span_starts[i], span_starts[i] + span_counts[i])``.
         self.span_bounds = array("q")
         self.span_starts = array("q")
         self.span_counts = array("q")
         self.stored_tokens: list[tuple[int, ...]] | None = \
             None if token_replay is not None else []
-        self.total_new_tokens = 0
         self._events_cache: tuple[int, list[StepEvent]] | None = None
         self._lat_stream: tuple[int, np.ndarray] | None = None
 
@@ -442,11 +254,7 @@ class TelemetryRecorder:
             self.batch_sum += event.batch
             if event.batch > self.max_batch:
                 self.max_batch = event.batch
-            if self.level == "sketch":
-                self.digest.add(event.cycles / self.freq_hz, event.batch)
-            elif self.level != "full":
-                self.runs.add_single(event.cycles / self.freq_hz,
-                                     event.batch)
+            self.latency.add(event.cycles / self.freq_hz, event.batch)
         if self.level in _RECORDING_LEVELS:
             self.records.append(event)
 
@@ -483,11 +291,15 @@ class TelemetryRecorder:
         self.n_decode_steps += count
         self.n_windows += 1
         self.n_window_segments += len(segments)
+        pos = 0
         for seg_count, seg_batch, seg_retired in segments:
             self.batch_sum += seg_batch * seg_count
             if seg_batch > self.max_batch:
                 self.max_batch = seg_batch
             self.n_folded_retirements += seg_retired
+            self.latency.add_array(latencies[pos:pos + seg_count],
+                                   seg_batch)
+            pos += seg_count
         if self.level == "full":
             clock_list = clocks_after.tolist()
             cycle_list = cycles.tolist()
@@ -499,49 +311,28 @@ class TelemetryRecorder:
                         cycles=cycle_list[pos], admitted=0, preempted=0,
                         retired=seg_retired if j == seg_count - 1 else 0))
                     pos += 1
-            return
-        pos = 0
-        for seg_count, seg_batch, _ in segments:
-            if self.level == "sketch":
-                self.digest.add_array(latencies[pos:pos + seg_count],
-                                      seg_batch)
-            else:
-                self.runs.add_run(latencies[pos:pos + seg_count],
-                                  seg_batch)
-            pos += seg_count
-        if self.level == "windows":
+        elif self.level == "windows":
             self.records.append_window(clock0_s, batch, cycles, segments)
 
-    def fold_tenant(self, state: RequestState) -> None:
-        """Absorb one retired request into its class's accumulator
-        (every level — the scheduler calls this on every retirement)."""
-        priority = state.request.tenant.priority
-        acc = self.tenants.get(priority)
-        if acc is None:
-            acc = self.tenants[priority] = TenantStats()
-        acc.fold(state)
-
-    def tenant_summaries(self, total_time_s: float) -> dict:
-        return summarize_tenants(self.tenants, total_time_s)
-
     def fold_result(self, state: RequestState) -> None:
-        """Absorb one retired request into the columns and drop it."""
-        self.total_new_tokens += len(state.generated)
-        has_ttft = state.first_token_s is not None
-        self.ttfts.append(state.ttft_s if has_ttft else 0.0)
-        self.ttft_valid.append(1 if has_ttft else 0)
-        self.ids.append(state.request_id)  # n_requests + result ordering
-        if self.level in ("summary", "sketch"):
-            return
-        self.prompt_lens.append(state.prompt_len)
-        self.n_tokens.append(len(state.generated))
-        self.e2es.append(state.e2e_s)
+        """Absorb one retired request into the columns (the scheduler
+        keeps no retired state object except at ``"full"``)."""
         assert state.finish_reason is not None
-        self.reasons.append(_REASON_CODES[state.finish_reason])
-        self.n_preempts.append(state.preemptions)
+        has_ttft = state.first_token_s is not None
         eos = state.request.eos_id
-        self.eos_ids.append(-1 if eos is None else eos)
-        self.tenant_ranks.append(state.request.tenant.rank)
+        c = self.columns
+        c["request_id"].append(state.request_id)
+        c["prompt_len"].append(state.prompt_len)
+        c["n_tokens"].append(len(state.generated))
+        c["ttft_s"].append(state.ttft_s if has_ttft else 0.0)
+        c["ttft_valid"].append(has_ttft)
+        c["e2e_s"].append(state.e2e_s)
+        c["reason"].append(REASON_CODES[state.finish_reason])
+        c["preemptions"].append(state.preemptions)
+        c["eos_id"].append(-1 if eos is None else eos)
+        c["tenant_rank"].append(state.request.tenant.rank)
+        if self.level not in _RECORDING_LEVELS:
+            return
         self.span_starts.append(len(self.span_bounds) >> 1)
         self.span_counts.append(len(state.spans))
         for lo, hi in state.spans:
@@ -557,6 +348,16 @@ class TelemetryRecorder:
         bounds = self.span_bounds
         return [(bounds[2 * k], bounds[2 * k + 1])
                 for k in range(start, start + self.span_counts[i])]
+
+    def request_tokens(self, i: int) -> tuple[int, ...]:
+        """Request ``i``'s generated tokens: stored, or replayed under
+        the id the engine served it as."""
+        if self.stored_tokens is not None:
+            return self.stored_tokens[i]
+        c = self.columns
+        eos = c["eos_id"][i]
+        return self.token_replay(c["request_id"][i], c["n_tokens"][i],
+                                 None if eos < 0 else eos)
 
     # -- lazy exact expansion ----------------------------------------------
 
@@ -600,54 +401,151 @@ class TelemetryRecorder:
         if self._lat_stream is None \
                 or self._lat_stream[0] != len(self.records):
             parts: list[np.ndarray] = []
+            singles: list[float] = []
             for record in self.records:
                 if isinstance(record, StepWindow):
+                    if singles:
+                        parts.append(np.array(singles))
+                        singles = []
                     parts.append(record.latencies())
                 elif record.batch:
-                    parts.append(np.array([record.cycles / self.freq_hz]))
+                    singles.append(record.cycles / self.freq_hz)
+            if singles:
+                parts.append(np.array(singles))
             stream = np.concatenate(parts) if parts \
                 else np.empty(0, dtype=np.float64)
             self._lat_stream = (len(self.records), stream)
         return self._lat_stream[1]
 
 
-class StreamedServeReport:
-    """:class:`ServeReport`-compatible view over run-length telemetry.
+def _no_rows() -> dict[str, np.ndarray]:
+    return {name: np.empty(0, dtype=dtype)
+            for name, dtype in ROW_COLUMNS.items()}
 
-    Scalar aggregates are exact by construction; ``results``,
-    ``events``-style expansions and per-request ``decode_step_s`` /
-    ``tokens`` are materialized lazily (``"windows"`` level) from the
-    window records, the span columns, and the backend's pure token
-    replay — bit-identical to the eager report, paid only when asked.
+
+def _by_request_id(rows: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Rows reordered by request id; ties keep their order, as a stable
+    sort of the eager result list would."""
+    order = np.argsort(rows["request_id"], kind="stable")
+    return {name: col[order] for name, col in rows.items()}
+
+
+@dataclass(eq=False)
+class ServeReport:
+    """Serving metrics of one engine run or of a merged cluster run, at
+    any telemetry level (see the module doc).
+
+    Scalars and per-request columns are exact at every level; every
+    aggregate is computed from them once, on first query.  A cluster
+    report's ``total_time_s`` is the makespan (the slowest replica), so
+    ``aggregate_tokens_per_s`` is genuine cluster throughput;
+    ``replica_reports``, ``assignments`` (request id -> replica, as
+    routed) and ``resilience`` (the fault-run metrics; None on a
+    fault-free run) stay empty on an engine report.
     """
 
-    def __init__(self, recorder: TelemetryRecorder, total_time_s: float,
-                 preemptions: int) -> None:
-        self._rec = recorder
-        self.telemetry = recorder.level
-        self.total_time_s = total_time_s
-        self.n_steps = recorder.n_steps
-        self.preemptions = preemptions
-        self.max_batch_observed = recorder.max_batch
-        self.window_stats = recorder.window_stats()
-        #: retire-order -> request-id order, fixed once at build time so
-        #: every materialization walks requests the way the eager report
-        #: does (results are sorted by request id).
-        self._order = np.argsort(
-            np.frombuffer(recorder.ids, dtype=np.int64)
-            if len(recorder.ids) else np.empty(0, dtype=np.int64),
-            kind="stable")
-        self._results: list[RequestResult] | None = None
+    telemetry: str = "full"
+    total_time_s: float = 0.0
+    n_steps: int = 0
+    preemptions: int = 0
+    max_batch_observed: int = 0
+    n_decode_steps: int = 0
+    #: sum of batch sizes over all decode steps
+    batch_sum: int = 0
+    #: fast-forward window accounting (window/segment counts plus a
+    #: break-reason histogram) — empty when no engine ran.
+    window_stats: dict = field(default_factory=dict)
+    #: per-request columns (:data:`ROW_COLUMNS`) in request-id order.
+    rows: dict = field(default_factory=_no_rows, repr=False)
+    #: the recorders per-request detail and the latency sample come from.
+    recorders: tuple = field(default=(), repr=False)
+    replica_reports: list = field(default_factory=list, repr=False)
+    assignments: dict = field(default_factory=dict, repr=False)
+    resilience: dict | None = None
+
+    @classmethod
+    def from_recorder(cls, rec: TelemetryRecorder, total_time_s: float,
+                      preemptions: int) -> "ServeReport":
+        """One engine run's report."""
+        n = len(rec.columns["request_id"])
+        rows = {name: np.frombuffer(rec.columns[name], dtype=dtype)
+                if n else np.empty(0, dtype=dtype)
+                for name, dtype in ROW_COLUMNS.items()
+                if name in rec.columns}
+        rows["source"] = np.zeros(n, dtype=ROW_COLUMNS["source"])
+        rows["row"] = np.arange(n, dtype=ROW_COLUMNS["row"])
+        return cls(telemetry=rec.level, total_time_s=total_time_s,
+                   n_steps=rec.n_steps, preemptions=preemptions,
+                   max_batch_observed=rec.max_batch,
+                   n_decode_steps=rec.n_decode_steps,
+                   batch_sum=rec.batch_sum,
+                   window_stats=rec.window_stats(),
+                   rows=_by_request_id(rows), recorders=(rec,))
+
+    @classmethod
+    def merge(cls, reports: "Sequence[ServeReport]",
+              assignments: dict[int, int] | None = None,
+              verdicts: "Sequence[tuple[Request, FinishReason, float]]"
+              = (),
+              resilience: dict | None = None) -> "ServeReport":
+        """Fold replica reports into one cluster report: rows
+        concatenate (then re-sort by request id), latency samples and
+        t-digests combine on query, counters add.  ``verdicts`` are
+        router-decided outcomes no replica served — ``(request,
+        reason, e2e_s)`` for degraded-mode sheds and retry-budget
+        failures; they get rows with zero tokens and no TTFT."""
+        if not reports:
+            raise SimulationError("no replica reports to merge")
+        parts = []
+        recorders: list[TelemetryRecorder] = []
+        for report in reports:
+            part = dict(report.rows)
+            part["source"] = np.where(part["source"] >= 0,
+                                      part["source"] + len(recorders), -1)
+            parts.append(part)
+            recorders.extend(report.recorders)
+        if verdicts:
+            made = [(r.request_id, len(r.prompt), 0, 0.0, False, e2e_s,
+                     REASON_CODES[reason], 0, r.tenant.rank, -1, -1)
+                    for r, reason, e2e_s in verdicts]
+            parts.append({name: np.array(col, dtype=dtype)
+                          for (name, dtype), col
+                          in zip(ROW_COLUMNS.items(), zip(*made))})
+        rows = _by_request_id({name: np.concatenate([p[name] for p in parts])
+                               for name in ROW_COLUMNS})
+        return cls(
+            telemetry=reports[0].telemetry,
+            total_time_s=max(r.total_time_s for r in reports),
+            n_steps=sum(r.n_steps for r in reports),
+            preemptions=sum(r.preemptions for r in reports),
+            max_batch_observed=max(r.max_batch_observed for r in reports),
+            n_decode_steps=sum(r.n_decode_steps for r in reports),
+            batch_sum=sum(r.batch_sum for r in reports),
+            window_stats=merge_window_stats(
+                [r.window_stats for r in reports]),
+            rows=rows, recorders=tuple(recorders),
+            replica_reports=list(reports),
+            assignments=dict(assignments or {}), resilience=resilience)
+
+    def with_rows(self, keep: np.ndarray,
+                  request_id: np.ndarray) -> "ServeReport":
+        """This report with only the ``keep`` rows, re-keyed to
+        ``request_id`` (aligned with the current rows): every
+        row-derived aggregate follows, counters and the latency sample
+        do not."""
+        rows = dict(self.rows, request_id=request_id)
+        return replace(self, rows=_by_request_id(
+            {name: col[keep] for name, col in rows.items()}))
 
     # -- aggregate metrics --------------------------------------------------
 
     @property
     def n_requests(self) -> int:
-        return len(self._rec.ids)
+        return len(self.rows["request_id"])
 
     @property
     def total_new_tokens(self) -> int:
-        return self._rec.total_new_tokens
+        return int(self.rows["n_tokens"].sum(dtype=np.int64))
 
     @property
     def aggregate_tokens_per_s(self) -> float:
@@ -657,50 +555,104 @@ class StreamedServeReport:
 
     @property
     def mean_ttft_s(self) -> float:
-        valid = self._ttft_valid_mask()
+        valid = self.rows["ttft_valid"]
         n_valid = int(valid.sum())
         if not n_valid:
             raise SimulationError("no retired requests")
-        # Sum in request-id order — the accumulation order of the eager
-        # report's mean, so the float matches bit for bit.
-        ttfts = np.frombuffer(self._rec.ttfts, dtype=np.float64)
-        ordered = ttfts[self._order]
-        mask = valid[self._order]
-        return sum(ordered[mask].tolist()) / n_valid
+        # A sequential sum in request-id order (numpy's pairwise sum
+        # would round differently).
+        return sum(self.rows["ttft_s"][valid].tolist()) / n_valid
 
     @property
     def mean_batch(self) -> float:
-        if not self._rec.n_decode_steps:
+        if not self.n_decode_steps:
             raise SimulationError("no decode steps recorded")
-        return self._rec.batch_sum / self._rec.n_decode_steps
+        return self.batch_sum / self.n_decode_steps
+
+    @cached_property
+    def tenant_stats(self) -> dict:
+        """Per-priority-class serving stats, in priority order, for every
+        class with at least one request.
+
+        Rejected requests count toward ``n_rejected`` only, and requests
+        lost to faults past their retry budget toward ``n_failed`` only
+        — their rows never enter the goodput or the latency samples.
+        Requests that finished without a first token contribute e2e but
+        no TTFT.  Every statistic is computed over the *sorted* sample,
+        so it is a pure function of the multiset: identical across
+        levels, tiers, and merge orders.
+        """
+        rows = self.rows
+        served = ~np.isin(rows["reason"], _UNSERVED)
+        out = {}
+        for rank, name in enumerate(PRIORITY_CLASSES):
+            mine = rows["tenant_rank"] == rank
+            n = int(mine.sum())
+            if not n:
+                continue
+            ok = mine & served
+            ttfts = np.sort(rows["ttft_s"][ok & rows["ttft_valid"]]).tolist()
+            e2es = np.sort(rows["e2e_s"][ok]).tolist()
+            new_tokens = int(rows["n_tokens"][ok].sum(dtype=np.int64))
+            unserved = rows["reason"][mine & ~served]
+            stats = {
+                "n_requests": n,
+                "n_rejected": int((unserved == _UNSERVED[0]).sum()),
+                "n_failed": int((unserved == _UNSERVED[1]).sum()),
+                "new_tokens": new_tokens,
+                "goodput_tokens_per_s": new_tokens / self.total_time_s
+                if self.total_time_s > 0 else 0.0,
+                "mean_ttft_s": sum(ttfts) / len(ttfts) if ttfts else None,
+            }
+            for p in (50, 99):
+                stats[f"p{p}_ttft_s"] = percentile_of_sorted(ttfts, p) \
+                    if ttfts else None
+                stats[f"p{p}_e2e_s"] = percentile_of_sorted(e2es, p) \
+                    if e2es else None
+            out[name] = stats
+        return out
 
     # -- percentiles --------------------------------------------------------
 
     def latency_percentile_s(self, percentile: float) -> float:
+        """Per-token decode latency percentile (see the module doc)."""
         if self.telemetry == "sketch":
-            return self._rec.digest.percentile(percentile)
-        return self._rec.runs.percentile(percentile)
+            return self.latency_digest().percentile(percentile)
+        values, counts = self.latency_runs()
+        if not len(values):
+            raise SimulationError("no decode steps recorded")
+        return percentile_of_runs(values, counts, percentile)
 
     def ttft_percentile_s(self, percentile: float) -> float:
-        from ..stats import percentile_of_sorted
-
-        ttfts = self.sorted_ttfts()
+        """Time-to-first-token percentile across retired requests."""
+        ttfts = self._sorted_ttfts
         if not len(ttfts):
             raise SimulationError("no retired requests")
-        return percentile_of_sorted(ttfts, percentile)
+        return float(percentile_of_sorted(ttfts, percentile))
 
-    def _ttft_valid_mask(self) -> np.ndarray:
-        if not len(self._rec.ttft_valid):
-            return np.empty(0, dtype=bool)
-        return np.frombuffer(self._rec.ttft_valid,
-                             dtype=np.int8).astype(bool)
+    @cached_property
+    def _sorted_ttfts(self) -> np.ndarray:
+        return np.sort(self.rows["ttft_s"][self.rows["ttft_valid"]])
 
-    def sorted_ttfts(self) -> np.ndarray:
-        if getattr(self, "_ttft_sorted", None) is None:
-            ttfts = np.frombuffer(self._rec.ttfts, dtype=np.float64) \
-                if len(self._rec.ttfts) else np.empty(0, dtype=np.float64)
-            self._ttft_sorted = np.sort(ttfts[self._ttft_valid_mask()])
-        return self._ttft_sorted
+    @cached_property
+    def _latency(self) -> "tuple[np.ndarray, np.ndarray] | TDigest":
+        samples = [rec.latency for rec in self.recorders] \
+            or [TDigest() if self.telemetry == "sketch"
+                else RunLengthSample()]
+        if self.telemetry == "sketch":
+            if len(samples) == 1:
+                return samples[0]
+            merged = TDigest()
+            for digest in samples:
+                merged.merge(digest)
+            return merged
+        if len(samples) == 1:
+            return samples[0].sorted_runs()
+        runs = [s.sorted_runs() for s in samples]
+        values = np.concatenate([v for v, _ in runs])
+        counts = np.concatenate([c for _, c in runs])
+        order = np.argsort(values, kind="stable")
+        return values[order], counts[order]
 
     def latency_runs(self) -> tuple[np.ndarray, np.ndarray]:
         """Sorted ``(values, counts)`` of the decode-latency sample."""
@@ -708,92 +660,53 @@ class StreamedServeReport:
             raise SimulationError(
                 "telemetry='sketch' keeps a percentile sketch, not the "
                 "exact latency sample; use latency_digest()")
-        return self._rec.runs.sorted_runs()
+        return self._latency
 
-    def latency_digest(self):
+    def latency_digest(self) -> TDigest:
         """The decode-latency :class:`repro.stats.TDigest` (``"sketch"``
-        level only) — what a cluster merge combines across replicas."""
+        level only; a cluster's is the replicas' digests merged)."""
         if self.telemetry != "sketch":
             raise SimulationError(
                 f"telemetry='{self.telemetry}' keeps the exact latency "
-                "sample, not a sketch; use latency_runs()")
-        return self._rec.digest
-
-    # -- merge accessors (cluster aggregation without expansion) ------------
-
-    def ttft_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(request_ids, ttfts, valid)`` in retire order — what a
-        cluster merge needs to re-establish global request-id summation
-        order without touching the recorder's storage layout.  Entries
-        with ``valid`` False are placeholders (no first token) and must
-        be excluded from TTFT aggregates."""
-        if not len(self._rec.ids):
-            return (np.empty(0, dtype=np.int64),
-                    np.empty(0, dtype=np.float64),
-                    np.empty(0, dtype=bool))
-        return (np.frombuffer(self._rec.ids, dtype=np.int64),
-                np.frombuffer(self._rec.ttfts, dtype=np.float64),
-                self._ttft_valid_mask())
-
-    def tenant_accumulators(self) -> "dict[str, TenantStats]":
-        """The live per-class accumulators — the cluster merge path."""
-        return self._rec.tenants
-
-    @property
-    def tenant_stats(self) -> dict:
-        return self._rec.tenant_summaries(self.total_time_s)
-
-    @property
-    def batch_sum(self) -> int:
-        """Sum of batch sizes over all decode steps."""
-        return self._rec.batch_sum
-
-    @property
-    def n_decode_steps(self) -> int:
-        return self._rec.n_decode_steps
+                "sample, not a sketch; use latency_runs() or "
+                "latency_percentile_s()")
+        return self._latency
 
     # -- lazy per-step / per-request detail ---------------------------------
 
     @property
     def step_batches(self) -> list[int]:
-        return self._rec.step_batches()
+        return [b for rec in self.recorders for b in rec.step_batches()]
 
-    @property
-    def events(self) -> list[StepEvent]:
-        return self._rec.expanded_events()
-
-    @property
+    @cached_property
     def results(self) -> list[RequestResult]:
-        if self.telemetry in ("summary", "sketch"):
+        """Per-request results in request-id order (``"full"`` and
+        ``"windows"`` only)."""
+        if self.telemetry not in _RECORDING_LEVELS:
             raise SimulationError(
                 f"telemetry='{self.telemetry}' keeps no per-request "
                 "results; use 'windows' or 'full'")
-        if self._results is None:
-            rec = self._rec
-            stream = rec.latency_stream()
-            ids = np.frombuffer(rec.ids, dtype=np.int64)
-            out: list[RequestResult] = []
-            for i in self._order.tolist():
-                n = rec.n_tokens[i]
-                if rec.stored_tokens is not None:
-                    tokens = rec.stored_tokens[i]
-                else:
-                    eos = rec.eos_ids[i]
-                    tokens = rec.token_replay(
-                        int(ids[i]), int(n), None if eos < 0 else int(eos))
-                lats: list[float] = []
+        streams = [rec.latency_stream() for rec in self.recorders]
+        out: list[RequestResult] = []
+        for (rid, prompt_len, _, ttft, valid, e2e, reason, pre, rank,
+             src, i) in zip(*(self.rows[name].tolist()
+                              for name in ROW_COLUMNS)):
+            tokens: tuple[int, ...] = ()
+            lats: list[float] = []
+            if src >= 0:
+                rec = self.recorders[src]
+                tokens = rec.request_tokens(i)
                 for lo, hi in rec.request_spans(i):
-                    lats.extend(stream[lo:hi].tolist())
-                out.append(RequestResult(
-                    request_id=int(ids[i]),
-                    tokens=tokens,
-                    prompt_len=int(rec.prompt_lens[i]),
-                    ttft_s=rec.ttfts[i] if rec.ttft_valid[i] else None,
-                    e2e_s=rec.e2es[i],
-                    finish_reason=_REASON_LIST[rec.reasons[i]],
-                    preemptions=int(rec.n_preempts[i]),
-                    decode_step_s=tuple(lats),
-                    tenant_class=PRIORITY_CLASSES[rec.tenant_ranks[i]],
-                ))
-            self._results = out
-        return self._results
+                    lats.extend(streams[src][lo:hi].tolist())
+            out.append(RequestResult(
+                request_id=rid, tokens=tokens, prompt_len=prompt_len,
+                ttft_s=ttft if valid else None, e2e_s=e2e,
+                finish_reason=_REASON_LIST[reason], preemptions=pre,
+                decode_step_s=tuple(lats),
+                tenant_class=PRIORITY_CLASSES[rank]))
+        return out
+
+
+#: ``perfbench/tracer.py`` wraps the report's public methods under this
+#: name; kept so that benchmark runs unchanged.  Not exported.
+StreamedServeReport = ServeReport

@@ -99,12 +99,10 @@ class RunRecord:
 
 
 def report_metrics(report) -> tuple[dict, dict]:
-    """``(metrics, sections)`` from any ServeReport-shaped object.
-
-    Works for eager, streamed, and cluster reports — everything is read
-    through the common report surface, and metrics a report cannot
-    answer (e.g. TTFT percentiles of a run with no retired requests)
-    are skipped rather than guessed.
+    """``(metrics, sections)`` of a :class:`repro.engine.ServeReport`
+    — an engine or cluster report at any telemetry level.  Metrics a
+    report cannot answer (e.g. TTFT percentiles of a run with no
+    retired requests) are skipped rather than guessed.
     """
     metrics: dict = {
         "n_requests": report.n_requests,
@@ -130,17 +128,16 @@ def report_metrics(report) -> tuple[dict, dict]:
              lambda p=p: report.latency_percentile_s(p))
 
     sections: dict = {}
-    window_stats = getattr(report, "window_stats", None)
-    if window_stats:
-        sections["window_stats"] = window_stats
-    tenant_stats = getattr(report, "tenant_stats", None)
+    if report.window_stats:
+        sections["window_stats"] = report.window_stats
+    tenant_stats = report.tenant_stats
     if tenant_stats:
         sections["tenant_stats"] = tenant_stats
         for name, stats in tenant_stats.items():
             for key, value in stats.items():
                 if isinstance(value, (int, float)) and value is not None:
                     metrics[f"tenant.{name}.{key}"] = value
-    resilience = getattr(report, "resilience", None)
+    resilience = report.resilience
     if resilience:
         sections["resilience"] = {
             key: list(value) if isinstance(value, tuple) else value

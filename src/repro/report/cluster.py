@@ -48,13 +48,14 @@ def scaling_table(points) -> tuple[list[dict], str]:
 
 
 def replica_table(report) -> tuple[list[dict], str]:
-    """Per-replica breakdown of a :class:`ClusterServeReport`."""
+    """Per-replica breakdown of a cluster :class:`repro.engine.ServeReport`
+    (its ``replica_reports``)."""
     if not report.replica_reports:
         raise ReproError("cluster report has no replicas")
     rows = []
     for idx, rep in enumerate(report.replica_reports):
-        # n_requests (not len(results)) so summary-level streamed
-        # replica reports — which keep no per-request results — render.
+        # n_requests (not len(results)) so summary-level replica
+        # reports — which keep no per-request results — render.
         served = rep.n_requests
         rows.append({
             "replica": idx,

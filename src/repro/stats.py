@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import heapq
 import math
 from typing import Iterable, Sequence
 
@@ -36,23 +35,6 @@ def percentile_of_sorted(ordered: Sequence[float],
     index = min(len(ordered) - 1,
                 int(round(percentile / 100 * (len(ordered) - 1))))
     return ordered[index]
-
-
-def merge_sorted(sequences: Sequence[Sequence[float]]) -> list[float]:
-    """K-way merge of already-sorted sequences into one sorted list.
-
-    The streaming counterpart of ``sorted(chain(*sequences))``: each
-    input is consumed in order through a heap of k cursors, so merging
-    replica percentile caches costs O(n log k) instead of re-sorting
-    the union from scratch.  Values equal across inputs keep a stable
-    (input-index) order, which is invisible to percentile queries.
-    """
-    live = [s for s in sequences if len(s)]
-    if not live:
-        return []
-    if len(live) == 1:
-        return list(live[0])
-    return list(heapq.merge(*live))
 
 
 def percentile_of_runs(values: Sequence[float], counts: Sequence[int],

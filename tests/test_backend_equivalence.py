@@ -39,6 +39,8 @@ from repro.engine import (
     synthetic_trace,
 )
 
+from report_checks import assert_reports_identical
+
 BACKENDS = ("functional", "cycle", "analytical")
 KV_MODES = ("slotted", "paged")
 
@@ -202,22 +204,6 @@ class TestAnalyticalTracksCycleModel:
         assert times["analytical"] <= times["cycle"]
 
 
-def reports_identical(a, b):
-    """Every observable of two serving reports is bit-identical."""
-    assert a.total_time_s == b.total_time_s
-    assert a.n_steps == b.n_steps
-    assert a.step_batches == b.step_batches
-    assert a.preemptions == b.preemptions
-    assert len(a.results) == len(b.results)
-    for ra, rb in zip(a.results, b.results):
-        assert ra.request_id == rb.request_id
-        assert ra.tokens == rb.tokens
-        assert ra.decode_step_s == rb.decode_step_s
-        assert ra.ttft_s == rb.ttft_s
-        assert ra.e2e_s == rb.e2e_s
-        assert ra.finish_reason == rb.finish_reason
-
-
 class TestFastForwardEquivalence:
     """The fast-forward path and the memoized step costs are pure
     accelerations: every per-step observable — sampled tokens, per-step
@@ -250,8 +236,8 @@ class TestFastForwardEquivalence:
             return engine.run(trace)
 
         reference = run(False, True)
-        reports_identical(run(False, False), reference)
-        reports_identical(run(True, False), reference)
+        assert_reports_identical(run(False, False), reference)
+        assert_reports_identical(run(True, False), reference)
 
     def test_llama2_7b_paged_shared_prefix_is_bit_identical(self):
         """The paper's deployment (LLaMA2-7B, paged KV, a 16-token
@@ -271,8 +257,8 @@ class TestFastForwardEquivalence:
             return engine.run(trace)
 
         reference = run(False, True)
-        reports_identical(run(True, False), reference)
-        reports_identical(run(False, False), reference)
+        assert_reports_identical(run(True, False), reference)
+        assert_reports_identical(run(False, False), reference)
 
     @pytest.mark.parametrize("cls", [ShardedCycleBackend,
                                      ShardedAnalyticalBackend])
@@ -288,7 +274,7 @@ class TestFastForwardEquivalence:
                 kv_token_budget=BUDGET_TOKENS, fast_forward=fast_forward)
             return engine.run(trace)
 
-        reports_identical(run(True), run(False))
+        assert_reports_identical(run(True), run(False))
 
     def test_fast_forward_handles_finite_oracle_stream(self, quant32):
         """A recorded oracle ends at its EOS; the fast-forward window
@@ -309,7 +295,7 @@ class TestFastForwardEquivalence:
                                        eos_id=7)])
 
         fast, slow = run(True), run(False)
-        reports_identical(fast, slow)
+        assert_reports_identical(fast, slow)
         assert streams_of(fast) == {0: stream}
 
     def test_fast_forward_respects_eos_retirement(self, quant32,
@@ -324,7 +310,7 @@ class TestFastForwardEquivalence:
                 kv_token_budget=BUDGET_TOKENS, fast_forward=fast_forward)
             return engine.run(shared_prefix_trace())
 
-        reports_identical(run(True), run(False))
+        assert_reports_identical(run(True), run(False))
         assert streams_of(run(True)) == streams_of(reference)
 
 

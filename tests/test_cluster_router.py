@@ -2,17 +2,14 @@
 
 import pytest
 
-from repro.cluster import (
-    ClusterServeReport,
-    ReplicaRouter,
-    merge_reports,
-)
+from repro.cluster import ReplicaRouter
 from repro.cluster.router import _affinity_key
 from repro.config import TINY_MODEL, QuantConfig
 from repro.engine import (
     ContinuousBatchScheduler,
     CycleModelBackend,
     Request,
+    ServeReport,
     synthetic_trace,
 )
 from repro.errors import SimulationError
@@ -42,7 +39,7 @@ class TestPolicies:
     def test_round_robin_spreads_evenly(self, quant32):
         router = ReplicaRouter(engines(quant32, 3), policy="round_robin")
         report = router.run(trace(9))
-        assert report.replica_request_counts() == [3, 3, 3]
+        assert [r.n_requests for r in report.replica_reports] == [3, 3, 3]
 
     def test_least_loaded_balances_token_work(self, quant32):
         router = ReplicaRouter(engines(quant32, 2), policy="least_loaded")
@@ -111,14 +108,14 @@ class TestMergedReport:
     def test_merge_preserves_all_requests_and_metrics(self, quant32):
         router = ReplicaRouter(engines(quant32, 2))
         report = router.run(trace(8))
-        assert isinstance(report, ClusterServeReport)
+        assert isinstance(report, ServeReport)
         assert len(report.results) == 8
         assert [r.request_id for r in report.results] == list(range(8))
         assert report.total_time_s == max(
             r.total_time_s for r in report.replica_reports)
         assert report.n_steps == sum(
             r.n_steps for r in report.replica_reports)
-        # Inherited ServeReport metrics work on the union.
+        # Report metrics work on the union.
         assert report.mean_ttft_s > 0
         assert report.ttft_percentile_s(95) >= report.ttft_percentile_s(50)
         assert report.latency_percentile_s(50) > 0
@@ -131,7 +128,7 @@ class TestMergedReport:
 
     def test_merge_requires_reports(self):
         with pytest.raises(SimulationError):
-            merge_reports([], {})
+            ServeReport.merge([], {})
 
 
 class TestRouterGuards:

@@ -10,6 +10,7 @@ degraded-mode admission sheds only low classes while capacity is down.
 
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,6 +20,7 @@ from repro.cluster import (
     FaultEvent,
     FaultSchedule,
     HealthTracker,
+    HedgePolicy,
     ReplicaRouter,
     ReplicaFaultPlan,
     RetryPolicy,
@@ -31,13 +33,13 @@ from repro.engine import (
     synthetic_trace,
 )
 from repro.errors import SimulationError
-from repro.obs import FlightRecorder
-from test_telemetry_equivalence import (
-    assert_reports_identical,
-    make_engine,
-)
+from repro.obs import FlightRecorder, report_metrics
+from repro.stats import percentile_of_sorted
+from report_checks import assert_reports_identical
+from test_telemetry_equivalence import make_engine
 
 FF_TIERS = (True, False)
+PERCENTILES = (0.0, 25.0, 50.0, 95.0, 99.0, 100.0)
 
 FG = TenantSpec("fg", "interactive")
 BULK = TenantSpec("bulk", "batch")
@@ -280,6 +282,39 @@ def saturated_trace(seed=0):
     return trace(n=48, rate=1e9, seed=seed)
 
 
+#: Fault runs the cross-level tests replay: name -> (schedule, arrival
+#: rate, resilience counter the run must make nonzero).  "shed" is the
+#: degraded-mode run that sheds low classes, so its report carries
+#: router verdict rows no replica served.
+LEVEL_SCENARIOS = {
+    "crash": (SATURATED_CRASH, 1e9, "n_killed"),
+    "drain": (FaultSchedule([FaultEvent("drain", 1, 0.0005, 0.0001)]),
+              1e9, "n_migrated"),
+    "shed": (crash_schedule(), 3000.0, "n_shed"),
+}
+
+
+def assert_results_match_states(report, engines):
+    """A full-level cluster report's per-request tokens and per-token
+    latencies are the serving engines' own: each row's recorder row is
+    its engine's retire-order ``finished`` index, and an unserved row
+    (a router verdict) has no tokens."""
+    rows = report.rows
+    for result, source, row in zip(report.results,
+                                   rows["source"].tolist(),
+                                   rows["row"].tolist()):
+        if source < 0:
+            assert result.tokens == () and result.decode_step_s == ()
+            continue
+        engine = engines[source]
+        state = engine.finished[row]
+        assert result.tokens == tuple(state.generated), result.request_id
+        assert result.decode_step_s == tuple(
+            c / engine.backend.freq_hz for c in state.decode_cycles), \
+            result.request_id
+        assert result.finish_reason is state.finish_reason
+
+
 class TestRouterResilience:
     def test_crash_redispatch_no_lost_requests(self):
         router = cluster(faults=SATURATED_CRASH)
@@ -352,24 +387,98 @@ class TestRouterResilience:
         assert not routed_down
 
     def test_streamed_chaos_matches_full_counts(self):
-        full = cluster(faults=crash_schedule(),
-                       degraded=DegradedModeConfig()) \
-            .run(trace(n=48, mix=MIX), telemetry="full")
-        streamed = cluster(faults=crash_schedule(),
-                           degraded=DegradedModeConfig()) \
-            .run(lambda: iter(trace(n=48, mix=MIX)),
-                 telemetry="summary")
-        assert streamed.resilience == full.resilience
-        assert streamed.n_requests == full.n_requests
-        assert streamed.total_new_tokens == full.total_new_tokens
-        assert streamed.total_time_s == full.total_time_s
-        for name, s in full.tenant_stats.items():
-            assert streamed.tenant_stats[name]["n_requests"] \
-                == s["n_requests"]
-            assert streamed.tenant_stats[name]["n_rejected"] \
-                == s["n_rejected"]
-            assert streamed.tenant_stats[name]["n_failed"] \
-                == s["n_failed"]
+        """Telemetry levels agree under faults.  Crash and drain runs
+        record the identical run-store metrics, tenant stats, and
+        latency percentiles at full, windows and summary, and sketch
+        lands within its digest's rank-error bound: token latency is
+        the board's decode-step stream at every level, so the decodes
+        of a request a crash later kills count everywhere.  The shed
+        scenario checks the router's verdict rows at every level."""
+        for name, (faults, rate, kind) in LEVEL_SCENARIOS.items():
+            def run(level):
+                return cluster(faults=faults,
+                               degraded=DegradedModeConfig()) \
+                    .run(lambda: iter(trace(n=48, rate=rate, mix=MIX)),
+                         telemetry=level)
+
+            full = run("full")
+            assert full.resilience[kind] > 0, name
+            for level in ("windows", "summary"):
+                other = run(level)
+                assert report_metrics(other) == report_metrics(full), \
+                    (name, level)
+                assert other.tenant_stats == full.tenant_stats
+                for p in PERCENTILES:
+                    assert other.latency_percentile_s(p) \
+                        == full.latency_percentile_s(p), (name, level, p)
+
+            sketch = run("sketch")
+            exact, sketched = report_metrics(full), report_metrics(sketch)
+            for key, value in exact[0].items():
+                if "token_lat" not in key:
+                    assert sketched[0][key] == value, (name, key)
+            assert sketched[1] == exact[1]
+            ordered = np.repeat(*full.latency_runs())
+            digest = sketch.latency_digest()
+            assert digest.n == len(ordered)
+            for p in PERCENTILES:
+                value = sketch.latency_percentile_s(p)
+                lo = np.searchsorted(ordered, value, side="left")
+                hi = np.searchsorted(ordered, value, side="right")
+                target = p / 100 * (len(ordered) - 1)
+                gap = max(lo - 1 - target, target - hi, 0) / len(ordered)
+                assert gap <= digest.rank_error_bound, (name, p)
+
+    def test_hedged_report_uses_the_step_stream(self):
+        """Hedging runs at full telemetry only.  Its report collapses
+        each hedge set to one row, so tokens and tenant stats count
+        each client request once, while token latency stays the raw
+        decode-step stream of every replica, losing copies included."""
+        router = ReplicaRouter(
+            [make_engine("cycle", "slotted") for _ in range(3)],
+            faults=FaultSchedule([FaultEvent("hang", 0, 0.0002, 0.004)]),
+            hedge=HedgePolicy(0.0005))
+        report = router.run(trace(n=48, rate=1e9, mix=MIX),
+                            telemetry="full")
+        res = report.resilience
+        assert res["n_hedged"] > 0 and res["n_hedge_wins"] > 0
+        assert [r.request_id for r in report.results] == list(range(48))
+        stats = report.tenant_stats
+        assert sum(c["n_requests"] for c in stats.values()) == 48
+        assert sum(c["new_tokens"] for c in stats.values()) \
+            == report.total_new_tokens \
+            == sum(len(r.tokens) for r in report.results)
+        stream = sorted(step for rep in report.replica_reports
+                        for r in rep.results for step in r.decode_step_s)
+        for p in PERCENTILES:
+            assert report.latency_percentile_s(p) \
+                == percentile_of_sorted(stream, p), p
+        assert_results_match_states(report, router.engines)
+        rows = report.rows
+        served_as = [router.engines[src].finished[i].request_id
+                     for src, i in zip(rows["source"].tolist(),
+                                       rows["row"].tolist())]
+        # Some rows are a winning copy's, re-keyed to the primary id.
+        assert served_as != rows["request_id"].tolist()
+
+    @pytest.mark.parametrize("ff", FF_TIERS)
+    @pytest.mark.parametrize("name", sorted(LEVEL_SCENARIOS))
+    def test_full_results_are_the_engines_own(self, name, ff):
+        """At full, ``results`` are built the way windows builds them
+        (spans over the decode-latency stream, token replay); they must
+        equal what the engines really generated and charged, through
+        crash kills, drain migrations and router sheds."""
+        faults, rate, kind = LEVEL_SCENARIOS[name]
+        router = cluster(ff=ff, faults=faults,
+                         degraded=DegradedModeConfig())
+        report = router.run(trace(n=48, rate=rate, mix=MIX),
+                            telemetry="full")
+        assert report.resilience[kind] > 0
+        assert_results_match_states(report, router.engines)
+        for replica, engine in zip(report.replica_reports,
+                                   router.engines):
+            assert len(replica.results) == len(engine.finished)
+            assert_results_match_states(replica, [engine])
 
 
 # ---------------------------------------------------------------------

@@ -29,10 +29,8 @@ from repro.cluster import (
 from repro.config import TINY_MODEL
 from repro.engine import FinishReason, TenantSpec, synthetic_trace
 from repro.errors import SimulationError
-from test_telemetry_equivalence import (
-    assert_reports_identical,
-    make_engine,
-)
+from report_checks import assert_reports_identical
+from test_telemetry_equivalence import make_engine
 
 FF_TIERS = (True, False)
 

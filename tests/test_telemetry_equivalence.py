@@ -34,7 +34,9 @@ from repro.engine import (
     synthetic_trace,
 )
 from repro.errors import SimulationError
-from repro.stats import merge_sorted, percentile_of_runs
+from repro.stats import percentile_of_runs, percentile_of_sorted
+
+from report_checks import assert_reports_identical
 
 QUANT32 = QuantConfig(weight_group_size=32)
 BLOCK_SIZE = 8
@@ -60,25 +62,6 @@ def make_engine(kind, kv_mode, tiny_qweights=None, tp=1, ff=True):
     return ContinuousBatchScheduler(backend, max_batch=MAX_BATCH,
                                     kv_token_budget=budget,
                                     fast_forward=ff)
-
-
-def assert_reports_identical(a, b):
-    assert a.total_time_s == b.total_time_s
-    assert a.n_steps == b.n_steps
-    assert a.step_batches == b.step_batches
-    assert a.preemptions == b.preemptions
-    assert a.max_batch_observed == b.max_batch_observed
-    assert a.n_requests == b.n_requests
-    assert a.total_new_tokens == b.total_new_tokens
-    for ra, rb in zip(a.results, b.results):
-        assert ra.request_id == rb.request_id
-        assert tuple(ra.tokens) == tuple(rb.tokens)
-        assert ra.prompt_len == rb.prompt_len
-        assert ra.decode_step_s == rb.decode_step_s
-        assert ra.ttft_s == rb.ttft_s
-        assert ra.e2e_s == rb.e2e_s
-        assert ra.finish_reason == rb.finish_reason
-        assert ra.preemptions == rb.preemptions
 
 
 def assert_percentiles_identical(a, b):
@@ -427,9 +410,8 @@ class TestStreamedCluster:
         assert streamed.mean_batch == eager.mean_batch
         assert streamed.aggregate_tokens_per_s \
             == eager.aggregate_tokens_per_s
-        assert streamed.n_replicas == eager.n_replicas
-        assert streamed.replica_request_counts() \
-            == eager.replica_request_counts()
+        assert [r.n_requests for r in streamed.replica_reports] \
+            == [r.n_requests for r in eager.replica_reports]
 
         summary = ReplicaRouter(self._engines(2), policy=policy).run(
             factory, telemetry="summary")
@@ -458,18 +440,24 @@ class TestStreamedCluster:
         assert factory_router.loads \
             == factory_router.recompute_loads(trace)
 
-    def test_cluster_merge_uses_kway_merge(self):
-        """Satellite: the eager cluster report's percentile caches come
-        from merging the replicas' sorted caches — and equal the
-        re-sorted union exactly."""
+    def test_cluster_merge_concatenates_samples(self):
+        """The cluster report's percentile samples are the replicas'
+        samples concatenated — and equal the re-sorted union of every
+        per-request sample exactly."""
         trace = synthetic_trace(TINY_MODEL, 24, arrival_rate_rps=1e9,
                                 seed=8, prompt_len=(3, 8),
                                 decode_len=(4, 16))
         report = ReplicaRouter(self._engines(3)).run(trace)
-        assert report._sorted_decode_latencies() \
+        values, counts = report.latency_runs()
+        assert np.repeat(values, counts).tolist() \
             == sorted(s for r in report.results for s in r.decode_step_s)
-        assert report._sorted_ttfts() \
-            == sorted(r.ttft_s for r in report.results)
+        # One sample per decode step per batch member, on every replica.
+        assert counts.sum() == sum(r.batch_sum
+                                   for r in report.replica_reports)
+        ttfts = sorted(r.ttft_s for r in report.results)
+        for p in PERCENTILES:
+            assert report.ttft_percentile_s(p) \
+                == percentile_of_sorted(ttfts, p)
 
 
 class TestSketchLevel:
@@ -558,7 +546,7 @@ class TestSketchLevel:
                                               telemetry="sketch")
         assert sketch.total_time_s == eager.total_time_s
         assert sketch.n_steps == eager.n_steps
-        ordered = eager._sorted_decode_latencies()
+        ordered = sorted(s for r in eager.results for s in r.decode_step_s)
         digest = sketch.latency_digest()
         assert digest.n == len(ordered)
         assert sketch.latency_percentile_s(100.0) == ordered[-1]
@@ -588,19 +576,8 @@ class TestRunLengthPrimitives:
         vals = np.asarray([runs[i][0] for i in order])
         cnts = np.asarray([runs[i][1] for i in order])
         expanded = sorted(v for v, c in runs for _ in range(c))
-        from repro.stats import percentile_of_sorted
-
         assert percentile_of_runs(vals, cnts, p) \
             == percentile_of_sorted(expanded, p)
-
-    @settings(deadline=None, max_examples=60)
-    @given(st.lists(st.lists(st.floats(min_value=-1e9, max_value=1e9,
-                                       allow_nan=False), max_size=20),
-                    max_size=6))
-    def test_merge_sorted_matches_resort(self, lists):
-        lists = [sorted(one) for one in lists]
-        merged = merge_sorted(lists)
-        assert merged == sorted(x for one in lists for x in one)
 
     @settings(deadline=None, max_examples=60)
     @given(st.lists(st.floats(min_value=0, max_value=1e9,

@@ -31,6 +31,8 @@ from repro.engine import (
 )
 from repro.errors import CapacityError, SimulationError
 
+from report_checks import assert_reports_identical
+
 QUANT32 = QuantConfig(weight_group_size=32)
 BLOCK_SIZE = 8
 BUDGET_TOKENS = 128
@@ -56,25 +58,6 @@ def make_engine(kind, kv_mode, tp=1, ff=True, max_batch=MAX_BATCH,
     return ContinuousBatchScheduler(backend, max_batch=max_batch,
                                     kv_token_budget=token_budget,
                                     fast_forward=ff)
-
-
-def assert_reports_identical(a, b):
-    assert a.total_time_s == b.total_time_s
-    assert a.n_steps == b.n_steps
-    assert a.preemptions == b.preemptions
-    assert a.max_batch_observed == b.max_batch_observed
-    assert a.n_requests == b.n_requests
-    assert a.total_new_tokens == b.total_new_tokens
-    assert a.tenant_stats == b.tenant_stats
-    for ra, rb in zip(a.results, b.results):
-        assert ra.request_id == rb.request_id
-        assert tuple(ra.tokens) == tuple(rb.tokens)
-        assert ra.decode_step_s == rb.decode_step_s
-        assert ra.ttft_s == rb.ttft_s
-        assert ra.e2e_s == rb.e2e_s
-        assert ra.finish_reason == rb.finish_reason
-        assert ra.preemptions == rb.preemptions
-        assert ra.tenant_class == rb.tenant_class
 
 
 class TestTenantSpec:
