@@ -32,79 +32,39 @@ work > 0, zero lost, zero recompute, drain p99 < crash p99.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import pathlib
-import time
 
-from repro.cluster import (
-    DegradedModeConfig,
-    FailureDomain,
-    FaultEvent,
-    FaultSchedule,
-    HedgePolicy,
-    ReplicaRouter,
-    RetryPolicy,
-)
-from repro.config import TINY_MODEL, QuantConfig
-from repro.engine import (
-    ContinuousBatchScheduler,
-    CycleModelBackend,
-    TenantSpec,
-    synthetic_trace,
-)
+from mixed_tenants import BASE, timed_serve
+from repro.cluster import FailureDomain, FaultEvent, FaultSchedule
 
 REPO_ROOT = pathlib.Path(__file__).parent.parent
 RECORD_PATH = REPO_ROOT / "BENCH_migration.json"
-
-QUANT = QuantConfig(weight_group_size=32)
-MAX_BATCH = 8
-KV_BUDGET = 256
-
-MIX = ((TenantSpec("fg", "interactive", ttft_slo_s=0.005), 0.25),
-       (TenantSpec("bulk", "batch", kv_quota_tokens=160), 0.5),
-       (TenantSpec("bg", "best_effort", kv_quota_tokens=96), 0.25))
 
 #: ``full`` is the committed record; ``smoke`` is the CI budget with
 #: the same floor assertions.
 SWEEP_MODE = os.environ.get("MIGRATION_SWEEP", "full")
 N_REQUESTS = 1_500 if SWEEP_MODE == "smoke" else 12_000
 LOAD_RPS = 36_000.0
-TRACE_SEED = 23
 
 RECORD: dict = {"schema": "migration-v1", "sections": {}}
 
 
-def _span_s(n: int = N_REQUESTS) -> float:
-    return n / LOAD_RPS
+#: Trace and cluster of every run: three replicas at the knee (six for
+#: the rack study).  Each run adds its fault schedule, which brings
+#: retry and degraded-mode shedding with it.
+SCENARIO = dataclasses.replace(BASE, replicas=3, router="least_loaded",
+                               requests=N_REQUESTS, arrival_rate=LOAD_RPS)
+SPAN_S = N_REQUESTS / LOAD_RPS
 
 
-def _engines(n: int) -> list:
-    return [ContinuousBatchScheduler(
-        CycleModelBackend(TINY_MODEL, QUANT, n_slots=MAX_BATCH),
-        max_batch=MAX_BATCH, kv_token_budget=KV_BUDGET)
-        for _ in range(n)]
-
-
-def _trace(rate: float = LOAD_RPS) -> list:
-    return synthetic_trace(TINY_MODEL, N_REQUESTS,
-                           arrival_rate_rps=rate, seed=TRACE_SEED,
-                           prompt_len=(3, 10), decode_len=(6, 28),
-                           tenant_mix=MIX)
-
-
-def _run(faults, replicas: int = 3, topology=None,
-         hedge: HedgePolicy | None = None,
-         rate: float = LOAD_RPS) -> tuple:
-    router = ReplicaRouter(
-        _engines(replicas), policy="least_loaded",
-        faults=FaultSchedule(tuple(faults), topology=topology),
-        retry=RetryPolicy(), degraded=DegradedModeConfig(),
-        hedge=hedge)
-    start = time.perf_counter()
-    report = router.run(_trace(rate), telemetry="full",
-                        max_steps=1_000_000_000)
-    return report, round(time.perf_counter() - start, 2)
+def _timed(events, topology=None, **changes) -> tuple:
+    """timed_serve of SCENARIO, with ``changes``, under ``events``."""
+    return timed_serve(dataclasses.replace(
+        SCENARIO, faults=FaultSchedule(events, topology=topology),
+        **changes))
 
 
 def _headline(report) -> dict:
@@ -121,27 +81,23 @@ def _headline(report) -> dict:
 #: finish inside it, so the drain is forced onto the
 #: checkpoint-and-migrate path (and the crash kills the same work).
 FAULT_REPLICA = 1
-
-
-def _fault_window() -> tuple:
-    span = _span_s()
-    return 0.35 * span, 0.0005
+FAULT_AT_S, FAULT_WINDOW_S = 0.35 * SPAN_S, 0.0005
 
 
 def bench_drain_vs_crash(save_result):
     """Planned drain (migrate) vs unplanned crash (kill + retry)."""
-    at_s, window_s = _fault_window()
-    drain_rep, drain_wall = _run(
+    at_s, window_s = FAULT_AT_S, FAULT_WINDOW_S
+    drain_rep, drain_wall = _timed(
         [FaultEvent("drain", FAULT_REPLICA, at_s, window_s)])
-    crash_rep, crash_wall = _run(
+    crash_rep, crash_wall = _timed(
         [FaultEvent("crash", FAULT_REPLICA, at_s, window_s,
                     warmup_s=0.0)])
     drain, crash = drain_rep.resilience, crash_rep.resilience
 
     section = {
-        "model": TINY_MODEL.name, "mode": SWEEP_MODE,
+        "model": SCENARIO.model.name, "mode": SWEEP_MODE,
         "n_requests": N_REQUESTS, "replicas": 3,
-        "arrival_rate_rps": LOAD_RPS, "trace_seed": TRACE_SEED,
+        "arrival_rate_rps": LOAD_RPS, "trace_seed": SCENARIO.seed,
         "fault": {"replica": FAULT_REPLICA,
                   "at_ms": round(at_s * 1e3, 3),
                   "window_ms": round(window_s * 1e3, 3)},
@@ -185,8 +141,7 @@ RACKS = (FailureDomain("rack0", (0, 1, 2)),
 
 def bench_correlated_rack_outage(save_result):
     """One rack fails together vs the same replicas failing staggered."""
-    span = _span_s()
-    at_s, down_s = 0.3 * span, 0.1 * span
+    at_s, down_s = 0.3 * SPAN_S, 0.1 * SPAN_S
     correlated = [FaultEvent("crash", r, at_s, down_s, warmup_s=0.0)
                   for r in RACKS[0].replicas]
     # Independent: identical replicas and total downtime, but the
@@ -195,8 +150,8 @@ def bench_correlated_rack_outage(save_result):
     independent = [FaultEvent("crash", r, at_s + i * 1.5 * down_s,
                               down_s, warmup_s=0.0)
                    for i, r in enumerate(RACKS[0].replicas)]
-    corr_rep, corr_wall = _run(correlated, replicas=6, topology=RACKS)
-    ind_rep, ind_wall = _run(independent, replicas=6, topology=RACKS)
+    corr_rep, corr_wall = _timed(correlated, replicas=6, topology=RACKS)
+    ind_rep, ind_wall = _timed(independent, replicas=6, topology=RACKS)
     corr, ind = corr_rep.resilience, ind_rep.resilience
 
     section = {
@@ -244,12 +199,12 @@ def bench_hedged_tail(save_result):
     """Hedged dispatch vs retry-only under a mid-run replica hang."""
     span = N_REQUESTS / HEDGE_RPS
     hang = [FaultEvent("hang", 0, 0.1 * span, 0.6 * span)]
-    plain_rep, plain_wall = _run(hang, rate=HEDGE_RPS)
+    plain_rep, plain_wall = _timed(hang, arrival_rate=HEDGE_RPS)
     # Hedge when a request's first token is four medians late: the
     # hang victims blow far past that, everyone else stays under it.
     delay_s = plain_rep.ttft_percentile_s(50) * 4
-    hedge_rep, hedge_wall = _run(hang, hedge=HedgePolicy(delay_s),
-                                 rate=HEDGE_RPS)
+    hedge_rep, hedge_wall = _timed(hang, hedge=delay_s,
+                                   arrival_rate=HEDGE_RPS)
     hedge = hedge_rep.resilience
 
     section = {
@@ -275,10 +230,10 @@ def bench_hedged_tail(save_result):
 
 def bench_migration_replay_identical(save_result):
     """Same schedule + trace seed -> bit-identical drain report."""
-    at_s, window_s = _fault_window()
-    drain = [FaultEvent("drain", FAULT_REPLICA, at_s, window_s)]
-    first, _ = _run(drain)
-    second, _ = _run(drain)
+    drain = [FaultEvent("drain", FAULT_REPLICA, FAULT_AT_S,
+                        FAULT_WINDOW_S)]
+    first, _ = _timed(drain)
+    second, _ = _timed(drain)
     assert first.resilience == second.resilience
     assert first.total_time_s == second.total_time_s
     assert first.n_steps == second.n_steps
@@ -290,7 +245,7 @@ def bench_migration_replay_identical(save_result):
              b.finish_reason, b.preemptions), (a, b)
     RECORD["sections"]["replay"] = {
         "mode": SWEEP_MODE, "n_requests": N_REQUESTS,
-        "trace_seed": TRACE_SEED, "bit_identical": True}
+        "trace_seed": SCENARIO.seed, "bit_identical": True}
     save_result("migration_replay",
                 f"drain replay over {N_REQUESTS} requests: "
                 f"{len(first.results)} results, resilience + "
@@ -361,7 +316,7 @@ def bench_write_record(save_result):
     store.save(store.record(
         "migration", {"bench": "migration", "mode": SWEEP_MODE,
                       "n_requests": N_REQUESTS,
-                      "trace_seed": TRACE_SEED}, metrics))
+                      "trace_seed": SCENARIO.seed}, metrics))
 
 
 if __name__ == "__main__":

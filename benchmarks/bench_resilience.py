@@ -27,38 +27,18 @@ through the outage.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import pathlib
-import time
 
-from repro.cluster import (
-    DegradedModeConfig,
-    FaultSchedule,
-    ReplicaRouter,
-    RetryPolicy,
-)
-from repro.config import TINY_MODEL, QuantConfig
-from repro.engine import (
-    ContinuousBatchScheduler,
-    CycleModelBackend,
-    TenantSpec,
-    synthetic_trace,
-)
+from mixed_tenants import BASE, timed_serve
+from repro.cluster import FaultSchedule
 
 REPO_ROOT = pathlib.Path(__file__).parent.parent
 RECORD_PATH = REPO_ROOT / "BENCH_faults.json"
 
-QUANT = QuantConfig(weight_group_size=32)
-MAX_BATCH = 8
-KV_BUDGET = 256
 REPLICAS = 3
-
-#: Same class shape as bench_slo: latency-sensitive foreground, quota'd
-#: batch bulk, quota'd best-effort background (the shed class).
-MIX = ((TenantSpec("fg", "interactive", ttft_slo_s=0.005), 0.25),
-       (TenantSpec("bulk", "batch", kv_quota_tokens=160), 0.5),
-       (TenantSpec("bg", "best_effort", kv_quota_tokens=96), 0.25))
 
 #: ``full`` is the committed record; ``smoke`` is the CI budget with
 #: the same floor assertions.
@@ -68,46 +48,22 @@ N_REQUESTS = 3_000 if SWEEP_MODE == "smoke" else 30_000
 #: engine knee measured by bench_slo at this model/config).
 LOAD_RPS = 36_000.0
 FAULT_SEED = 7
-TRACE_SEED = 23
 
 RECORD: dict = {"schema": "faults-v1", "sections": {}}
 
 
-def _engines() -> list:
-    return [ContinuousBatchScheduler(
-        CycleModelBackend(TINY_MODEL, QUANT, n_slots=MAX_BATCH),
-        max_batch=MAX_BATCH, kv_token_budget=KV_BUDGET)
-        for _ in range(REPLICAS)]
-
-
-def _trace() -> list:
-    return synthetic_trace(TINY_MODEL, N_REQUESTS,
-                           arrival_rate_rps=LOAD_RPS, seed=TRACE_SEED,
-                           prompt_len=(3, 10), decode_len=(6, 28),
-                           tenant_mix=MIX)
-
-
-def _schedule() -> FaultSchedule:
-    """One replica crashes mid-traffic and warms back up.  Pure
-    function of the arrival span and FAULT_SEED-derived constants, so
-    the whole episode replays bit-identically."""
-    span = N_REQUESTS / LOAD_RPS
-    return FaultSchedule.single_crash(
-        replica=FAULT_SEED % REPLICAS, at_s=0.35 * span,
-        downtime_s=0.2 * span, warmup_s=0.1 * span, warmup_factor=2.0)
-
-
-def _run(chaos: bool) -> tuple:
-    kwargs = {}
-    if chaos:
-        kwargs = dict(faults=_schedule(),
-                      retry=RetryPolicy(),
-                      degraded=DegradedModeConfig())
-    router = ReplicaRouter(_engines(), policy="least_loaded", **kwargs)
-    start = time.perf_counter()
-    report = router.run(_trace(), telemetry="full",
-                        max_steps=1_000_000_000)
-    return report, round(time.perf_counter() - start, 2)
+#: the healthy three-replica cluster at the knee
+HEALTHY = dataclasses.replace(BASE, replicas=REPLICAS,
+                              router="least_loaded", requests=N_REQUESTS,
+                              arrival_rate=LOAD_RPS)
+#: One replica crashes mid-traffic and warms back up (retry and
+#: degraded-mode shedding come with the schedule).  Pure function of the
+#: arrival span and FAULT_SEED-derived constants, so the whole episode
+#: replays bit-identically.
+_SPAN_S = N_REQUESTS / LOAD_RPS
+CHAOS = dataclasses.replace(HEALTHY, faults=FaultSchedule.single_crash(
+    replica=FAULT_SEED % REPLICAS, at_s=0.35 * _SPAN_S,
+    downtime_s=0.2 * _SPAN_S, warmup_s=0.1 * _SPAN_S, warmup_factor=2.0))
 
 
 def _classes(report) -> dict:
@@ -125,18 +81,18 @@ def _classes(report) -> dict:
 
 def bench_resilience_crash_at_knee(save_result):
     """Single-replica crash-and-recover vs the healthy baseline."""
-    healthy, healthy_wall = _run(chaos=False)
-    chaos, chaos_wall = _run(chaos=True)
+    healthy, healthy_wall = timed_serve(HEALTHY)
+    chaos, chaos_wall = timed_serve(CHAOS)
     res = chaos.resilience
 
-    schedule = _schedule()
-    event = schedule.events[0]
+    event = CHAOS.faults.events[0]
     section = {
-        "model": TINY_MODEL.name, "mode": SWEEP_MODE,
+        "model": HEALTHY.model.name, "mode": SWEEP_MODE,
         "n_requests": N_REQUESTS, "replicas": REPLICAS,
-        "max_batch": MAX_BATCH, "kv_token_budget": KV_BUDGET,
+        "max_batch": HEALTHY.max_batch,
+        "kv_token_budget": HEALTHY.kv_budget,
         "arrival_rate_rps": LOAD_RPS, "fault_seed": FAULT_SEED,
-        "trace_seed": TRACE_SEED,
+        "trace_seed": HEALTHY.seed,
         "fault": {"kind": event.kind, "replica": event.replica,
                   "at_ms": round(event.start_s * 1e3, 3),
                   "downtime_ms": round(event.duration_s * 1e3, 3),
@@ -197,8 +153,8 @@ def bench_resilience_crash_at_knee(save_result):
 
 def bench_resilience_replay_identical(save_result):
     """Same fault seed + trace seed -> bit-identical chaos report."""
-    first, _ = _run(chaos=True)
-    second, _ = _run(chaos=True)
+    first, _ = timed_serve(CHAOS)
+    second, _ = timed_serve(CHAOS)
     assert first.resilience == second.resilience
     assert first.total_time_s == second.total_time_s
     assert first.n_steps == second.n_steps
@@ -210,7 +166,7 @@ def bench_resilience_replay_identical(save_result):
              b.e2e_s, b.finish_reason, b.preemptions), (a, b)
     RECORD["sections"]["replay"] = {
         "mode": SWEEP_MODE, "n_requests": N_REQUESTS,
-        "fault_seed": FAULT_SEED, "trace_seed": TRACE_SEED,
+        "fault_seed": FAULT_SEED, "trace_seed": HEALTHY.seed,
         "bit_identical": True}
     save_result("resilience_replay",
                 f"chaos replay over {N_REQUESTS} requests: "
@@ -285,7 +241,7 @@ def bench_write_record(save_result):
     store.save(store.record(
         "faults", {"bench": "resilience", "mode": SWEEP_MODE,
                    "n_requests": N_REQUESTS, "replicas": REPLICAS,
-                   "fault_seed": FAULT_SEED, "trace_seed": TRACE_SEED},
+                   "fault_seed": FAULT_SEED, "trace_seed": HEALTHY.seed},
         metrics))
 
 

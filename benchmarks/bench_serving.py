@@ -13,18 +13,15 @@ Records go to ``benchmarks/results/`` so every later PR can diff
 against them.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.cluster import TEN_GIG_ETHERNET, scaling_sweep, tp_scaling_is_sane
 from repro.config import KV260, LLAMA2_7B, TINY_MODEL, W4A16_KV8, QuantConfig
 from repro.core.cyclemodel import CycleModel
-from repro.engine import (
-    ContinuousBatchScheduler,
-    CycleModelBackend,
-    kv_discipline_kwargs,
-    synthetic_trace,
-)
 from repro.report.cluster import scaling_table
+from repro.scenario import Scenario
 
 
 def _render_curve(points) -> str:
@@ -53,20 +50,12 @@ def bench_batch_amortization_curve(benchmark, save_result):
 
 def bench_continuous_batching_trace(benchmark, save_result):
     """Replay a 24-request synthetic trace through the engine."""
-    quant = QuantConfig(weight_group_size=32)
-
-    def serve(max_batch=8):
-        backend = CycleModelBackend(TINY_MODEL, quant, KV260,
-                                    n_slots=max_batch)
-        engine = ContinuousBatchScheduler(backend, max_batch=max_batch)
-        trace = synthetic_trace(TINY_MODEL, n_requests=24,
-                                arrival_rate_rps=1e6,
-                                prompt_len=(4, 12), decode_len=(8, 24),
-                                seed=11)
-        return engine.run(trace)
-
-    report = benchmark.pedantic(serve, rounds=3, iterations=1)
-    serial = serve(max_batch=1)
+    scenario = Scenario(model=TINY_MODEL,
+                        quant=QuantConfig(weight_group_size=32),
+                        requests=24, arrival_rate=1e6, prompt_len=(4, 12),
+                        decode_len=(8, 24), seed=11)
+    report = benchmark.pedantic(scenario.serve, rounds=3, iterations=1)
+    serial = dataclasses.replace(scenario, max_batch=1).serve()
     text = "\n".join([
         "Continuous batching — 24 requests, tiny-test on KV260, batch <= 8",
         f"  aggregate  : {report.aggregate_tokens_per_s:12.1f} token/s"
@@ -95,25 +84,17 @@ def bench_kv_paging_vs_slotted(benchmark, save_result):
     once, so it must sustain a strictly larger batch *and* more
     throughput.  This is the trajectory record for the paging win.
     """
-    quant = QuantConfig(weight_group_size=32)
     budget_tokens = 256
-    block_size = 16
-    max_batch = 16
-
-    def trace():
-        return synthetic_trace(TINY_MODEL, n_requests=24,
-                               arrival_rate_rps=1e9,
-                               prompt_len=(2, 6), decode_len=(8, 16),
-                               seed=23, shared_prefix_len=32)
+    scenario = Scenario(model=TINY_MODEL,
+                        quant=QuantConfig(weight_group_size=32),
+                        max_batch=16, kv_budget=budget_tokens,
+                        block_size=16, requests=24, arrival_rate=1e9,
+                        prompt_len=(2, 6), decode_len=(8, 16), seed=23,
+                        shared_prefix=32)
 
     def serve(kv_mode):
-        backend_kv, scheduler_kv = kv_discipline_kwargs(
-            kv_mode, budget_tokens=budget_tokens, block_size=block_size)
-        backend = CycleModelBackend(TINY_MODEL, quant, KV260,
-                                    n_slots=max_batch, **backend_kv)
-        engine = ContinuousBatchScheduler(backend, max_batch=max_batch,
-                                          **scheduler_kv)
-        return engine.run(trace()), backend
+        deployment = dataclasses.replace(scenario, kv=kv_mode).build()
+        return deployment.serve(), deployment.backends[0]
 
     slotted, _ = serve("slotted")
     (paged, paged_backend) = benchmark.pedantic(

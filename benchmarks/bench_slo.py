@@ -29,31 +29,13 @@ import dataclasses
 import json
 import os
 import pathlib
-import time
 
-from repro.config import TINY_MODEL, QuantConfig
-from repro.engine import (
-    ContinuousBatchScheduler,
-    CycleModelBackend,
-    DEFAULT_TENANT,
-    TenantSpec,
-    synthetic_trace,
-)
+from mixed_tenants import BASE, timed_serve
+from repro.engine import DEFAULT_TENANT
 from repro.stats import percentile_of_sorted
 
 REPO_ROOT = pathlib.Path(__file__).parent.parent
 RECORD_PATH = REPO_ROOT / "BENCH_slo.json"
-
-QUANT = QuantConfig(weight_group_size=32)
-MAX_BATCH = 8
-KV_BUDGET = 256
-
-#: 25% interactive (5ms TTFT target, no quota), 50% batch capped at 160
-#: cached KV tokens, 25% best-effort capped at 96 — the quota classes
-#: exercise quota admission + same-tenant eviction under decode growth.
-MIX = ((TenantSpec("fg", "interactive", ttft_slo_s=0.005), 0.25),
-       (TenantSpec("bulk", "batch", kv_quota_tokens=160), 0.5),
-       (TenantSpec("bg", "best_effort", kv_quota_tokens=96), 0.25))
 
 #: ``full`` is the committed record (100k requests per run, three load
 #: points); ``smoke`` is the CI budget with the same floor assertions.
@@ -66,33 +48,20 @@ LOADS = (12_000.0, 25_000.0) if SWEEP_MODE == "smoke" \
 
 RECORD: dict = {"schema": "slo-v1", "sections": {}}
 
-
-def _engine() -> ContinuousBatchScheduler:
-    backend = CycleModelBackend(TINY_MODEL, QUANT, n_slots=MAX_BATCH)
-    return ContinuousBatchScheduler(backend, max_batch=MAX_BATCH,
-                                    kv_token_budget=KV_BUDGET)
-
-
-def _trace(rate: float) -> list:
-    return synthetic_trace(TINY_MODEL, N_REQUESTS, arrival_rate_rps=rate,
-                           seed=23, prompt_len=(3, 10),
-                           decode_len=(6, 28), tenant_mix=MIX)
-
-
-def _run(trace) -> tuple:
-    start = time.perf_counter()
-    report = _engine().run(trace, max_steps=1_000_000_000,
-                           telemetry="windows")
-    return report, round(time.perf_counter() - start, 2)
+#: one engine, windows telemetry; the sweep sets the arrival rate
+SCENARIO = dataclasses.replace(BASE, requests=N_REQUESTS,
+                               telemetry="windows")
 
 
 def _load_point(rate: float) -> dict:
-    trace = _trace(rate)
+    scenario = dataclasses.replace(SCENARIO, arrival_rate=rate)
+    trace = list(scenario.trace())
     fg_ids = {r.request_id for r in trace
               if r.tenant.priority == "interactive"}
-    prio, prio_wall = _run(trace)
-    fifo, fifo_wall = _run([dataclasses.replace(r, tenant=DEFAULT_TENANT)
-                            for r in trace])
+    prio, prio_wall = timed_serve(scenario, trace)
+    fifo, fifo_wall = timed_serve(
+        scenario, [dataclasses.replace(r, tenant=DEFAULT_TENANT)
+                   for r in trace])
 
     # FIFO per-class view: same request-id subset, same offered load.
     fifo_fg = sorted(r.ttft_s for r in fifo.results
@@ -133,13 +102,13 @@ def _load_point(rate: float) -> dict:
 def bench_slo_load_sweep(save_result):
     """Interactive p99 TTFT and goodput vs load: priority vs FIFO."""
     rows = [_load_point(rate) for rate in LOADS]
-    section = {"model": TINY_MODEL.name, "mode": SWEEP_MODE,
-               "n_requests": N_REQUESTS, "max_batch": MAX_BATCH,
-               "kv_token_budget": KV_BUDGET,
+    section = {"model": SCENARIO.model.name, "mode": SWEEP_MODE,
+               "n_requests": N_REQUESTS, "max_batch": SCENARIO.max_batch,
+               "kv_token_budget": SCENARIO.kv_budget,
                "mix": [{"name": spec.name, "priority": spec.priority,
                         "kv_quota_tokens": spec.kv_quota_tokens,
                         "ttft_slo_s": spec.ttft_slo_s, "share": share}
-                       for spec, share in MIX],
+                       for spec, share in SCENARIO.tenant_mix],
                "rows": rows}
     RECORD["sections"]["load_sweep"] = section
 

@@ -22,6 +22,7 @@ Commands:
 from __future__ import annotations
 
 import argparse
+from dataclasses import replace
 from typing import Sequence
 
 from .config import KV260, MODEL_PRESETS, PLATFORM_PRESETS, QuantConfig
@@ -184,16 +185,6 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _kv_kwargs(args):
-    """(backend, scheduler) KV kwargs from the serve-sim flags."""
-    from .engine import kv_discipline_kwargs
-
-    return kv_discipline_kwargs(args.kv,
-                                budget_tokens=args.kv_budget or None,
-                                block_size=args.block_size,
-                                n_kv_blocks=args.kv_blocks or None)
-
-
 def _interconnect(args):
     from .cluster import INTERCONNECT_PRESETS
 
@@ -205,31 +196,6 @@ def _interconnect(args):
             f"{sorted(INTERCONNECT_PRESETS)}") from None
 
 
-def _serve_qweights(args, model, quant):
-    from .model.weights import quantize_model, random_weights
-
-    if model.total_params() > 50_000_000:
-        raise ReproError(
-            f"{model.name} is too large for the functional backend "
-            "(numpy forward pass); use --backend cycle or analytical")
-    group = min(quant.weight_group_size, model.hidden_size)
-    fq = QuantConfig(weight_bits=quant.weight_bits,
-                     kv_bits=quant.kv_bits, weight_group_size=group)
-    return quantize_model(random_weights(model, seed=args.seed), fq)
-
-
-def _serve_backend(args, model, platform, quant, qweights=None):
-    from .engine import build_backend
-
-    kv, _ = _kv_kwargs(args)
-    if args.backend == "functional" and qweights is None:
-        qweights = _serve_qweights(args, model, quant)
-    return build_backend(args.backend, model, quant, platform,
-                         mode=args.mode, n_slots=args.max_batch,
-                         tp=args.tp, interconnect=_interconnect(args),
-                         qweights=qweights, **kv)
-
-
 def _tenant_mix(args):
     """``--tenants/--priority-mix/--quota`` -> a trace tenant-mix spec
     (None when tenancy is off)."""
@@ -239,6 +205,9 @@ def _tenant_mix(args):
         if args.priority_mix:
             raise ReproError("--priority-mix needs --tenants")
         return None
+    if args.quota < 0:
+        raise ReproError(f"--quota must be >= 0 tokens (0 = unlimited): "
+                         f"{args.quota}")
     specs = []
     for entry in args.tenants.split(","):
         parts = entry.strip().split(":")
@@ -246,24 +215,26 @@ def _tenant_mix(args):
             raise ReproError(
                 f"bad --tenants entry {entry.strip()!r}; expected "
                 "name:class[:kv-quota-tokens]")
-        try:
-            quota = int(parts[2]) if len(parts) == 3 else args.quota
-        except ValueError:
+        quota = parts[2] if len(parts) == 3 else str(args.quota)
+        if not quota.isdecimal():
             raise ReproError(
                 f"bad --tenants entry {entry.strip()!r}: quota "
-                f"{parts[2]!r} is not an integer token count") from None
-        specs.append(TenantSpec(
-            name=parts[0], priority=parts[1],
-            kv_quota_tokens=quota if quota > 0 else None))
+                f"{quota!r} is not a token count >= 0 (0 = unlimited)")
+        specs.append(TenantSpec(name=parts[0], priority=parts[1],
+                                kv_quota_tokens=int(quota) or None))
+    shares = [1.0] * len(specs)
     if args.priority_mix:
-        shares = [float(s) for s in args.priority_mix.split(",")]
+        try:
+            shares = [float(s) for s in args.priority_mix.split(",")]
+        except ValueError:
+            raise ReproError(
+                f"bad --priority-mix {args.priority_mix!r}; expected "
+                "comma-separated numbers, e.g. 0.3,0.5,0.2") from None
         if len(shares) != len(specs):
             raise ReproError(
                 f"--priority-mix gives {len(shares)} shares for "
                 f"{len(specs)} tenants")
-    else:
-        shares = [1.0] * len(specs)
-    return list(zip(specs, shares))
+    return tuple(zip(specs, shares))
 
 
 def _check_serve_destinations(args) -> None:
@@ -311,50 +282,30 @@ def _check_serve_destinations(args) -> None:
 
 
 def cmd_serve_sim(args) -> int:
-    from .engine import ContinuousBatchScheduler, iter_synthetic_trace
+    from .scenario import Scenario
 
-    if args.tp < 1 or args.replicas < 1:
-        raise ReproError("--tp and --replicas must be >= 1")
     if args.per_request and args.telemetry in ("summary", "sketch"):
         raise ReproError(
             "--per-request needs per-request results; use "
             "--telemetry full or windows")
-    if args.chaos and args.replicas < 2:
-        raise ReproError(
-            "--chaos needs --replicas >= 2: fault tolerance means "
-            "surviving replicas pick up the killed work")
-    if args.drain and args.replicas < 2:
-        raise ReproError(
-            "--drain needs --replicas >= 2: a drained replica hands "
-            "its work to a healthy peer")
-    if args.domains:
-        if not args.chaos:
-            raise ReproError("--domains correlates the generated fault "
-                             "schedule; it needs --chaos")
-        if not 2 <= args.domains <= args.replicas:
-            raise ReproError(
-                f"--domains must be between 2 and --replicas "
-                f"({args.replicas}): {args.domains}")
-    if args.hedge < 0:
-        raise ReproError(f"--hedge must be >= 0: {args.hedge}")
-    if args.hedge and args.telemetry != "full":
-        raise ReproError("--hedge compares per-request first-token "
-                         "times; it needs --telemetry full")
-    if args.hedge and not (args.chaos or args.drain):
-        raise ReproError("--hedge rides the fault-tolerant path; "
-                         "combine it with --chaos or --drain")
+    scenario = Scenario(
+        model=_model(args.model), quant=_quant(args),
+        platform=_platform(args.platform), backend=args.backend,
+        mode=args.mode, max_batch=args.max_batch, kv=args.kv,
+        kv_budget=args.kv_budget, block_size=args.block_size,
+        kv_blocks=args.kv_blocks, tp=args.tp,
+        interconnect=_interconnect(args), replicas=args.replicas,
+        router=args.router, requests=args.requests,
+        arrival_rate=args.arrival_rate,
+        prompt_len=(args.prompt_min, args.prompt_max),
+        decode_len=(args.decode_min, args.decode_max), seed=args.seed,
+        shared_prefix=args.shared_prefix, tenant_mix=_tenant_mix(args),
+        chaos=args.chaos, fault_seed=args.fault_seed, drain=args.drain,
+        domains=args.domains, retry_budget=args.retry_budget,
+        hedge=args.hedge, telemetry=args.telemetry)
     _check_serve_destinations(args)
-    model = _model(args.model)
-    platform = _platform(args.platform)
-    quant = _quant(args)
-    qweights = _serve_qweights(args, model, quant) \
-        if args.backend == "functional" else None
-    _, scheduler_kv = _kv_kwargs(args)
-    backends = [_serve_backend(args, model, platform, quant, qweights)
-                for _ in range(args.replicas)]
-    engines = [ContinuousBatchScheduler(b, max_batch=args.max_batch,
-                                        **scheduler_kv) for b in backends]
-
+    deployment = scenario.build()
+    backends, engines = deployment.backends, deployment.engines
     recorders = None
     if args.trace_out:
         from .obs import FlightRecorder
@@ -363,83 +314,8 @@ def cmd_serve_sim(args) -> int:
                      for idx in range(len(engines))]
         for engine, recorder in zip(engines, recorders):
             engine.flight = recorder
-
-    mix = _tenant_mix(args)
-
-    def trace_factory():
-        return iter_synthetic_trace(
-            model, n_requests=args.requests,
-            arrival_rate_rps=args.arrival_rate,
-            prompt_len=(args.prompt_min, args.prompt_max),
-            decode_len=(args.decode_min, args.decode_max),
-            seed=args.seed,
-            shared_prefix_len=args.shared_prefix,
-            tenant_mix=mix)
-
-    # The trace streams into the engine(s): nothing is materialized, so
-    # --requests scales to millions at O(in-flight) memory.  Exception:
-    # a full-telemetry cluster keeps O(trace) per-request state anyway,
-    # so hand the router a materialized list instead of regenerating
-    # and re-routing the trace once per replica.
-    max_steps = max(1_000_000, 64 * args.requests)
-    if args.replicas > 1:
-        from .cluster import ReplicaRouter
-
-        chaos_kwargs: dict = {}
-        if args.chaos or args.drain:
-            from .cluster import (DegradedModeConfig, FailureDomain,
-                                  FaultEvent, FaultSchedule,
-                                  RetryPolicy)
-
-            # Fault times scale with the arrival span so the schedule
-            # lands while traffic is in flight at any request rate.
-            span = args.requests / args.arrival_rate
-            topology: tuple[FailureDomain, ...] = ()
-            if args.domains:
-                # Contiguous, near-equal partition of the replica ids
-                # into K failure domains ("racks").
-                base, extra = divmod(args.replicas, args.domains)
-                cuts, lo = [], 0
-                for i in range(args.domains):
-                    hi = lo + base + (1 if i < extra else 0)
-                    cuts.append(FailureDomain(
-                        f"rack{i}", tuple(range(lo, hi))))
-                    lo = hi
-                topology = tuple(cuts)
-            events: list[FaultEvent] = []
-            if args.chaos:
-                events = list(FaultSchedule.generate(
-                    args.replicas, horizon_s=span,
-                    seed=args.fault_seed, mean_gap_s=span / 2,
-                    downtime_s=(0.1 * span, 0.3 * span),
-                    hang_s=(0.05 * span, 0.15 * span),
-                    slow_s=(0.1 * span, 0.3 * span),
-                    warmup_s=0.05 * span,
-                    topology=topology or None).events)
-            if args.drain:
-                # Planned maintenance drain of replica 0 mid-run.  Any
-                # generated chaos on replica 0 yields to the drain: an
-                # operator drains a node instead of letting it crash.
-                events = [e for e in events if e.replica != 0]
-                events.append(FaultEvent("drain", 0, 0.3 * span,
-                                         0.2 * span))
-            chaos_kwargs = dict(
-                faults=FaultSchedule(tuple(events), topology=topology),
-                retry=RetryPolicy(budget=args.retry_budget),
-                degraded=DegradedModeConfig())
-            if args.hedge:
-                from .cluster import HedgePolicy
-
-                chaos_kwargs["hedge"] = HedgePolicy(args.hedge)
-        router = ReplicaRouter(engines, policy=args.router,
-                               **chaos_kwargs)
-        cluster_trace = list(trace_factory()) \
-            if args.telemetry == "full" else trace_factory
-        report = router.run(cluster_trace, telemetry=args.telemetry,
-                            max_steps=max_steps)
-    else:
-        report = engines[0].run(trace_factory(), max_steps=max_steps,
-                                telemetry=args.telemetry)
+    report = deployment.serve()
+    model, platform = scenario.model, scenario.platform
     backend, engine = backends[0], engines[0]
 
     kv_desc = f"KV budget {engine.kv_token_budget} tokens"
@@ -510,7 +386,7 @@ def cmd_serve_sim(args) -> int:
         print(f"    mttr {mttr_desc}, "
               f"downtime {resilience['downtime_s'] * 1e3:.3f} ms"
               f"{tail}")
-    if mix is not None:
+    if scenario.tenant_mix is not None:
         from .report.tables import tenant_stats_table
 
         _, text = tenant_stats_table(report.tenant_stats)
@@ -541,16 +417,7 @@ def cmd_serve_sim(args) -> int:
         store = RunStore(args.runs_dir)
         record = store.record_report(
             args.record, report,
-            config={"command": "serve-sim", "model": model.name,
-                    "platform": platform.name, "backend": args.backend,
-                    "requests": args.requests,
-                    "max_batch": args.max_batch, "kv": args.kv,
-                    "telemetry": args.telemetry, "tp": args.tp,
-                    "replicas": args.replicas, "router": args.router,
-                    "seed": args.seed, "chaos": args.chaos,
-                    "fault_seed": args.fault_seed,
-                    "drain": args.drain, "domains": args.domains,
-                    "hedge": args.hedge})
+            config={"command": "serve-sim", **scenario.config()})
         print(f"  run record     : {record.run_id} -> "
               f"{store.root / (args.record + '.jsonl')}")
     return 0
@@ -669,8 +536,7 @@ def cmd_bench_serve_scaling(args) -> int:
                            interconnect=_interconnect(args),
                            n_requests=args.requests,
                            max_batch=args.max_batch, mode=args.mode,
-                           seed=args.seed, telemetry=args.telemetry,
-                           max_steps=max(1_000_000, 64 * args.requests))
+                           seed=args.seed, telemetry=args.telemetry)
     _, text = scaling_table(points)
     print(f"TP x DP scaling — {model.name} on {platform.name}, "
           f"{args.interconnect} interconnect, "
@@ -727,38 +593,28 @@ def cmd_bench_serve(args) -> int:
 
 def cmd_bench_serve_kv_modes(args) -> int:
     """Slotted-vs-paged engine replay on one shared-prefix trace."""
-    from .engine import (ContinuousBatchScheduler, CycleModelBackend,
-                         derive_kv_token_budget, kv_discipline_kwargs,
-                         synthetic_trace)
+    from .scenario import Scenario
 
-    model = _model(args.model)
-    platform = _platform(args.platform)
-    quant = _quant(args)
-    budget = args.kv_budget or derive_kv_token_budget(
-        model, quant, platform,
-        cap_tokens=args.max_batch * model.max_context)
-    trace = synthetic_trace(
-        model, n_requests=args.requests, arrival_rate_rps=1e9,
-        prompt_len=(4, 12), decode_len=(16, 32), seed=args.seed,
-        shared_prefix_len=args.shared_prefix)
-
+    scenario = Scenario(
+        model=_model(args.model), quant=_quant(args),
+        platform=_platform(args.platform), mode=args.mode,
+        max_batch=args.max_batch, kv_budget=args.kv_budget,
+        block_size=args.block_size, requests=args.requests,
+        arrival_rate=1e9, prompt_len=(4, 12), decode_len=(16, 32),
+        seed=args.seed, shared_prefix=args.shared_prefix)
+    # Both disciplines derive the same budget when --kv-budget is 0
+    # (slotted caps the scheduler with it, paged sizes the pool).
+    deployments = {kv: replace(scenario, kv=kv).build()
+                   for kv in ("slotted", "paged")}
     print(f"KV modes — {args.requests} requests sharing a "
-          f"{args.shared_prefix}-token prefix, budget {budget} tokens")
+          f"{args.shared_prefix}-token prefix, budget "
+          f"{deployments['slotted'].engines[0].kv_token_budget} tokens")
     print("mode      agg tok/s   mean batch  max batch  preempt  reuse")
     stats = {}
-    for kv_mode in ("slotted", "paged"):
-        backend_kv, scheduler_kv = kv_discipline_kwargs(
-            kv_mode, budget_tokens=budget, block_size=args.block_size)
-        backend = CycleModelBackend(model, quant, platform,
-                                    mode=args.mode,
-                                    n_slots=args.max_batch, **backend_kv)
-        engine = ContinuousBatchScheduler(backend,
-                                          max_batch=args.max_batch,
-                                          **scheduler_kv)
-        report = engine.run(trace)
-        reused = backend.paged_kv.prefix_reused_tokens \
-            if kv_mode == "paged" else 0
-        stats[kv_mode] = report
+    for kv_mode, deployment in deployments.items():
+        stats[kv_mode] = report = deployment.serve()
+        paged_kv = deployment.backends[0].paged_kv
+        reused = 0 if paged_kv is None else paged_kv.prefix_reused_tokens
         print(f"{kv_mode:8}  {report.aggregate_tokens_per_s:9.3f}   "
               f"{report.mean_batch:10.2f}  {report.max_batch_observed:9d}"
               f"  {report.preemptions:7d}  {reused:5d}")
@@ -784,13 +640,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Embedded-FPGA LLM decoding reproduction (DATE 2025)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, model_default="LLaMA2-7B"):
+    def common(p, model_default="LLaMA2-7B", context=True):
         p.add_argument("--model", default=model_default)
         p.add_argument("--platform", default=KV260.name)
         p.add_argument("--weight-bits", type=int, default=4)
         p.add_argument("--kv-bits", type=int, default=8)
         p.add_argument("--group-size", type=int, default=128)
-        p.add_argument("--context", type=int, default=1023)
+        if context:
+            p.add_argument("--context", type=int, default=1023)
 
     p = sub.add_parser("info", help="headline numbers")
     common(p)
@@ -828,7 +685,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("serve-sim",
                        help="continuous-batching serving simulation")
-    common(p, model_default="tiny-test")
+    common(p, model_default="tiny-test", context=False)
     p.add_argument("--backend", choices=("cycle", "analytical", "functional"),
                    default="cycle")
     p.add_argument("--mode", choices=("fused", "coarse"), default="fused")
@@ -929,7 +786,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="hedge delay in seconds: duplicate a request "
                         "onto a second healthy domain when its first "
                         "token is this late, first token wins "
-                        "(0 disables; needs --telemetry full)")
+                        "(0 disables)")
     p.set_defaults(fn=cmd_serve_sim)
 
     p = sub.add_parser("bench-serve",

@@ -15,17 +15,19 @@ data-parallel router.
   cluster serving reports.
 * :mod:`repro.cluster.sweep`        — TP x DP scaling sweeps.
 
-Quickstart::
+Quickstart — a cluster run is one :class:`repro.scenario.Scenario`
+(TP shards, replicas, routing policy, faults and hedging are fields)::
 
     from repro import LLAMA2_7B, W4A16_KV8
-    from repro.cluster import ShardedCycleBackend, TEN_GIG_ETHERNET
-    from repro.engine import ContinuousBatchScheduler, synthetic_trace
+    from repro.cluster import TEN_GIG_ETHERNET
+    from repro.scenario import Scenario
 
-    backend = ShardedCycleBackend(LLAMA2_7B, W4A16_KV8, tp=2,
-                                  interconnect=TEN_GIG_ETHERNET)
-    engine = ContinuousBatchScheduler(backend, max_batch=8)
-    report = engine.run(synthetic_trace(LLAMA2_7B, n_requests=16))
-    print(report.aggregate_tokens_per_s)   # ~2x one board, minus comm
+    scenario = Scenario(model=LLAMA2_7B, quant=W4A16_KV8, tp=2,
+                        interconnect=TEN_GIG_ETHERNET, replicas=3,
+                        router="least_loaded", requests=48,
+                        arrival_rate=1.0, chaos=True)
+    report = scenario.serve()              # seeded crashes/hangs/slowdowns
+    print(report.aggregate_tokens_per_s, report.resilience["n_lost"])
 """
 
 from .interconnect import (

@@ -182,7 +182,8 @@ class ReplicaRouter:
         self.migration = migration if migration is not None \
             else MigrationPolicy()
         #: optional first-token-wins duplicate dispatch (tail
-        #: tolerance); full telemetry only.
+        #: tolerance); reads first-token times off the report rows, so
+        #: it works at every telemetry level.
         self.hedge = hedge
         self._health = HealthTracker(faults, len(engines),
                                      detection_delay_s) \
@@ -413,10 +414,6 @@ class ReplicaRouter:
 
         n_drain_events = sum(1 for e in self.faults.events
                              if e.kind == "drain")
-        if self.hedge is not None and telemetry != "full":
-            raise SimulationError(
-                "hedged dispatch compares per-request first-token "
-                "times; run with telemetry='full'")
 
         prev_plan: tuple = ((), ())
         retries: dict[tuple[int, int], tuple[int, Request]] = {}

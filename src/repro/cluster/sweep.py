@@ -11,15 +11,11 @@ split the queue.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..config import KV260, ModelConfig, PlatformConfig, QuantConfig
-from ..engine.scheduler import ContinuousBatchScheduler
-from ..engine.trace import iter_synthetic_trace, synthetic_trace
 from ..errors import SimulationError
-from .interconnect import TEN_GIG_ETHERNET, LinkSpec
-from .router import ReplicaRouter
-from .tp import ShardedCycleBackend
+from .interconnect import TEN_GIG_ETHERNET, LinkSpec, TPCommModel
 
 
 @dataclass(frozen=True)
@@ -57,68 +53,48 @@ def scaling_sweep(model: ModelConfig, quant: QuantConfig,
                   mode: str = "fused", router_policy: str = "round_robin",
                   prompt_len=(6, 12), decode_len=(12, 20),
                   seed: int = 0, telemetry: str = "full",
-                  max_steps: int = 1_000_000) -> list[ScalingPoint]:
+                  max_steps: int | None = None) -> list[ScalingPoint]:
     """Replay one trace over the TP x DP grid on cycle backends.
 
-    The same trace (same seed) hits every grid point, so points differ
-    only in how the cluster splits the work: TP shards every step, DP
-    shards the queue.
-
-    ``telemetry != "full"`` streams: every grid point regenerates the
-    trace lazily (identical requests — generation is pure in the seed)
-    and the replica metrics merge without per-token lists, so the grid
+    Every grid point is one :class:`repro.scenario.Scenario`: the same
+    trace (same seed) hits each of them, so points differ only in how
+    the cluster splits the work — TP shards every step, DP shards the
+    queue.  ``telemetry != "full"`` streams the trace, so the grid
     scales to million-request traces at O(in-flight) memory.
+    ``max_steps`` defaults to the scenario's step cap.
     """
     if not tp_values or not dp_values:
         raise SimulationError("scaling sweep needs tp and dp values")
+    from ..scenario import Scenario
 
-    def trace_factory():
-        return iter_synthetic_trace(
-            model, n_requests=n_requests, arrival_rate_rps=1e9,
-            prompt_len=prompt_len, decode_len=decode_len, seed=seed)
-
-    trace = synthetic_trace(
-        model, n_requests=n_requests, arrival_rate_rps=1e9,
-        prompt_len=prompt_len, decode_len=decode_len, seed=seed) \
-        if telemetry == "full" else trace_factory
-    runs: list[dict] = []
+    points: list[ScalingPoint] = []
     for tp in tp_values:
         for dp in dp_values:
-            backends = [
-                ShardedCycleBackend(model, quant, platform, tp=tp,
-                                    interconnect=interconnect, mode=mode,
-                                    n_slots=max_batch)
-                for _ in range(dp)
-            ]
-            engines = [ContinuousBatchScheduler(b, max_batch=max_batch)
-                       for b in backends]
-            router = ReplicaRouter(engines, policy=router_policy)
-            report = router.run(trace, telemetry=telemetry,
-                                max_steps=max_steps)
-            comm_s = backends[0].comm.decode_step_cost(
-                max(1, round(report.mean_batch))).time_s
-            runs.append(dict(
-                tp=tp, dp=dp,
-                throughput=report.aggregate_tokens_per_s,
-                total_time_s=report.total_time_s,
+            deployment = Scenario(
+                model=model, quant=quant, platform=platform, mode=mode,
+                max_batch=max_batch, tp=tp, interconnect=interconnect,
+                replicas=dp, router=router_policy, requests=n_requests,
+                arrival_rate=1e9, prompt_len=prompt_len,
+                decode_len=decode_len, seed=seed,
+                telemetry=telemetry).build()
+            report = deployment.serve(max_steps=max_steps)
+            comm = TPCommModel(model, quant, interconnect, tp,
+                               deployment.backends[0].freq_hz)
+            points.append(ScalingPoint(
+                tp=tp, replicas=dp,
+                aggregate_tokens_per_s=report.aggregate_tokens_per_s,
+                speedup=1.0, total_time_s=report.total_time_s,
                 mean_batch=report.mean_batch,
-                comm_step_time_s=comm_s,
-                kv_budget_tokens=engines[0].kv_token_budget,
-            ))
+                comm_step_time_s=comm.decode_step_cost(
+                    max(1, round(report.mean_batch))).time_s,
+                kv_budget_tokens=deployment.engines[0].kv_token_budget))
     # Speedups are relative to the fewest-board configuration in the
     # grid — (tp=1, replicas=1) whenever it was swept — regardless of
     # iteration order.
-    baseline = min(runs, key=lambda r: (r["tp"] * r["dp"], r["tp"]))
-    return [ScalingPoint(
-        tp=r["tp"], replicas=r["dp"],
-        aggregate_tokens_per_s=r["throughput"],
-        speedup=r["throughput"] / baseline["throughput"],
-        total_time_s=r["total_time_s"],
-        mean_batch=r["mean_batch"],
-        comm_step_time_s=r["comm_step_time_s"],
-        kv_budget_tokens=r["kv_budget_tokens"],
-        baseline_boards=baseline["tp"] * baseline["dp"],
-    ) for r in runs]
+    base = min(points, key=lambda p: (p.n_boards, p.tp))
+    return [replace(p, speedup=p.aggregate_tokens_per_s
+                    / base.aggregate_tokens_per_s,
+                    baseline_boards=base.n_boards) for p in points]
 
 
 def tp_scaling_is_sane(points: list[ScalingPoint]) -> bool:

@@ -30,6 +30,15 @@ see :mod:`repro.engine.telemetry`)::
     report = engine.run(
         iter_synthetic_trace(LLAMA2_7B, n_requests=1_000_000),
         max_steps=100_000_000, telemetry="summary")
+
+A whole serving run — backend, engine, trace, telemetry level — is one
+:class:`repro.scenario.Scenario`; ``serve()`` builds the stack and
+streams the scenario's trace through it::
+
+    from repro.scenario import Scenario
+
+    report = Scenario(model=LLAMA2_7B, quant=W4A16_KV8, kv="paged",
+                      requests=16, arrival_rate=0.5).serve()
 """
 
 from .backends import (

@@ -93,9 +93,10 @@ def iter_synthetic_trace(model: ModelConfig, n_requests: int,
             if not isinstance(spec, TenantSpec):
                 raise SimulationError(
                     f"tenant_mix entries need a TenantSpec: {spec!r}")
-            if share <= 0:
+            if not 0 < share < float("inf"):
                 raise SimulationError(
-                    f"tenant {spec.name!r}: mix share must be positive: "
+                    f"tenant {spec.name!r}: mix share must be positive "
+                    f"and finite: "
                     f"{share}")
         thresholds = np.cumsum(shares / shares.sum())
 

@@ -42,8 +42,12 @@ def blocks_for_budget(budget_tokens: int, block_size: int) -> int:
     Rounds down — a partial block would overcommit the budget — and
     refuses budgets below one block outright, so every slotted-vs-paged
     comparison built on this rule competes over equal storage (a silent
-    one-block floor would hand the paged side extra DRAM).
+    one-block floor would hand the paged side extra DRAM).  A block
+    size <= 0 gets the same error here as from :class:`BlockPool`.
     """
+    if block_size <= 0:
+        raise SimulationError(
+            f"block size must be positive, got {block_size}")
     if budget_tokens < block_size:
         raise SimulationError(
             f"KV budget of {budget_tokens} tokens is smaller than one "

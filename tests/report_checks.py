@@ -7,10 +7,15 @@ when both directories are collected.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.errors import SimulationError
+from repro.obs import report_metrics
 
 #: percentiles the helper compares
 REPORT_PERCENTILES = (0.0, 50.0, 99.0, 100.0)
+#: percentiles the telemetry-level check compares
+LEVEL_PERCENTILES = (0.0, 25.0, 50.0, 95.0, 99.0, 100.0)
 
 
 def _answer(query):
@@ -40,3 +45,41 @@ def assert_reports_identical(a, b):
         assert _answer(lambda: a.ttft_percentile_s(p)) \
             == _answer(lambda: b.ttft_percentile_s(p)), p
     assert _answer(lambda: a.results) == _answer(lambda: b.results)
+
+
+def assert_levels_agree(run):
+    """``run(level)`` serves one scenario at a telemetry level.  Full,
+    windows and summary must record identical run-store metrics
+    (resilience included), tenant stats, and TTFT and token-latency
+    percentiles; sketch matches every metric but token latency, which
+    lands within its t-digest's rank-error bound.  Returns the full
+    report."""
+    full = run("full")
+    for level in ("windows", "summary"):
+        other = run(level)
+        assert report_metrics(other) == report_metrics(full), level
+        assert other.tenant_stats == full.tenant_stats, level
+        assert other.resilience == full.resilience, level
+        for p in LEVEL_PERCENTILES:
+            assert other.latency_percentile_s(p) \
+                == full.latency_percentile_s(p), (level, p)
+            assert other.ttft_percentile_s(p) \
+                == full.ttft_percentile_s(p), (level, p)
+
+    sketch = run("sketch")
+    exact, sketched = report_metrics(full), report_metrics(sketch)
+    for key, value in exact[0].items():
+        if "token_lat" not in key:
+            assert sketched[0][key] == value, key
+    assert sketched[1] == exact[1]
+    ordered = np.repeat(*full.latency_runs())
+    digest = sketch.latency_digest()
+    assert digest.n == len(ordered)
+    for p in LEVEL_PERCENTILES:
+        value = sketch.latency_percentile_s(p)
+        lo = np.searchsorted(ordered, value, side="left")
+        hi = np.searchsorted(ordered, value, side="right")
+        target = p / 100 * (len(ordered) - 1)
+        gap = max(lo - 1 - target, target - hi, 0) / len(ordered)
+        assert gap <= digest.rank_error_bound, p
+    return full

@@ -88,13 +88,6 @@ def test_serve_sim_domains_need_chaos():
               "--replicas", "2", "--domains", "2"])
 
 
-def test_serve_sim_hedge_needs_full_telemetry():
-    with pytest.raises(SystemExit):
-        main(["serve-sim", "--model", "tiny-test", "--requests", "4",
-              "--replicas", "2", "--drain", "--hedge", "0.001",
-              "--telemetry", "summary"])
-
-
 def test_bench_serve_scaling_sweep(capsys):
     """The TP x DP grid on the bandwidth-bound model must scale."""
     code, out = run(capsys, "bench-serve", "--scaling-sweep",

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster import (
+    DegradedModeConfig,
     FailureDomain,
     FaultEvent,
     FaultSchedule,
@@ -29,7 +30,7 @@ from repro.cluster import (
 from repro.config import TINY_MODEL
 from repro.engine import FinishReason, TenantSpec, synthetic_trace
 from repro.errors import SimulationError
-from report_checks import assert_reports_identical
+from report_checks import assert_levels_agree, assert_reports_identical
 from test_telemetry_equivalence import make_engine
 
 FF_TIERS = (True, False)
@@ -389,10 +390,23 @@ class TestHedgedDispatch:
         assert runs[0].resilience == runs[1].resilience
         assert_reports_identical(runs[0], runs[1])
 
-    def test_hedging_requires_full_telemetry(self):
-        router = cluster(faults=STALL, hedge=HedgePolicy(0.0005))
-        with pytest.raises(SimulationError, match="telemetry"):
-            router.run(trace(n=8, decode=(4, 8)), telemetry="summary")
+    def test_hedging_agrees_across_telemetry_levels(self):
+        """The router reads first-token times off report rows, which
+        every level keeps: a hang plus a crash, hedged, serves the same
+        run at full, windows and summary (sketch within its bound)."""
+        faults = FaultSchedule([
+            FaultEvent("hang", 0, 0.0002, 0.004),
+            FaultEvent("crash", 1, 0.0004, 0.002, warmup_s=0.0005)])
+
+        def run(level):
+            return cluster(faults=faults, hedge=HedgePolicy(0.0005),
+                           degraded=DegradedModeConfig()).run(
+                lambda: iter(trace(n=48, decode=(8, 24), mix=QMIX)),
+                telemetry=level)
+
+        res = assert_levels_agree(run).resilience
+        assert res["n_hedged"] > 0 and res["n_killed"] > 0, res
+        assert res["n_lost"] == 0, res
 
 
 # ---------------------------------------------------------------------
