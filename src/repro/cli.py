@@ -333,16 +333,22 @@ def cmd_serve_sim(args) -> int:
           f"({report.n_steps} engine steps)")
     print(f"  aggregate rate : {report.aggregate_tokens_per_s:10.3f} "
           f"token/s ({report.total_new_tokens} tokens)")
-    print(f"  batch occupancy: mean {report.mean_batch:.2f}, "
-          f"max {report.max_batch_observed}, "
-          f"preemptions {report.preemptions}")
-    print(f"  mean TTFT      : {report.mean_ttft_s * 1e3:10.3f} ms")
-    for p in (50, 95, 99):
-        print(f"  TTFT p{p:<3}      : "
-              f"{report.ttft_percentile_s(p) * 1e3:10.3f} ms")
-    for p in (50, 95, 99):
-        print(f"  token lat p{p:<3}: "
-              f"{report.latency_percentile_s(p) * 1e3:10.3f} ms")
+    if not report.n_served:
+        # Every request was rejected or failed: no batch, TTFT or token
+        # latency exists to report.
+        print(f"  0 served       : all {report.n_requests} requests "
+              "rejected or failed")
+    else:
+        print(f"  batch occupancy: mean {report.mean_batch:.2f}, "
+              f"max {report.max_batch_observed}, "
+              f"preemptions {report.preemptions}")
+        print(f"  mean TTFT      : {report.mean_ttft_s * 1e3:10.3f} ms")
+        for p in (50, 95, 99):
+            print(f"  TTFT p{p:<3}      : "
+                  f"{report.ttft_percentile_s(p) * 1e3:10.3f} ms")
+        for p in (50, 95, 99):
+            print(f"  token lat p{p:<3}: "
+                  f"{report.latency_percentile_s(p) * 1e3:10.3f} ms")
     if args.kv == "paged":
         reused = sum(b.paged_kv.prefix_reused_tokens for b in backends)
         hits = sum(b.paged_kv.prefix.hits for b in backends)

@@ -124,17 +124,10 @@ class _ShardedTimingMixin:
 
     def _fast_forward_cycles(self, contexts, fetched, n_steps):
         """Per-shard window cycles plus the (batch-constant) collective
-        time, added per step in the same order as :meth:`step_cycles`.
-
-        The whole-window add pairs the same operands per step as the
-        per-step ``c + comm``, so the floats are unchanged whether the
-        superclass returned a list or a vectorized window.
-        """
+        time, added per step in the same order as :meth:`step_cycles`."""
         comm = self._decode_comm_cycles(len(contexts))
-        shard = super()._fast_forward_cycles(contexts, fetched, n_steps)
-        if n_steps > 1:
-            return np.asarray(shard) + comm
-        return [c + comm for c in shard]
+        return [c + comm for c in
+                super()._fast_forward_cycles(contexts, fetched, n_steps)]
 
     def derive_kv_token_budget(self, cap_tokens: int, system=None) -> int:
         return derive_tp_kv_token_budget(

@@ -36,6 +36,7 @@ Every backend also supports both KV disciplines (``kv_mode``):
 from __future__ import annotations
 
 import heapq
+from array import array
 from typing import Callable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -51,12 +52,11 @@ from .request import RequestState
 
 KV_MODES = ("slotted", "paged")
 
-#: Dense fast-forward memo tables start at ``_FF_TABLE_INIT`` entries,
-#: double on demand, and never exceed ``_FF_TABLE_CAP`` — indices past
-#: the cap are served by the sparse dict memos instead, so long-context
-#: backends neither pay an O(max_context) dense fill nor hold one.
-_FF_TABLE_INIT = 512
-_FF_TABLE_CAP = 16384
+#: Windows of at least this many steps fold their cycles as whole-window
+#: numpy adds; shorter ones take the scalar loop.  Measured per call
+#: on tiny-test and LLaMA2-7B at batch 1-16: the scalar loop is faster
+#: up to ~16 steps, the two tie near 20, the numpy fold wins from ~24.
+_FF_VECTOR_MIN_STEPS = 20
 
 #: maps (request_id, step index) to the token that step must produce —
 #: lets timing-only backends replay an exact recorded stream.
@@ -263,20 +263,28 @@ def _stream_token(request_id: int, step: int, vocab_size: int,
     return token
 
 
-def _stream_token_block(request_id: int, base: int, n: int,
-                        vocab_size: int,
-                        eos_id: int | None) -> np.ndarray:
-    """``n`` consecutive :func:`_stream_token` values in one vector op.
+def _stream_token_grid(request_ids: Sequence[int], bases: Sequence[int],
+                       n: int, vocab_size: int,
+                       eos_ids: Sequence[int | None]) -> np.ndarray:
+    """``n`` consecutive :func:`_stream_token` values of many requests
+    in one vector op: row ``i`` holds request ``request_ids[i]``'s
+    tokens from its step ``bases[i]`` on.
 
     Same hash arithmetic on int64 (no overflow: the multiplier times
     any realistic request id stays far below 2**63), so each entry
     equals the scalar function exactly.
     """
-    steps = np.arange(base + 1, base + n + 1, dtype=np.int64)
-    tokens = (2654435761 * (request_id + 1) + 40503 * steps) % vocab_size
-    if eos_id is not None:
-        tokens = np.where(tokens == eos_id, (tokens + 1) % vocab_size,
-                          tokens)
+    request_ids = np.asarray(request_ids, dtype=np.int64)
+    bases = np.asarray(bases, dtype=np.int64)
+    steps = bases[:, None] + np.arange(1, n + 1, dtype=np.int64)
+    tokens = (2654435761 * (request_ids[:, None] + 1) + 40503 * steps) \
+        % vocab_size
+    if any(eos_id is not None for eos_id in eos_ids):
+        # -1 (no EOS) never matches a token.
+        eos = np.array([-1 if e is None else e for e in eos_ids],
+                       dtype=np.int64)
+        tokens = np.where(tokens == eos[:, None],
+                          (tokens + 1) % vocab_size, tokens)
     return tokens
 
 
@@ -419,8 +427,29 @@ class _TimingStreamMixin:
                 if eos is not None and token == eos:
                     break
             return tokens
-        return _stream_token_block(state.request_id, base, n,
-                                   self.model_config.vocab_size, eos)
+        return _stream_token_grid([state.request_id], [base], n,
+                                  self.model_config.vocab_size, [eos])[0]
+
+    def planned_token_grid(self, states: Sequence[RequestState],
+                           ns: Sequence[int]) -> np.ndarray:
+        """:meth:`planned_tokens` of every state at once, as one int64
+        grid with ``max(ns)`` columns: row ``i`` starts with the next
+        up-to-``ns[i]`` samples of ``states[i]``.  Entries past that
+        (or past a recorded stream's EOS) are padding no caller may
+        read.  The synthetic stream fills the whole grid in one vector
+        op; a recorded oracle is probed row by row, never past its
+        EOS."""
+        width = max(ns, default=0)
+        if self.token_oracle is not None:
+            grid = np.full((len(states), width), -1, dtype=np.int64)
+            for i, (state, n) in enumerate(zip(states, ns)):
+                row = self.planned_tokens(state, n) if n else ()
+                grid[i, :len(row)] = row
+            return grid
+        return _stream_token_grid([s.request_id for s in states],
+                                  [s.n_generated for s in states], width,
+                                  self.model_config.vocab_size,
+                                  [s.request.eos_id for s in states])
 
     def replay_tokens(self, request_id: int, n: int,
                       eos_id: int | None = None) -> tuple[int, ...]:
@@ -430,12 +459,12 @@ class _TimingStreamMixin:
         if self.token_oracle is not None:
             return tuple(self.token_oracle(request_id, j)
                          for j in range(n))
-        return tuple(_stream_token_block(
-            request_id, 0, n, self.model_config.vocab_size,
-            eos_id).tolist())
+        return tuple(_stream_token_grid(
+            [request_id], [0], n, self.model_config.vocab_size,
+            [eos_id])[0].tolist())
 
     def fast_forward_cycles(self, states: Sequence[RequestState],
-                            n_steps: int) -> Sequence[float]:
+                            n_steps: int) -> list[float]:
         """Per-step cycles of the next ``n_steps`` static-batch decode
         steps (contexts advancing by one each step), bit-identical to
         calling :meth:`decode_batch` that many times.  Pure — commit the
@@ -491,14 +520,15 @@ class _CycleTimedBackend(_KVMixin):
         # token schedule, keyed so a window of growing contexts reuses
         # every segment it has seen before.
         self._ff_stream: dict[float, float] = {}
-        self._ff_exp: dict[int, float] = {}
         self._ff_const: dict[tuple[int, str], tuple] = {}
         self._ff_prefill: dict[int, float] = {}
-        # Dense counterparts of the per-context memos, indexed by
-        # context / fetch count, so a whole window's values gather in
-        # one vectorized read (NaN marks a not-yet-computed entry).
-        self._ff_exp_tab: np.ndarray | None = None
-        self._ff_kvtx_tab: np.ndarray | None = None
+        # The per-context terms, filled densely from index 0: entry
+        # ``i`` holds the exposed-misc cycles at context ``i`` and the
+        # KV stream cycles of fetching ``i`` tokens.  The scalar loop
+        # indexes them directly, the numpy fold gathers through a
+        # zero-copy view.
+        self._ff_exp = array("d")
+        self._ff_kvtx = array("d")
 
     @property
     def freq_hz(self) -> float:
@@ -550,10 +580,9 @@ class _CycleTimedBackend(_KVMixin):
     # identical accumulation order while memoizing every deterministic
     # sub-result, so a K-step window costs O(K * (batch + layers)) float
     # adds instead of K full schedule builds.  ``_ff_stream`` stays on top
-    # of the MCU's own stream memo: it serves a lookup per batch member
-    # on the eager-step path, where a plain dict hit skips the method
-    # call, the report's ``cycles`` property and the ``bytes_moved``
-    # diagnostic counter (which these probes bypass).
+    # of the MCU's own stream memo so these probes skip the method call,
+    # the report's ``cycles`` property and the ``bytes_moved`` diagnostic
+    # counter (which they bypass).
 
     def _ff_stream_cycles(self, n_bytes: float) -> float:
         val = self._ff_stream.get(n_bytes)
@@ -564,12 +593,8 @@ class _CycleTimedBackend(_KVMixin):
         return val
 
     def _ff_exposed(self, ctx: int) -> float:
-        val = self._ff_exp.get(ctx)
-        if val is None:
-            sch = self.cycles.scheduler
-            val = sch.pipeline.schedule(ctx, self.mode).exposed_misc_cycles
-            self._ff_exp[ctx] = val
-        return val
+        sch = self.cycles.scheduler
+        return sch.pipeline.schedule(ctx, self.mode).exposed_misc_cycles
 
     def _ff_step_constants(self, batch: int) -> tuple:
         """Context-independent segment cycles of one batched step."""
@@ -616,8 +641,7 @@ class _CycleTimedBackend(_KVMixin):
 
     def _ff_kv_tx(self, fetch: int) -> float:
         """Per-head-group KV stream-transfer cycles of one member
-        fetching ``fetch`` tokens (zero tokens stream nothing) — the
-        scalar source of truth behind the dense KV-stream table."""
+        fetching ``fetch`` tokens (zero tokens stream nothing)."""
         if fetch <= 0:
             return 0.0
         sch = self.cycles.scheduler
@@ -627,82 +651,42 @@ class _CycleTimedBackend(_KVMixin):
         group = m.num_heads // m.kv_heads
         return self._ff_stream_cycles(payload + packs) / group
 
-    def _ff_tables(self, max_ctx: int, max_fetch: int
-                   ) -> tuple[np.ndarray, np.ndarray]:
-        """Dense exposed-misc / KV-stream tables covering the given
-        context and fetch ranges (inclusive) as far as the size cap
-        allows: tables start at ``_FF_TABLE_INIT`` entries and double
-        on demand up to ``_FF_TABLE_CAP``; indices past the returned
-        length are served by the scalar memo helpers, which fill every
-        dense entry too — so both paths share one value per index."""
-        hard_cap = min(self.model_config.max_context + 2, _FF_TABLE_CAP)
-        needed = min(max(max_ctx, max_fetch) + 1, hard_cap)
-        size = min(_FF_TABLE_INIT, hard_cap) if self._ff_exp_tab is None \
-            else len(self._ff_exp_tab)
-        while size < needed:
-            size = min(size * 2, hard_cap)
-        if self._ff_exp_tab is None or size > len(self._ff_exp_tab):
-            exp_tab = np.full(size, np.nan)
-            kvtx_tab = np.full(size, np.nan)
-            kvtx_tab[0] = 0.0
-            if self._ff_exp_tab is not None:
-                assert self._ff_kvtx_tab is not None
-                exp_tab[:len(self._ff_exp_tab)] = self._ff_exp_tab
-                kvtx_tab[:len(self._ff_kvtx_tab)] = self._ff_kvtx_tab
-            self._ff_exp_tab = exp_tab
-            self._ff_kvtx_tab = kvtx_tab
-        exp_tab, kvtx_tab = self._ff_exp_tab, self._ff_kvtx_tab
-        top_ctx = min(max_ctx + 1, len(exp_tab))
-        for ctx in np.nonzero(np.isnan(exp_tab[:top_ctx]))[0].tolist():
-            exp_tab[ctx] = self._ff_exposed(ctx)
-        top_fetch = min(max_fetch + 1, len(kvtx_tab))
-        for fetch in np.nonzero(
-                np.isnan(kvtx_tab[:top_fetch]))[0].tolist():
-            kvtx_tab[fetch] = self._ff_kv_tx(fetch)
-        return exp_tab, kvtx_tab
+    def _ff_fill(self, top: int) -> None:
+        """Extend the per-context memos through index ``top``.  The fill
+        is dense from 0, but a sequence reaches context ``c`` only by
+        prefilling or decoding through the positions below it, whose
+        schedules the prefill memo builds anyway."""
+        for i in range(len(self._ff_exp), top + 1):
+            self._ff_exp.append(self._ff_exposed(i))
+            self._ff_kvtx.append(self._ff_kv_tx(i))
 
     def _fast_forward_cycles(self, contexts: Sequence[int],
                              fetched: Sequence[int] | None,
-                             n_steps: int) -> Sequence[float]:
+                             n_steps: int) -> list[float]:
         sch = self.cycles.scheduler
-        m, q = sch.model, sch.quant
-        d = m.head_dim
-        group = m.num_heads // m.kv_heads
-        tiles_d = sch._tiles(d)
+        m = sch.model
+        tiles_d = sch._tiles(m.head_dim)
         heads = m.num_heads // sch.tp
         emb, mlp, final, lm, wsum = self._ff_step_constants(len(contexts))
         if fetched is None:
             fetched = contexts
-        if n_steps > 1:
-            # Vectorized window: per-member terms gather from the dense
-            # memo tables and fold in the same member order, the layer
-            # fold runs as whole-window adds — every elementwise IEEE
-            # op pairs the same operands as the scalar loop below, so
-            # the floats are bit-identical (pinned by the telemetry
-            # property tests).
-            exp_tab, kvtx_tab = self._ff_tables(
-                max(contexts) + n_steps - 1,
-                max(fetched) + n_steps - 1)
+        self._ff_fill(max(max(contexts), max(fetched)) + n_steps - 1)
+        if n_steps >= _FF_VECTOR_MIN_STEPS:
+            # Vectorized window: per-member terms gather from the memos
+            # and fold in the same member order, the layer fold runs as
+            # whole-window adds — every elementwise IEEE op pairs the
+            # same operands as the scalar loop below, so the floats are
+            # bit-identical (pinned by the telemetry property tests).
+            exp_tab = np.frombuffer(self._ff_exp, dtype=np.float64)
+            kvtx_tab = np.frombuffer(self._ff_kvtx, dtype=np.float64)
             steps = np.arange(n_steps, dtype=np.int64)
             cycles = np.full(n_steps, wsum)
             exposed = np.zeros(n_steps)
             for c0, f0 in zip(contexts, fetched):
                 ctxs = c0 + steps
-                if f0 + n_steps <= len(kvtx_tab):
-                    kvtx = kvtx_tab[f0 + steps]
-                else:
-                    # Range spills past the dense cap: assemble the
-                    # identical values from the sparse memo.
-                    kvtx = np.array([self._ff_kv_tx(f)
-                                     for f in range(f0, f0 + n_steps)])
                 cycles = cycles + 2 * heads * np.maximum(
-                    kvtx, (ctxs + 1) * tiles_d)
-                if c0 + n_steps <= len(exp_tab):
-                    exposed = exposed + exp_tab[ctxs]
-                else:
-                    exposed = exposed + np.array(
-                        [self._ff_exposed(c)
-                         for c in range(c0, c0 + n_steps)])
+                    kvtx_tab[f0 + steps], (ctxs + 1) * tiles_d)
+                exposed = exposed + exp_tab[ctxs]
             attn = cycles + exposed
             total = np.zeros(n_steps)
             total = total + emb
@@ -712,22 +696,16 @@ class _CycleTimedBackend(_KVMixin):
                     total = total + seg
             total = total + final
             total = total + lm
-            return total
+            return total.tolist()
+        exp, kvtx = self._ff_exp, self._ff_kvtx
         out = []
         for j in range(n_steps):
             cycles = wsum
             exposed = 0.0
             for c0, f0 in zip(contexts, fetched):
                 ctx = c0 + j
-                fetch = f0 + j
-                if fetch > 0:
-                    payload = fetch * d * q.kv_bits / 8
-                    packs = fetch * q.kv_pack_bits / 8
-                    kv_tx = self._ff_stream_cycles(payload + packs) / group
-                else:
-                    kv_tx = 0.0
-                cycles += 2 * heads * max(kv_tx, (ctx + 1) * tiles_d)
-                exposed += self._ff_exposed(ctx)
+                cycles += 2 * heads * max(kvtx[f0 + j], (ctx + 1) * tiles_d)
+                exposed += exp[ctx]
             attn = cycles + exposed
             total = 0.0
             total += emb
@@ -972,7 +950,7 @@ class AnalyticalBackend(_TimingStreamMixin, _KVMixin):
 
     def _fast_forward_cycles(self, contexts: Sequence[int],
                              fetched: Sequence[int] | None,
-                             n_steps: int) -> Sequence[float]:
+                             n_steps: int) -> list[float]:
         """:meth:`step_cycles` over a static-batch window without the
         traffic-breakdown objects.
 
@@ -1003,7 +981,7 @@ class AnalyticalBackend(_TimingStreamMixin, _KVMixin):
                        * self.quant.kv_pack_bits / 8)
             total = fixed + kv_read + kv_write
             bandwidth_s = total / denom
-            return np.maximum(bandwidth_s, compute_s) * freq
+            return (np.maximum(bandwidth_s, compute_s) * freq).tolist()
         out = []
         for j in range(n_steps):
             kv_read = 0.0

@@ -408,16 +408,16 @@ class ContinuousBatchScheduler:
         """Room for this request's prompt + first decode token, *and* the
         one-token growth every running sequence makes this step —
         otherwise the admit would be preempted right back out after
-        paying its whole prefill."""
+        paying its whole prefill.  Every running member owes a forward
+        here: admission samples (or retires) each admit at once, each
+        decode step samples or retires each member it charges, and every
+        eviction leaves ``running``."""
         if self.paged_kv is not None:
             fresh, claimable = self.paged_kv.admission_plan(
                 state.sequence_tokens())
-            growth = self._growth_blocks(
-                s for s in self.running if s.has_pending_forward)
-            return fresh + growth <= claimable
-        needed = len(state.sequence_tokens()) + 1
-        growth = sum(1 for s in self.running if s.has_pending_forward)
-        return self._cached_tokens() + growth + needed \
+            return fresh + self._growth_blocks(self.running) <= claimable
+        needed = state.prompt_len + state.n_generated + 1
+        return self._cached_tokens() + len(self.running) + needed \
             <= self.kv_token_budget
 
     def _growth_overflows(self, pending: list[RequestState]) -> bool:
@@ -465,8 +465,7 @@ class ContinuousBatchScheduler:
             return False
         needed = state.prompt_len + state.n_generated + 1
         growth = sum(1 for s in self.running
-                     if s.request.tenant.name == name
-                     and s.has_pending_forward)
+                     if s.request.tenant.name == name)
         return self._tenant_cached[name] + growth + needed > quota
 
     def _quota_overflow(
@@ -925,8 +924,8 @@ class ContinuousBatchScheduler:
         admits it now, ``fits=False`` when admission needs lower-class
         evictions first.  A pool-blocked head with nothing to evict
         blocks every class below it — strict priority, no bypass —
-        reported via ``pool_blocked`` so window gates know an arrived
-        head is waiting on capacity."""
+        returned with ``pool_blocked`` so window gates know which
+        arrived head is waiting on capacity."""
         if self._drain_until is not None:
             # Draining: admission is closed outright.  Arrivals inside
             # the drain window were already handed over, so nothing an
@@ -942,12 +941,17 @@ class ContinuousBatchScheduler:
                 continue
             if self._admit_fits(head):
                 return rank, head, True, False
-            if any(s.request.tenant.rank > rank for s in self.running):
-                return rank, head, False, False
-            return -1, None, False, True
+            pool_blocked = not any(s.request.tenant.rank > rank
+                                   for s in self.running)
+            return rank, head, False, pool_blocked
         return -1, None, False, False
 
     def _admit_ready(self) -> int:
+        """Admit arrived heads in priority order until none fits (or the
+        batch is full), prefilling each and sampling its first token;
+        returns how many were admitted.  The eager step and the window's
+        segment starts both admit through here, so admissions happen in
+        one order either way."""
         admitted = 0
         while len(self.running) < self.max_batch:
             # Streamed runs: each admission advances the clock through
@@ -955,8 +959,9 @@ class ContinuousBatchScheduler:
             # in before looking at the heads, exactly like a
             # materialized queue would already hold them.
             self._refill()
-            rank, state, fits, _ = self._admission_scan()
-            if state is None:
+            rank, state, fits, pool_blocked = \
+                self._admission_scan()
+            if state is None or pool_blocked:
                 break
             if not fits:
                 # An arrived higher-class head: evict strictly-lower
@@ -1020,46 +1025,53 @@ class ContinuousBatchScheduler:
     def _next_admission_arrival(self) -> float | None:
         """Earliest future arrival that could flip the admission
         verdict mid-window: a not-yet-arrived class head, or the
-        unsubmitted stream look-ahead when its class queue is empty
-        (behind waiting same-class siblings it could never be admitted
-        first, so it cannot cut the window)."""
+        unsubmitted stream look-ahead.  The look-ahead binds even behind
+        waiting same-class siblings: the stream is arrival-sorted, so
+        it bounds every request still unseen behind it — any of which
+        may head another class."""
         nxt = self.waiting.next_future_arrival(self.clock_s)
         head = self._stream_head
         if head is not None and head.arrival_s > self.clock_s \
-                and not self.waiting.queues[head.tenant.rank] \
                 and (nxt is None or head.arrival_s < nxt):
             nxt = head.arrival_s
         return nxt
 
     def _fast_forward(self) -> int:
         """Advance a multi-segment window: piecewise-static segments
-        separated by *predicted* retirements and block-frontier
-        crossings, all charged before control returns to the eager
+        separated by *predicted* retirements, block-frontier crossings
+        and admissions, all charged before control returns to the eager
         loop.  Returns the total steps applied.
 
         Retirement steps are pure functions of each member's planned
         token stream — the length budget is arithmetic and the EOS
-        position comes from the backend's pure ``planned_tokens``
-        replay — and paged block allocation is
-        arithmetic on context length, so the event horizon (the next
-        *unavoidable* scheduler state change) is computable without
-        stepping.  Each segment is evaluated with the vectorized
-        ``fast_forward_cycles`` machinery; between segments the batch
-        shrink and block-table growth are folded in the same member
-        order as the eager loop (commit, then retire in pending order),
-        so every clock, event, latency, and token stream stays
-        bit-identical.  Windows then break only at admission
-        opportunities, arrival cuts, and genuine preemption risk.
+        position comes from the backend's pure ``planned_token_grid``
+        replay — and paged block allocation is arithmetic on context
+        length, so the event horizon (the next *unavoidable* scheduler
+        state change) is computable without stepping.  Each segment is
+        evaluated with the vectorized ``fast_forward_cycles`` machinery;
+        between segments the batch shrink and block-table growth are
+        folded in the same member order as the eager loop (commit, then
+        retire in pending order), so every clock, event, latency, and
+        token stream stays bit-identical.
+
+        A segment starts by admitting, through the eager
+        ``_admit_ready``, whenever an arrived head fits without
+        preemption: its prefill advances the clock between segments,
+        and the eager step that admits always charges one decode step
+        next, so a segment that admitted applies its first step even
+        past an arrival or fault boundary (cuts bind from its second
+        step on).  Should that step need what a window cannot fold (a
+        pressure eviction, or an empty batch), the window ends and the
+        eager step's decode half charges it.  Windows break only when
+        an admission needs a preemption, at arrival cuts, and at
+        genuine preemption risk.
         """
         rec = self._recorder
         freq = self.backend.freq_hz
         max_context = self.backend.model_config.max_context
         full = rec.level == "full"
-        clock0 = self.clock_s
-        segments: list[tuple[int, int, int]] = []
-        cycle_parts: list[np.ndarray] = []
-        delta_parts: list[np.ndarray] = []
-        clock_parts: list[np.ndarray] = []
+        clock0 = end_s = self.clock_s
+        first_batch = n_segments = 0
         total_applied = 0
         break_reason: str | None = None
         #: fault boundaries are part of the event horizon: a chain that
@@ -1067,6 +1079,9 @@ class ContinuousBatchScheduler:
         #: planned termination, not a mid-window break — it leaves
         #: ``break_reason`` driving the loop but records no break note.
         note_break = True
+        #: the segment start admitted but cannot fold the step the eager
+        #: loop charges right after; the eager decode half owes it.
+        owed = False
 
         while True:
             # Re-gate at every segment start: folded retirements free
@@ -1078,33 +1093,60 @@ class ContinuousBatchScheduler:
                 fault_boundary = self._fault_boundary()
                 if fault_boundary is not None \
                         and self.clock_s >= fault_boundary:
-                    # A folded segment's final step crossed the fault
-                    # boundary (cut == n_seg): stop the window so the
+                    # A folded segment's final step (or an admitting
+                    # segment's first) crossed the fault boundary
+                    # (cut == n_seg): stop the window so the
                     # run loop services the fault before any new
                     # segment.  Never binds on the first iteration —
                     # loop-top servicing guarantees clock < boundary.
                     break_reason = self._boundary_reason(fault_boundary)
                     note_break = False
                     break
-            pending = list(self.running)
-            if not pending:
-                break  # every member retired inside the window
-            if any(not s.has_pending_forward for s in pending):
+            # Members of a charged segment sampled at every step (or
+            # retired), so only the window's first segment can meet one
+            # that owes no forward.
+            if not n_segments and any(not s.has_pending_forward
+                                      for s in self.running):
                 break_reason = "retirement-unpredicted"
                 break
-            can_admit = len(self.running) < self.max_batch
-            head_arrived_unfit = False
-            if can_admit and self.waiting:
-                _, head, _, pool_blocked = self._admission_scan()
-                if head is not None:
-                    break_reason = "admission"
-                    break
+            admitted = 0
+            forced = head_waiting = False
+            #: the arrived head waiting on pool capacity, if any
+            blocker: RequestState | None = None
+            step_start_s = self.clock_s
+            if len(self.running) < self.max_batch and self.waiting:
+                _, head, fits, pool_blocked = \
+                    self._admission_scan()
+                if head is not None and not pool_blocked:
+                    if not fits:
+                        break_reason = "admission"
+                        break
+                    admitted = self._admit_ready()
+                    forced = True
+                    head, pool_blocked = None, False
+                    if len(self.running) < self.max_batch \
+                            and self.waiting:
+                        _, head, _, pool_blocked = \
+                            self._admission_scan()
+                        # A head still admissible (its admit found no
+                        # free slot) is retried after one step.
+                        head_waiting = head is not None \
+                            and not pool_blocked
                 # Quota-blocked heads stay blocked within a segment
                 # (tenant usage only grows until the re-gate after the
                 # next folded retirement); a *pool*-blocked head's
                 # verdict can flip at paged block frontiers, which the
-                # static-shape rule below guards.
-                head_arrived_unfit = pool_blocked
+                # static-shape rule below guards, and at its own quota,
+                # which the quota caps below guard.
+                if pool_blocked:
+                    blocker = head
+            pending = list(self.running)
+            if not pending:
+                # Every member retired inside the window (or, after an
+                # admission, at its first sample: a zero-batch step).
+                owed = forced
+                break
+            can_admit = len(pending) < self.max_batch
             batch = len(pending)
             # Event horizon: L_i is the 0-based step index at which
             # member i forwards its final pending token and retires at
@@ -1121,7 +1163,7 @@ class ContinuousBatchScheduler:
                 cap = self.paged_kv.window_advance_cap(
                     [s.slot for s in pending], horizon + 1)
                 cap_reason = "block-frontier"
-                if head_arrived_unfit:
+                if blocker is not None:
                     # Paged admission fitness can flip as frontiers
                     # cross (freed growth, shrunk claimable supply), and
                     # the eager loop re-checks it every step — so while
@@ -1148,65 +1190,77 @@ class ContinuousBatchScheduler:
                     qcap = (quota - self._tenant_cached[name]) // members
                     if qcap < cap:
                         cap, cap_reason = qcap, "quota"
+                if blocker is not None:
+                    # Strict priority holds lower classes back only
+                    # while the blocker is under its tenant's quota.
+                    # Its tenant's growth makes it quota-blocked after
+                    # ``k`` steps, and from then on the scan moves on
+                    # to the lower classes it was holding back.
+                    name = blocker.request.tenant.name
+                    quota = self._quota_specs.get(name)
+                    members = sum(1 for s in pending
+                                  if s.request.tenant.name == name)
+                    if quota is not None and members:
+                        needed = blocker.prompt_len \
+                            + blocker.n_generated + 1
+                        k = (quota - self._tenant_cached[name] - members
+                             - needed) // members + 1
+                        if k < cap:
+                            cap, cap_reason = k, "quota"
             seg_cap = min(horizon + 1, cap)
+            if head_waiting:
+                seg_cap = min(seg_cap, 1)
             if seg_cap <= 0:
                 break_reason = cap_reason
+                owed = forced
                 break
-            if not total_applied and seg_cap == 1 and horizon >= 1:
+            if not forced and not total_applied and seg_cap == 1 \
+                    and horizon >= 1:
                 # A lone static step with no boundary to fold is not
                 # worth a window; the eager loop takes it.
                 break_reason = cap_reason
                 break
             # Planned tokens up to each member's own horizon — never
             # past it: a recorded oracle stream ends at the retirement.
-            planned: list[np.ndarray] = []
-            bounds: list[int] = []
-            kinds: list[FinishReason] = []
+            planned = self.backend.planned_token_grid(
+                pending, [min(c, seg_cap) for c in length_caps])
+            bounds = list(length_caps)
+            kinds = [FinishReason.LENGTH] * batch
             for i, s in enumerate(pending):
-                n_i = min(length_caps[i], seg_cap)
-                tokens = np.asarray(
-                    self.backend.planned_tokens(s, n_i) if n_i else (),
-                    dtype=np.int64)
-                r_i, kind = length_caps[i], FinishReason.LENGTH
                 eos = s.request.eos_id
-                if eos is not None and len(tokens):
-                    hits = np.nonzero(tokens == eos)[0]
-                    if len(hits) and int(hits[0]) < r_i:
-                        r_i, kind = int(hits[0]), FinishReason.EOS
-                planned.append(tokens)
-                bounds.append(r_i)
-                kinds.append(kind)
+                if eos is not None:
+                    hits = np.nonzero(planned[i, :bounds[i]] == eos)[0]
+                    if len(hits):
+                        bounds[i] = int(hits[0])
+                        kinds[i] = FinishReason.EOS
             boundary = min(bounds)
             n_seg = min(boundary + 1, seg_cap)
-            seg_cycles = np.asarray(
-                self.backend.fast_forward_cycles(pending, n_seg),
-                dtype=np.float64)
+            seg_cycles = self.backend.fast_forward_cycles(pending, n_seg)
             if self._slow_factor != 1.0:
-                seg_cycles = seg_cycles * self._slow_factor
-            seg_deltas = seg_cycles / freq
+                seg_cycles = [c * self._slow_factor for c in seg_cycles]
+            seg_deltas = [c / freq for c in seg_cycles]
             # Sequential prefix fold seeded with the running clock — the
             # same IEEE adds as stepping ``clock += cycles / freq``,
             # chained across segments.
-            clocks = np.empty(n_seg + 1)
-            clocks[0] = self.clock_s
-            clocks[1:] = seg_deltas
-            np.cumsum(clocks, out=clocks)
+            clock = self.clock_s
+            clocks = [clock]
+            for delta in seg_deltas:
+                clock += delta
+                clocks.append(clock)
             applied = n_seg
             if can_admit:
                 next_arrival = self._next_admission_arrival()
                 if next_arrival is not None:
                     # Steps apply while the clock has not reached the
                     # next arrival; step() admits the head right after.
-                    cut = int(np.searchsorted(clocks[:n_seg],
-                                              next_arrival, side="left"))
+                    cut = bisect.bisect_left(clocks, next_arrival, 0, n_seg)
                     if cut < applied:
                         applied, break_reason = cut, "arrival"
             if self._fault_actions:
                 fault_boundary = self._fault_boundary()
                 if fault_boundary is not None:
-                    cut = int(np.searchsorted(clocks[:n_seg],
-                                              fault_boundary,
-                                              side="left"))
+                    cut = bisect.bisect_left(clocks, fault_boundary, 0,
+                                             n_seg)
                     if cut < applied:
                         # The chain ends exactly at the boundary (the
                         # first unapplied step's pre-step clock has
@@ -1215,17 +1269,17 @@ class ContinuousBatchScheduler:
                         break_reason = \
                             self._boundary_reason(fault_boundary)
                         note_break = False
+            if forced:
+                # The admitting step decodes whatever its prefills
+                # crossed, exactly as step() would.
+                applied = max(applied, 1)
             if applied <= 0:
-                # First possible step already crosses the arrival.  A
-                # window that never advanced is note-free: no steps
-                # were accounted, so no break is either.
-                if not total_applied:
-                    break_reason = None
-                break
+                break  # the first possible step already crosses a cut
             at_boundary = applied == n_seg and boundary < seg_cap
-            self.clock_s = float(clocks[applied])
+            self.clock_s = end_s = clocks[applied]
             self._decode_steps += applied
-            lat_list = seg_cycles[:applied].tolist() if full else None
+            lat_list = seg_cycles[:applied] if full else None
+            samples = planned[:, :applied].tolist()
             for i, s in enumerate(pending):
                 if full:
                     s.decode_cycles.extend(lat_list)
@@ -1233,9 +1287,9 @@ class ContinuousBatchScheduler:
                         and kinds[i] is FinishReason.LENGTH:
                     # The boundary step forwards the retiree's final
                     # pending token but samples nothing.
-                    s.generated.extend(planned[i][:applied - 1].tolist())
+                    s.generated.extend(samples[i][:applied - 1])
                 else:
-                    s.generated.extend(planned[i][:applied].tolist())
+                    s.generated.extend(samples[i])
             self.backend.commit_fast_forward(pending, applied)
             self._cached_total += applied * batch
             if self._quota_specs:
@@ -1246,30 +1300,32 @@ class ContinuousBatchScheduler:
                     if bounds[i] == boundary:
                         self._retire(s, kinds[i])
                         retired += 1
-            segments.append((applied, batch, retired))
-            cycle_parts.append(seg_cycles[:applied])
-            delta_parts.append(seg_deltas[:applied])
-            clock_parts.append(clocks[1:applied + 1])
+            # Into the recorder as charged: a window may span a whole
+            # run, so its steps are never buffered here.
+            rec.record_segment(clocks[0], clocks[1:applied + 1],
+                               seg_cycles[:applied], seg_deltas[:applied],
+                               batch, admitted, retired)
+            if not n_segments:
+                first_batch = batch
+            n_segments += 1
             total_applied += applied
             if break_reason is not None:
                 break
 
-        if break_reason is not None and note_break:
-            rec.note_break(break_reason)
-        if not total_applied:
-            return 0
-        rec.record_window(
-            clock0,
-            np.concatenate(clock_parts),
-            segments[0][1],
-            np.concatenate(cycle_parts),
-            np.concatenate(delta_parts),
-            segments=tuple(segments))
-        if self.flight is not None:
-            self.flight.span("window", clock0, self.clock_s,
-                             batch=segments[0][1], steps=total_applied,
-                             segments=len(segments),
-                             reason=break_reason or "drained")
+        if total_applied:
+            # Only a recorded window notes why it ended: a pass that
+            # applied nothing leaves no window for a break to belong to.
+            if break_reason is not None and note_break:
+                rec.note_break(break_reason)
+            rec.record_window()
+            if self.flight is not None:
+                self.flight.span("window", clock0, end_s,
+                                 batch=first_batch, steps=total_applied,
+                                 segments=n_segments,
+                                 reason=break_reason or "drained")
+        if owed:
+            self._decode_step(admitted, step_start_s)
+            total_applied += 1
         return total_applied
 
     # -- the scheduling loop -------------------------------------------------
@@ -1305,9 +1361,13 @@ class ContinuousBatchScheduler:
                         next_arrival = boundary
                 self.clock_s = next_arrival
         step_start_s = self.clock_s
+        return self._decode_step(self._admit_ready(), step_start_s)
 
-        admitted = self._admit_ready()
-
+    def _decode_step(self, admitted: int,
+                     step_start_s: float) -> StepEvent:
+        """The rest of one eager iteration once its ``admitted``
+        admissions are in: resolve KV pressure, charge ONE batched
+        decode step, and record the step's event."""
         # KV pressure: the coming step appends one token per forwarding
         # sequence; evict until the growth fits every tenant quota and
         # the pool budget.  Quota pressure is resolved first and within

@@ -7,8 +7,9 @@ The scheduler can record what happened at four levels of detail
   a plain list.  This is the reference representation the
   differential harness compares against.
 * ``"windows"`` — a fast-forwarded window is stored as ONE
-  :class:`StepWindow` (per-segment batch sizes + one per-step cycle
-  array shared by every batch member).  The step stream lives in
+  :class:`StepWindow` (per-segment start clocks, batch sizes and
+  admission/retirement counts + one per-step cycle array shared by
+  every batch member).  The step stream lives in
   :class:`repro.obs.ColumnarRecords` — typed columns, a few dozen
   bytes per record instead of a Python object — so million-request
   runs fit in bounded memory, and expands lazily to the bit-identical
@@ -65,13 +66,15 @@ TELEMETRY_LEVELS = ("full", "windows", "summary", "sketch")
 #: Levels that keep the step-record stream (events + windows).
 _RECORDING_LEVELS = ("full", "windows")
 
-#: Why a fast-forward window ended (or could not start).  Fixed key set
-#: so histograms from different runs/replicas merge by plain addition.
-#: ``"quota"`` marks windows capped where a tenant's KV quota could
-#: force a preemption decision the window must not fold over.  EOS
-#: retirements and fault/drain boundaries are planned window ends, not
-#: breaks: the event horizon folds the first and ends its chains
-#: exactly at the second.
+#: Why a fast-forward window ended.  Fixed key set so histograms from
+#: different runs/replicas merge by plain addition; only a window that
+#: recorded steps notes one.  ``"admission"`` marks an arrived head
+#: whose admission needs a preemption (admissions that fit fold into
+#: the window); ``"quota"`` marks windows capped where a tenant's KV
+#: quota could force a preemption decision the window must not fold
+#: over.  EOS retirements and fault/drain boundaries are planned window
+#: ends, not breaks: the event horizon folds the first and ends its
+#: chains exactly at the second.
 WINDOW_BREAK_REASONS = ("admission", "arrival", "retirement-unpredicted",
                         "preemption-risk", "block-frontier", "quota")
 
@@ -133,6 +136,7 @@ def merge_window_stats(stats: "list[dict]") -> dict:
         "n_windows": 0,
         "n_segments": 0,
         "folded_retirements": 0,
+        "folded_admissions": 0,
         "breaks": {reason: 0 for reason in WINDOW_BREAK_REASONS},
     }
     for s in stats:
@@ -141,6 +145,7 @@ def merge_window_stats(stats: "list[dict]") -> dict:
         merged["n_windows"] += s.get("n_windows", 0)
         merged["n_segments"] += s.get("n_segments", 0)
         merged["folded_retirements"] += s.get("folded_retirements", 0)
+        merged["folded_admissions"] += s.get("folded_admissions", 0)
         for reason, count in s.get("breaks", {}).items():
             merged["breaks"][reason] = \
                 merged["breaks"].get(reason, 0) + count
@@ -172,12 +177,11 @@ class RunLengthSample:
         self._cnts.append(count)
         self._sorted = None
 
-    def add_array(self, values: np.ndarray, count: int) -> None:
+    def add_array(self, values: Sequence[float], count: int) -> None:
         """``count`` occurrences of every entry of ``values``."""
         if len(values):
-            self._vals.frombytes(np.ascontiguousarray(values).tobytes())
-            self._cnts.frombytes(
-                np.full(len(values), count, dtype=np.int64).tobytes())
+            self._vals.extend(values)
+            self._cnts.extend([count] * len(values))
             self._sorted = None
 
     def sorted_runs(self) -> tuple[np.ndarray, np.ndarray]:
@@ -196,7 +200,8 @@ class TelemetryRecorder:
     """Accumulates one run's step records and retired-request columns.
 
     The scheduler drives it level-agnostically: every eager step calls
-    :meth:`record_event`, every fast-forwarded window calls
+    :meth:`record_event`, every segment of a fast-forwarded window calls
+    :meth:`record_segment` as it is charged and the window's end calls
     :meth:`record_window`, and every retirement calls
     :meth:`fold_result`.
     """
@@ -229,6 +234,9 @@ class TelemetryRecorder:
         self.n_windows = 0
         self.n_window_segments = 0
         self.n_folded_retirements = 0
+        self.n_folded_admissions = 0
+        #: a window has recorded segments and not yet been closed
+        self._window_open = False
         self.window_breaks = {reason: 0 for reason in WINDOW_BREAK_REASONS}
         #: per-request scalar columns in retire order (all levels).
         self.columns = {name: array(code)
@@ -269,50 +277,52 @@ class TelemetryRecorder:
             "n_windows": self.n_windows,
             "n_segments": self.n_window_segments,
             "folded_retirements": self.n_folded_retirements,
+            "folded_admissions": self.n_folded_admissions,
             "breaks": dict(self.window_breaks),
         }
 
-    def record_window(self, clock0_s: float, clocks_after: np.ndarray,
-                      batch: int, cycles: np.ndarray,
-                      latencies: np.ndarray,
-                      segments: tuple[tuple[int, int, int], ...]) -> None:
-        """One fast-forwarded window of ``len(cycles)`` decode steps.
+    def record_segment(self, start_s: float,
+                       clocks_after: Sequence[float],
+                       cycles: Sequence[float],
+                       latencies: Sequence[float],
+                       batch: int, admitted: int, retired: int) -> None:
+        """One piecewise-static segment of the open fast-forward window:
+        ``len(cycles)`` decode steps at ``batch`` members, starting at
+        clock ``start_s`` once the segment's ``admitted`` admissions
+        are in, with ``retired`` members leaving at its last step.
 
         ``clocks_after[j]`` is the engine clock after step ``j`` and
         ``latencies`` is ``cycles / freq_hz`` — both already computed
         by the scheduler's closed-form charge, so recording reuses the
-        exact floats instead of re-deriving them.  ``segments`` holds
-        one ``(count, batch, retired)`` triple per piecewise-static
-        segment: the batch shrinks at predicted retirements, and
-        ``batch`` is the first segment's.
+        exact floats instead of re-deriving them.
         """
         count = len(cycles)
         self.n_steps += count
         self.n_decode_steps += count
-        self.n_windows += 1
-        self.n_window_segments += len(segments)
-        pos = 0
-        for seg_count, seg_batch, seg_retired in segments:
-            self.batch_sum += seg_batch * seg_count
-            if seg_batch > self.max_batch:
-                self.max_batch = seg_batch
-            self.n_folded_retirements += seg_retired
-            self.latency.add_array(latencies[pos:pos + seg_count],
-                                   seg_batch)
-            pos += seg_count
+        self.n_window_segments += 1
+        self.batch_sum += batch * count
+        if batch > self.max_batch:
+            self.max_batch = batch
+        self.n_folded_admissions += admitted
+        self.n_folded_retirements += retired
+        self.latency.add_array(latencies, batch)
         if self.level == "full":
-            clock_list = clocks_after.tolist()
-            cycle_list = cycles.tolist()
-            pos = 0
-            for seg_count, seg_batch, seg_retired in segments:
-                for j in range(seg_count):
-                    self.records.append(StepEvent(
-                        clock_s=clock_list[pos], batch=seg_batch,
-                        cycles=cycle_list[pos], admitted=0, preempted=0,
-                        retired=seg_retired if j == seg_count - 1 else 0))
-                    pos += 1
+            for j in range(count):
+                self.records.append(StepEvent(
+                    clock_s=clocks_after[j], batch=batch,
+                    cycles=cycles[j],
+                    admitted=admitted if j == 0 else 0, preempted=0,
+                    retired=retired if j == count - 1 else 0))
         elif self.level == "windows":
-            self.records.append_window(clock0_s, batch, cycles, segments)
+            self.records.append_segment(start_s, cycles, batch, admitted,
+                                        retired,
+                                        new_window=not self._window_open)
+        self._window_open = True
+
+    def record_window(self) -> None:
+        """Close the window whose segments were just recorded."""
+        self.n_windows += 1
+        self._window_open = False
 
     def fold_result(self, state: RequestState) -> None:
         """Absorb one retired request into the columns (the scheduler
@@ -386,7 +396,7 @@ class TelemetryRecorder:
         out: list[int] = []
         for record in self.records:
             if isinstance(record, StepWindow):
-                for seg_count, seg_batch, _ in record.segments:
+                for seg_count, seg_batch, _, _ in record.segments:
                     out.extend([seg_batch] * seg_count)
             elif record.batch:
                 out.append(record.batch)
@@ -548,10 +558,20 @@ class ServeReport:
         return int(self.rows["n_tokens"].sum(dtype=np.int64))
 
     @property
+    def n_served(self) -> int:
+        """Requests that were served: neither rejected nor failed."""
+        return int((~np.isin(self.rows["reason"], _UNSERVED)).sum())
+
+    @property
     def aggregate_tokens_per_s(self) -> float:
-        if self.total_time_s <= 0:
+        """Generated tokens per simulated second; zero for a run that
+        served nothing (every request rejected on arrival leaves no
+        simulated time behind)."""
+        if self.total_time_s > 0:
+            return self.total_new_tokens / self.total_time_s
+        if self.total_new_tokens:
             raise SimulationError("report covers no simulated time")
-        return self.total_new_tokens / self.total_time_s
+        return 0.0
 
     @property
     def mean_ttft_s(self) -> float:

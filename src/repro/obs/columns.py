@@ -17,6 +17,7 @@ recording stays O(columns), not O(objects).
 from __future__ import annotations
 
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,24 +39,28 @@ class StepEvent:
 class StepWindow:
     """A run of ``count`` fast-forwarded decode steps as one object.
 
-    The window chains piecewise-static segments separated by predicted
-    retirements: ``segments`` holds one ``(count, batch, retired)``
-    triple per segment (``retired`` members leave at the end of that
-    segment's last step), with ``sum(counts) == count`` and ``batch``
-    the first segment's batch.  Nothing is admitted or preempted inside
-    a window, so the only per-step facts are the cycle counts — one
+    The window chains piecewise-static segments: ``segments`` holds one
+    ``(count, batch, admitted, retired)`` tuple per segment, with
+    ``sum(counts) == count``.  A segment opens with the admissions the
+    window folded at its start (``admitted`` — their prefills advance
+    the clock *between* segments) and ends at a predicted retirement
+    (``retired`` members leave at its last step).  Nothing is preempted
+    inside a window, so the per-step facts are the cycle counts — one
     float64 array over the whole window — and the clocks, which
-    :meth:`expand` re-derives through the same sequential ``cumsum``
-    the scheduler used to advance its clock, reproducing the eager
-    :class:`StepEvent` stream bit for bit.
+    :meth:`expand` re-derives from each segment's start clock
+    (``starts``) through the same sequential adds the scheduler used
+    to advance its clock (a ``cumsum``), reproducing the eager
+    :class:`StepEvent` stream bit for bit: ``admitted`` lands on a
+    segment's first event and ``retired`` on its last, as in the
+    eager step that admitted or retired them.
     """
 
-    clock0_s: float  # engine clock before the window's first step
     freq_hz: float
-    batch: int
     count: int
     cycles: np.ndarray
-    segments: tuple[tuple[int, int, int], ...]
+    segments: tuple[tuple[int, int, int, int], ...]
+    #: engine clock before each segment's first step
+    starts: tuple[float, ...]
 
     def latencies(self) -> np.ndarray:
         """Per-step seconds — the identical floats ``full`` telemetry
@@ -63,19 +68,21 @@ class StepWindow:
         return self.cycles / self.freq_hz
 
     def expand(self) -> list[StepEvent]:
-        clocks = np.cumsum(np.concatenate(([self.clock0_s],
-                                           self.latencies())))
-        clock_list = clocks[1:].tolist()
+        latencies = self.latencies()
         cycle_list = self.cycles.tolist()
         events: list[StepEvent] = []
         pos = 0
-        for count, batch, retired in self.segments:
+        for start, (count, batch, admitted, retired) in zip(
+                self.starts, self.segments):
+            clocks = np.cumsum(np.concatenate(
+                ([start], latencies[pos:pos + count])))[1:].tolist()
             for j in range(count):
                 events.append(StepEvent(
-                    clock_s=clock_list[pos], batch=batch,
-                    cycles=cycle_list[pos], admitted=0, preempted=0,
+                    clock_s=clocks[j], batch=batch,
+                    cycles=cycle_list[pos + j],
+                    admitted=admitted if j == 0 else 0, preempted=0,
                     retired=retired if j == count - 1 else 0))
-                pos += 1
+            pos += count
         return events
 
 
@@ -84,16 +91,19 @@ class ColumnarRecords:
 
     Append-only during a run; reads iterate (or index) and materialize
     record objects on the fly, bit-identical to what was appended —
-    cycle arrays and segment triples round-trip through the columns
-    unchanged.  Supports ``len``, iteration, and indexing, so
-    code written against the list representation keeps working.
+    cycle arrays and segment tuples round-trip through the columns
+    unchanged.  A window is appended one segment at a time, as the
+    scheduler charges it (:meth:`append_segment`), so a window that
+    spans a whole run never buffers its steps outside the columns.
+    Supports ``len``, iteration, and indexing, so code written against
+    the list representation keeps working.
     """
 
     __slots__ = ("freq_hz", "_kinds", "_ev_clock", "_ev_batch",
                  "_ev_cycles", "_ev_admitted", "_ev_preempted",
-                 "_ev_retired", "_win_clock0", "_win_batch", "_win_count",
-                 "_win_cycle_off", "_cycles", "_win_seg_off", "_win_seg_n",
-                 "_seg_counts", "_seg_batches", "_seg_retired")
+                 "_ev_retired", "_win_cycle_off", "_win_seg_off",
+                 "_cycles", "_seg_starts", "_seg_counts", "_seg_batches",
+                 "_seg_admitted", "_seg_retired")
 
     def __init__(self, freq_hz: float) -> None:
         self.freq_hz = freq_hz
@@ -105,19 +115,18 @@ class ColumnarRecords:
         self._ev_admitted = array("q")
         self._ev_preempted = array("q")
         self._ev_retired = array("q")
-        # StepWindow columns; all windows' per-step cycles are packed
-        # into one flat column with per-window offsets, and the segment
-        # triples likewise.
-        self._win_clock0 = array("d")
-        self._win_batch = array("q")
-        self._win_count = array("q")
+        # StepWindow columns: every window's per-step cycles are packed
+        # into one flat column and its segments into per-segment
+        # columns; a window is its offsets into both (it ends where
+        # the next window starts).
         self._win_cycle_off = array("q")
-        self._cycles = array("d")
         self._win_seg_off = array("q")
-        self._win_seg_n = array("q")
-        self._seg_counts = array("q")
-        self._seg_batches = array("q")
-        self._seg_retired = array("q")
+        self._cycles = array("d")
+        self._seg_starts = array("d")
+        self._seg_counts = array("i")
+        self._seg_batches = array("i")
+        self._seg_admitted = array("i")
+        self._seg_retired = array("i")
 
     # -- appends -----------------------------------------------------
 
@@ -130,23 +139,22 @@ class ColumnarRecords:
         self._ev_preempted.append(event.preempted)
         self._ev_retired.append(event.retired)
 
-    def append_window(
-            self, clock0_s: float, batch: int, cycles: np.ndarray,
-            segments: tuple[tuple[int, int, int], ...]) -> None:
-        self._kinds.append(1)
-        self._win_clock0.append(clock0_s)
-        self._win_batch.append(batch)
-        self._win_count.append(len(cycles))
-        self._win_cycle_off.append(len(self._cycles))
-        if len(cycles):
-            self._cycles.frombytes(np.ascontiguousarray(
-                cycles, dtype=np.float64).tobytes())
-        self._win_seg_off.append(len(self._seg_counts))
-        self._win_seg_n.append(len(segments))
-        for seg_count, seg_batch, seg_retired in segments:
-            self._seg_counts.append(seg_count)
-            self._seg_batches.append(seg_batch)
-            self._seg_retired.append(seg_retired)
+    def append_segment(self, start_s: float, cycles: Sequence[float],
+                       batch: int, admitted: int, retired: int,
+                       new_window: bool) -> None:
+        """One window segment of ``len(cycles)`` steps starting at
+        clock ``start_s``; ``new_window`` opens a new window record,
+        otherwise the segment extends the last one."""
+        if new_window:
+            self._kinds.append(1)
+            self._win_cycle_off.append(len(self._cycles))
+            self._win_seg_off.append(len(self._seg_counts))
+        self._cycles.extend(cycles)
+        self._seg_starts.append(start_s)
+        self._seg_counts.append(len(cycles))
+        self._seg_batches.append(batch)
+        self._seg_admitted.append(admitted)
+        self._seg_retired.append(retired)
 
     # -- reads -------------------------------------------------------
 
@@ -156,18 +164,13 @@ class ColumnarRecords:
 
     @property
     def n_windows(self) -> int:
-        return len(self._win_clock0)
+        return len(self._win_cycle_off)
 
     @property
     def n_bytes(self) -> int:
         """Approximate storage footprint (column payloads only)."""
-        return sum(len(col) * col.itemsize for col in (
-            self._kinds, self._ev_clock, self._ev_batch, self._ev_cycles,
-            self._ev_admitted, self._ev_preempted, self._ev_retired,
-            self._win_clock0, self._win_batch, self._win_count,
-            self._win_cycle_off, self._cycles, self._win_seg_off,
-            self._win_seg_n, self._seg_counts, self._seg_batches,
-            self._seg_retired))
+        return sum(len(getattr(self, name)) * getattr(self, name).itemsize
+                   for name in self.__slots__[1:])
 
     def __len__(self) -> int:
         return len(self._kinds)
@@ -180,22 +183,23 @@ class ColumnarRecords:
             retired=self._ev_retired[j])
 
     def _window_at(self, j: int) -> StepWindow:
-        count = self._win_count[j]
+        last = j + 1 == len(self._win_cycle_off)
         off = self._win_cycle_off[j]
+        end = len(self._cycles) if last else self._win_cycle_off[j + 1]
         # Copy the slice out so the materialized window owns its array
         # (appends may still grow — and reallocate — the flat column).
         cycles = np.frombuffer(self._cycles, dtype=np.float64,
-                               count=count, offset=off * 8).copy() \
-            if count else np.empty(0, dtype=np.float64)
-        seg0 = self._win_seg_off[j]
-        segments = tuple(
-            (self._seg_counts[k], self._seg_batches[k],
-             self._seg_retired[k])
-            for k in range(seg0, seg0 + self._win_seg_n[j]))
-        return StepWindow(clock0_s=self._win_clock0[j],
-                          freq_hz=self.freq_hz,
-                          batch=self._win_batch[j], count=count,
-                          cycles=cycles, segments=segments)
+                               count=end - off, offset=off * 8).copy() \
+            if end > off else np.empty(0, dtype=np.float64)
+        seg = range(self._win_seg_off[j],
+                    len(self._seg_counts) if last
+                    else self._win_seg_off[j + 1])
+        return StepWindow(
+            freq_hz=self.freq_hz, count=end - off, cycles=cycles,
+            segments=tuple((self._seg_counts[k], self._seg_batches[k],
+                            self._seg_admitted[k], self._seg_retired[k])
+                           for k in seg),
+            starts=tuple(self._seg_starts[k] for k in seg))
 
     def __iter__(self):
         ev = win = 0

@@ -62,9 +62,8 @@ def replica_table(report) -> tuple[list[dict], str]:
             "requests": served,
             "new_tokens": rep.total_new_tokens,
             "time_s": rep.total_time_s,
-            "tokens_per_s": (rep.aggregate_tokens_per_s
-                             if rep.total_time_s > 0 and served else 0.0),
-            "mean_ttft_s": rep.mean_ttft_s if served else 0.0,
+            "tokens_per_s": rep.aggregate_tokens_per_s,
+            "mean_ttft_s": rep.mean_ttft_s if rep.n_served else 0.0,
             "preemptions": rep.preemptions,
         })
     headers = ["replica", "requests", "new tokens", "time", "tok/s",

@@ -33,7 +33,8 @@ def window_stats_table(stats: dict | None) -> tuple[list[dict], str]:
     """Fast-forward window counts and the break-reason histogram.
 
     ``stats`` is a report's ``window_stats`` dict (``n_windows`` /
-    ``n_segments`` / ``folded_retirements`` / ``breaks``); rows are one
+    ``n_segments`` / ``folded_retirements`` / ``folded_admissions`` /
+    ``breaks``); rows are one
     dict per nonzero break reason with its share of all breaks.
     """
     if not stats or not stats.get("n_windows"):
@@ -47,7 +48,8 @@ def window_stats_table(stats: dict | None) -> tuple[list[dict], str]:
     body = [[r["reason"], r["count"], f"{r['share']:.1%}"] for r in rows]
     text = (f"{stats['n_windows']} windows, {stats['n_segments']} "
             f"segments, {stats['folded_retirements']} folded "
-            f"retirements, {total} breaks\n")
+            f"retirements, {stats.get('folded_admissions', 0)} folded "
+            f"admissions, {total} breaks\n")
     text += format_table(headers, body)
     return rows, text
 

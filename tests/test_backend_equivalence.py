@@ -38,6 +38,7 @@ from repro.engine import (
     Request,
     synthetic_trace,
 )
+from repro.engine.backends import _FF_VECTOR_MIN_STEPS
 
 from report_checks import assert_reports_identical
 
@@ -259,6 +260,25 @@ class TestFastForwardEquivalence:
         reference = run(False, True)
         assert_reports_identical(run(True, False), reference)
         assert_reports_identical(run(False, False), reference)
+
+    @pytest.mark.parametrize("n_steps", [
+        1, _FF_VECTOR_MIN_STEPS - 1, _FF_VECTOR_MIN_STEPS,
+        2 * _FF_VECTOR_MIN_STEPS + 3])
+    @pytest.mark.parametrize("model", [TINY_MODEL, LLAMA2_7B],
+                             ids=lambda m: m.name)
+    def test_window_folds_match_reference_steps(self, model, n_steps):
+        """Both cycle folds — the scalar loop below
+        ``_FF_VECTOR_MIN_STEPS`` steps and the numpy fold from there on
+        — equal the reference schedule builder step by step, with
+        paged fetch counts below the contexts."""
+        backend = CycleModelBackend(model, W4A16_KV8, n_slots=MAX_BATCH)
+        contexts, fetched = [5, 17, 40], [5, 9, 24]
+        want = [backend.cycles.batched_decode_step(
+                    [c + j for c in contexts], "fused",
+                    [f + j for f in fetched]).cycles
+                for j in range(n_steps)]
+        assert backend._fast_forward_cycles(contexts, fetched,
+                                            n_steps) == want
 
     @pytest.mark.parametrize("cls", [ShardedCycleBackend,
                                      ShardedAnalyticalBackend])

@@ -129,6 +129,19 @@ def test_serve_sim_kv_budget_forces_preemption(capsys):
     assert preemptions > 0
 
 
+@pytest.mark.parametrize("replicas", ("1", "2"))
+def test_serve_sim_all_rejected_reports_zero_served(capsys, replicas):
+    """A one-token quota rejects every request on arrival: the run
+    covers no simulated time, and the report says so instead of
+    failing on its throughput."""
+    code, out = run(capsys, "serve-sim", "--tenants",
+                    "a:interactive,b:batch", "--quota", "1",
+                    "--requests", "50", "--replicas", replicas)
+    assert code == 0
+    assert "aggregate rate :      0.000 token/s (0 tokens)" in out
+    assert "0 served       : all 50 requests rejected or failed" in out
+
+
 def test_serve_sim_functional_rejects_big_models():
     with pytest.raises(SystemExit):
         main(["serve-sim", "--model", "LLaMA2-7B",

@@ -232,12 +232,50 @@ class TestEngineFaults:
         eng, rep = run_with_plan(True, plan, requests=chaos_trace)
         _, eager = run_with_plan(False, plan, requests=chaos_trace)
         assert_reports_identical(rep, eager)
-        # Six requests on four slots: the only breaks are the two
-        # admissions that fill slots freed by retirements.
+        # Six requests on four slots: the idle engine's first step
+        # admits four, and the two admissions that fill slots freed by
+        # retirements fold into the windows instead of breaking them.
         assert rep.window_stats["breaks"] == {
-            reason: 2 if reason == "admission" else 0
-            for reason in WINDOW_BREAK_REASONS}
+            reason: 0 for reason in WINDOW_BREAK_REASONS}
+        assert rep.window_stats["folded_admissions"] == 2
         assert window_reasons(eng).count("fault") >= len(events)
+
+    @pytest.mark.parametrize("kind", ("slowdown", "hang", "crash",
+                                      "drain"))
+    def test_fault_inside_folded_prefill_matches_eager(self, kind):
+        """A fault boundary landing inside the prefill of an admission
+        the window folds: as in ``step()``, whose faults are serviced
+        only at the next loop top, the admitting step still decodes
+        under the old state, and the fault applies from the step after
+        — in the window exactly as in the eager loop."""
+        requests = synthetic_trace(
+            TINY_MODEL, n_requests=48, arrival_rate_rps=20000.0, seed=3,
+            prompt_len=(4, 16), decode_len=(8, 32), tenant_mix=MIX)
+        clean, _ = run_with_plan(False, None, requests=requests)
+        events = clean.events
+        freq = clean.backend.freq_hz
+        # Prefill gaps of steps that admit into a busy batch (those the
+        # windows fold): the previous step's end to this step's start.
+        gaps = [(events[i - 1].clock_s, e.clock_s - e.cycles / freq)
+                for i, e in enumerate(events)
+                if i and e.admitted and e.batch > e.admitted]
+        lo, hi = gaps[len(gaps) // 2]
+        start = (lo + hi) / 2
+        assert lo < start < hi
+        plan = FaultSchedule([FaultEvent(
+            kind, 0, start, 20 * (hi - lo),
+            factor=2.0 if kind == "slowdown" else 1.0)]).plan_for(0)
+        eng_w, rep_w = run_with_plan(True, plan, requests=requests)
+        eng_e, rep_e = run_with_plan(False, plan, requests=requests)
+        assert eng_w.fault_stats() == eng_e.fault_stats()
+        assert eng_w.fault_stats()[
+            {"slowdown": "slowdowns", "hang": "stalls",
+             "crash": "crashes", "drain": "drains"}[kind]] == 1
+        assert eng_w.killed == eng_e.killed
+        assert eng_w.drained == eng_e.drained
+        assert_reports_identical(rep_w, rep_e)
+        assert eng_w.events == eng_e.events
+        assert rep_w.window_stats["folded_admissions"] > 0
 
     def test_fault_plan_is_inert_between_runs(self):
         """Clearing ``fault_plan`` restores healthy behavior exactly."""

@@ -28,10 +28,15 @@ from repro.cluster import (
     TEN_GIG_ETHERNET,
 )
 from repro.config import TINY_MODEL
-from repro.engine import FinishReason, TenantSpec, synthetic_trace
+from repro.engine import (
+    FinishReason,
+    TenantSpec,
+    iter_synthetic_trace,
+    synthetic_trace,
+)
 from repro.errors import SimulationError
 from report_checks import assert_levels_agree, assert_reports_identical
-from test_telemetry_equivalence import make_engine
+from test_telemetry_equivalence import KNEE_MIX, make_engine
 
 FF_TIERS = (True, False)
 
@@ -249,6 +254,32 @@ class TestDrainMigration:
         assert streamed.n_requests == full.n_requests
         assert streamed.total_new_tokens == full.total_new_tokens
         assert streamed.total_time_s == full.total_time_s
+
+    def test_drain_during_folded_admissions_is_tier_identical(self):
+        """Past the knee every retirement's slot refills inside a
+        window; a drain landing in that churn hands queued, arriving
+        and running work over at the same clocks as the eager loop —
+        materialized and streamed alike."""
+        kwargs = dict(n_requests=96, arrival_rate_rps=20000.0, seed=4,
+                      prompt_len=(4, 16), decode_len=(8, 32),
+                      tenant_mix=KNEE_MIX)
+        drain = FaultSchedule([FaultEvent("drain", 1, 0.002, 0.0002)])
+        eager = cluster(ff=False, faults=drain).run(
+            synthetic_trace(TINY_MODEL, **kwargs), telemetry="full")
+        assert eager.resilience["n_migrated"] > 0
+        assert eager.resilience["migrated_kv_bytes"] > 0
+        windowed = cluster(faults=drain).run(
+            synthetic_trace(TINY_MODEL, **kwargs), telemetry="full")
+        streamed = cluster(faults=drain).run(
+            lambda: iter_synthetic_trace(TINY_MODEL, **kwargs),
+            telemetry="windows")
+        for report in (windowed, streamed):
+            assert report.resilience == eager.resilience
+            assert_reports_identical(report, eager)
+            folded = report.window_stats["folded_admissions"]
+            assert folded > 0
+            assert folded == sum(r.window_stats["folded_admissions"]
+                                 for r in report.replica_reports)
 
     def test_drain_reopens_admission_after_deadline(self):
         """Post-deadline arrivals are served by the drained replica

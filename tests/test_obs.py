@@ -235,16 +235,29 @@ class TestColumnarRecords:
             StepEvent(clock_s=0.2, batch=3, cycles=120, admitted=1,
                       preempted=1, retired=0),
         ]
-        win_a = StepWindow(clock0_s=0.2, freq_hz=self.FREQ, batch=3,
-                           count=4,
+        win_a = StepWindow(freq_hz=self.FREQ, count=4,
                            cycles=np.array([10., 11., 12., 13.]),
-                           segments=((4, 3, 0),))
-        win_b = StepWindow(clock0_s=0.9, freq_hz=self.FREQ, batch=3,
-                           count=3, cycles=np.array([20., 21., 22.]),
-                           segments=((2, 3, 1), (1, 2, 0)))
+                           segments=((4, 3, 0, 0),), starts=(0.2,))
+        # Segments that admit: each starts at its own clock, past the
+        # previous segment's end by the folded prefills.
+        win_b = StepWindow(freq_hz=self.FREQ, count=6,
+                           cycles=np.array([20., 21., 22., 23., 24., 25.]),
+                           segments=((2, 3, 1, 1), (1, 2, 0, 0),
+                                     (3, 4, 2, 1)),
+                           starts=(0.9, 1.0, 1.25))
         tail = StepEvent(clock_s=1.5, batch=1, cycles=90, admitted=0,
                          preempted=0, retired=1)
         return [events[0], events[1], win_a, win_b, tail]
+
+    @staticmethod
+    def _append_window(records, window):
+        pos = 0
+        for i, (start, (count, batch, admitted, retired)) in enumerate(
+                zip(window.starts, window.segments)):
+            records.append_segment(start, window.cycles[pos:pos + count],
+                                   batch, admitted, retired,
+                                   new_window=i == 0)
+            pos += count
 
     def _filled(self):
         records = ColumnarRecords(self.FREQ)
@@ -252,8 +265,7 @@ class TestColumnarRecords:
             if isinstance(item, StepEvent):
                 records.append(item)
             else:
-                records.append_window(item.clock0_s, item.batch,
-                                      item.cycles, item.segments)
+                self._append_window(records, item)
         return records
 
     def test_round_trip_identity(self):
@@ -269,12 +281,12 @@ class TestColumnarRecords:
             if isinstance(want, StepEvent):
                 assert got == want
             else:
-                assert got.clock0_s == want.clock0_s
                 assert got.freq_hz == want.freq_hz
-                assert got.batch == want.batch
                 assert got.count == want.count
                 assert got.cycles.tolist() == want.cycles.tolist()
                 assert got.segments == want.segments
+                assert got.starts == want.starts
+                assert got.expand() == want.expand()
         for i in range(len(records)):
             got = records[i]
             want = reference[i]
@@ -283,21 +295,36 @@ class TestColumnarRecords:
             else:
                 assert got.cycles.tolist() == want.cycles.tolist()
 
+    def test_admitting_window_expands_per_segment(self):
+        """Each segment's clocks restart from its own start clock;
+        ``admitted`` lands on a segment's first event and ``retired``
+        on its last, as on the eager steps that did them."""
+        window = self._mixed_stream()[3]
+        events = window.expand()
+        lat = window.latencies()
+        assert [e.batch for e in events] == [3, 3, 2, 4, 4, 4]
+        assert [e.admitted for e in events] == [1, 0, 0, 2, 0, 0]
+        assert [e.retired for e in events] == [0, 1, 0, 0, 0, 1]
+        assert [e.clock_s for e in events] == [
+            0.9 + lat[0], 0.9 + lat[0] + lat[1], 1.0 + lat[2],
+            1.25 + lat[3], 1.25 + lat[3] + lat[4],
+            1.25 + lat[3] + lat[4] + lat[5]]
+
     def test_window_cycles_are_copies(self):
         """Materialized windows must not pin the underlying buffers —
         appending after a read would otherwise raise BufferError."""
         records = self._filled()
         window = next(r for r in records if isinstance(r, StepWindow))
         _ = window.cycles
-        records.append_window(2.0, 1, np.array([5.0]),
-                              ((1, 1, 0),))  # no raise
+        records.append_segment(2.0, np.array([5.0]), 1, 0, 0,
+                               new_window=True)  # no raise
         assert records.n_windows == 3
 
     def test_n_bytes_tracks_columns(self):
         records = ColumnarRecords(self.FREQ)
         base = records.n_bytes
-        records.append_window(0.0, 4, np.arange(100, dtype=np.float64),
-                              ((100, 4, 0),))
+        records.append_segment(0.0, np.arange(100, dtype=np.float64),
+                               4, 0, 0, new_window=True)
         assert records.n_bytes > base
 
     def test_engine_windows_level_uses_columns(self):

@@ -29,7 +29,9 @@ from repro.engine import (
     FinishReason,
     FunctionalBackend,
     Request,
+    StepEvent,
     StepWindow,
+    TenantSpec,
     iter_synthetic_trace,
     synthetic_trace,
 )
@@ -43,6 +45,18 @@ BLOCK_SIZE = 8
 BUDGET_TOKENS = 256
 MAX_BATCH = 4
 PERCENTILES = (0.0, 25.0, 50.0, 95.0, 99.0, 100.0)
+
+#: perfbench's knee-tenants shape scaled to one MAX_BATCH engine: three
+#: priority classes and an arrival rate well past the knee, so a queue
+#: backlog refills every retirement's slot — admission-heavy windows.
+KNEE_MIX = tuple((TenantSpec(name, cls), 1.0) for name, cls in
+                 (("fg", "interactive"), ("bulk", "batch"),
+                  ("bg", "best_effort")))
+
+
+def knee_kwargs(seed):
+    return dict(arrival_rate_rps=20_000.0, seed=seed, prompt_len=(4, 16),
+                decode_len=(8, 32), tenant_mix=KNEE_MIX)
 
 
 def make_engine(kind, kv_mode, tiny_qweights=None, tp=1, ff=True):
@@ -262,10 +276,10 @@ class TestEventHorizonTiers:
         assert_percentiles_identical(windowed, eager)
 
     def test_retirement_dominated_trace_collapses_windows(self):
-        """Staggered-length decodes with an empty arrival queue: every
-        retirement folds into a segment of the same window, so the
-        whole decode after the admission step is ONE window of
-        MAX_BATCH segments."""
+        """Staggered-length decodes with an empty arrival queue: the
+        admissions fold into the first segment and every retirement
+        into a segment of the same window, so the whole run is ONE
+        window of MAX_BATCH segments."""
         trace = [Request(i, (1, 2, 3), max_new_tokens=12 + 9 * i)
                  for i in range(MAX_BATCH)]
         eager = make_engine("cycle", "slotted", ff=False).run(
@@ -278,6 +292,7 @@ class TestEventHorizonTiers:
         assert report.window_stats == {
             "n_windows": 1, "n_segments": MAX_BATCH,
             "folded_retirements": MAX_BATCH,
+            "folded_admissions": MAX_BATCH,
             "breaks": {reason: 0 for reason in WINDOW_BREAK_REASONS}}
         assert eager.window_stats["n_windows"] == 0
         assert len(eng._recorder.records) < report.n_steps
@@ -312,6 +327,46 @@ class TestEventHorizonTiers:
         assert stats["n_windows"] > 0
         assert stats["breaks"]["arrival"] > 0
         assert sum(stats["breaks"].values()) <= stats["n_windows"]
+        # At the knee every segment start admits: a pass that admits
+        # and charges nothing must not note a break either.
+        knee = make_engine("cycle", "slotted").run(
+            synthetic_trace(TINY_MODEL, 120, **knee_kwargs(2)),
+            telemetry="windows")
+        stats = knee.window_stats
+        assert sum(stats["breaks"].values()) <= stats["n_windows"]
+        assert stats["folded_admissions"] > 0
+
+    @pytest.mark.parametrize("kv_mode", ("slotted", "paged"))
+    @pytest.mark.parametrize("kind", ("cycle", "analytical"))
+    def test_knee_folded_admissions_match_eager(self, kind, kv_mode):
+        """Admissions fold into the windows at segment starts: the
+        materialized and the streamed run both reproduce the eager
+        loop, events included — each admission's count lands on the
+        step that decodes right after it — while only the steps that
+        start from an idle engine stay eager."""
+        n = 120
+        trace = synthetic_trace(TINY_MODEL, n, **knee_kwargs(3))
+        eager_eng = make_engine(kind, kv_mode, ff=False)
+        eager = eager_eng.run(trace)
+        eng = make_engine(kind, kv_mode)
+        windowed = eng.run(trace)
+        assert_reports_identical(windowed, eager)
+        assert eng.events == eager_eng.events
+
+        streamed_eng = make_engine(kind, kv_mode)
+        streamed = streamed_eng.run(
+            iter_synthetic_trace(TINY_MODEL, n, **knee_kwargs(3)),
+            telemetry="windows")
+        assert_reports_identical(streamed, eager)
+        assert streamed_eng.events == eager_eng.events
+        stats = streamed.window_stats
+        assert stats["breaks"]["admission"] == 0
+        assert stats["folded_admissions"] > n // 2
+        eager_steps = [r for r in streamed_eng._recorder.records
+                       if isinstance(r, StepEvent)]
+        assert len(eager_steps) < len(streamed_eng._recorder.records)
+        assert sum(e.admitted for e in eager_steps) \
+            + stats["folded_admissions"] == n
 
     def test_streamed_report_carries_window_stats(self):
         kwargs = dict(arrival_rate_rps=600.0, seed=13,

@@ -316,6 +316,25 @@ class TestBestEffortDrop:
                                  self.run_thrash(ff=False))
 
 
+def count_steps(engine):
+    """Count ``engine``'s eager steps and decode halves: a decode half
+    the window runs after admitting shows as one more decode than
+    steps."""
+    counts = {"step": 0, "decode": 0}
+    step, decode = engine.step, engine._decode_step
+
+    def counted_step():
+        counts["step"] += 1
+        return step()
+
+    def counted_decode(*args):
+        counts["decode"] += 1
+        return decode(*args)
+
+    engine.step, engine._decode_step = counted_step, counted_decode
+    return counts
+
+
 class TestTenancyTiersAgree:
     """Satellite: the differential harness over mixed-tenant traces —
     event-horizon windows == eager across backends, KV modes, and
@@ -352,6 +371,76 @@ class TestTenancyTiersAgree:
         assert eager.preemptions > 0
         windowed = make_engine("cycle", "slotted", budget=64).run(trace)
         assert_reports_identical(windowed, eager)
+
+    @pytest.mark.parametrize("kv_mode", ("slotted", "paged"))
+    def test_quota_knee_folded_admissions_agree(self, kv_mode):
+        """Quota'd tenants past the knee: admissions fold into windows,
+        and where a segment start admits but a tenant's quota then
+        forces an eviction, the window hands that step to the eager
+        decode half.  Materialized and streamed runs both match the
+        eager loop, events included."""
+        kwargs = dict(arrival_rate_rps=20000.0, seed=1,
+                      prompt_len=(3, 10), decode_len=(8, 32),
+                      tenant_mix=MIX)
+        trace = synthetic_trace(TINY_MODEL, 80, **kwargs)
+        eager_eng = make_engine("cycle", kv_mode, ff=False)
+        eager = eager_eng.run(trace)
+        assert eager.preemptions > 0
+        eng = make_engine("cycle", kv_mode)
+        counts = count_steps(eng)
+        assert_reports_identical(eng.run(trace), eager)
+        assert eng.events == eager_eng.events
+        # Owed steps: decode halves the windows ran after admitting.
+        assert counts["decode"] > counts["step"]
+        streamed_eng = make_engine("cycle", kv_mode)
+        streamed = streamed_eng.run(
+            iter_synthetic_trace(TINY_MODEL, 80, **kwargs),
+            telemetry="windows")
+        assert_reports_identical(streamed, eager)
+        assert streamed_eng.events == eager_eng.events
+        assert streamed.window_stats["folded_admissions"] > 40
+
+    def test_pool_blocked_paged_head_folds_agree(self):
+        """A tight paged pool under quota churn: a preempted batch-class
+        head waits on pool capacity and, by strict priority, holds back
+        a best-effort head that would fit — until its own tenant's
+        growth makes it quota-blocked, which hands admission to the
+        best-effort head mid-segment.  Windows must end exactly there,
+        as the eager loop's per-step scan does."""
+        kwargs = dict(arrival_rate_rps=20000.0, seed=0,
+                      prompt_len=(3, 10), decode_len=(8, 32),
+                      tenant_mix=MIX)
+        trace = synthetic_trace(TINY_MODEL, 80, **kwargs)
+        eager_eng = make_engine("cycle", "paged", ff=False, budget=64)
+        eager = eager_eng.run(trace)
+        eng = make_engine("cycle", "paged", budget=64)
+        assert_reports_identical(eng.run(trace), eager)
+        assert eng.events == eager_eng.events
+        streamed = make_engine("cycle", "paged", budget=64).run(
+            iter_synthetic_trace(TINY_MODEL, 80, **kwargs),
+            telemetry="windows")
+        assert_reports_identical(streamed, eager)
+        assert streamed.window_stats["folded_admissions"] > 0
+
+    def test_stream_lookahead_cuts_behind_a_blocked_class(self):
+        """A streamed run sees one request ahead.  When that look-ahead
+        queues behind a pool-blocked head of its own class, a later
+        arrival of another class may still be admissible, so the window
+        must cut at the look-ahead's arrival to see it."""
+        kwargs = dict(arrival_rate_rps=3000.0, seed=288,
+                      prompt_len=(3, 12), decode_len=(2, 48),
+                      tenant_mix=tuple((t, 1.0) for t in (
+                          TenantSpec("fg", "interactive"),
+                          TenantSpec("bulk", "batch"),
+                          TenantSpec("bg", "best_effort"))))
+        eager_eng = make_engine("cycle", "slotted", ff=False, max_batch=8,
+                                budget=48)
+        eager = eager_eng.run(synthetic_trace(TINY_MODEL, 46, **kwargs))
+        eng = make_engine("cycle", "slotted", max_batch=8, budget=48)
+        streamed = eng.run(iter_synthetic_trace(TINY_MODEL, 46, **kwargs),
+                           telemetry="windows")
+        assert_reports_identical(streamed, eager)
+        assert eng.events == eager_eng.events
 
     def test_sharded_tp2_mixed_tenant_tiers_agree(self):
         trace = synthetic_trace(TINY_MODEL, 16, arrival_rate_rps=2000.0,
