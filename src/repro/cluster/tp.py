@@ -38,13 +38,13 @@ from ..engine.backends import (AnalyticalBackend, CycleModelBackend,
 from ..engine.request import RequestState
 from ..errors import CapacityError, SimulationError
 from ..kv import PagedKVCache, blocks_for_budget
-from ..model.kvcache import SlottedKVCache
-from ..model.quantized import attend_grouped
+from ..model.kvcache import SlottedKVCache, store_kv_rows
+from ..model.quantized import (attend_grouped, fuse_projections_t,
+                               mlp_hidden, split_qkv)
 from ..numerics.fp16 import (as_fp16_grid, fp16, fp16_matmul_t,
                              fp16_matvec, fp16_tree_combine)
 from ..numerics.rmsnorm import batched_two_pass_rmsnorm, two_pass_rmsnorm
 from ..numerics.rope import HardwareRope
-from ..numerics.silu import hardware_gated_silu, hardware_silu
 from .interconnect import TEN_GIG_ETHERNET, LinkSpec, TPCommModel
 from .sharding import (FunctionalShard, functional_reduction_is_exact,
                        shard_functional_weights, validate_tp)
@@ -208,15 +208,10 @@ class _ShardWorker:
         self._head_map = np.repeat(np.arange(shard.local_kv_heads), group)
         self._inv_sqrt_d = fp16(1.0 / np.sqrt(cfg.head_dim)) \
             .astype(np.float32)
-        # Float32 copies carrying the FP16-grid weight values — the
-        # tiled kernels' native representation (shard.mats stays float16
-        # for the tiling validators).
-        # (in, out)-contiguous float32 weights for the transposed matmul
-        # kernel (shard.mats stays float16 for the tiling validators).
-        self._mats32_t = [
-            {name: as_fp16_grid(np.asarray(mat, dtype=np.float32).T)
-             for name, mat in layer.items()}
-            for layer in shard.mats]
+        # (in, out)-contiguous fused float32 weights for the transposed
+        # matmul kernel (shard.mats stays float16 for the tiling
+        # validators).
+        self._mats32_t = [fuse_projections_t(layer) for layer in shard.mats]
         self._lm_head32 = as_fp16_grid(shard.lm_head)
         self._lm_head32_t = as_fp16_grid(self._lm_head32.T)
         if kv_mode == "paged":
@@ -263,16 +258,12 @@ class _ShardWorker:
         input_norm, _ = self.shard.norms[layer_idx]
         normed = batched_two_pass_rmsnorm(x, input_norm, cfg.norm_eps)
 
-        local_heads = self.shard.local_heads
-        local_kv = self.shard.local_kv_heads
-        q = self._matmul_t(mats["wq"], normed.T).T \
-            .reshape(-1, local_heads, d)
-        k = self._matmul_t(mats["wk"], normed.T).T.reshape(-1, local_kv, d)
-        v = self._matmul_t(mats["wv"], normed.T).T.reshape(-1, local_kv, d)
+        q, k, v = split_qkv(self._matmul_t(mats["wqkv"], normed.T).T,
+                            self.shard.local_heads,
+                            self.shard.local_kv_heads, d)
         q = self.rope.apply_many(q, positions)
         k = self.rope.apply_many(k, positions)
-        for i, (cache, position) in enumerate(zip(caches, positions)):
-            cache.append(layer_idx, k[i], v[i], position)
+        store_kv_rows(caches, layer_idx, k, v, positions)
         attn = self._attend_many(layer_idx, q, caches,
                                  [p + 1 for p in positions])
         return self._matmul_t(mats["wo"], attn.T).T
@@ -283,12 +274,8 @@ class _ShardWorker:
         mats = self._mats32_t[layer_idx]
         _, post_norm = self.shard.norms[layer_idx]
         normed = batched_two_pass_rmsnorm(x, post_norm, cfg.norm_eps)
-        up = self._matmul_t(mats["w_up"], normed.T)
-        if cfg.gated_mlp:
-            gate = self._matmul_t(mats["w_gate"], normed.T)
-            hidden = hardware_gated_silu(gate, up)
-        else:
-            hidden = hardware_silu(up)
+        hidden = mlp_hidden(self._matmul_t(mats["w_in"], normed.T),
+                            cfg.gated_mlp)
         return self._matmul_t(mats["w_down"], hidden).T
 
     def head_partial(self, normed: np.ndarray) -> np.ndarray:

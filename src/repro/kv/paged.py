@@ -26,7 +26,8 @@ import numpy as np
 
 from ..config import ModelConfig
 from ..errors import CapacityError, SimulationError
-from ..quant.kv8 import kv_dequantize_batch, kv_quantize_batch
+from ..model.kvcache import KV8Append, write_kv8
+from ..quant.kv8 import kv_dequantize_batch
 from .blockpool import BlockPool
 from .prefix import PrefixCache, chain_hashes
 
@@ -448,11 +449,11 @@ class PagedKVCache:
         return bid
 
 
-class PagedSequenceView:
+class PagedSequenceView(KV8Append):
     """One sequence's cache, usable wherever a QuantizedKVCache is.
 
-    Append/read semantics mirror :class:`QuantizedKVCache` exactly —
-    per-head KV8 quantize on write, dequantize on read, reads gated on
+    Append/store/read semantics mirror :class:`QuantizedKVCache` exactly
+    — per-head KV8 quantize on write, dequantize on read, reads gated on
     written scale-zero params — with the storage indirected through the
     sequence's block table.
     """
@@ -467,9 +468,10 @@ class PagedSequenceView:
     def length(self) -> int:
         return self.cache.length(self.seq_id)
 
-    def append(self, layer: int, keys: np.ndarray, values: np.ndarray,
-               position: int) -> None:
-        """Quantize and store one token's K/V head vectors."""
+    def store(self, layer: int, position: int, codes: np.ndarray,
+              scales: np.ndarray, zeros: np.ndarray) -> None:
+        """Store one token's KV8-quantized K/V in its block (see
+        :func:`repro.model.kvcache.write_kv8`)."""
         cache = self.cache
         if position >= self.config.max_context:
             raise SimulationError(
@@ -478,17 +480,9 @@ class PagedSequenceView:
         seq = cache._get(self.seq_id)
         bid = cache._writable_block(seq, position)
         block = cache.pool.storage(bid)
-        offset = position % cache.block_size
-        assert block.k_codes is not None and block.v_codes is not None
-        k_codes, k_scales, k_zeros = kv_quantize_batch(keys, self.kv_bits)
-        v_codes, v_scales, v_zeros = kv_quantize_batch(values, self.kv_bits)
-        block.k_codes[layer, offset] = k_codes
-        block.v_codes[layer, offset] = v_codes
-        block.k_scales[layer, offset] = k_scales
-        block.v_scales[layer, offset] = v_scales
-        block.k_zeros[layer, offset] = k_zeros
-        block.v_zeros[layer, offset] = v_zeros
-        block.written[layer, offset] = True
+        assert block.k_codes is not None
+        write_kv8(block, layer, position % cache.block_size, codes,
+                  scales, zeros)
         if layer == self.config.num_layers - 1:
             seq.length = max(seq.length, position + 1)
 

@@ -4,6 +4,10 @@ The quantized cache mirrors the hardware behaviour: each key/value head
 vector is quantized with :func:`repro.quant.kv8.kv_quantize` the moment it
 is generated (per head, per token), stored as 8-bit codes plus a scale-zero
 pack, and dequantized to FP16 when fetched for the attention dot products.
+The quantization is per head vector, so the batched model paths quantize
+a whole layer's rows in one pass (:func:`store_kv_rows`) and hand each
+cache its row through ``store`` — the write method every KV8 cache
+(this module's and :class:`repro.kv.paged.PagedSequenceView`) provides.
 
 :class:`SlottedKVCache` extends this to multiple concurrent sequences: a
 fixed pool of per-sequence slots with explicit allocate/free, the storage
@@ -52,7 +56,46 @@ class FloatKVCache:
         return self._values[layer, :length]
 
 
-class QuantizedKVCache:
+def store_kv_rows(caches, layer: int, keys: np.ndarray, values: np.ndarray,
+                  positions) -> None:
+    """KV8-quantize row ``i`` of ``keys``/``values`` (each ``(n, kv_heads,
+    head_dim)``) into ``caches[i]`` at ``positions[i]``.
+
+    One quantization pass covers every row and both K and V: each head
+    vector's scale, zero point and codes depend on that vector alone, so
+    the stacked pass is bit-identical to quantizing row by row.
+    """
+    codes, scales, zeros = kv_quantize_batch(
+        np.stack((keys, values), axis=1), caches[0].kv_bits)
+    for i, (cache, position) in enumerate(zip(caches, positions)):
+        cache.store(layer, position, codes[i], scales[i], zeros[i])
+
+
+def write_kv8(dst, layer: int, slot: int, codes: np.ndarray,
+              scales: np.ndarray, zeros: np.ndarray) -> None:
+    """Write one token's quantized K/V (``codes`` ``(2, kv_heads,
+    head_dim)``: K then V, with their ``(2, kv_heads)`` scales and
+    zeros) into ``dst``'s per-layer arrays at ``slot`` — the storage
+    layout a :class:`QuantizedKVCache` and a paged block share."""
+    dst.k_codes[layer, slot], dst.v_codes[layer, slot] = codes
+    dst.k_scales[layer, slot], dst.v_scales[layer, slot] = scales
+    dst.k_zeros[layer, slot], dst.v_zeros[layer, slot] = zeros
+    dst.written[layer, slot] = True
+
+
+class KV8Append:
+    """The per-token write path of a KV8 cache: ``append`` quantizes one
+    token's K/V head vectors (on-chip quant) and hands them to the
+    cache's ``store``."""
+
+    def append(self, layer: int, keys: np.ndarray, values: np.ndarray,
+               position: int) -> None:
+        """Quantize and store one token's ``(kv_heads, head_dim)`` K/V."""
+        store_kv_rows([self], layer, np.asarray(keys)[None],
+                      np.asarray(values)[None], [position])
+
+
+class QuantizedKVCache(KV8Append):
     """KV8 cache: uint8 codes + per-(token, head) scale-zero packs.
 
     Codes, scales, and zero points live in dense arrays so whole-history
@@ -68,13 +111,13 @@ class QuantizedKVCache:
         shape = (config.num_layers, config.max_context,
                  config.kv_heads, config.head_dim)
         params = shape[:-1]
-        self._k_codes = np.zeros(shape, dtype=np.uint8)
-        self._v_codes = np.zeros(shape, dtype=np.uint8)
-        self._k_scales = np.zeros(params, dtype=np.float16)
-        self._v_scales = np.zeros(params, dtype=np.float16)
-        self._k_zeros = np.zeros(params, dtype=np.int64)
-        self._v_zeros = np.zeros(params, dtype=np.int64)
-        self._written = np.zeros(params, dtype=bool)
+        self.k_codes = np.zeros(shape, dtype=np.uint8)
+        self.v_codes = np.zeros(shape, dtype=np.uint8)
+        self.k_scales = np.zeros(params, dtype=np.float16)
+        self.v_scales = np.zeros(params, dtype=np.float16)
+        self.k_zeros = np.zeros(params, dtype=np.int64)
+        self.v_zeros = np.zeros(params, dtype=np.int64)
+        self.written = np.zeros(params, dtype=bool)
         self.length = 0
         self._released = False
 
@@ -92,30 +135,22 @@ class QuantizedKVCache:
             raise SimulationError(
                 "KV cache used after its slot was freed")
 
-    def append(self, layer: int, keys: np.ndarray, values: np.ndarray,
-               position: int) -> None:
-        """Quantize and store one token's K/V head vectors (on-chip quant)."""
+    def store(self, layer: int, position: int, codes: np.ndarray,
+              scales: np.ndarray, zeros: np.ndarray) -> None:
+        """Store one token's KV8-quantized K/V (see :func:`write_kv8`)."""
         self._guard()
         if position >= self.config.max_context:
             raise SimulationError(
                 f"position {position} exceeds context {self.config.max_context}"
             )
-        k_codes, k_scales, k_zeros = kv_quantize_batch(keys, self.kv_bits)
-        v_codes, v_scales, v_zeros = kv_quantize_batch(values, self.kv_bits)
-        self._k_codes[layer, position] = k_codes
-        self._v_codes[layer, position] = v_codes
-        self._k_scales[layer, position] = k_scales
-        self._v_scales[layer, position] = v_scales
-        self._k_zeros[layer, position] = k_zeros
-        self._v_zeros[layer, position] = v_zeros
-        self._written[layer, position] = True
+        write_kv8(self, layer, position, codes, scales, zeros)
         if layer == self.config.num_layers - 1:
             self.length = max(self.length, position + 1)
 
     def _check_written(self, layer: int, length: int,
                        head: int | None = None) -> None:
         self._guard()
-        written = self._written[layer, :length]
+        written = self.written[layer, :length]
         if head is not None:
             written = written[:, head]
         if not written.all():
@@ -128,15 +163,15 @@ class QuantizedKVCache:
     def keys(self, layer: int, head: int, length: int) -> np.ndarray:
         """Dequantized FP16 keys: (length, head_dim) for one head."""
         self._check_written(layer, length, head)
-        return kv_dequantize_batch(self._k_codes[layer, :length, head],
-                                   self._k_scales[layer, :length, head],
-                                   self._k_zeros[layer, :length, head])
+        return kv_dequantize_batch(self.k_codes[layer, :length, head],
+                                   self.k_scales[layer, :length, head],
+                                   self.k_zeros[layer, :length, head])
 
     def values(self, layer: int, head: int, length: int) -> np.ndarray:
         self._check_written(layer, length, head)
-        return kv_dequantize_batch(self._v_codes[layer, :length, head],
-                                   self._v_scales[layer, :length, head],
-                                   self._v_zeros[layer, :length, head])
+        return kv_dequantize_batch(self.v_codes[layer, :length, head],
+                                   self.v_scales[layer, :length, head],
+                                   self.v_zeros[layer, :length, head])
 
     def keys_reference(self, layer: int, head: int,
                        length: int) -> np.ndarray:
@@ -149,9 +184,9 @@ class QuantizedKVCache:
         out = np.zeros((length, self.config.head_dim), dtype=np.float16)
         for pos in range(length):
             params = KVQuantParams(
-                scale=self._k_scales[layer, pos, head],
-                zero=int(self._k_zeros[layer, pos, head]))
-            out[pos] = kv_dequantize(self._k_codes[layer, pos, head],
+                scale=self.k_scales[layer, pos, head],
+                zero=int(self.k_zeros[layer, pos, head]))
+            out[pos] = kv_dequantize(self.k_codes[layer, pos, head],
                                      params)
         return out
 
@@ -165,9 +200,9 @@ class QuantizedKVCache:
         out = np.zeros((length, self.config.head_dim), dtype=np.float16)
         for pos in range(length):
             params = KVQuantParams(
-                scale=self._v_scales[layer, pos, head],
-                zero=int(self._v_zeros[layer, pos, head]))
-            out[pos] = kv_dequantize(self._v_codes[layer, pos, head],
+                scale=self.v_scales[layer, pos, head],
+                zero=int(self.v_zeros[layer, pos, head]))
+            out[pos] = kv_dequantize(self.v_codes[layer, pos, head],
                                      params)
         return out
 
@@ -181,18 +216,18 @@ class QuantizedKVCache:
         float32 (the attention kernels' native representation).
         """
         self._check_written(layer, length)
-        out = kv_dequantize_batch(self._k_codes[layer, :length],
-                                  self._k_scales[layer, :length],
-                                  self._k_zeros[layer, :length],
+        out = kv_dequantize_batch(self.k_codes[layer, :length],
+                                  self.k_scales[layer, :length],
+                                  self.k_zeros[layer, :length],
                                   dtype=dtype)
         return out.transpose(1, 0, 2)
 
     def values_batch(self, layer: int, length: int,
                      dtype=np.float16) -> np.ndarray:
         self._check_written(layer, length)
-        out = kv_dequantize_batch(self._v_codes[layer, :length],
-                                  self._v_scales[layer, :length],
-                                  self._v_zeros[layer, :length],
+        out = kv_dequantize_batch(self.v_codes[layer, :length],
+                                  self.v_scales[layer, :length],
+                                  self.v_zeros[layer, :length],
                                   dtype=dtype)
         return out.transpose(1, 0, 2)
 

@@ -15,12 +15,15 @@ is algebraically identical and keeps the pipeline readable.
 Batching note: every hot path here is vectorized — all attention heads
 per token (:meth:`QuantizedModel._attention`), all prompt positions per
 layer (:meth:`QuantizedModel.prefill`), and all concurrent sequences per
-decode step (:meth:`QuantizedModel.forward_batch`).  Each added batch
-axis stacks *independent* reductions of identical length, which the
-tile/tree kernels of :mod:`repro.numerics.fp16` round identically, so
-the vectorized model emits bit-for-bit the token streams of the scalar
-reference (pinned by ``tests/test_backend_equivalence.py`` and the
-kernel property tests).
+decode step (:meth:`QuantizedModel.forward_batch`), with Q/K/V and
+gate/up fused into one matmul each (:func:`fuse_projections_t`) and the
+rows' attention padded into one group (:func:`attend_grouped`).  Each
+added batch axis stacks *independent* reductions whose schedule depends
+only on their own length, which the tile/tree kernels of
+:mod:`repro.numerics.fp16` round identically, so the vectorized model
+emits bit-for-bit the logits of the scalar reference (pinned by
+``tests/test_backend_equivalence.py``, the kernel property tests and
+the frozen logits golden).
 """
 
 from __future__ import annotations
@@ -36,59 +39,113 @@ from ..numerics.rmsnorm import batched_two_pass_rmsnorm, two_pass_rmsnorm
 from ..numerics.rope import HardwareRope
 from ..numerics.silu import hardware_gated_silu, hardware_silu
 from ..numerics.softmax import batched_three_pass_softmax
-from .kvcache import QuantizedKVCache
+from .kvcache import QuantizedKVCache, store_kv_rows
 from .weights import QuantizedModelWeights
 
 
 def attend_grouped(q: np.ndarray, caches, layer_idx: int, lengths,
                    head_map: np.ndarray, inv_sqrt_d: np.float32,
                    lanes: int) -> np.ndarray:
-    """Scaled-dot attention for several rows of heads in as few kernel
-    calls as their context lengths allow.
+    """Scaled-dot attention for several rows of heads in one kernel call
+    per stage.
 
     ``q`` is (n, heads, head_dim) rotated queries with one KV cache and
     context length per row; ``head_map`` maps each query head to its
-    (GQA-shared) KV head.  The tile/tree schedule depends only on the
-    reduction length, so rows with EQUAL context lengths stack along
-    the head axis into one kernel call per stage (sequences admitted
-    together decode in lockstep, so whole batches usually share one
-    length); unequal rows fall into separate groups.  Returns
-    (n, heads * head_dim), row-bit-identical either way.
+    (GQA-shared) KV head.  Every row rides one group padded to the
+    longest context: each distinct cache is gathered (and dequantized)
+    once, at the longest length any row asks of it; keys pad with 0,
+    values with -0.0, and padded scores become -inf after the scale
+    multiply.  Each row's result is bit-identical to an unpadded call
+    of its own length:
 
-    Shared by the single-device model and every tensor-parallel shard
-    worker — one copy of the rounding-schedule-critical staging.
+    * ``exp(-inf) = +0``, so the serial softmax normalizer of the real
+      prefix is unchanged (``d + 0 == d``) and padded probabilities are
+      +0;
+    * every padded product ``+0 * -0.0`` is -0.0 and ``x + (-0.0) ==
+      x`` for every x, so the tile/tree sums — which pair ``(2i, 2i+1)``
+      from the front — reduce the real prefix exactly as before, level
+      by level.  (A +0.0 pad would turn a -0.0 partial sum into +0.0;
+      only the +0-initialized tile accumulator would then hide it.)
+
+    Returns (n, heads * head_dim).  Shared by the single-device model
+    and every tensor-parallel shard worker — one copy of the
+    rounding-schedule-critical staging.
     """
-    n, heads = q.shape[0], q.shape[1]
-    groups: dict[int, list[int]] = {}
-    for i, length in enumerate(lengths):
-        groups.setdefault(length, []).append(i)
-    out = [None] * n
-    for length, idxs in groups.items():
-        k_parts = [caches[i].keys_batch(layer_idx, length,
-                                        dtype=np.float32)[head_map]
-                   for i in idxs]
-        v_parts = [caches[i].values_batch(layer_idx, length,
-                                          dtype=np.float32)[head_map]
-                   for i in idxs]
-        if len(idxs) == 1:
-            keys, values, qs = k_parts[0], v_parts[0], q[idxs[0]]
-        else:
-            # Concatenation of on-grid gathers stays on the grid;
-            # re-certify so the kernels skip the re-rounding pass.
-            keys = as_fp16_grid(np.concatenate(k_parts))
-            values = as_fp16_grid(np.concatenate(v_parts))
-            qs = np.concatenate([q[i] for i in idxs])
-        # DOT of the rotated query against each (dequantized) cached
-        # key, then the scaling multiplier (Fig. 5B).
-        scores = fp16_batched_scores(keys, qs, lanes=lanes)
-        scores = fp16(scores.astype(np.float32) * inv_sqrt_d)
-        probs = batched_three_pass_softmax(scores)
-        # Scaled-dot: values weighted by softmax probabilities.
-        weighted = fp16_batched_weighted_values(values, probs,
-                                                lanes=lanes)
-        for j, i in enumerate(idxs):
-            out[i] = weighted[j * heads : (j + 1) * heads].reshape(-1)
-    return np.stack(out)
+    n, heads, d = q.shape
+    width = max(lengths)
+    longest: dict[int, tuple] = {}
+    for cache, length in zip(caches, lengths):
+        held = longest.get(id(cache))
+        if held is None or held[1] < length:
+            longest[id(cache)] = (cache, length)
+    gathered = {key: (cache.keys_batch(layer_idx, length, dtype=np.float32),
+                      cache.values_batch(layer_idx, length,
+                                         dtype=np.float32))
+                for key, (cache, length) in longest.items()}
+    kv_heads = caches[0].config.kv_heads
+    keys = np.zeros((n, kv_heads, width, d), dtype=np.float32)
+    values = np.full((n, kv_heads, width, d), -0.0, dtype=np.float32)
+    for i, (cache, length) in enumerate(zip(caches, lengths)):
+        k, v = gathered[id(cache)]
+        keys[i, :, :length] = k[:, :length]
+        values[i, :, :length] = v[:, :length]
+    # Padded on-grid gathers stay on the grid; certify them so the
+    # kernels skip the re-rounding pass.
+    keys = as_fp16_grid(keys[:, head_map].reshape(n * heads, width, d))
+    values = as_fp16_grid(values[:, head_map].reshape(n * heads, width, d))
+    # DOT of the rotated query against each (dequantized) cached key,
+    # then the scaling multiplier (Fig. 5B).
+    scores = fp16_batched_scores(keys, q.reshape(n * heads, d), lanes=lanes)
+    scores = fp16(scores.astype(np.float32) * inv_sqrt_d)
+    pad = np.arange(width) >= np.asarray(lengths)[:, None]
+    scores = np.where(pad[:, None, :], np.float16(-np.inf),
+                      scores.reshape(n, heads, width))
+    probs = batched_three_pass_softmax(scores.reshape(n * heads, width))
+    # Scaled-dot: values weighted by softmax probabilities.
+    weighted = fp16_batched_weighted_values(values, probs, lanes=lanes)
+    return weighted.reshape(n, heads * d)
+
+
+def fuse_projections_t(mats) -> dict[str, np.ndarray]:
+    """One layer's (in, out)-contiguous weights for the batched paths,
+    with the projections that read the same input fused along ``out``
+    (operator fusion): ``wqkv`` = Q|K|V and ``w_in`` = gate|up (just up
+    for ungated MLPs); ``wo`` and ``w_down`` stay alone.
+
+    Every output column of :func:`fp16_matmul_t` is its own reduction
+    over ``in``, on a schedule that depends only on ``in``, so each
+    column block of a fused matmul is bit-identical to the matmul of
+    its own projection.
+    """
+    def cat(*names):
+        return as_fp16_grid(np.concatenate(
+            [np.asarray(mats[name], dtype=np.float32).T for name in names],
+            axis=1))
+
+    mlp_in = ("w_gate", "w_up") if "w_gate" in mats else ("w_up",)
+    return {"wqkv": cat("wq", "wk", "wv"), "wo": cat("wo"),
+            "w_in": cat(*mlp_in), "w_down": cat("w_down")}
+
+
+def split_qkv(qkv: np.ndarray, heads: int, kv_heads: int,
+              head_dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split the (n, q + k + v) output of a fused ``wqkv`` matmul into
+    (n, heads, head_dim) queries and (n, kv_heads, head_dim) keys and
+    values."""
+    q_end = heads * head_dim
+    k_end = q_end + kv_heads * head_dim
+    return (qkv[:, :q_end].reshape(-1, heads, head_dim),
+            qkv[:, q_end:k_end].reshape(-1, kv_heads, head_dim),
+            qkv[:, k_end:].reshape(-1, kv_heads, head_dim))
+
+
+def mlp_hidden(h: np.ndarray, gated: bool) -> np.ndarray:
+    """The MLP activation over a fused ``w_in`` matmul output ``h``
+    (gate rows above up rows when ``gated``)."""
+    if not gated:
+        return hardware_silu(h)
+    inter = h.shape[0] // 2
+    return hardware_gated_silu(h[:inter], h[inter:])
 
 
 class QuantizedModel:
@@ -111,10 +168,9 @@ class QuantizedModel:
             mats = {name: as_fp16_grid(fp16(result.effective_weight()))
                     for name, result in layer.items()}
             self._mats.append(mats)
-            # (in, out)-contiguous twins: the layout fp16_matmul_t feeds
-            # the adder tree without a per-call axis move.
-            self._mats_t.append({name: as_fp16_grid(mat.T)
-                                 for name, mat in mats.items()})
+            # (in, out)-contiguous fused twins: the layout fp16_matmul_t
+            # feeds the adder tree without a per-call axis move.
+            self._mats_t.append(fuse_projections_t(mats))
         self._head = as_fp16_grid(fp16(qweights.lm_head.effective_weight()))
         self._head_t = as_fp16_grid(self._head.T)
         # Which KV head serves each query head (GQA replication map).
@@ -191,14 +247,42 @@ class QuantizedModel:
         mats = self._mats_t[layer_idx]
         _, post_norm = self.qweights.norms[layer_idx]
         normed = batched_two_pass_rmsnorm(x, post_norm, cfg.norm_eps)
-        up = self._matmul_t(mats["w_up"], normed.T)
-        if cfg.gated_mlp:
-            gate = self._matmul_t(mats["w_gate"], normed.T)
-            hidden = hardware_gated_silu(gate, up)
-        else:
-            hidden = hardware_silu(up)
+        hidden = mlp_hidden(self._matmul_t(mats["w_in"], normed.T),
+                            cfg.gated_mlp)
         down = self._matmul_t(mats["w_down"], hidden)
         return fp16(x.astype(np.float32) + down.T.astype(np.float32))
+
+    def _forward_rows(self, tokens, caches, positions) -> np.ndarray:
+        """A stack of tokens through every layer; (n, hidden) out.
+
+        Row ``i`` owns ``caches[i]`` and ``positions[i]`` — n concurrent
+        sequences (decode), or n prompt positions of one sequence
+        (prefill: the same cache repeated; every row's K/V is stored
+        before any row attends, which matches the sequential order
+        because a causal row never reads past its own position).  The
+        projections of all rows run as one fused matmul per layer stage
+        (the weight stream is read once — the GEMM reuse the paper
+        reserves for prefill, and the amortization the batched cycle
+        model charges); attention rides one padded group per layer.
+        """
+        cfg = self.config
+        x = fp16(np.stack([self.embed(t) for t in tokens]))
+        lengths = [p + 1 for p in positions]
+        for layer_idx in range(cfg.num_layers):
+            mats = self._mats_t[layer_idx]
+            input_norm, _ = self.qweights.norms[layer_idx]
+            normed = batched_two_pass_rmsnorm(x, input_norm, cfg.norm_eps)
+            q, k, v = split_qkv(self._matmul_t(mats["wqkv"], normed.T).T,
+                                cfg.num_heads, cfg.kv_heads, cfg.head_dim)
+            q = self.rope.apply_many(q, positions)
+            k = self.rope.apply_many(k, positions)
+            # On-chip KV8 quantization as K/V are generated (Sec. IV-B).
+            store_kv_rows(caches, layer_idx, k, v, positions)
+            attn = self._attend_many(q, caches, layer_idx, lengths)
+            out = self._matmul_t(mats["wo"], attn.T)
+            x = fp16(x.astype(np.float32) + out.T.astype(np.float32))
+            x = self._mlp_batch(layer_idx, x)
+        return x
 
     # -- public API ----------------------------------------------------------
 
@@ -281,11 +365,9 @@ class QuantizedModel:
         final prompt token is always forwarded — its logits seed the first
         sample — so ``start`` must stay below ``len(tokens)``.
 
-        All forwarded positions run each layer as ONE projection matmul
-        (the GEMM reuse the paper reserves for prefill); only the
-        causally-masked attention reductions stay per position, since
-        position ``p`` attends over ``p + 1`` cached tokens and the
-        tile/tree schedule depends on that length.
+        All forwarded positions run each layer as ONE fused projection
+        matmul and ONE padded attention group (causally masked: position
+        ``p`` attends over ``p + 1`` cached tokens).
         """
         if not tokens:
             raise SimulationError("prefill requires at least one token")
@@ -298,31 +380,11 @@ class QuantizedModel:
             raise SimulationError(
                 f"prefill start {start} beyond the cache's "
                 f"{cache.length} stored tokens")
-        cfg = self.config
         positions = list(range(start, len(tokens)))
-        x = fp16(np.stack([self.embed(tokens[p]) for p in positions]))
-        for layer_idx in range(cfg.num_layers):
-            mats = self._mats_t[layer_idx]
-            input_norm, _ = self.qweights.norms[layer_idx]
-            normed = batched_two_pass_rmsnorm(x, input_norm, cfg.norm_eps)
-            q = self._matmul_t(mats["wq"], normed.T).T \
-                .reshape(-1, cfg.num_heads, cfg.head_dim)
-            k = self._matmul_t(mats["wk"], normed.T).T \
-                .reshape(-1, cfg.kv_heads, cfg.head_dim)
-            v = self._matmul_t(mats["wv"], normed.T).T \
-                .reshape(-1, cfg.kv_heads, cfg.head_dim)
-            q = self.rope.apply_many(q, positions)
-            k = self.rope.apply_many(k, positions)
-            for i, position in enumerate(positions):
-                cache.append(layer_idx, k[i], v[i], position)
-            attn = self._attend_many(q, [cache] * len(positions),
-                                     layer_idx,
-                                     [p + 1 for p in positions])
-            out = self._matmul_t(mats["wo"], attn.T)
-            x = fp16(x.astype(np.float32) + out.T.astype(np.float32))
-            x = self._mlp_batch(layer_idx, x)
+        x = self._forward_rows([tokens[p] for p in positions],
+                               [cache] * len(positions), positions)
         last = two_pass_rmsnorm(x[-1], self.qweights.final_norm,
-                                cfg.norm_eps)
+                                self.config.norm_eps)
         return self._matvec(self._head, last), cache
 
     def decode_step(self, token: int, cache: QuantizedKVCache,
@@ -335,39 +397,18 @@ class QuantizedModel:
 
         Each sequence owns its cache and position; the per-layer
         projections of all sequences run as one stacked matmul per
-        weight matrix (the weight stream is read once — the same
-        amortization the batched cycle model charges), while the
-        attention reductions stay per sequence, each over its own
-        context length.  Row ``i`` is bit-identical to
+        weight stage, and the attention reductions, each over its own
+        context length, ride one padded group (see
+        :meth:`_forward_rows`).  Row ``i`` is bit-identical to
         ``decode_step(tokens[i], caches[i], positions[i])``.
         """
         if not (len(tokens) == len(caches) == len(positions)):
             raise SimulationError(
                 f"forward_batch arity mismatch: {len(tokens)} tokens, "
                 f"{len(caches)} caches, {len(positions)} positions")
-        cfg = self.config
-        x = fp16(np.stack([self.embed(t) for t in tokens]))
-        for layer_idx in range(cfg.num_layers):
-            mats = self._mats_t[layer_idx]
-            input_norm, _ = self.qweights.norms[layer_idx]
-            normed = batched_two_pass_rmsnorm(x, input_norm, cfg.norm_eps)
-            q = self._matmul_t(mats["wq"], normed.T).T \
-                .reshape(-1, cfg.num_heads, cfg.head_dim)
-            k = self._matmul_t(mats["wk"], normed.T).T \
-                .reshape(-1, cfg.kv_heads, cfg.head_dim)
-            v = self._matmul_t(mats["wv"], normed.T).T \
-                .reshape(-1, cfg.kv_heads, cfg.head_dim)
-            q = self.rope.apply_many(q, positions)
-            k = self.rope.apply_many(k, positions)
-            for i, (cache, position) in enumerate(zip(caches, positions)):
-                cache.append(layer_idx, k[i], v[i], position)
-            attn = self._attend_many(q, caches, layer_idx,
-                                     [p + 1 for p in positions])
-            out = self._matmul_t(mats["wo"], attn.T)
-            x = fp16(x.astype(np.float32) + out.T.astype(np.float32))
-            x = self._mlp_batch(layer_idx, x)
+        x = self._forward_rows(tokens, caches, positions)
         normed = batched_two_pass_rmsnorm(x, self.qweights.final_norm,
-                                          cfg.norm_eps)
+                                          self.config.norm_eps)
         return self._matmul_t(self._head_t, normed.T).T
 
     def generate(self, prompt: list[int], max_new_tokens: int,

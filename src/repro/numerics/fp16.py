@@ -51,68 +51,102 @@ def fp16_add(a, b) -> np.ndarray:
     return fp16(a16 + b16)
 
 
+#: Arrays up to this size round through NumPy's half casts: they are
+#: ufunc-dispatch-bound, so the two casts (one dispatch each) beat the
+#: multi-op float32 paths below.
+_SMALL = 1024
+#: The float32 exponent field, clamped to FP16's normal binades
+#: [2^-14, 2^15] — below 2^-14 FP16's spacing stays at 2^-24
+#: (subnormals); above 2^15 every value overflows anyway.
+_EXP_FIELD = np.uint32(0x7F800000)
+_EXP_MIN = np.uint32((127 - 14) << 23)
+_EXP_MAX = np.uint32((127 + 15) << 23)
+#: Exponent field of 2^e -> bit pattern of C = 1.5 * 2^(e + 13).
+_SNAP_OFFSET = np.uint32((13 << 23) | (1 << 22))
+_SIGN_BIT = np.uint32(0x80000000)
 #: Dekker split constant: 2^13 + 1 — splitting at 13 bits leaves an
 #: 11-bit significand, FP16's precision.
 _SPLIT = np.float32(8193.0)
-_TWO24 = np.float32(16777216.0)        # 2^24
-#: 1.5 * 2^23 — adding it parks any |v| < 2^22 in [2^23, 2^24), where
-#: the float32 ulp is exactly 1, so the add rounds v to an integer with
-#: ties-to-even (plain 2^23 would fail: just below it the ulp is 0.5).
-_SNAP = np.float32(12582912.0)
-_INV_TWO24 = np.float32(5.9604644775390625e-08)   # 2^-24, exact
-_FP16_TINY_NORMAL = np.float32(6.103515625e-05)   # 2^-14
-_FP16_INF_THRESHOLD = np.float32(65520.0)  # halfway above FP16_MAX -> inf
+#: Scaling an FP16-grid value by 2^112 overflows float32 exactly when
+#: it is >= 2^16 (65504 * 2^112 is still finite); scaling back is exact.
+_OVERFLOW_UP = np.float32(2.0 ** 112)
+_OVERFLOW_DOWN = np.float32(2.0 ** -112)
+#: Sums clamp here first so an infinite operand keeps the split finite;
+#: any magnitude >= 65520 becomes inf either way.
+_SUM_CLAMP = np.float32(2.0 ** 17)
 
 
 def fp16_round_f32(x: np.ndarray) -> np.ndarray:
     """Round float32 values onto the FP16 grid, staying in float32.
 
     Bit-identical to ``x.astype(float16).astype(float32)`` for every
-    finite and infinite input (pinned over all half bit patterns by the
-    kernel property tests; NaNs are not defined data in this model),
-    but built from a handful of SIMD-friendly float32 ops instead of
-    NumPy's scalar half casts — the hot-loop rounding primitive of the
-    tiled kernels.
+    non-NaN float32 input (pinned per binade in tier-1 and over all 2^32
+    bit patterns by ``tests/exhaustive_fp16.py``; NaNs are not defined
+    data in this model), but built from a fixed sequence of SIMD-friendly
+    whole-array ops instead of NumPy's scalar half casts — no mask, no
+    reduction, no data-dependent branch:
 
-    * normals — a Dekker split at 13 bits: ``c - (c - x)`` with
-      ``c = (2^13 + 1) * x`` rounds to an 11-bit significand with the
-      FPU's own round-to-nearest-even;
-    * FP16 subnormals (|x| < 2^-14) — snap to multiples of 2^-24 via
-      the classic add-2^23 integer-rounding trick (sign restored so
-      negative underflow keeps its -0.0);
-    * overflow (|x| >= 65520, including inf) — +/-inf, as the FP16 cast
-      produces.
+    * ``C = 1.5 * 2^(e + 13)``, built with integer ops from x's exponent
+      field ``e`` clamped to [-14, 15].  ``x + C`` lands in a binade
+      whose float32 spacing is x's FP16 spacing (2^-24 for FP16
+      subnormals), so ``(x + C) - C`` rounds x to the FP16 grid with the
+      FPU's own ties-to-even, and the subtraction is exact;
+    * OR-ing x's sign bit back in restores -0.0 for negative values
+      that round to zero (every other result already carries x's sign);
+    * ``* 2^112 * 2^-112`` turns exactly the results >= 2^16 (inputs
+      >= 65520, the halfway point above 65504) into +/-inf.
     """
     x = np.asarray(x, dtype=np.float32)
-    if x.size <= 1024:
-        # Small arrays are ufunc-dispatch-bound: the two half casts (one
-        # dispatch each) beat the multi-op float path, and are the very
-        # definition of the rounding being computed.
-        with np.errstate(over="ignore"):
-            return x.astype(np.float16).astype(np.float32)
-    shape = x.shape
-    if x.ndim == 0:
-        x = x.reshape(1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        # inf inputs (FP16 overflow upstream) make the split compute
-        # inf - inf before the overflow branch repairs them — silence
-        # the transient, the fixup below restores the correct +/-inf.
-        c = x * _SPLIT
-        hi = c - (c - x)
-    ax = np.abs(x)
-    # NaN-ignoring range probes: a NaN (from upstream FP16 overflow
-    # arithmetic, e.g. inf - inf) must not mask genuine subnormal or
-    # overflow elements elsewhere in the array.
-    if np.fmin.reduce(ax, axis=None) < _FP16_TINY_NORMAL:
-        # Fix up only the affected elements (typically a few percent).
-        mask = ax < _FP16_TINY_NORMAL
-        xt = x[mask]
-        snapped = (xt * _TWO24 + _SNAP) - _SNAP
-        hi[mask] = np.copysign(snapped * _INV_TWO24, xt)
-    if np.fmax.reduce(ax, axis=None) >= _FP16_INF_THRESHOLD:
-        mask = ax >= _FP16_INF_THRESHOLD
-        hi[mask] = np.copysign(np.float32(np.inf), x[mask])
-    return hi.reshape(shape)
+    with np.errstate(over="ignore"):
+        return _round_f32(x)
+
+
+def _round_f32(x: np.ndarray) -> np.ndarray:
+    """:func:`fp16_round_f32` of a float32 ndarray, without its
+    ``errstate`` — callers silence float overflow themselves (the tiled
+    kernels do it once per call rather than once per rounding)."""
+    if x.size <= _SMALL:
+        return x.astype(np.float16).astype(np.float32)
+    bits = x.view(np.uint32)
+    snap = np.bitwise_and(bits, _EXP_FIELD)
+    snap.clip(_EXP_MIN, _EXP_MAX, out=snap)
+    snap += _SNAP_OFFSET
+    hi = x + snap.view(np.float32)
+    hi -= snap.view(np.float32)
+    np.bitwise_and(bits, _SIGN_BIT, out=snap)
+    hi_bits = hi.view(np.uint32)
+    hi_bits |= snap
+    hi *= _OVERFLOW_UP
+    hi *= _OVERFLOW_DOWN
+    return hi
+
+
+def _round_sum_f32(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``fp16_round_f32(a + b)`` for FP16-grid float32 operands — the
+    adder-tree levels and FP16 tile accumulators.
+
+    Such a sum needs no subnormal handling: below 2^-14 it is an exact
+    multiple of 2^-24 with fewer than 11 significant bits, which the
+    Dekker split ``c - (c - s)``, ``c = (2^13 + 1) * s`` leaves as is,
+    and above it the split rounds to FP16's 11 bits ties-to-even.  The
+    float32 add before it is harmless double rounding (24 >= 2 * 11 + 2,
+    Figueroa 1995).  Pinned against the half casts over every finite
+    FP16 pair by ``tests/exhaustive_fp16.py``.  Callers silence float
+    overflow, as for :func:`_round_f32`.
+
+    Seven whole-array passes against ten for ``_round_f32(a + b)``;
+    sums are about half of all roundings in a forward pass.
+    """
+    s = a + b
+    if s.size <= _SMALL:
+        return s.astype(np.float16).astype(np.float32)
+    s.clip(-_SUM_CLAMP, _SUM_CLAMP, out=s)
+    hi = s * _SPLIT
+    np.subtract(hi, s, out=s)
+    np.subtract(hi, s, out=hi)
+    hi *= _OVERFLOW_UP
+    hi *= _OVERFLOW_DOWN
+    return hi
 
 
 class FP16GridArray(np.ndarray):
@@ -160,10 +194,12 @@ def _as_rounded_f32(x) -> np.ndarray:
     Float16 input upcasts (exact); anything else rounds onto the grid
     with :func:`fp16_round_f32` — the same values ``fp16(x)`` would
     produce, kept in float32 so the tiled kernels never touch NumPy's
-    scalar half casts on their inputs.
+    scalar half casts on their inputs.  A certified
+    :class:`FP16GridArray` comes back as a plain ndarray view, so the
+    kernel's arithmetic on it skips ``__array_ufunc__`` dispatch.
     """
     if isinstance(x, FP16GridArray):
-        return x
+        return x.view(np.ndarray)
     x = np.asarray(x)
     if x.dtype == np.float16:
         return x.astype(np.float32)
@@ -181,17 +217,20 @@ def _tree_reduce_last(level: np.ndarray) -> np.ndarray:
     Layout: the reduction axis is moved to the front once, so every
     pair-sum touches two contiguous slabs of rows (the stride-2 pair
     picking happens across whole slabs, not per element), and the
-    levels stay in float32 carrying FP16-grid values, rounded by
-    :func:`fp16_round_f32` — the values and rounding schedule are
-    unchanged, only the memory traversal and dtype plumbing are.
+    levels stay in float32 carrying FP16-grid values, each pair sum
+    rounded by :func:`_round_sum_f32` — the values and rounding
+    schedule are unchanged, only the memory traversal and dtype
+    plumbing are.
     """
-    return _tree_reduce_f32(np.asarray(level, dtype=np.float32)) \
-        .astype(np.float16)
+    with np.errstate(over="ignore"):
+        return _tree_reduce_f32(np.asarray(level, dtype=np.float32)) \
+            .astype(np.float16)
 
 
 def _tree_reduce_f32(level: np.ndarray) -> np.ndarray:
     """:func:`_tree_reduce_last` on float32 carrying FP16-grid values,
-    returning the same representation (see :func:`fp16_round_f32`)."""
+    returning the same representation (callers silence float overflow,
+    see :func:`_round_f32`)."""
     lead = level.shape[:-1]
     rows = np.ascontiguousarray(
         np.moveaxis(level, -1, 0).reshape(level.shape[-1], -1))
@@ -207,8 +246,8 @@ def _tree_reduce_axis0(rows: np.ndarray) -> np.ndarray:
     width = rows.shape[0]
     while width > 1:
         pairs = width // 2
-        summed = fp16_round_f32(rows[: 2 * pairs : 2]
-                                + rows[1 : 2 * pairs : 2])
+        summed = _round_sum_f32(rows[: 2 * pairs : 2],
+                                rows[1 : 2 * pairs : 2])
         if width % 2:
             summed = np.concatenate([summed, rows[-1:]], axis=0)
         rows = summed
@@ -252,18 +291,17 @@ def fp16_tiled_reduce(a, b, lanes: int = 128) -> np.ndarray:
     n = a32.shape[-1]
     out_shape = np.broadcast_shapes(a32.shape[:-1], b32.shape[:-1])
     acc = np.zeros(out_shape, dtype=np.float32)
-    for start in range(0, n, lanes):
-        # Multiplier array, adder tree, and FP16 tile accumulator, all
-        # in float32 carrying FP16-grid values (fp16_round_f32 after
-        # every op — the identical per-op rounding, minus the half
-        # casts); one cast back to float16 at the very end.
-        products = fp16_round_f32(a32[..., start : start + lanes]
+    with np.errstate(over="ignore"):
+        for start in range(0, n, lanes):
+            # Multiplier array, adder tree, and FP16 tile accumulator,
+            # all in float32 carrying FP16-grid values (rounded after
+            # every op — the identical per-op rounding, minus the half
+            # casts); one cast back to float16 at the very end.
+            products = _round_f32(a32[..., start : start + lanes]
                                   * b32[..., start : start + lanes])
-        partial = _tree_reduce_f32(products)
-        acc = fp16_round_f32(acc + partial)
-    # plain ndarray out: a derived result must not inherit the
-    # FP16GridArray certificate from a marked input
-    return np.asarray(acc).astype(np.float16)
+            partial = _tree_reduce_f32(products)
+            acc = _round_sum_f32(acc, partial)
+    return acc.astype(np.float16)
 
 
 def fp16_matvec(w, x, lanes: int = 128) -> np.ndarray:
@@ -315,19 +353,20 @@ def fp16_matmul_t(w_t, x, lanes: int = 128) -> np.ndarray:
     if w32.ndim != 2 or x32.ndim != 2 or w32.shape[0] != x32.shape[0]:
         raise ValueError(
             f"matmul_t shape mismatch: {w32.shape} vs {x32.shape}")
-    n = w32.shape[0]
+    n, width = w32.shape
+    batch = x32.shape[1]
     # (tile, batch, out) product layout: the broadcast keeps the long
     # `out` axis innermost (contiguous SIMD runs) and the tree reduces
     # axis 0 over contiguous slabs; the result transposes back to
     # (out, batch) as a view.  Same products, same pairing order.
-    acc = np.zeros((x32.shape[1], w32.shape[1]), dtype=np.float32)
-    for start in range(0, n, lanes):
-        products = fp16_round_f32(
-            x32[start : start + lanes, :, None]
-            * w32[start : start + lanes, None, :])
-        partial = _tree_reduce_axis0(products)
-        acc = fp16_round_f32(acc + partial)
-    return np.asarray(acc).astype(np.float16).T
+    acc = np.zeros((batch, width), dtype=np.float32)
+    with np.errstate(over="ignore"):
+        for start in range(0, n, lanes):
+            products = _round_f32(x32[start : start + lanes, :, None]
+                                  * w32[start : start + lanes, None, :])
+            partial = _tree_reduce_axis0(products)
+            acc = _round_sum_f32(acc, partial)
+    return acc.astype(np.float16).T
 
 
 def fp16_batched_scores(keys, q, lanes: int = 128) -> np.ndarray:

@@ -83,15 +83,12 @@ class HardwareRope:
         """Two FP16 multiplies and one FP16 add per output element, with
         rounding after each stage as in the RTL pipeline (the stages run
         in float32 carrying FP16-grid values — same per-op rounding,
-        one half cast at the end)."""
-        lo_cos = fp16_round_f32(lo * cos)
-        hi_sin = fp16_round_f32(hi * sin)
-        lo_sin = fp16_round_f32(lo * sin)
-        hi_cos = fp16_round_f32(hi * cos)
-        out = np.empty(lo.shape[:-1] + (self.head_dim,), dtype=np.float32)
-        out[..., : self.head_dim // 2] = fp16_round_f32(lo_cos - hi_sin)
-        out[..., self.head_dim // 2 :] = fp16_round_f32(lo_sin + hi_cos)
-        return out.astype(np.float16)
+        one half cast at the end; each stage's elementwise roundings
+        share one call)."""
+        lo_cos, hi_sin, lo_sin, hi_cos = fp16_round_f32(
+            np.stack([lo * cos, hi * sin, lo * sin, hi * cos]))
+        return fp16_round_f32(np.concatenate(
+            [lo_cos - hi_sin, lo_sin + hi_cos], axis=-1)).astype(np.float16)
 
     def apply_many(self, x: np.ndarray, positions) -> np.ndarray:
         """Rotate a stack of head groups, one position per leading row.

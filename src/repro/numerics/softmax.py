@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import SimulationError
-from .fp16 import fp16, fp16_round_f32
+from .fp16 import _round_sum_f32, fp16, fp16_round_f32
 
 
 def reference_softmax(x: np.ndarray) -> np.ndarray:
@@ -62,8 +62,9 @@ def batched_three_pass_softmax(x: np.ndarray) -> np.ndarray:
     # (each add rounds), so only the rows are vectorized there.
     exps = fp16_round_f32(np.exp(x32 - m))
     d = np.zeros(x32.shape[:-1], dtype=np.float32)
-    for i in range(x32.shape[-1]):
-        d = fp16_round_f32(d + exps[..., i])
+    with np.errstate(over="ignore"):
+        for i in range(x32.shape[-1]):
+            d = _round_sum_f32(d, exps[..., i])
     if np.any(d <= 0):
         raise SimulationError("softmax normalizer underflowed to zero in FP16")
 

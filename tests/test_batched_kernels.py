@@ -87,8 +87,9 @@ class TestRoundF32:
 
     def test_native_half_ufuncs_match_rounded_f32_ops(self):
         """NumPy's float16 add/mul equal compute-in-f32-then-round —
-        the identity the native-f16 accumulator in fp16_tiled_reduce
-        relies on — over every half bit pattern."""
+        the identity behind the kernels of repro.numerics.fp16 carrying
+        FP16 values in float32 and rounding after every op — over every
+        half bit pattern."""
         a = np.arange(2**16, dtype=np.uint16).view(np.float16)
         rng = np.random.default_rng(0)
         b = rng.integers(0, 2**16, size=a.size, dtype=np.uint16) \
@@ -125,6 +126,18 @@ class TestTiledKernels:
             assert same(mm, mt)
             for j in range(batch):
                 assert same(mm[:, j], fp16_matvec(w, x[:, j], lanes=lanes))
+
+    @pytest.mark.parametrize("in_f, batch", [(0, 3), (5, 0), (0, 0)])
+    def test_matmul_empty_reduction_or_batch(self, in_f, batch):
+        # An empty reduction leaves the zero accumulator; an empty batch
+        # gives an empty (out, 0) result.
+        rng = np.random.default_rng(0)
+        w = arr(rng, 4, in_f)
+        x = arr(rng, in_f, batch)
+        mt = fp16_matmul_t(fp16(w).T, x)
+        assert mt.shape == (4, batch) and mt.dtype == np.float16
+        assert same(mt, np.zeros((4, batch), np.float16))
+        assert same(fp16_matmul(w, x), mt)
 
     @given(st.integers(0, 10**9), st.integers(1, 6), st.integers(1, 50),
            st.sampled_from([2, 4, 8, 64]), LANES)
