@@ -1,9 +1,10 @@
 """FIFO primitives of the accelerator (Fig. 5: szFIFO, kvFIFO, operand FIFO).
 
-A simple bounded FIFO with occupancy statistics.  The cycle model uses the
-occupancy high-water mark to size on-chip buffers (URAM/BRAM in the
-resource model); the functional model uses it to check that the dataflow
-never overflows the hardware depth.
+A simple bounded FIFO with occupancy statistics: overflow and underflow
+fail loudly, and the occupancy high-water mark is what would size the
+on-chip buffer.  Standalone: neither the cycle model nor the functional
+model instantiates it (Fig. 4's scale/zero FIFO is modelled by
+``repro.packing.kv_layout.KVScaleZeroFifo``).
 """
 
 from __future__ import annotations

@@ -500,17 +500,12 @@ class _CycleTimedBackend(_KVMixin):
                  vpu: VpuSpec | None = None, kv_mode: str = "slotted",
                  block_size: int = 16, n_kv_blocks: int | None = None,
                  prefix_sharing: bool = True,
-                 store_kv_data: bool = False, tp: int = 1,
-                 reference_costs: bool = False) -> None:
+                 store_kv_data: bool = False, tp: int = 1) -> None:
         self.model_config = model_config
         self.quant = quant
         self.platform = platform
         self.mode = mode
         self.tp = tp
-        #: route timing through the original full schedule builders
-        #: instead of the memoized decomposition — the pre-optimization
-        #: baseline for equality tests and the simperf benchmark.
-        self.reference_costs = reference_costs
         self.cycles = CycleModel(model_config, quant, platform, vpu=vpu,
                                  tp=tp)
         self._init_kv(model_config, quant, platform, kv_mode, n_slots,
@@ -542,9 +537,6 @@ class _CycleTimedBackend(_KVMixin):
         # Explicit class call: the sharded mixin adds collective time on
         # top of this method, so dispatching virtually would double it.
         _validate_batch(contexts, fetched)
-        if self.reference_costs:
-            return self.cycles.batched_decode_step(contexts, self.mode,
-                                                   fetched).cycles
         return _CycleTimedBackend._fast_forward_cycles(
             self, contexts, fetched, 1)[0]
 
@@ -553,8 +545,6 @@ class _CycleTimedBackend(_KVMixin):
         schedule per *distinct* prompt position ever seen, then pure
         float sums — the same value, since the per-position totals are
         deterministic and the sum order is unchanged."""
-        if self.reference_costs:
-            return self.cycles.prefill_cycles(n_tokens, start)
         if n_tokens <= 0:
             raise SimulationError("prompt_len must be positive")
         if not 0 <= start < n_tokens:
@@ -729,12 +719,11 @@ class CycleModelBackend(_TimingStreamMixin, _CycleTimedBackend):
                  n_kv_blocks: int | None = None,
                  prefix_sharing: bool = True,
                  token_oracle: TokenOracle | None = None,
-                 tp: int = 1, reference_costs: bool = False) -> None:
+                 tp: int = 1) -> None:
         super().__init__(model_config, quant, platform, mode, n_slots, vpu,
                          kv_mode=kv_mode, block_size=block_size,
                          n_kv_blocks=n_kv_blocks,
-                         prefix_sharing=prefix_sharing, tp=tp,
-                         reference_costs=reference_costs)
+                         prefix_sharing=prefix_sharing, tp=tp)
         self.token_oracle = token_oracle
 
     def prefill(self, state: RequestState) -> float:
@@ -855,7 +844,7 @@ class AnalyticalBackend(_TimingStreamMixin, _KVMixin):
                  n_kv_blocks: int | None = None,
                  prefix_sharing: bool = True,
                  token_oracle: TokenOracle | None = None,
-                 tp: int = 1, reference_costs: bool = False) -> None:
+                 tp: int = 1) -> None:
         if platform.pl_freq_hz <= 0:
             raise SimulationError(
                 f"platform {platform.name} has no PL clock")
@@ -872,7 +861,6 @@ class AnalyticalBackend(_TimingStreamMixin, _KVMixin):
         self.ddr_efficiency = ddr_efficiency
         self.token_oracle = token_oracle
         self.tp = tp
-        self.reference_costs = reference_costs
         self._ff_const: dict[int, tuple] = {}
         self._init_kv(model_config, quant, platform, kv_mode, n_slots,
                       block_size, n_kv_blocks, prefix_sharing,
@@ -888,25 +876,9 @@ class AnalyticalBackend(_TimingStreamMixin, _KVMixin):
         # arithmetic of memory.traffic.batched_decode_traffic, so the
         # cycles are the identical floats without building the per-member
         # traffic breakdown objects.  Explicit class call: the sharded
-        # mixin adds collective time on top of this method.
-        # ``reference_costs`` keeps the original object-building path as
-        # the pre-optimization baseline for equality tests and the
-        # simperf benchmark.
+        # mixin adds collective time on top of this method.  The
+        # differential tests pin it to the object-building oracle.
         _validate_batch(contexts, fetched)
-        if self.reference_costs:
-            from ..memory.traffic import batched_decode_traffic
-
-            m = self.model_config
-            traffic = batched_decode_traffic(m, self.quant, contexts,
-                                             fetched, tp=self.tp)
-            bandwidth_s = traffic.total_bytes \
-                / (self.platform.bandwidth_bytes_per_s
-                   * self.ddr_efficiency)
-            sharded = (m.decode_stream_params() - m.norm_params()) \
-                / self.tp + m.norm_params()
-            macs = len(contexts) * sharded
-            compute_s = macs / (self.lanes * self.freq_hz)
-            return max(bandwidth_s, compute_s) * self.freq_hz
         return float(AnalyticalBackend._fast_forward_cycles(
             self, contexts, fetched, 1)[0])
 
@@ -919,9 +891,6 @@ class AnalyticalBackend(_TimingStreamMixin, _KVMixin):
         if not 0 <= start < n_tokens:
             raise SimulationError(
                 f"prefill start {start} outside prompt of {n_tokens}")
-        if self.reference_costs:
-            return sum(AnalyticalBackend.step_cycles(self, [pos])
-                       for pos in range(start, n_tokens))
         return sum(AnalyticalBackend._fast_forward_cycles(
             self, [start], None, n_tokens - start))
 

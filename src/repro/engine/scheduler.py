@@ -203,12 +203,9 @@ class ContinuousBatchScheduler:
         #: timing-only backends may advance event-horizon windows in one
         #: call: multi-segment windows that span predicted retirements
         #: and block frontiers.  ``False`` forces the eager step loop,
-        #: the oracle the differential tests pin the windows to; a
-        #: reference-cost backend is a deliberate baseline that always
-        #: runs eager.
+        #: the oracle the differential tests pin the windows to.
         self.fast_forward = fast_forward \
-            and bool(getattr(backend, "supports_fast_forward", False)) \
-            and not getattr(backend, "reference_costs", False)
+            and bool(getattr(backend, "supports_fast_forward", False))
         model = backend.model_config
         self.paged_kv = getattr(backend, "paged_kv", None)
         if self.paged_kv is not None:

@@ -177,7 +177,7 @@ class QuantizedKVCache(KV8Append):
                        length: int) -> np.ndarray:
         """The pre-vectorization gather: one scalar dequantization per
         position — kept as the oracle the batched gathers are pinned
-        against and the baseline the simperf benchmark measures."""
+        against."""
         from ..quant.kv8 import KVQuantParams, kv_dequantize
 
         self._check_written(layer, length, head)

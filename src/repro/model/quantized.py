@@ -305,9 +305,8 @@ class QuantizedModel:
                                 position: int) -> np.ndarray:
         """Scalar-oracle forward: one head, one kernel call at a time.
 
-        The pre-vectorization decode path, kept as the reference the
-        batched kernels are pinned against (and the baseline the simperf
-        benchmark measures speedups from): per-head matvec scores,
+        The pre-vectorization decode path, kept as the oracle the
+        batched kernels are pinned against: per-head matvec scores,
         per-head 1-D softmax, per-head weighted-value matvec, all over
         per-head, per-position KV gathers (``keys_reference`` /
         ``values_reference`` where the cache provides them).  Must stay

@@ -39,6 +39,7 @@ from repro.engine import (
     synthetic_trace,
 )
 from repro.engine.backends import _FF_VECTOR_MIN_STEPS
+from repro.memory.traffic import batched_decode_traffic
 
 from report_checks import assert_reports_identical
 
@@ -205,12 +206,45 @@ class TestAnalyticalTracksCycleModel:
         assert times["analytical"] <= times["cycle"]
 
 
+class BuilderCycleBackend(CycleModelBackend):
+    """Oracle: every step and prompt priced by the cycle model's full
+    schedule builders instead of the memoized decomposition."""
+
+    def step_cycles(self, contexts, fetched=None):
+        return self.cycles.batched_decode_step(contexts, self.mode,
+                                               fetched).cycles
+
+    def prefill_cycles(self, n_tokens, start=0):
+        return self.cycles.prefill_cycles(n_tokens, start)
+
+
+class BuilderAnalyticalBackend(AnalyticalBackend):
+    """Oracle: every roofline step built from the per-member
+    ``batched_decode_traffic`` breakdown, prompts one step per
+    position."""
+
+    def step_cycles(self, contexts, fetched=None):
+        m = self.model_config
+        traffic = batched_decode_traffic(m, self.quant, contexts, fetched,
+                                         tp=self.tp)
+        bandwidth_s = traffic.total_bytes \
+            / (self.platform.bandwidth_bytes_per_s * self.ddr_efficiency)
+        sharded = (m.decode_stream_params() - m.norm_params()) / self.tp \
+            + m.norm_params()
+        compute_s = len(contexts) * sharded / (self.lanes * self.freq_hz)
+        return max(bandwidth_s, compute_s) * self.freq_hz
+
+    def prefill_cycles(self, n_tokens, start=0):
+        return sum(self.step_cycles([pos])
+                   for pos in range(start, n_tokens))
+
+
 class TestFastForwardEquivalence:
     """The fast-forward path and the memoized step costs are pure
     accelerations: every per-step observable — sampled tokens, per-step
     cycles and latencies, step counts, clocks — must be bit-identical
-    to the step-by-step loop over the original schedule builders
-    (``reference_costs=True``), under both KV disciplines and with
+    to the eager step loop over the original builders (the
+    ``Builder*Backend`` oracles), under both KV disciplines and with
     arrival-gated traffic forcing windows to break mid-run.
     """
 
@@ -223,22 +257,23 @@ class TestFastForwardEquivalence:
                                 arrival_rate_rps=arrival_rate, seed=9,
                                 prompt_len=(3, 10), decode_len=(4, 30),
                                 shared_prefix_len=8)
-        cls = CycleModelBackend if name == "cycle" else AnalyticalBackend
+        cls, oracle = (CycleModelBackend, BuilderCycleBackend) \
+            if name == "cycle" \
+            else (AnalyticalBackend, BuilderAnalyticalBackend)
         kv = dict(kv_mode=kv_mode, block_size=BLOCK_SIZE,
                   n_kv_blocks=BUDGET_TOKENS // BLOCK_SIZE)
         budget = BUDGET_TOKENS if kv_mode == "slotted" else None
 
-        def run(fast_forward, reference_costs):
-            backend = cls(TINY_MODEL, quant32, n_slots=MAX_BATCH,
-                          reference_costs=reference_costs, **kv)
+        def run(cls, fast_forward):
+            backend = cls(TINY_MODEL, quant32, n_slots=MAX_BATCH, **kv)
             engine = ContinuousBatchScheduler(
                 backend, max_batch=MAX_BATCH, kv_token_budget=budget,
                 fast_forward=fast_forward)
             return engine.run(trace)
 
-        reference = run(False, True)
-        assert_reports_identical(run(False, False), reference)
-        assert_reports_identical(run(True, False), reference)
+        reference = run(oracle, False)
+        assert_reports_identical(run(cls, False), reference)
+        assert_reports_identical(run(cls, True), reference)
 
     def test_llama2_7b_paged_shared_prefix_is_bit_identical(self):
         """The paper's deployment (LLaMA2-7B, paged KV, a 16-token
@@ -249,17 +284,16 @@ class TestFastForwardEquivalence:
                                 seed=5, prompt_len=(3, 8),
                                 decode_len=(8, 40), shared_prefix_len=16)
 
-        def run(fast_forward, reference_costs):
-            backend = CycleModelBackend(
-                LLAMA2_7B, W4A16_KV8, n_slots=MAX_BATCH, kv_mode="paged",
-                block_size=BLOCK_SIZE, reference_costs=reference_costs)
+        def run(cls, fast_forward):
+            backend = cls(LLAMA2_7B, W4A16_KV8, n_slots=MAX_BATCH,
+                          kv_mode="paged", block_size=BLOCK_SIZE)
             engine = ContinuousBatchScheduler(
                 backend, max_batch=MAX_BATCH, fast_forward=fast_forward)
             return engine.run(trace)
 
-        reference = run(False, True)
-        assert_reports_identical(run(True, False), reference)
-        assert_reports_identical(run(False, False), reference)
+        reference = run(BuilderCycleBackend, False)
+        assert_reports_identical(run(CycleModelBackend, True), reference)
+        assert_reports_identical(run(CycleModelBackend, False), reference)
 
     @pytest.mark.parametrize("n_steps", [
         1, _FF_VECTOR_MIN_STEPS - 1, _FF_VECTOR_MIN_STEPS,

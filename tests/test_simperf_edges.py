@@ -45,12 +45,12 @@ class TestKernelValidation:
 
 
 class TestStepCycleValidation:
-    @pytest.mark.parametrize("reference", [False, True])
-    def test_batch_validations(self, quant32, reference):
+    @pytest.mark.parametrize("prefix_sharing", [False, True])
+    def test_batch_validations(self, quant32, prefix_sharing):
         for backend in (CycleModelBackend(TINY_MODEL, quant32,
-                                          reference_costs=reference),
+                                          prefix_sharing=prefix_sharing),
                         AnalyticalBackend(TINY_MODEL, quant32,
-                                          reference_costs=reference)):
+                                          prefix_sharing=prefix_sharing)):
             with pytest.raises(SimulationError):
                 backend.step_cycles([])
             with pytest.raises(SimulationError):
@@ -63,15 +63,6 @@ class TestStepCycleValidation:
                 backend.prefill_cycles(0)
             with pytest.raises(SimulationError):
                 backend.prefill_cycles(4, start=4)
-
-    def test_reference_costs_disable_fast_forward(self, quant32):
-        from repro.engine import ContinuousBatchScheduler
-
-        backend = CycleModelBackend(TINY_MODEL, quant32,
-                                    reference_costs=True)
-        engine = ContinuousBatchScheduler(backend, max_batch=2,
-                                          kv_token_budget=64)
-        assert not engine.fast_forward
 
 
 class TestPercentiles:

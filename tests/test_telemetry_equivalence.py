@@ -11,6 +11,8 @@ aggregate and percentile exactly.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -54,9 +56,41 @@ KNEE_MIX = tuple((TenantSpec(name, cls), 1.0) for name, cls in
                   ("bg", "best_effort")))
 
 
+#: the streamed-sweep trace shape the scale floors run at
+SCALE_KWARGS = dict(arrival_rate_rps=2000.0, seed=5, prompt_len=(4, 16),
+                    decode_len=(8, 48))
+
+
+def scale_engine():
+    """The streamed-sweep engine: cycle backend, 16 slotted lanes."""
+    return ContinuousBatchScheduler(
+        CycleModelBackend(TINY_MODEL, QUANT32, n_slots=16), max_batch=16)
+
+
 def knee_kwargs(seed):
     return dict(arrival_rate_rps=20_000.0, seed=seed, prompt_len=(4, 16),
                 decode_len=(8, 32), tenant_mix=KNEE_MIX)
+
+
+#: requests per long-decode burst: one full engine of lanes
+LONG_DECODE_BURST = 16
+
+
+def long_decode_trace(n_requests):
+    """Retirement-dominated serving: bursts of 16 long decodes arriving
+    together, fully drained before the next burst lands.  Fourteen
+    lanes run 48 new tokens, two run 56, so every burst retires at two
+    predicted LENGTH horizons and crosses six block frontiers per
+    sequence (block size 8) — the events the event horizon folds
+    instead of breaking a window at."""
+    rng = np.random.default_rng(11)
+    prompts = rng.integers(1, TINY_MODEL.vocab_size - 1,
+                           size=(n_requests, 3))
+    return [Request(i, tuple(int(t) for t in prompts[i]),
+                    max_new_tokens=56 if i % LONG_DECODE_BURST >= 14
+                    else 48,
+                    arrival_s=(i // LONG_DECODE_BURST) * 10.0)
+            for i in range(n_requests)]
 
 
 def make_engine(kind, kv_mode, tiny_qweights=None, tp=1, ff=True):
@@ -296,6 +330,30 @@ class TestEventHorizonTiers:
             "breaks": {reason: 0 for reason in WINDOW_BREAK_REASONS}}
         assert eager.window_stats["n_windows"] == 0
         assert len(eng._recorder.records) < report.n_steps
+
+    def test_long_decode_sweep_one_window_per_burst(self):
+        """50 bursts on a paged pool sized to one burst: every
+        retirement and block frontier folds into the segments of one
+        window per burst admission, so the window count is
+        O(admissions), not O(requests)."""
+        n = 50 * LONG_DECODE_BURST
+        trace = long_decode_trace(n)
+
+        def engine(ff):
+            backend = CycleModelBackend(
+                TINY_MODEL, QUANT32, n_slots=LONG_DECODE_BURST,
+                kv_mode="paged", block_size=8,
+                n_kv_blocks=LONG_DECODE_BURST * 8)
+            return ContinuousBatchScheduler(
+                backend, max_batch=LONG_DECODE_BURST, fast_forward=ff)
+
+        report = engine(True).run(trace, telemetry="windows")
+        assert_reports_identical(report, engine(False).run(trace))
+        stats = report.window_stats
+        assert stats["n_windows"] == n // LONG_DECODE_BURST, stats
+        assert stats["folded_retirements"] == n, stats
+        assert stats["breaks"]["block-frontier"] == 0, stats
+        assert stats["breaks"]["retirement-unpredicted"] == 0, stats
 
     def test_break_histogram_shape_and_reasons(self):
         trace = synthetic_trace(TINY_MODEL, 16, arrival_rate_rps=400.0,
@@ -587,6 +645,16 @@ class TestSketchLevel:
         eng_full.run(synthetic_trace(TINY_MODEL, 12, **self.KWARGS))
         assert isinstance(eng_full._recorder.records, list)
 
+    def test_centroid_cap_on_streamed_run(self):
+        """The sketch level's memory bound: a streamed run of ~56k
+        decoded tokens keeps at most 1,100 centroids."""
+        report = scale_engine().run(
+            iter_synthetic_trace(TINY_MODEL, 2000, **SCALE_KWARGS),
+            telemetry="sketch")
+        digest = report.latency_digest()
+        assert digest.n == report.total_new_tokens > 50_000
+        assert digest.n_centroids <= 1100
+
     def test_cluster_merges_replica_digests(self):
         def engines():
             return [make_engine("cycle", "slotted") for _ in range(2)]
@@ -618,6 +686,40 @@ class TestSketchLevel:
         with pytest.raises(SimulationError, match="latency_percentile_s"):
             ReplicaRouter(engines()).run(
                 factory, telemetry="summary").latency_digest()
+
+
+class TestWindowedMemory:
+    """The windowed level's footprint follows scheduler state changes,
+    not decoded tokens (tracemalloc peak heap of trace generation plus
+    the engine run)."""
+
+    @staticmethod
+    def _peak_heap(telemetry, decode_len, n=500):
+        """(decoded tokens, peak heap bytes); ``full`` materializes the
+        trace, the other levels stream it."""
+        engine = scale_engine()
+        make = synthetic_trace if telemetry == "full" \
+            else iter_synthetic_trace
+        tracemalloc.start()
+        try:
+            trace = make(TINY_MODEL, n,
+                         **dict(SCALE_KWARGS, decode_len=decode_len))
+            report = engine.run(trace, telemetry=telemetry)
+            return report.total_new_tokens, \
+                tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_windowed_heap_flat_in_decoded_tokens(self):
+        """Decoded tokens near-double at a fixed request count: the
+        windowed heap grows by at most 1.25x and stays under half the
+        eager (materialized trace, ``telemetry="full"``) heap."""
+        tokens_lo, win_lo = self._peak_heap("windows", (8, 48))
+        tokens_hi, win_hi = self._peak_heap("windows", (32, 192))
+        _, full_lo = self._peak_heap("full", (8, 48))
+        assert tokens_hi / tokens_lo > 1.5
+        assert win_hi <= win_lo * 1.25, (win_lo, win_hi)
+        assert win_lo < full_lo / 2, (win_lo, full_lo)
 
 
 class TestRunLengthPrimitives:
