@@ -169,97 +169,112 @@ class AttentionPipeline:
 
     # -- fused schedule (Fig. 3) ------------------------------------------------
 
+    def _fused_timeline(self, context: int) -> tuple[list, list]:
+        """The fused pipeline as plain tuples, in schedule order:
+        ``stages`` of ``(name, start, transfer, compute)`` and ``misc``
+        of ``(name, cycles, window_start, window_end)``.
+
+        The one source of the Fig. 3 arithmetic: :meth:`fused_schedule`
+        materializes its report from it, and :meth:`exposed_misc_cycles`
+        sums it without building one.  Each stage ends at ``start +
+        max(transfer, compute)``, the :class:`Stage` duration.
+        """
+        if context < 0:
+            raise ScheduleError(f"negative context {context}")
+        m = self.model
+        d = m.head_dim
+        group = m.num_heads // m.kv_heads
+        # Heads of one GQA group share a K/V history; the history is read
+        # once per group and buffered, so each head is charged its share.
+        kv_tx = self._kv_transfer(context) / group if context else 0.0
+        proj_tx = self._weight_transfer(d, m.hidden_size)
+        proj_c = d * self._tiles(m.hidden_size)
+        proj = max(proj_tx, proj_c)
+        dot_c = (context + 1) * self._tiles(d)
+        dot = max(kv_tx, dot_c)
+        rope = self.spu.rope_cycles(d)
+        quant = self.spu.quant_cycles(d)
+        softmax = self._softmax_cycles(context + 1)
+        depth = self.spu.params.softmax_depth
+        stages: list[tuple] = []
+        misc: list[tuple] = []
+
+        t = 0.0
+        for head in range(m.num_heads // self.tp):
+            leads_kv_group = head % group == 0
+
+            stages.append(("q_proj", t, proj_tx, proj_c))
+            q_end = t = t + proj
+
+            if leads_kv_group:
+                k_start = t
+                stages.append(("k_proj", k_start, proj_tx, proj_c))
+                k_end = t = t + proj
+                # RoPE(Q) hides under the K projection; RoPE(K) and the K
+                # quantization stream alongside K's own generation.
+                misc.append(("rope_q", rope, q_end, k_end))
+                misc.append(("rope_k", rope, q_end, k_end))
+
+            qk_start = t
+            stages.append(("qk_dot", qk_start, kv_tx, dot_c))
+            qk_end = t = t + dot
+            if leads_kv_group:
+                # Quantization pass 1 (min/max) streams with K's own
+                # generation; only pass 2 trails into the QK window.
+                misc.append(("quant_k", quant, k_start, qk_end))
+            else:
+                # GQA: this head reuses the group's K; RoPE(Q) hides
+                # under the history DOT.
+                misc.append(("rope_q", rope, qk_start, qk_end))
+
+            if leads_kv_group:
+                v_start = t
+                stages.append(("v_proj", v_start, proj_tx, proj_c))
+                t = t + proj
+                misc.append(("quant_v", quant, v_start, t + context))
+
+            stages.append(("av_dot", t, kv_tx, dot_c))
+            t = t + dot
+            # Softmax passes stream with the pipeline: scores arrive
+            # serially during the QK DOT (max/normalizer passes) and the
+            # AV accumulation consumes probabilities serially (divide
+            # pass), so the hiding window spans QK start to AV end plus
+            # the submodule's fill depth (which overlaps the AV drain).
+            misc.append(("softmax", softmax, qk_start, t + depth))
+
+        o_start = t
+        o_tx = self._weight_transfer(m.hidden_size, m.hidden_size // self.tp)
+        o_c = m.hidden_size * self._tiles(m.hidden_size // self.tp)
+        stages.append(("o_proj", o_start, o_tx, o_c))
+        # Residual add + square-sum for the next RMSNorm stream with the
+        # O-projection outputs (Sec. V-A, last stage of Fig. 3).
+        misc.append(("residual_sqsum", self.spu.residual_cycles(m.hidden_size),
+                     o_start, o_start + max(o_tx, o_c)))
+        return stages, misc
+
     def fused_schedule(self, context: int) -> AttentionLayerReport:
         """The paper's head-wise fused pipeline for one layer.
 
         ``context`` is the number of cached tokens (history length); the
         current token makes the attention span ``context + 1``.
         """
-        if context < 0:
-            raise ScheduleError(f"negative context {context}")
-        m, q = self.model, self.quant
-        d = m.head_dim
-        group = m.num_heads // m.kv_heads
-        report = AttentionLayerReport(mode="fused", context=context)
+        stages, misc = self._fused_timeline(context)
+        return AttentionLayerReport(
+            mode="fused", context=context,
+            stages=[Stage(*s) for s in stages],
+            misc=[MiscPlacement(*p) for p in misc])
 
-        # Heads of one GQA group share a K/V history; the history is read
-        # once per group and buffered, so each head is charged its share.
-        kv_tx = self._kv_transfer(context) / group if context else 0.0
-
-        t = 0.0
-        for head in range(m.num_heads // self.tp):
-            leads_kv_group = head % group == 0
-
-            q_proj = Stage("q_proj", t, self._weight_transfer(d, m.hidden_size),
-                           d * self._tiles(m.hidden_size))
-            t = q_proj.end
-            report.stages.append(q_proj)
-
-            if leads_kv_group:
-                k_proj = Stage("k_proj", t,
-                               self._weight_transfer(d, m.hidden_size),
-                               d * self._tiles(m.hidden_size))
-                t = k_proj.end
-                report.stages.append(k_proj)
-                # RoPE(Q) hides under the K projection; RoPE(K) and the K
-                # quantization stream alongside K's own generation.
-                report.misc.append(MiscPlacement(
-                    "rope_q", self.spu.rope_cycles(d), q_proj.end, k_proj.end))
-                report.misc.append(MiscPlacement(
-                    "rope_k", self.spu.rope_cycles(d), q_proj.end, k_proj.end))
-            else:
-                # GQA: this head reuses the group's K; RoPE(Q) hides under
-                # the history DOT below.
-                k_proj = None
-
-            qk = Stage("qk_dot", t, kv_tx,
-                       (context + 1) * self._tiles(d))
-            t = qk.end
-            report.stages.append(qk)
-            if k_proj is not None:
-                # Quantization pass 1 (min/max) streams with K's own
-                # generation; only pass 2 trails into the QK window.
-                report.misc.append(MiscPlacement(
-                    "quant_k", self.spu.quant_cycles(d), k_proj.start, qk.end))
-            else:
-                report.misc.append(MiscPlacement(
-                    "rope_q", self.spu.rope_cycles(d), qk.start, qk.end))
-
-            if leads_kv_group:
-                v_proj = Stage("v_proj", t,
-                               self._weight_transfer(d, m.hidden_size),
-                               d * self._tiles(m.hidden_size))
-                t = v_proj.end
-                report.stages.append(v_proj)
-                report.misc.append(MiscPlacement(
-                    "quant_v", self.spu.quant_cycles(d), v_proj.start,
-                    v_proj.end + context))
-
-            av = Stage("av_dot", t, kv_tx,
-                       (context + 1) * self._tiles(d))
-            t = av.end
-            report.stages.append(av)
-            # Softmax passes stream with the pipeline: scores arrive
-            # serially during the QK DOT (max/normalizer passes) and the
-            # AV accumulation consumes probabilities serially (divide
-            # pass), so the hiding window spans QK start to AV end plus
-            # the submodule's fill depth (which overlaps the AV drain).
-            report.misc.append(MiscPlacement(
-                "softmax", self._softmax_cycles(context + 1),
-                qk.start, av.end + self.spu.params.softmax_depth))
-
-        o_proj = Stage("o_proj", t,
-                       self._weight_transfer(m.hidden_size,
-                                             m.hidden_size // self.tp),
-                       m.hidden_size * self._tiles(m.hidden_size // self.tp))
-        t = o_proj.end
-        report.stages.append(o_proj)
-        # Residual add + square-sum for the next RMSNorm stream with the
-        # O-projection outputs (Sec. V-A, last stage of Fig. 3).
-        report.misc.append(MiscPlacement(
-            "residual_sqsum", self.spu.residual_cycles(m.hidden_size),
-            o_proj.start, o_proj.end))
-        return report
+    def exposed_misc_cycles(self, context: int, mode: str = "fused",
+                            ) -> float:
+        """``schedule(context, mode).exposed_misc_cycles`` to the bit,
+        without building the report: the fused timeline's placements
+        summed in place (the same values, in the same order, through the
+        same ``sum``)."""
+        if mode == "fused":
+            _, misc = self._fused_timeline(context)
+            return sum(max(0.0, cycles - (end - start))
+                       for _, cycles, start, end in misc)
+        return self.schedule(context, mode).exposed_misc_cycles
 
     # -- coarse schedule (DFX-style baseline) -----------------------------------
 

@@ -52,10 +52,11 @@ from .request import RequestState
 
 KV_MODES = ("slotted", "paged")
 
-#: Windows of at least this many steps fold their cycles as whole-window
-#: numpy adds; shorter ones take the scalar loop.  Measured per call
-#: on tiny-test and LLaMA2-7B at batch 1-16: the scalar loop is faster
-#: up to ~16 steps, the two tie near 20, the numpy fold wins from ~24.
+#: Windows of at least this many steps fold their cycles with numpy
+#: (whole-window member adds, then one row-wise accumulate of the layer
+#: fold); shorter ones take the scalar loop.  Measured per call at batch
+#: 1-16: the numpy fold wins from ~16-20 steps on tiny-test (2 layers)
+#: and from ~8-12 on LLaMA2-7B (32 layers); 20 is the tiny-model tie.
 _FF_VECTOR_MIN_STEPS = 20
 
 #: maps (request_id, step index) to the token that step must produce —
@@ -583,8 +584,8 @@ class _CycleTimedBackend(_KVMixin):
         return val
 
     def _ff_exposed(self, ctx: int) -> float:
-        sch = self.cycles.scheduler
-        return sch.pipeline.schedule(ctx, self.mode).exposed_misc_cycles
+        return self.cycles.scheduler.pipeline.exposed_misc_cycles(
+            ctx, self.mode)
 
     def _ff_step_constants(self, batch: int) -> tuple:
         """Context-independent segment cycles of one batched step."""
@@ -677,16 +678,21 @@ class _CycleTimedBackend(_KVMixin):
                 cycles = cycles + 2 * heads * np.maximum(
                     kvtx_tab[f0 + steps], (ctxs + 1) * tiles_d)
                 exposed = exposed + exp_tab[ctxs]
-            attn = cycles + exposed
-            total = np.zeros(n_steps)
-            total = total + emb
-            for _ in range(m.num_layers):
-                total = total + attn
-                for seg in mlp:
-                    total = total + seg
-            total = total + final
-            total = total + lm
-            return total.tolist()
+            # The layer fold as one row per step — embedding, then per
+            # layer the attention and MLP segments, then the final norm
+            # and LM head — accumulated along the row: np.add.accumulate
+            # is strictly sequential, so each row's last entry is the
+            # scalar loop's running total.
+            per_layer = 1 + len(mlp)
+            terms = np.empty((n_steps, 3 + m.num_layers * per_layer))
+            terms[:, 0] = emb
+            layers = terms[:, 1:-2].reshape(n_steps, m.num_layers,
+                                            per_layer)
+            layers[:, :, 0] = (cycles + exposed)[:, None]
+            layers[:, :, 1:] = mlp
+            terms[:, -2] = final
+            terms[:, -1] = lm
+            return np.add.accumulate(terms, axis=1)[:, -1].tolist()
         exp, kvtx = self._ff_exp, self._ff_kvtx
         out = []
         for j in range(n_steps):

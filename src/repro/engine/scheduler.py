@@ -1051,7 +1051,10 @@ class ContinuousBatchScheduler:
         retire in pending order), so every clock, event, latency, and
         token stream stays bit-identical.
 
-        A segment starts by admitting, through the eager
+        A segment that starts with an empty batch first makes the eager
+        idle jump to the next arrival (unless a fault boundary lies
+        inside the gap: that jump is left to ``step()``, which lands on
+        the fault).  A segment then admits, through the eager
         ``_admit_ready``, whenever an arrived head fits without
         preemption: its prefill advances the clock between segments,
         and the eager step that admits always charges one decode step
@@ -1061,15 +1064,18 @@ class ContinuousBatchScheduler:
         pressure eviction, or an empty batch), the window ends and the
         eager step's decode half charges it.  Windows break only when
         an admission needs a preemption, at arrival cuts, and at
-        genuine preemption risk.
+        genuine preemption risk.  The flight recorder draws one
+        ``window`` span per busy stretch: an idle gap is no window work.
         """
         rec = self._recorder
         freq = self.backend.freq_hz
         max_context = self.backend.model_config.max_context
         full = rec.level == "full"
-        clock0 = end_s = self.clock_s
-        first_batch = n_segments = 0
-        total_applied = 0
+        end_s = self.clock_s
+        n_segments = total_applied = 0
+        #: the busy stretch traced as one window span: its start clock,
+        #: first batch, segments and steps
+        stretch = [self.clock_s, 0, 0, 0]
         break_reason: str | None = None
         #: fault boundaries are part of the event horizon: a chain that
         #: ends exactly AT a known fault start (or drain deadline) is a
@@ -1106,6 +1112,20 @@ class ContinuousBatchScheduler:
                                       for s in self.running):
                 break_reason = "retirement-unpredicted"
                 break
+            idle = not self.running and bool(self.waiting)
+            if idle:
+                next_arrival = self._next_arrival()
+                if next_arrival > self.clock_s:
+                    boundary = self._fault_in_gap(next_arrival)
+                    if boundary is not None:
+                        # step() lands on the fault, not the arrival.
+                        break_reason = self._boundary_reason(boundary)
+                        note_break = False
+                        break
+                    if self.flight is not None and stretch[3]:
+                        self._flight_window(stretch, end_s, "idle")
+                    self.clock_s = next_arrival
+                    stretch = [next_arrival, 0, 0, 0]
             admitted = 0
             forced = head_waiting = False
             #: the arrived head waiting on pool capacity, if any
@@ -1139,9 +1159,11 @@ class ContinuousBatchScheduler:
                     blocker = head
             pending = list(self.running)
             if not pending:
-                # Every member retired inside the window (or, after an
-                # admission, at its first sample: a zero-batch step).
-                owed = forced
+                # Nothing is left waiting, or an admission retired at
+                # its first sample, or the idle jump found nothing it
+                # can admit: the eager step records that zero-batch
+                # step.
+                owed = forced or idle
                 break
             can_admit = len(pending) < self.max_batch
             batch = len(pending)
@@ -1302,8 +1324,10 @@ class ContinuousBatchScheduler:
             rec.record_segment(clocks[0], clocks[1:applied + 1],
                                seg_cycles[:applied], seg_deltas[:applied],
                                batch, admitted, retired)
-            if not n_segments:
-                first_batch = batch
+            if not stretch[2]:
+                stretch[1] = batch
+            stretch[2] += 1
+            stretch[3] += applied
             n_segments += 1
             total_applied += applied
             if break_reason is not None:
@@ -1315,15 +1339,48 @@ class ContinuousBatchScheduler:
             if break_reason is not None and note_break:
                 rec.note_break(break_reason)
             rec.record_window()
-            if self.flight is not None:
-                self.flight.span("window", clock0, end_s,
-                                 batch=first_batch, steps=total_applied,
-                                 segments=n_segments,
-                                 reason=break_reason or "drained")
+            if self.flight is not None and stretch[3]:
+                self._flight_window(stretch, end_s,
+                                    break_reason or "drained")
         if owed:
             self._decode_step(admitted, step_start_s)
             total_applied += 1
         return total_applied
+
+    def _flight_window(self, stretch: list, end_s: float,
+                       reason: str) -> None:
+        """Trace one busy stretch of a window, ``[start clock, first
+        batch, segments, steps]``, as a window span ending at
+        ``end_s``."""
+        assert self.flight is not None
+        start_s, batch, segments, steps = stretch
+        self.flight.span("window", start_s, end_s, batch=batch,
+                         steps=steps, segments=segments, reason=reason)
+
+    def _next_arrival(self) -> float:
+        """Earliest arrival in the waiting queue.  Streamed and sorted
+        materialized runs hold each class queue in arrival order with
+        preempted re-entries (already arrived) at its head, so the
+        minimum over the class heads IS the next arrival — no scan.
+        Only a queue built by direct out-of-order submit() calls needs
+        the linear min."""
+        if self._stream is not None or self._stream_head is not None \
+                or self._arrival_sorted:
+            nxt = self.waiting.min_head_arrival()
+            assert nxt is not None
+            return nxt
+        return min(s.request.arrival_s for s in self.waiting)
+
+    def _fault_in_gap(self, arrival: float) -> float | None:
+        """The fault boundary strictly between the clock and an idle
+        engine's next ``arrival``, if any: the jump must land there so
+        the fault is serviced before anything arrives."""
+        if not self._fault_actions:
+            return None
+        boundary = self._fault_boundary()
+        if boundary is not None and self.clock_s < boundary < arrival:
+            return boundary
+        return None
 
     # -- the scheduling loop -------------------------------------------------
 
@@ -1332,31 +1389,17 @@ class ContinuousBatchScheduler:
         if not self.waiting and not self.running:
             raise SimulationError("nothing to schedule")
 
-        # Idle engine: jump to the next arrival.  Streamed and sorted
-        # materialized runs hold each class queue in arrival order with
-        # preempted re-entries (already arrived) at its head, so the
-        # minimum over the class heads IS the next arrival — no scan.
-        # Only a queue built by direct out-of-order submit() calls
-        # needs the linear min.
+        # Idle engine: jump to the next arrival — but never past a
+        # fault: land on its boundary, service it (run-loop top), then
+        # resume.  The zero-work step this produces is identical with
+        # fast-forward on or off, since the window leaves exactly this
+        # jump to step().
         if not self.running and self.waiting:
-            if self._stream is not None or self._stream_head is not None \
-                    or self._arrival_sorted:
-                next_arrival = self.waiting.min_head_arrival()
-            else:
-                next_arrival = min(s.request.arrival_s
-                                   for s in self.waiting)
+            next_arrival = self._next_arrival()
             if next_arrival > self.clock_s:
-                if self._fault_actions:
-                    # Never jump past a fault: land on its boundary,
-                    # service it (run-loop top), then resume.  The
-                    # zero-work step this produces is identical with
-                    # fast-forward on or off, since the window path
-                    # falls through to step() when nothing is running.
-                    boundary = self._fault_boundary()
-                    if boundary is not None \
-                            and self.clock_s < boundary < next_arrival:
-                        next_arrival = boundary
-                self.clock_s = next_arrival
+                boundary = self._fault_in_gap(next_arrival)
+                self.clock_s = next_arrival if boundary is None \
+                    else boundary
         step_start_s = self.clock_s
         return self._decode_step(self._admit_ready(), step_start_s)
 

@@ -15,7 +15,10 @@ Two operating modes share one accounting core:
 
 Blocks are reference counted.  A block may be referenced by any number
 of sequence block tables plus (at most once) by the prefix cache; it
-returns to the free list only when the last reference drops.
+returns to the free list only when the last reference drops.  A block
+carries a content tag exactly while the prefix cache holds it, so the
+pool counts the tagged blocks at refcount 1 — the cache's evictable
+supply — at every refcount and tag change instead of scanning for them.
 """
 
 from __future__ import annotations
@@ -68,6 +71,10 @@ class BlockPool:
         #: need a fresh block"), which can only change when some
         #: refcount does.
         self.mutation_epoch = 0
+        #: tagged blocks whose only reference is the prefix cache's:
+        #: what eviction can reclaim, kept in step by every refcount
+        #: and tag change below.
+        self.n_evictable = 0
 
     # -- capacity ----------------------------------------------------------
 
@@ -96,7 +103,10 @@ class BlockPool:
         return bid
 
     def incref(self, bid: int) -> None:
-        self._live(bid).refcount += 1
+        block = self._live(bid)
+        if block.refcount == 1 and block.content_hash is not None:
+            self.n_evictable -= 1
+        block.refcount += 1
         self.mutation_epoch += 1
 
     def decref(self, bid: int) -> None:
@@ -104,6 +114,8 @@ class BlockPool:
         block = self._live(bid)
         block.refcount -= 1
         self.mutation_epoch += 1
+        if block.content_hash is not None and block.refcount <= 1:
+            self.n_evictable += 1 if block.refcount else -1
         if block.refcount == 0:
             block.content_hash = None
             # Storage is dropped with the block: a freed block must never
@@ -122,7 +134,11 @@ class BlockPool:
         return self._live(bid).content_hash
 
     def set_content_hash(self, bid: int, value: int | None) -> None:
-        self._live(bid).content_hash = value
+        block = self._live(bid)
+        if block.refcount == 1:
+            self.n_evictable += (value is not None) \
+                - (block.content_hash is not None)
+        block.content_hash = value
 
     def copy_data(self, src_bid: int, dst_bid: int) -> None:
         """Copy-on-write support: clone ``src_bid``'s content into

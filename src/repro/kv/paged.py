@@ -254,17 +254,22 @@ class PagedKVCache:
 
     def window_advance_cap(self, seq_ids: Sequence[int], n: int) -> int:
         """Largest ``k <= n`` such that advancing every listed sequence
-        by ``k`` tokens claims only *free* pool blocks.
+        by ``k`` tokens claims only free or evictable pool blocks.
 
         This is the paged accounting behind multi-segment fast-forward
         windows: block-frontier crossings are pure arithmetic on context
         length as long as (a) no member's next append copies-on-write a
-        shared block (the copy's cost depends on eviction state, so the
-        window must break and let the eager step resolve it), and (b)
-        the combined fresh-block demand fits in ``pool.n_free`` without
-        touching the evictable prefix supply — guaranteeing the window
-        triggers no eviction, no CapacityError, and no preemption the
-        eager loop would not also have skipped.
+        shared block (a copy drops a reference and may make a cached
+        block evictable mid-window, so the window must break and let the
+        eager step resolve it), and (b) the combined fresh-block demand
+        fits in the free blocks plus the prefix cache's evictable ones.
+        Inside a window nothing matches, registers, or drops a
+        reference, so the evictable set is fixed: whatever order the
+        members claim blocks in, the evictions are the first ``demand -
+        free`` of it in LRU order, exactly as in the eager loop — only
+        the (unobservable) block ids differ.  The window thus triggers
+        no CapacityError and no preemption the eager loop would not
+        also have skipped.
         """
         if n <= 0:
             return 0
@@ -277,20 +282,20 @@ class PagedKVCache:
                     and self.pool.refcount(seq.table[idx]) > 1:
                 return 0
             frontiers.append((seq.length, len(seq.table)))
-        free = self.pool.n_free
+        supply = self.n_available_blocks
 
         def fresh(k: int) -> int:
             return sum(max(0, blocks_for_tokens(length + k, bs) - have)
                        for length, have in frontiers)
 
-        if fresh(n) <= free:
+        if fresh(n) <= supply:
             return n
-        lo, hi = 0, n  # invariant: fresh(lo) <= free < fresh(hi)
-        if fresh(0) > free:
+        lo, hi = 0, n  # invariant: fresh(lo) <= supply < fresh(hi)
+        if fresh(0) > supply:
             return 0
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if fresh(mid) <= free:
+            if fresh(mid) <= supply:
                 lo = mid
             else:
                 hi = mid
@@ -384,6 +389,8 @@ class PagedKVCache:
         Cheap enough for tests to call after every operation: every block
         reference in a table or the prefix cache is counted, and the per-
         block refcounts must match exactly (no leaks, no double frees).
+        Content tags mark cached blocks only, and the pool's incremental
+        evictable count equals a scan of the cache.
         """
         expected: dict[int, int] = {}
         for seq_id, seq in self._seqs.items():
@@ -405,11 +412,23 @@ class PagedKVCache:
                     f"block {bid}: content tag "
                     f"{self.pool.content_hash(bid)} does not match its "
                     f"prefix-cache entry {h}")
+        cached = set(self.prefix.entries().values())
         for bid in range(self.pool.n_blocks):
             if self.pool.refcount(bid) != expected.get(bid, 0):
                 raise SimulationError(
                     f"block {bid}: refcount {self.pool.refcount(bid)} != "
                     f"{expected.get(bid, 0)} references")
+            if bid not in cached and self.pool.refcount(bid) \
+                    and self.pool.content_hash(bid) is not None:
+                raise SimulationError(
+                    f"block {bid}: content tag without a prefix-cache "
+                    "entry")
+        evictable = sum(1 for bid in cached
+                        if self.pool.refcount(bid) == 1)
+        if self.pool.n_evictable != evictable:
+            raise SimulationError(
+                f"evictable count {self.pool.n_evictable} != "
+                f"{evictable} cache-only blocks")
 
     # -- internals ---------------------------------------------------------
 

@@ -69,9 +69,9 @@ class PrefixCache:
 
     @property
     def n_reclaimable(self) -> int:
-        """Cached blocks no live sequence references (evictable)."""
-        return sum(1 for bid in self._entries.values()
-                   if self.pool.refcount(bid) == 1)
+        """Cached blocks no live sequence references (evictable): the
+        pool's incremental count, O(1)."""
+        return self.pool.n_evictable
 
     # -- lookup ------------------------------------------------------------
 
@@ -129,6 +129,8 @@ class PrefixCache:
         they just can no longer be *reached* by a fresh prompt walk, and
         age out of the LRU in turn).
         """
+        if not self.pool.n_evictable:
+            return None
         for h, bid in self._entries.items():  # insertion order == LRU order
             if self.pool.refcount(bid) == 1:
                 del self._entries[h]
@@ -138,8 +140,11 @@ class PrefixCache:
         return None
 
     def clear(self) -> None:
-        """Drop every cache reference (test/teardown helper)."""
+        """Drop every cache reference (test/teardown helper).  Blocks a
+        sequence still holds lose their content tag with the entry, so
+        they stop counting as evictable."""
         for bid in self._entries.values():
+            self.pool.set_content_hash(bid, None)
             self.pool.decref(bid)
         self._entries.clear()
 

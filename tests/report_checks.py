@@ -83,3 +83,61 @@ def assert_levels_agree(run):
         gap = max(lo - 1 - target, target - hi, 0) / len(ordered)
         assert gap <= digest.rank_error_bound, p
     return full
+
+
+def count_steps(engine) -> dict:
+    """Count ``engine``'s eager steps and decode halves: a decode half
+    a window runs after admitting shows as one more decode than
+    steps."""
+    counts = {"step": 0, "decode": 0}
+    step, decode = engine.step, engine._decode_step
+
+    def counted_step():
+        counts["step"] += 1
+        return step()
+
+    def counted_decode(*args):
+        counts["decode"] += 1
+        return decode(*args)
+
+    engine.step, engine._decode_step = counted_step, counted_decode
+    return counts
+
+
+def assert_windows_match_eager(make_engine, requests, check=None):
+    """Serve ``requests`` on fresh ``make_engine(fast_forward)`` engines:
+    the eager oracle at full telemetry, then event-horizon windows at
+    full, windows and summary telemetry, each materialized and
+    streamed.  Every windowed run reports what the eager one does (at
+    summary, which keeps no per-request tokens: every run-store metric
+    and percentile).  ``check(engine, eager_engine, report, counts)``
+    then inspects each windowed run with its :func:`count_steps`
+    tally.  Returns the eager engine and report."""
+    eager_engine = make_engine(False)
+    eager = eager_engine.run(list(requests))
+    ordered = sorted(requests, key=lambda r: r.arrival_s)
+    for level in ("full", "windows", "summary"):
+        for streamed in (False, True):
+            engine = make_engine(True)
+            counts = count_steps(engine)
+            report = engine.run(iter(ordered) if streamed
+                                else list(requests), telemetry=level)
+            where = (level, "streamed" if streamed else "materialized")
+            if level == "summary":
+                metrics, sections = report_metrics(report)
+                want, want_sections = report_metrics(eager)
+                assert metrics == want, where
+                # Window stats count how the run was fast-forwarded.
+                sections.pop("window_stats", None)
+                want_sections.pop("window_stats", None)
+                assert sections == want_sections, where
+                for p in LEVEL_PERCENTILES:
+                    assert report.latency_percentile_s(p) \
+                        == eager.latency_percentile_s(p), (where, p)
+                    assert report.ttft_percentile_s(p) \
+                        == eager.ttft_percentile_s(p), (where, p)
+            else:
+                assert_reports_identical(report, eager)
+            if check is not None:
+                check(engine, eager_engine, report, counts)
+    return eager_engine, eager

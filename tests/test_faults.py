@@ -28,14 +28,19 @@ from repro.config import TINY_MODEL
 from repro.engine import (
     WINDOW_BREAK_REASONS,
     FinishReason,
+    StepEvent,
     TenantSpec,
     synthetic_trace,
 )
 from repro.errors import SimulationError
 from repro.obs import FlightRecorder
 from repro.stats import percentile_of_sorted
-from report_checks import assert_levels_agree, assert_reports_identical
-from test_telemetry_equivalence import make_engine
+from report_checks import (
+    assert_levels_agree,
+    assert_reports_identical,
+    assert_windows_match_eager,
+)
+from test_telemetry_equivalence import LOW_RATE_KWARGS, idle_gaps, make_engine
 
 FF_TIERS = (True, False)
 PERCENTILES = (0.0, 25.0, 50.0, 95.0, 99.0, 100.0)
@@ -232,12 +237,13 @@ class TestEngineFaults:
         eng, rep = run_with_plan(True, plan, requests=chaos_trace)
         _, eager = run_with_plan(False, plan, requests=chaos_trace)
         assert_reports_identical(rep, eager)
-        # Six requests on four slots: the idle engine's first step
-        # admits four, and the two admissions that fill slots freed by
-        # retirements fold into the windows instead of breaking them.
+        # Six requests on four slots: the idle engine's first segment
+        # jumps to the burst and admits four, and the two admissions
+        # that fill slots freed by retirements fold into the windows
+        # instead of breaking them.
         assert rep.window_stats["breaks"] == {
             reason: 0 for reason in WINDOW_BREAK_REASONS}
-        assert rep.window_stats["folded_admissions"] == 2
+        assert rep.window_stats["folded_admissions"] == 6
         assert window_reasons(eng).count("fault") >= len(events)
 
     @pytest.mark.parametrize("kind", ("slowdown", "hang", "crash",
@@ -276,6 +282,47 @@ class TestEngineFaults:
         assert_reports_identical(rep_w, rep_e)
         assert eng_w.events == eng_e.events
         assert rep_w.window_stats["folded_admissions"] > 0
+
+    @pytest.mark.parametrize("kind", ("crash", "hang", "slowdown"))
+    def test_fault_inside_idle_gap_matches_eager(self, kind):
+        """A fault starting while the engine idles between arrivals:
+        windows fold every other idle jump, but leave this one to
+        ``step()``, which lands on the fault boundary and services it
+        before the next arrival — so every level and stream form
+        reports what the eager loop does.  The fault spans that
+        arrival (the crash kills it)."""
+        requests = synthetic_trace(TINY_MODEL, 20, **LOW_RATE_KWARGS)
+        _, clean = run_with_plan(False, None, requests=requests)
+        gaps = idle_gaps(requests, clean)
+        lo, hi = gaps[len(gaps) // 2]
+        start = (lo + hi) / 2
+        plan = FaultSchedule([FaultEvent(
+            kind, 0, start, hi - lo,
+            factor=2.0 if kind == "slowdown" else 1.0)]).plan_for(0)
+
+        def engine(ff):
+            eng = make_engine("cycle", "slotted", ff=ff)
+            eng.fault_plan = plan
+            return eng
+
+        def check(engine, eager_engine, report, counts):
+            assert engine.fault_stats() == eager_engine.fault_stats()
+            assert engine.killed == eager_engine.killed
+            assert counts["decode"] == counts["step"] > 0
+            if report.telemetry == "windows":
+                # The only eager steps: zero-work jumps onto a fault
+                # boundary.
+                steps = [r for r in engine._recorder.records
+                         if isinstance(r, StepEvent)]
+                assert len(steps) == counts["step"]
+                assert all(e.batch == 0 for e in steps)
+
+        eager_engine, _ = assert_windows_match_eager(engine, requests,
+                                                     check)
+        stats = eager_engine.fault_stats()
+        assert stats[{"crash": "crashes", "hang": "stalls",
+                      "slowdown": "slowdowns"}[kind]] == 1
+        assert bool(eager_engine.killed) == (kind == "crash")
 
     def test_fault_plan_is_inert_between_runs(self):
         """Clearing ``fault_plan`` restores healthy behavior exactly."""

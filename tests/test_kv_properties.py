@@ -16,7 +16,7 @@ make paging safe to put under a serving engine:
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.config import ModelConfig
 from repro.errors import CapacityError, SimulationError
@@ -258,3 +258,116 @@ def test_fetch_plan_charges_shared_blocks_once():
     assert kv.fetch_plan([a, b], [9, 9]) == [9, 1]
     # Order flips the charge: whoever reads first pays for the blocks.
     assert kv.fetch_plan([b, a], [9, 9]) == [9, 1]
+
+
+# ---------------------------------------------------------------------------
+# The incremental evictable count
+# ---------------------------------------------------------------------------
+
+#: shared system prompts: most churn allocations reuse a cached prefix.
+_PREFIXES = ((1, 2, 3, 4, 5, 6, 7, 8), (1, 2, 3, 4, 0, 0, 0, 0), (6, 6, 6))
+
+_churn_alloc = st.tuples(st.just("alloc"),
+                         st.tuples(st.sampled_from(_PREFIXES),
+                                   st.lists(st.integers(0, 2), max_size=6)))
+
+_churn_ops = st.lists(
+    st.one_of(
+        _churn_alloc,
+        _churn_alloc,  # twice: re-allocations are what hit the cache
+        st.tuples(st.just("advance"), st.tuples(st.integers(0, 5),
+                                                st.integers(1, 6))),
+        st.tuples(st.just("fork"), st.integers(0, 5)),
+        st.tuples(st.just("commit"), st.integers(0, 5)),
+        st.tuples(st.just("free"), st.integers(0, 5)),
+        st.tuples(st.just("evict"), st.none()),
+        st.tuples(st.just("clear"), st.none()),
+    ),
+    min_size=8,
+    max_size=50,
+)
+
+
+def _scanned_evictable(kv: PagedKVCache) -> int:
+    return sum(1 for bid in kv.prefix.entries().values()
+               if kv.pool.refcount(bid) == 1)
+
+
+@settings(deadline=None, max_examples=80)
+@given(ops=_churn_ops, n_blocks=st.integers(3, 12))
+@example(ops=[("alloc", (_PREFIXES[0], [0])), ("free", 0),
+              ("alloc", (_PREFIXES[0], [0]))], n_blocks=8)
+def test_evictable_count_matches_refcount_scan(ops, n_blocks):
+    """The pool's O(1) evictable count equals the refcount scan of the
+    prefix cache after every allocate, fork, free, prefix commit,
+    append (copy-on-write of a forked partial block included), LRU
+    eviction and cache clear — prompts drawn over a few shared prefixes
+    keep hitting cached blocks."""
+    kv = PagedKVCache(PROP_MODEL, n_blocks=n_blocks,
+                      block_size=BLOCK_SIZE, store_data=False)
+    live: dict[int, list[int]] = {}
+    for op, arg in ops:
+        if op == "alloc":
+            tokens = list(arg[0]) + arg[1]
+            seq = kv.allocate(tokens=tokens)
+            try:
+                kv.advance(seq, len(tokens) - kv.cached_length(seq))
+            except (CapacityError, SimulationError):
+                kv.free(seq)
+            else:
+                # As a prefill does: the prompt is published at once.
+                kv.commit_prefix(seq, tokens)
+                live[seq] = tokens
+        elif op == "evict":
+            kv.prefix.evict_one()
+        elif op == "clear":
+            kv.prefix.clear()
+        elif live:
+            index = arg[0] if op == "advance" else arg
+            seq = sorted(live)[index % len(live)]
+            if op == "advance":
+                before = kv.length(seq)
+                try:
+                    kv.advance(seq, arg[1])
+                except (CapacityError, SimulationError):
+                    pass
+                live[seq].extend([0] * (kv.length(seq) - before))
+            elif op == "fork":
+                live[kv.fork(seq)] = list(live[seq])
+            elif op == "commit":
+                kv.commit_prefix(seq, live[seq])
+            else:
+                kv.free(seq)
+                del live[seq]
+        assert kv.n_reclaimable_blocks == _scanned_evictable(kv)
+        kv.audit()
+    for seq in list(live):
+        kv.free(seq)
+        assert kv.n_reclaimable_blocks == _scanned_evictable(kv)
+    kv.prefix.clear()
+    kv.audit()
+    assert kv.n_reclaimable_blocks == 0
+    assert kv.n_free_blocks == kv.n_total_blocks
+
+
+def test_clear_untags_blocks_sequences_still_hold():
+    """Clearing the cache under a live sequence drops the content tags
+    with the entries: the blocks stay the sequence's, and freeing it
+    later must not count them evictable on the way down."""
+    kv = PagedKVCache(PROP_MODEL, n_blocks=8, block_size=BLOCK_SIZE,
+                      store_data=False)
+    prompt = list(range(9))
+    seq = kv.allocate(tokens=prompt)
+    kv.advance(seq, len(prompt))
+    kv.commit_prefix(seq, prompt)
+    other = kv.fork(seq)
+    kv.free(other)
+    assert kv.n_reclaimable_blocks == 0  # the sequence holds both
+    kv.prefix.clear()
+    kv.audit()
+    assert all(kv.pool.content_hash(bid) is None
+               for bid in kv.block_table(seq))
+    kv.free(seq)
+    kv.audit()
+    assert kv.n_reclaimable_blocks == 0
+    assert kv.n_free_blocks == kv.n_total_blocks

@@ -30,13 +30,23 @@ from repro.cluster import (
 from repro.config import TINY_MODEL
 from repro.engine import (
     FinishReason,
+    StepEvent,
     TenantSpec,
     iter_synthetic_trace,
     synthetic_trace,
 )
 from repro.errors import SimulationError
-from report_checks import assert_levels_agree, assert_reports_identical
-from test_telemetry_equivalence import KNEE_MIX, make_engine
+from report_checks import (
+    assert_levels_agree,
+    assert_reports_identical,
+    assert_windows_match_eager,
+)
+from test_telemetry_equivalence import (
+    KNEE_MIX,
+    LOW_RATE_KWARGS,
+    idle_gaps,
+    make_engine,
+)
 
 FF_TIERS = (True, False)
 
@@ -280,6 +290,40 @@ class TestDrainMigration:
             assert folded > 0
             assert folded == sum(r.window_stats["folded_admissions"]
                                  for r in report.replica_reports)
+
+    @pytest.mark.parametrize("kv_mode", ("slotted", "paged"))
+    def test_drain_inside_idle_gap_is_tier_identical(self, kv_mode):
+        """A drain starting while the engine idles: the window leaves
+        the jump onto its start (and onto its deadline) to ``step()``,
+        which opens and closes the drain before any arrival is
+        admitted; the arrival inside the drain hands over, and every
+        level and stream form reports what the eager loop does."""
+        requests = synthetic_trace(TINY_MODEL, 20, **LOW_RATE_KWARGS)
+        clean = make_engine("cycle", kv_mode, ff=False).run(requests)
+        gaps = idle_gaps(requests, clean)
+        lo, hi = gaps[len(gaps) // 2]
+        start = (lo + hi) / 2
+        plan = FaultSchedule([FaultEvent("drain", 0, start, hi - lo)]) \
+            .plan_for(0)
+
+        def engine(ff):
+            eng = make_engine("cycle", kv_mode, ff=ff)
+            eng.fault_plan = plan
+            return eng
+
+        def check(engine, eager_engine, report, counts):
+            assert engine.fault_stats() == eager_engine.fault_stats()
+            assert engine.drained == eager_engine.drained
+            assert counts["decode"] == counts["step"] > 0
+            if report.telemetry == "windows":
+                steps = [r for r in engine._recorder.records
+                         if isinstance(r, StepEvent)]
+                assert all(e.batch == 0 for e in steps)
+
+        eager_engine, _ = assert_windows_match_eager(engine, requests,
+                                                     check)
+        assert eager_engine.fault_stats()["drains"] == 1
+        assert [m.phase for m in eager_engine.drained] == ["queued"]
 
     def test_drain_reopens_admission_after_deadline(self):
         """Post-deadline arrivals are served by the drained replica

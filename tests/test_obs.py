@@ -371,27 +371,72 @@ def assert_valid_chrome_trace(payload):
 
 
 class TestFlightRecorder:
-    def _traced_run(self, n_requests=40, **engine_kwargs):
+    def _traced_run(self, n_requests=40, arrival_rate_rps=2000.0,
+                    **engine_kwargs):
         engine = make_engine(**engine_kwargs)
         recorder = FlightRecorder()
         engine.flight = recorder
         report = engine.run(
             iter_synthetic_trace(TINY_MODEL, n_requests,
-                                 arrival_rate_rps=2000.0, seed=9,
-                                 prompt_len=(3, 8), decode_len=(4, 20)),
+                                 arrival_rate_rps=arrival_rate_rps,
+                                 seed=9, prompt_len=(3, 8),
+                                 decode_len=(4, 20)),
             telemetry="summary")
         return report, recorder
 
-    def test_export_round_trip(self, tmp_path):
-        report, recorder = self._traced_run()
+    def _exported_names(self, tmp_path, **engine_kwargs) -> set:
+        _, recorder = self._traced_run(**engine_kwargs)
         path = tmp_path / "trace.json"
         export_chrome_trace(path, recorder)
         payload = json.loads(path.read_text())
         assert payload["displayTimeUnit"] == "ms"
         assert_valid_chrome_trace(payload)
-        names = {e["name"] for e in payload["traceEvents"]}
+        return {e["name"] for e in payload["traceEvents"]}
+
+    def test_export_round_trip(self, tmp_path):
+        """The windowed run traces window spans; its idle starts fold
+        into them, so it takes no eager step."""
+        names = self._exported_names(tmp_path)
         assert {"queued", "prefill", "decode", "retired",
-                "step", "window"} <= names
+                "window"} <= names
+        assert "step" not in names
+
+    def test_export_round_trip_eager_steps(self, tmp_path):
+        """The eager loop traces one step span per iteration."""
+        names = self._exported_names(tmp_path, fast_forward=False)
+        assert {"queued", "prefill", "decode", "retired",
+                "step"} <= names
+
+    def test_window_spans_skip_idle_gaps(self):
+        """A window folds the idle jumps between bursts, but its trace
+        draws only the busy stretches: every window span lies inside
+        the union of the requests' prefill and decode spans."""
+        report, recorder = self._traced_run(n_requests=12,
+                                            arrival_rate_rps=200.0)
+        assert report.window_stats["n_windows"] \
+            < report.window_stats["folded_admissions"]
+        events = recorder.chrome_events()
+        busy, windows, opened = [], [], {}
+        for e in events:
+            lane = (e["tid"], e["name"])
+            if e["ph"] == "B" and e["name"] in ("prefill", "decode",
+                                                "window"):
+                opened[lane] = e["ts"]
+            elif e["ph"] == "E" and lane in opened:
+                interval = (opened.pop(lane), e["ts"])
+                (windows if e["name"] == "window" else busy) \
+                    .append(interval)
+        merged: list[list[float]] = []
+        for lo, hi in sorted(busy):
+            if merged and lo <= merged[-1][1]:
+                merged[-1][1] = max(merged[-1][1], hi)
+            else:
+                merged.append([lo, hi])
+        assert len(merged) > 1, "the trace must have idle gaps"
+        assert len(windows) >= len(merged)
+        for lo, hi in windows:
+            assert any(m_lo <= lo and hi <= m_hi
+                       for m_lo, m_hi in merged), (lo, hi)
 
     def test_every_request_retires_once(self):
         report, recorder = self._traced_run(n_requests=25)

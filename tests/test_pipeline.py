@@ -1,8 +1,10 @@
 """Fused head-wise attention pipeline (Fig. 3)."""
 
+import hashlib
+
 import pytest
 
-from repro.config import LLAMA2_7B, TINYLLAMA_1_1B, W4A16_KV8
+from repro.config import LLAMA2_7B, MODEL_PRESETS, TINYLLAMA_1_1B, W4A16_KV8
 from repro.core.pipeline import AttentionPipeline
 from repro.errors import ScheduleError
 
@@ -109,3 +111,53 @@ class TestGqaSchedule:
         pipe = AttentionPipeline(TINYLLAMA_1_1B, W4A16_KV8,
                                  online_softmax=True)
         assert pipe.fused_schedule(512).all_hidden()
+
+
+#: sha256 over every preset's exposed-misc cycles (``float.hex``) on the
+#: grid of :class:`TestContextPricingGolden`, and over the fused misc
+#: placements at its power-of-two contexts — recorded from the schedule
+#: builders before the fused arithmetic moved into one timeline.
+EXPOSED_GOLDEN = \
+    "6b7665bd754daf40c00102e17ed8ec0b08448f181fa0788c2a1eb04fead6290c"
+PLACEMENTS_GOLDEN = \
+    "131511c200314cf0b2231b667d5142b298ecd718dd425070dcd33c9e5ae9c40c"
+
+
+class TestContextPricingGolden:
+    """``exposed_misc_cycles`` prices a context without building a
+    report; it must equal the report's own sum to the bit, for every
+    preset (GQA included), TP degree and mode, and neither may drift
+    from the pre-timeline schedule builders."""
+
+    def test_pricing_matches_schedule_bitwise(self):
+        exposed = hashlib.sha256()
+        placements = hashlib.sha256()
+        for name, model in sorted(MODEL_PRESETS.items()):
+            powers = {1 << k for k in range(model.max_context.bit_length())}
+            contexts = sorted(set(range(601)) | powers
+                              | {model.max_context - 1})
+            for tp in (1, 2, 4):
+                try:
+                    pipe = AttentionPipeline(model, W4A16_KV8, tp=tp)
+                except ScheduleError:
+                    continue  # heads or hidden do not split tp ways
+                for mode in ("fused", "coarse"):
+                    for ctx in contexts:
+                        report = pipe.schedule(ctx, mode)
+                        priced = pipe.exposed_misc_cycles(ctx, mode)
+                        assert priced.hex() \
+                            == report.exposed_misc_cycles.hex(), \
+                            (name, tp, mode, ctx)
+                        exposed.update(f"{name}/{tp}/{mode}/{ctx}:"
+                                       f"{priced.hex()};".encode())
+                        if mode == "fused" and ctx in powers:
+                            placements.update(repr([
+                                (p.name, p.cycles, p.window_start,
+                                 p.window_end)
+                                for p in report.misc]).encode())
+        assert exposed.hexdigest() == EXPOSED_GOLDEN
+        assert placements.hexdigest() == PLACEMENTS_GOLDEN
+
+    def test_unknown_mode_rejected(self, pipe):
+        with pytest.raises(ScheduleError):
+            pipe.exposed_misc_cycles(8, "sideways")

@@ -40,7 +40,7 @@ from repro.engine import (
 from repro.errors import SimulationError
 from repro.stats import percentile_of_runs, percentile_of_sorted
 
-from report_checks import assert_reports_identical
+from report_checks import assert_reports_identical, assert_windows_match_eager
 
 QUANT32 = QuantConfig(weight_group_size=32)
 BLOCK_SIZE = 8
@@ -70,6 +70,27 @@ def scale_engine():
 def knee_kwargs(seed):
     return dict(arrival_rate_rps=20_000.0, seed=seed, prompt_len=(4, 16),
                 decode_len=(8, 32), tenant_mix=KNEE_MIX)
+
+
+def idle_gaps(requests, report):
+    """``(start, end)`` of every idle stretch of a served ``report``:
+    from the moment all earlier requests have retired to the next
+    arrival."""
+    arrival = {r.request_id: r.arrival_s for r in requests}
+    spans = sorted((arrival[r.request_id], arrival[r.request_id] + r.e2e_s)
+                   for r in report.results)
+    gaps, busy_until = [], 0.0
+    for start, done in spans:
+        if start > busy_until:
+            gaps.append((busy_until, start))
+        busy_until = max(busy_until, done)
+    return gaps
+
+
+#: a low-rate trace: requests mostly arrive one at a time, each
+#: draining before the next lands
+LOW_RATE_KWARGS = dict(arrival_rate_rps=200.0, seed=7, prompt_len=(3, 8),
+                       decode_len=(4, 24))
 
 
 #: requests per long-decode burst: one full engine of lanes
@@ -331,11 +352,12 @@ class TestEventHorizonTiers:
         assert eager.window_stats["n_windows"] == 0
         assert len(eng._recorder.records) < report.n_steps
 
-    def test_long_decode_sweep_one_window_per_burst(self):
+    def test_long_decode_sweep_folds_into_one_window(self):
         """50 bursts on a paged pool sized to one burst: every
-        retirement and block frontier folds into the segments of one
-        window per burst admission, so the window count is
-        O(admissions), not O(requests)."""
+        retirement and block frontier folds into a segment, and every
+        drained gap folds into the idle jump of the next burst's
+        admitting segment, so the whole sweep is ONE window of two
+        segments per burst (one per LENGTH horizon)."""
         n = 50 * LONG_DECODE_BURST
         trace = long_decode_trace(n)
 
@@ -350,7 +372,9 @@ class TestEventHorizonTiers:
         report = engine(True).run(trace, telemetry="windows")
         assert_reports_identical(report, engine(False).run(trace))
         stats = report.window_stats
-        assert stats["n_windows"] == n // LONG_DECODE_BURST, stats
+        assert stats["n_windows"] == 1, stats
+        assert stats["n_segments"] == 2 * n // LONG_DECODE_BURST, stats
+        assert stats["folded_admissions"] == n, stats
         assert stats["folded_retirements"] == n, stats
         assert stats["breaks"]["block-frontier"] == 0, stats
         assert stats["breaks"]["retirement-unpredicted"] == 0, stats
@@ -400,8 +424,10 @@ class TestEventHorizonTiers:
         """Admissions fold into the windows at segment starts: the
         materialized and the streamed run both reproduce the eager
         loop, events included — each admission's count lands on the
-        step that decodes right after it — while only the steps that
-        start from an idle engine stay eager."""
+        step that decodes right after it.  The idle start folds too,
+        and the paged pool's spare blocks sit in the prefix cache as
+        evictable supply, so no step stays eager and no window breaks
+        at a block frontier."""
         n = 120
         trace = synthetic_trace(TINY_MODEL, n, **knee_kwargs(3))
         eager_eng = make_engine(kind, kv_mode, ff=False)
@@ -419,12 +445,10 @@ class TestEventHorizonTiers:
         assert streamed_eng.events == eager_eng.events
         stats = streamed.window_stats
         assert stats["breaks"]["admission"] == 0
-        assert stats["folded_admissions"] > n // 2
-        eager_steps = [r for r in streamed_eng._recorder.records
-                       if isinstance(r, StepEvent)]
-        assert len(eager_steps) < len(streamed_eng._recorder.records)
-        assert sum(e.admitted for e in eager_steps) \
-            + stats["folded_admissions"] == n
+        assert stats["breaks"]["block-frontier"] == 0
+        assert stats["folded_admissions"] == n
+        assert not any(isinstance(r, StepEvent)
+                       for r in streamed_eng._recorder.records)
 
     def test_streamed_report_carries_window_stats(self):
         kwargs = dict(arrival_rate_rps=600.0, seed=13,
@@ -754,3 +778,64 @@ class TestRunLengthPrimitives:
             clock = clock + np.float64(d)
             folded.append(clock)
         assert arr.tolist() == folded
+
+
+class TestIdleAndEvictionFolds:
+    """The event horizon folds the idle jump to the next arrival and
+    the prefix-cache evictions of a full paged pool: every telemetry
+    level, materialized or streamed, reports what the eager loop does."""
+
+    @pytest.mark.parametrize("kv_mode", ("slotted", "paged"))
+    def test_low_rate_trace_takes_no_eager_step(self, kv_mode):
+        """Requests arrive one at a time and drain before the next: each
+        arrival is an idle jump the window folds into an admitting
+        segment, so the run takes no eager step and owes no decode
+        half."""
+        requests = synthetic_trace(TINY_MODEL, 20, **LOW_RATE_KWARGS)
+
+        def check(engine, eager_engine, report, counts):
+            assert counts == {"step": 0, "decode": 0}
+            stats = report.window_stats
+            assert stats["folded_admissions"] == len(requests)
+            assert stats["n_windows"] < len(requests)
+            if report.telemetry != "summary":
+                assert engine.events == eager_engine.events
+
+        _, eager = assert_windows_match_eager(
+            lambda ff: make_engine("cycle", kv_mode, ff=ff), requests,
+            check)
+        # Idle gaps are real: most requests arrive to an idle engine.
+        assert len(idle_gaps(requests, eager)) > len(requests) // 2
+
+    @pytest.mark.parametrize("n_blocks", (24, 12))
+    def test_evictable_prefix_pool_folds_block_frontiers(self, n_blocks):
+        """A shared system prompt fills the pool with cached prefix
+        blocks nobody holds: windows claim them as evictable supply
+        instead of breaking at each block frontier, and evict exactly
+        what the eager loop does.  24 blocks never run dry, so no
+        window breaks at a frontier; 12 blocks preempt, and windows
+        must run up to the last claimable block and no further."""
+        requests = synthetic_trace(TINY_MODEL, 40, arrival_rate_rps=1000.0,
+                                   seed=1, prompt_len=(3, 12),
+                                   decode_len=(8, 40), shared_prefix_len=8)
+
+        def engine(ff):
+            backend = CycleModelBackend(TINY_MODEL, QUANT32,
+                                        n_slots=MAX_BATCH, kv_mode="paged",
+                                        block_size=4, n_kv_blocks=n_blocks)
+            return ContinuousBatchScheduler(backend, max_batch=MAX_BATCH,
+                                            fast_forward=ff)
+
+        def check(engine, eager_engine, report, counts):
+            paged, oracle = engine.backend.paged_kv, \
+                eager_engine.backend.paged_kv
+            assert paged.prefix.evictions == oracle.prefix.evictions
+            assert paged.prefix_reused_tokens == oracle.prefix_reused_tokens
+            if n_blocks == 24:
+                assert report.window_stats["breaks"]["block-frontier"] == 0
+            paged.audit()
+
+        eager_engine, eager = assert_windows_match_eager(engine, requests,
+                                                         check)
+        assert eager_engine.backend.paged_kv.prefix.evictions > 0
+        assert (eager.preemptions > 0) == (n_blocks == 12)

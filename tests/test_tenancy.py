@@ -31,7 +31,7 @@ from repro.engine import (
 )
 from repro.errors import CapacityError, SimulationError
 
-from report_checks import assert_reports_identical
+from report_checks import assert_reports_identical, count_steps
 
 QUANT32 = QuantConfig(weight_group_size=32)
 BLOCK_SIZE = 8
@@ -316,25 +316,6 @@ class TestBestEffortDrop:
                                  self.run_thrash(ff=False))
 
 
-def count_steps(engine):
-    """Count ``engine``'s eager steps and decode halves: a decode half
-    the window runs after admitting shows as one more decode than
-    steps."""
-    counts = {"step": 0, "decode": 0}
-    step, decode = engine.step, engine._decode_step
-
-    def counted_step():
-        counts["step"] += 1
-        return step()
-
-    def counted_decode(*args):
-        counts["decode"] += 1
-        return decode(*args)
-
-    engine.step, engine._decode_step = counted_step, counted_decode
-    return counts
-
-
 class TestTenancyTiersAgree:
     """Satellite: the differential harness over mixed-tenant traces —
     event-horizon windows == eager across backends, KV modes, and
@@ -375,24 +356,28 @@ class TestTenancyTiersAgree:
     @pytest.mark.parametrize("kv_mode", ("slotted", "paged"))
     def test_quota_knee_folded_admissions_agree(self, kv_mode):
         """Quota'd tenants past the knee: admissions fold into windows,
-        and where a segment start admits but a tenant's quota then
-        forces an eviction, the window hands that step to the eager
-        decode half.  Materialized and streamed runs both match the
-        eager loop, events included."""
+        and where a segment start admits but KV pressure then forces an
+        eviction, the window hands that step to the eager decode half.
+        Materialized and streamed runs both match the eager loop,
+        events included.  The paged pool is 12 blocks: windows claim
+        evictable prefix blocks, so on the default 16 every admitting
+        segment start folds its first step and no decode half is owed."""
         kwargs = dict(arrival_rate_rps=20000.0, seed=1,
                       prompt_len=(3, 10), decode_len=(8, 32),
                       tenant_mix=MIX)
+        budget = BUDGET_TOKENS if kv_mode == "slotted" \
+            else 12 * BLOCK_SIZE
         trace = synthetic_trace(TINY_MODEL, 80, **kwargs)
-        eager_eng = make_engine("cycle", kv_mode, ff=False)
+        eager_eng = make_engine("cycle", kv_mode, ff=False, budget=budget)
         eager = eager_eng.run(trace)
         assert eager.preemptions > 0
-        eng = make_engine("cycle", kv_mode)
+        eng = make_engine("cycle", kv_mode, budget=budget)
         counts = count_steps(eng)
         assert_reports_identical(eng.run(trace), eager)
         assert eng.events == eager_eng.events
         # Owed steps: decode halves the windows ran after admitting.
         assert counts["decode"] > counts["step"]
-        streamed_eng = make_engine("cycle", kv_mode)
+        streamed_eng = make_engine("cycle", kv_mode, budget=budget)
         streamed = streamed_eng.run(
             iter_synthetic_trace(TINY_MODEL, 80, **kwargs),
             telemetry="windows")
