@@ -374,7 +374,8 @@ def cmd_serve_sim(args) -> int:
               f"failed {resilience['n_failed']}, "
               f"shed {resilience['n_shed']}, "
               f"lost {resilience['n_lost']} "
-              f"(retry rounds {resilience['retry_rounds']})")
+              f"(retry rounds {resilience['retry_rounds']}: sweeps "
+              "that re-ran a replica)")
         if resilience.get("n_drains"):
             print(f"    drains {resilience['n_drains']}: "
                   f"migrated {resilience['n_migrated']} "

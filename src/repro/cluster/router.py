@@ -319,12 +319,12 @@ class ReplicaRouter:
     def _retry_plan(
             self, kills: "list[tuple[KilledRequest, ...]]",
     ) -> tuple:
-        """The re-dispatch plan implied by one round's kills: for each
+        """The re-dispatch plan implied by the replicas' kills: for each
         killed request, its kill chain in time order maps to retry
         dispatches (attempt ``j`` re-arrives ``delay_s(j)`` after kill
         ``j-1``) until the budget is spent, then a terminal failure.
-        Pure function of the kills, so the fixed-point iteration
-        converges exactly when a round's kills reproduce its inputs."""
+        Pure function of the kills, so the fixed point is reached
+        exactly when the kills reproduce the dispatches they ran with."""
         by_rid: dict[int, list] = {}
         for replica, replica_kills in enumerate(kills):
             for k in replica_kills:
@@ -346,7 +346,7 @@ class ReplicaRouter:
 
     def _migration_plan(
             self, drains: "list[tuple[MigratedRequest, ...]]") -> tuple:
-        """The handoff dispatches implied by one round's drain
+        """The handoff dispatches implied by the replicas' drain
         checkpoints: each checkpoint re-admits its request on a healthy
         replica after the migration cost model's transfer delay, with a
         :class:`ResumeSpec` so the target's first prefill skips the
@@ -369,18 +369,55 @@ class ReplicaRouter:
                                 ckpt.n_generated, ckpt.first_token_s))
         return tuple(entries)
 
+    def _converge(self, run: "_FaultRun") -> None:
+        """Re-run replicas until every one last ran with the share the
+        current dispatch plan gives it: a dirty-replica worklist swept
+        in causal order.
+
+        Each sweep visits the replicas in ``run.order`` and re-runs only
+        those whose share differs from the one they last ran with,
+        re-planning after each run — so a dispatch emitted early in a
+        sweep reaches its target later in the same sweep.  A sweep that
+        re-runs nothing ends the loop.  Skipping a clean replica is
+        sound because a replay is a pure function of its share (see
+        :class:`_FaultRun`).  That this order reaches the same fixed
+        point as re-running every replica every round is a tested
+        property, not a theorem: ``tests/test_fault_convergence.py``
+        pins it bit for bit against that loop on hypothesis-drawn fault
+        runs.  Positive dispatch lookahead (a handoff or retry lands
+        strictly after the fault that emits it) is the condition under
+        which the fixed point is expected to be unique; with
+        zero-latency handoffs several could exist in principle.
+        """
+        while True:
+            swept = False
+            for idx in run.order:
+                if run.ran_with[idx] == run.share(idx):
+                    continue
+                if not swept:
+                    run.begin_round()
+                    swept = True
+                run.run_replica(idx)
+                run.replan()
+            if not swept:
+                return
+
     def _run_with_faults(self, requests: TraceLike, telemetry: str,
                          max_steps: int) -> ServeReport:
         """Serve a trace through the fault schedule: shed, route
-        health-aware, then iterate crash re-dispatch to a fixed point.
+        health-aware, then converge crash re-dispatch to a fixed point.
 
-        Each round replays every replica from scratch with the current
-        retry dispatches added to its share; the kills observed imply
-        the next round's dispatches.  The plan converges when a round's
-        kills reproduce exactly the dispatches it ran with — the
+        Each replica replays its share — its routed requests plus the
+        retry and migration dispatches that land on it — from scratch;
+        the kills and drain checkpoints observed imply the next
+        dispatch plan (:meth:`_converge` re-runs only the replicas
+        whose share changed).  The plan converges when every replica's
+        last run reproduces exactly the dispatches it ran with — the
         simulated-time analogue of a real router reacting to failures
         as they happen, kept deterministic (and tier-independent)
         because every kill time is a pure function of fault + request.
+        ``resilience["retry_rounds"]`` counts the sweeps that re-ran at
+        least one replica.
         """
         tracker = self._health
         assert tracker is not None
@@ -410,93 +447,18 @@ class ReplicaRouter:
         plans = [self.faults.plan_for(idx)
                  for idx in range(self.n_replicas)]
         dspans = tracker.degraded_spans()
+        for engine, plan in zip(self.engines, plans):
+            engine.fault_plan = plan
+            engine.degraded_spans = dspans
         originals = {r.request_id: r for r in admitted}
 
         n_drain_events = sum(1 for e in self.faults.events
                              if e.kind == "drain")
-
-        prev_plan: tuple = ((), ())
-        retries: dict[tuple[int, int], tuple[int, Request]] = {}
-        handoffs: dict[tuple[int, int], tuple[int, Request]] = {}
-        failed: dict[int, float] = {}
-        reports: list = []
-        kills: list[tuple[KilledRequest, ...]] = []
-        drains: list[tuple[MigratedRequest, ...]] = []
-        rounds = 0
         max_rounds = (self.retry.budget + 6 + 2 * n_drain_events) \
             * (3 if self.hedge is not None else 1)
-
-        def build_dispatches(plan: tuple) -> None:
-            """Materialize a (retry, migration) plan into dispatch
-            requests.  Retries restart from the pristine original (the
-            crash destroyed the KV); migrations re-admit with a resume
-            spec so the target's prefill skips the shipped positions.
-            Both keep the client's ledger anchored at the *original*
-            arrival — the client has been waiting since then, so
-            TTFT/E2E must say so."""
-            nonlocal retries, handoffs, failed
-            retry_plan, migration_plan = plan
-            retries, handoffs, failed = {}, {}, {}
-            for rid, attempt, verdict, t_s, target in retry_plan:
-                if verdict == "failed":
-                    failed[rid] = t_s
-                else:
-                    retries[(rid, attempt)] = (target, replace(
-                        originals[rid], arrival_s=t_s,
-                        accounted_arrival_s=originals[rid]
-                        .ledger_arrival_s))
-            for rid, hop, t_s, target, position, n_gen, first_s \
-                    in migration_plan:
-                resume = ResumeSpec(
-                    kv_position=position, n_generated=n_gen,
-                    first_token_s=first_s) \
-                    if position or n_gen or first_s is not None \
-                    else None
-                handoffs[(rid, hop)] = (target, replace(
-                    originals[rid], arrival_s=t_s,
-                    accounted_arrival_s=originals[rid].ledger_arrival_s,
-                    resume=resume))
-
-        def run_fixed_point() -> None:
-            """Replay every replica until a round's kills and drain
-            checkpoints reproduce exactly the dispatches it ran with."""
-            nonlocal reports, kills, drains, rounds, prev_plan
-            while True:
-                rounds += 1
-                if rounds > max_rounds:
-                    raise SimulationError(
-                        f"crash re-dispatch did not converge within "
-                        f"{max_rounds} rounds — the retry/migration "
-                        "plan keeps perturbing which requests later "
-                        "faults hit")
-                reports.clear()
-                kills.clear()
-                drains.clear()
-                for idx, engine in enumerate(self.engines):
-                    engine.fault_plan = plans[idx]
-                    engine.degraded_spans = dspans
-                    if engine.flight is not None:
-                        # Recorders would otherwise accumulate every
-                        # round's events; only the converged round's
-                        # timeline is the run.
-                        engine.flight.reset()
-                    share = base_shares[idx] + [
-                        req for (_, _), (target, req)
-                        in sorted(retries.items()) if target == idx] + [
-                        req for (_, _), (target, req)
-                        in sorted(handoffs.items()) if target == idx]
-                    reports.append(engine.run(share, telemetry=telemetry,
-                                              max_steps=max_steps))
-                    kills.append(tuple(engine.killed))
-                    drains.append(tuple(engine.drained))
-                plan = (self._retry_plan(kills),
-                        self._migration_plan(drains))
-                if plan == prev_plan:
-                    return
-                prev_plan = plan
-                build_dispatches(plan)
-
-        run_fixed_point()
+        run = _FaultRun(self, base_shares, originals, _causal_order(plans),
+                        max_rounds, telemetry, max_steps)
+        self._converge(run)
 
         # -- hedged dispatch: first-token-wins duplicates -------------------
         hedge_copies: dict[int, tuple[int, ...]] = {}
@@ -504,8 +466,8 @@ class ReplicaRouter:
         copy_ids: set[int] = set()
         if self.hedge is not None:
             delay = self.hedge.delay_s
-            candidates = set(failed)
-            for rep in reports:
+            candidates = set(run.failed)
+            for rep in run.reports:
                 rows = rep.rows
                 slow = rows["ttft_valid"] & (rows["ttft_s"] > delay) \
                     & (rows["reason"] != REASON_CODES[FinishReason.REJECTED])
@@ -531,12 +493,12 @@ class ReplicaRouter:
                 hedge_copies[rid] = tuple(ids)
             copy_ids = {c for ids in hedge_copies.values() for c in ids}
         if hedge_copies:
-            run_fixed_point()
+            self._converge(run)
             # First token wins.  Every contender's ledger TTFT measures
             # from the primary's original arrival, so the TTFTs compare
             # directly as absolute first-token order; ties keep the
             # primary (no pointless cancellation).
-            first_token = _first_token_times(reports)
+            first_token = _first_token_times(run.reports)
 
             def first_token_rank(cid: int) -> tuple:
                 ttft = first_token.get(cid)
@@ -564,19 +526,19 @@ class ReplicaRouter:
                     share[share.index(old)] = new
                     clamped = True
             if clamped:
-                build_dispatches(prev_plan)
-                run_fixed_point()
+                run.build_dispatches()
+                self._converge(run)
 
         stats = [engine.fault_stats() for engine in self.engines]
         for engine in self.engines:
             engine.fault_plan = None
             engine.degraded_spans = ()
-        for (rid, attempt), (target, req) in sorted(retries.items()):
+        for (rid, attempt), (target, req) in sorted(run.retries.items()):
             flight = self.engines[target].flight
             if flight is not None:
                 flight.instant("redispatch", req.arrival_s, rid,
                                attempt=attempt)
-        for (rid, hop), (target, req) in sorted(handoffs.items()):
+        for (rid, hop), (target, req) in sorted(run.handoffs.items()):
             flight = self.engines[target].flight
             if flight is not None:
                 flight.instant(
@@ -597,18 +559,18 @@ class ReplicaRouter:
         # verdict), and a primary whose hedge set retired (a winner
         # wiped out by a post-clamp fault shift falls back to the
         # primary's own verdict) did not fail.
-        retired_ids = {rid for rep in reports
+        retired_ids = {rid for rep in run.reports
                        for rid in rep.rows["request_id"].tolist()}
         recovered = {rid for rid, winner in winner_of.items()
-                     if rid in failed and (winner in retired_ids
+                     if rid in run.failed and (winner in retired_ids
                                            or rid in retired_ids)}
         failed_verdicts = [
             (originals[rid], FinishReason.FAILED,
              kill_s - originals[rid].arrival_s)
-            for rid, kill_s in sorted(failed.items())
+            for rid, kill_s in sorted(run.failed.items())
             if rid not in copy_ids and rid not in recovered]
         lost = {r.request_id for r in admitted} \
-            - retired_ids - set(failed)
+            - retired_ids - set(run.failed)
         degraded_time = tracker.degraded_time_s()
         degraded_tokens = sum(s["degraded_tokens"] for s in stats)
         resilience = {
@@ -616,11 +578,11 @@ class ReplicaRouter:
             "n_hangs": sum(s["stalls"] for s in stats),
             "n_slowdowns": sum(s["slowdowns"] for s in stats),
             "n_drains": sum(s["drains"] for s in stats),
-            "n_killed": sum(len(k) for k in kills),
-            "n_redispatched": len(retries),
-            "n_migrated": sum(len(d) for d in drains),
+            "n_killed": sum(len(k) for k in run.kills),
+            "n_redispatched": len(run.retries),
+            "n_migrated": sum(len(d) for d in run.drains),
             "migrated_kv_bytes": sum(m.kv_bytes
-                                     for d in drains for m in d),
+                                     for d in run.drains for m in d),
             "n_resumed": sum(s["n_resumed"] for s in stats),
             "resume_recompute_tokens":
                 sum(s["resume_recompute_tokens"] for s in stats),
@@ -631,7 +593,7 @@ class ReplicaRouter:
             "n_hedged": len(hedge_copies),
             "n_hedge_wins": sum(1 for rid, w in winner_of.items()
                                 if w != rid),
-            "retry_rounds": rounds,
+            "retry_rounds": run.rounds,
             "mttr_s": tracker.mttr_s(),
             "downtime_s": sum(s["downtime_s"] for s in stats),
             "degraded_time_s": degraded_time,
@@ -639,12 +601,134 @@ class ReplicaRouter:
                 degraded_tokens / degraded_time
                 if degraded_time > 0 else None,
         }
-        report = ServeReport.merge(reports, self.assignments,
+        report = ServeReport.merge(run.reports, self.assignments,
                                    verdicts=shed + failed_verdicts,
                                    resilience=resilience)
         if winner_of:
             report = _collapse_hedges(report, winner_of, copy_ids)
         return report
+
+
+def _causal_order(plans: list) -> list[int]:
+    """Sweep order of the fixed point: replicas by the start of their
+    first crash or drain — the only actions that emit dispatches — so a
+    sweep runs each emitter before the replicas its dispatches land on.
+    Replicas with neither go last; ties go by index."""
+    def key(idx: int) -> tuple:
+        starts = [a.start_s for a in plans[idx].actions
+                  if a.kind in ("crash", "drain")]
+        return (not starts, min(starts, default=0.0), idx)
+    return sorted(range(len(plans)), key=key)
+
+
+class _FaultRun:
+    """One fault run's fixed-point state: the replicas' routed shares,
+    the dispatch plan their latest replays imply, and those replays.
+
+    A replay is a pure function of (share, fault plan, degraded spans):
+    the engine resets its clocks, recorder, fault state and KV pool at
+    every run start, and a crash drops the board's cached prefixes.
+    So a replica whose share has not changed since its last run needs
+    no re-run.
+    """
+
+    def __init__(self, router: ReplicaRouter,
+                 base_shares: list[list[Request]],
+                 originals: dict[int, Request], order: list[int],
+                 max_rounds: int, telemetry: str, max_steps: int) -> None:
+        n = router.n_replicas
+        self.router = router
+        #: routed requests (and hedge copies) per replica; the hedge
+        #: phase appends and clamps in place.
+        self.base_shares = base_shares
+        self.originals = originals
+        self.order = order
+        self.max_rounds = max_rounds
+        self.telemetry = telemetry
+        self.max_steps = max_steps
+        #: (retry plan, migration plan) the dispatches were built from.
+        self.plan: tuple = ((), ())
+        self.retries: dict[tuple[int, int], tuple[int, Request]] = {}
+        self.handoffs: dict[tuple[int, int], tuple[int, Request]] = {}
+        self.failed: dict[int, float] = {}
+        self._dispatched: list[list[Request]] = [[] for _ in range(n)]
+        self.reports: list[ServeReport | None] = [None] * n
+        self.kills: list[tuple[KilledRequest, ...]] = [()] * n
+        self.drains: list[tuple[MigratedRequest, ...]] = [()] * n
+        #: the share each replica's latest report was run with.
+        self.ran_with: list[list[Request] | None] = [None] * n
+        self.rounds = 0
+
+    def share(self, idx: int) -> list[Request]:
+        """Replica ``idx``'s current share: its routed requests, then
+        the retries and handoffs the plan dispatches to it."""
+        return self.base_shares[idx] + self._dispatched[idx]
+
+    def begin_round(self) -> None:
+        self.rounds += 1
+        if self.rounds > self.max_rounds:
+            raise SimulationError(
+                f"crash re-dispatch did not converge within "
+                f"{self.max_rounds} sweeps — the retry/migration plan "
+                "keeps perturbing which requests later faults hit")
+
+    def run_replica(self, idx: int) -> None:
+        """Replay replica ``idx`` on its current share."""
+        engine = self.router.engines[idx]
+        if engine.flight is not None:
+            # Recorders would otherwise accumulate every replay's
+            # events; only the converged replay's timeline is the run.
+            engine.flight.reset()
+        share = self.share(idx)
+        self.reports[idx] = engine.run(share, telemetry=self.telemetry,
+                                       max_steps=self.max_steps)
+        self.ran_with[idx] = share
+        self.kills[idx] = tuple(engine.killed)
+        self.drains[idx] = tuple(engine.drained)
+
+    def replan(self) -> bool:
+        """Re-derive the plan from every replica's latest kills and
+        checkpoints; rebuild the dispatches when it moved (True)."""
+        plan = (self.router._retry_plan(self.kills),
+                self.router._migration_plan(self.drains))
+        if plan == self.plan:
+            return False
+        self.plan = plan
+        self.build_dispatches()
+        return True
+
+    def build_dispatches(self) -> None:
+        """Materialize the plan into dispatch requests.  Retries restart
+        from the pristine original (the crash destroyed the KV);
+        migrations re-admit with a resume spec so the target's prefill
+        skips the shipped positions.  Both keep the client's ledger
+        anchored at the *original* arrival — the client has been
+        waiting since then, so TTFT/E2E must say so."""
+        retry_plan, migration_plan = self.plan
+        originals = self.originals
+        self.retries, self.handoffs, self.failed = {}, {}, {}
+        for rid, attempt, verdict, t_s, target in retry_plan:
+            if verdict == "failed":
+                self.failed[rid] = t_s
+            else:
+                self.retries[(rid, attempt)] = (target, replace(
+                    originals[rid], arrival_s=t_s,
+                    accounted_arrival_s=originals[rid].ledger_arrival_s))
+        for rid, hop, t_s, target, position, n_gen, first_s \
+                in migration_plan:
+            resume = ResumeSpec(
+                kv_position=position, n_generated=n_gen,
+                first_token_s=first_s) \
+                if position or n_gen or first_s is not None else None
+            self.handoffs[(rid, hop)] = (target, replace(
+                originals[rid], arrival_s=t_s,
+                accounted_arrival_s=originals[rid].ledger_arrival_s,
+                resume=resume))
+        dispatched: list[list[Request]] = [[] for _ in self._dispatched]
+        for table in (self.retries, self.handoffs):
+            for _, (target, req) in sorted(table.items()):
+                dispatched[target].append(req)
+        self._dispatched = dispatched
 
 
 def _first_token_times(reports: list[ServeReport]) -> dict:

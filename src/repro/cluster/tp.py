@@ -338,6 +338,12 @@ class ShardedFunctionalBackend(_ShardedTimingMixin, _CycleTimedBackend):
 
     # -- KV mirroring -------------------------------------------------------
 
+    def _paged_caches(self) -> list[PagedKVCache]:
+        # The shard mirrors match prefixes on their own, so a crash or a
+        # run start must cool them with the accounting twin.
+        return super()._paged_caches() + [
+            w.kv for w in self.workers if isinstance(w.kv, PagedKVCache)]
+
     def admit(self, state: RequestState) -> None:
         super().admit(state)  # the accounting twin decides admission
         tokens = state.sequence_tokens()

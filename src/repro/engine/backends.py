@@ -85,6 +85,14 @@ class EngineBackend(Protocol):
         """Free ``state``'s per-sequence resources (retire or preempt)."""
         ...
 
+    def lose_kv(self) -> None:
+        """Forget every cached prefix: the board crashed and lost its KV."""
+        ...
+
+    def reset_kv(self) -> None:
+        """Cold KV at run start: no cached prefix, reuse counters zero."""
+        ...
+
     def prefill(self, state: RequestState) -> float:
         """Feed prompt (+ any recomputed tokens); return cycles spent."""
         ...
@@ -347,6 +355,26 @@ class _KVMixin:
     @property
     def n_slots(self) -> int:
         return self._n_slots
+
+    def _paged_caches(self) -> list[PagedKVCache]:
+        """Every paged pool this backend keeps in step: the accounting
+        pool, plus any mirrors a subclass holds beside it."""
+        return [] if self.paged_kv is None else [self.paged_kv]
+
+    def lose_kv(self) -> None:
+        """The board lost its KV (a crash): forget every cached prefix
+        on every pool.  Live sequences must be released first."""
+        for kv in self._paged_caches():
+            kv.prefix.clear()
+
+    def reset_kv(self) -> None:
+        """Start a run from a cold pool: drop every cached prefix and
+        zero the reuse counters, so a run's prefix hits (and what it
+        reports of them) never depend on an earlier run's blocks."""
+        self.lose_kv()
+        for kv in self._paged_caches():
+            kv.prefix_reused_tokens = kv.cow_copies = 0
+            kv.prefix.hits = kv.prefix.misses = kv.prefix.evictions = 0
 
     def admit(self, state: RequestState) -> None:
         if self.paged_kv is not None:

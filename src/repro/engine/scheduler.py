@@ -587,6 +587,8 @@ class ContinuousBatchScheduler:
             self._log_kill(state.request, action.start_s, "running",
                            len(state.generated))
         self.running.clear()
+        # The board lost all KV, cached prefixes included.
+        self.backend.lose_kv()
         for state in self.waiting.remove_if(
                 lambda s: s.request.arrival_s < down_until):
             self._log_kill(state.request,
@@ -1560,6 +1562,7 @@ class ContinuousBatchScheduler:
             raise SimulationError("engine is already mid-run")
         self.clock_s = 0.0
         self.finished = []
+        self.backend.reset_kv()
         self._preemptions = 0
         self._n_finished = 0
         self._decode_steps = 0

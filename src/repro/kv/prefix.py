@@ -140,7 +140,7 @@ class PrefixCache:
         return None
 
     def clear(self) -> None:
-        """Drop every cache reference (test/teardown helper).  Blocks a
+        """Drop every cache reference (a run start, a crash).  Blocks a
         sequence still holds lose their content tag with the entry, so
         they stop counting as evictable."""
         for bid in self._entries.values():

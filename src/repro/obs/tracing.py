@@ -50,9 +50,9 @@ class FlightRecorder:
 
     def reset(self) -> None:
         """Drop everything recorded so far.  The router's crash
-        re-dispatch replays every replica per fixed-point round; only
-        the converged round's timeline is the run, so each round starts
-        from a clean recorder."""
+        re-dispatch may replay a replica several times before its
+        fixed point; only the converged replay's timeline is the run,
+        so each replay starts from a clean recorder."""
         self._events.clear()
         self._open.clear()
         self._max_ts = 0.0
