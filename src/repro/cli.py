@@ -25,7 +25,9 @@ import argparse
 from dataclasses import replace
 from typing import Sequence
 
+from .cluster.router import POLICIES
 from .config import KV260, MODEL_PRESETS, PLATFORM_PRESETS, QuantConfig
+from .engine.telemetry import TELEMETRY_LEVELS
 from .errors import ReproError
 
 
@@ -284,7 +286,7 @@ def _check_serve_destinations(args) -> None:
 def cmd_serve_sim(args) -> int:
     from .scenario import Scenario
 
-    if args.per_request and args.telemetry in ("summary", "sketch"):
+    if args.per_request and args.telemetry == "sketch":
         raise ReproError(
             "--per-request needs per-request results; use "
             "--telemetry full or windows")
@@ -728,20 +730,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--interconnect", default="10GbE",
                    help="board-to-board link preset for --tp > 1 "
                         "(1GbE, 10GbE, Aurora-x4)")
-    p.add_argument("--router",
-                   choices=("round_robin", "least_loaded",
-                            "prefix_affinity"),
-                   default="round_robin",
+    p.add_argument("--router", choices=POLICIES, default="round_robin",
                    help="replica routing policy for --replicas > 1")
-    p.add_argument("--telemetry",
-                   choices=("full", "windows", "summary", "sketch"),
-                   default="full",
+    p.add_argument("--telemetry", choices=TELEMETRY_LEVELS, default="full",
                    help="recording level: full materializes every "
                         "step, windows keeps columnar records that "
-                        "expand to identical values, summary keeps "
-                        "aggregates and exact percentiles only, "
-                        "sketch replaces the exact latency sample "
-                        "with a mergeable t-digest")
+                        "expand to identical values, sketch keeps "
+                        "aggregates only and replaces the exact "
+                        "latency sample with a mergeable t-digest")
     p.add_argument("--per-request", action="store_true",
                    help="print the per-request table")
     p.add_argument("--window-stats", action="store_true",
@@ -820,11 +816,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "multi-accelerator scaling curve")
     p.add_argument("--interconnect", default="10GbE",
                    help="board-to-board link preset for the sweep")
-    p.add_argument("--telemetry",
-                   choices=("full", "windows", "summary", "sketch"),
-                   default="full",
+    p.add_argument("--telemetry", choices=TELEMETRY_LEVELS, default="full",
                    help="recording level for --scaling-sweep replays "
-                        "(summary/sketch stream million-request grids)")
+                        "(windows/sketch stream million-request grids)")
     p.set_defaults(fn=cmd_bench_serve, context=512)
 
     p = sub.add_parser("obs",

@@ -47,6 +47,12 @@ from .migration import HedgePolicy, MigrationPolicy
 
 POLICIES = ("round_robin", "least_loaded", "prefix_affinity")
 
+#: Leading prompt tokens hashed by ``prefix_affinity``.  At or below the
+#: shared system-prompt length (it matches the default KV block size):
+#: a wider window mixes per-request tail tokens into the key and
+#: scatters sharers across replicas.
+AFFINITY_WINDOW = 16
+
 #: a materialized trace or a factory yielding a fresh iterator per call.
 TraceLike = Iterable[Request] | Callable[[], Iterable[Request]]
 
@@ -73,11 +79,9 @@ class _RoutingState:
     """
 
     def __init__(self, n_replicas: int, policy: str,
-                 affinity_window: int,
                  health: HealthTracker | None = None) -> None:
         self.n_replicas = n_replicas
         self.policy = policy
-        self.affinity_window = affinity_window
         #: router's health view (fault runs only): requests route away
         #: from replicas known-unhealthy at their arrival.  None keeps
         #: the fault-free fast path byte-identical.
@@ -116,8 +120,7 @@ class _RoutingState:
             replica = self._least_loaded(healthy)
         else:  # prefix_affinity
             if len(request.prompt) > 1:
-                replica = _affinity_key(request.prompt,
-                                        self.affinity_window) \
+                replica = _affinity_key(request.prompt, AFFINITY_WINDOW) \
                     % self.n_replicas
                 if healthy is not None and replica not in healthy:
                     # The affinity target is down: land on the least
@@ -146,30 +149,19 @@ class ReplicaRouter:
 
     def __init__(self, engines: list[ContinuousBatchScheduler],
                  policy: str = "round_robin",
-                 affinity_window: int = 16,
                  faults: FaultSchedule | None = None,
                  retry: RetryPolicy | None = None,
                  degraded: DegradedModeConfig | None = None,
-                 detection_delay_s: float = 0.0005,
                  migration: MigrationPolicy | None = None,
                  hedge: HedgePolicy | None = None) -> None:
-        # ``affinity_window``: leading tokens hashed by prefix_affinity.
-        # Keep it at or below the shared system-prompt length (the
-        # default matches the default KV block size) — a wider window
-        # mixes per-request tail tokens into the key and scatters
-        # sharers across replicas.
         if not engines:
             raise SimulationError("router needs at least one replica")
         if policy not in POLICIES:
             raise SimulationError(
                 f"unknown routing policy {policy!r}; choose from "
                 f"{POLICIES}")
-        if affinity_window <= 0:
-            raise SimulationError(
-                f"affinity window must be positive: {affinity_window}")
         self.engines = engines
         self.policy = policy
-        self.affinity_window = affinity_window
         #: fault injection: a schedule switches :meth:`run` onto the
         #: resilient path — health-aware routing, crash re-dispatch
         #: with capped-backoff retries, degraded-mode shedding.  None
@@ -185,11 +177,9 @@ class ReplicaRouter:
         #: tolerance); reads first-token times off the report rows, so
         #: it works at every telemetry level.
         self.hedge = hedge
-        self._health = HealthTracker(faults, len(engines),
-                                     detection_delay_s) \
+        self._health = HealthTracker(faults, len(engines)) \
             if faults is not None else None
-        self._routing = _RoutingState(len(engines), policy,
-                                      affinity_window)
+        self._routing = _RoutingState(len(engines), policy)
         self.assignments: dict[int, int] = {}
 
     @property
@@ -235,8 +225,7 @@ class ReplicaRouter:
         like materialized runs.
         """
         routing = self._routing if record \
-            else _RoutingState(self.n_replicas, self.policy,
-                               self.affinity_window)
+            else _RoutingState(self.n_replicas, self.policy)
         for request in factory():
             target = routing.route(request)
             if record:
@@ -275,8 +264,7 @@ class ReplicaRouter:
         """
         if self.faults is not None:
             return self._run_with_faults(requests, telemetry, max_steps)
-        self._routing = _RoutingState(self.n_replicas, self.policy,
-                                      self.affinity_window)
+        self._routing = _RoutingState(self.n_replicas, self.policy)
         self.assignments = {}
         if callable(requests):
             reports = [
@@ -437,7 +425,6 @@ class ReplicaRouter:
             else:
                 admitted.append(request)
         self._routing = _RoutingState(self.n_replicas, self.policy,
-                                      self.affinity_window,
                                       health=tracker)
         self.assignments = {}
         base_shares: list[list[Request]] = \
@@ -504,6 +491,10 @@ class ReplicaRouter:
                 ttft = first_token.get(cid)
                 return (1, 0.0) if ttft is None else (0, ttft)
 
+            # Every routed request and hedge copy sits in exactly one
+            # share under its own id, so one map finds each loser.
+            slot_of = {req.request_id: (share, i) for share in base_shares
+                       for i, req in enumerate(share)}
             clamped = False
             for rid, ids in sorted(hedge_copies.items()):
                 contenders = [rid, *ids]
@@ -522,8 +513,8 @@ class ReplicaRouter:
                     # engine frees its slot right after that token).
                     new = replace(old, max_new_tokens=1)
                     originals[loser] = new
-                    share = base_shares[self.assignments[loser]]
-                    share[share.index(old)] = new
+                    share, i = slot_of[loser]
+                    share[i] = new
                     clamped = True
             if clamped:
                 run.build_dispatches()

@@ -32,7 +32,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..config import KV260, ModelConfig, PlatformConfig, QuantConfig
-from ..core.vpu import VpuSpec
 from ..engine.backends import (AnalyticalBackend, CycleModelBackend,
                                TokenOracle, _CycleTimedBackend)
 from ..engine.request import RequestState
@@ -48,6 +47,10 @@ from ..numerics.rope import HardwareRope
 from .interconnect import TEN_GIG_ETHERNET, LinkSpec, TPCommModel
 from .sharding import (FunctionalShard, functional_reduction_is_exact,
                        shard_functional_weights, validate_tp)
+
+#: DOT-engine lanes of every shard: the FP16 accumulation tile width the
+#: sharded partial sums must align with to stay bit-exact.
+_LANES = 128
 
 
 def derive_tp_kv_token_budget(model: ModelConfig, quant: QuantConfig,
@@ -142,9 +145,8 @@ class ShardedCycleBackend(_ShardedTimingMixin, CycleModelBackend):
                  platform: PlatformConfig = KV260, tp: int = 2,
                  interconnect: LinkSpec = TEN_GIG_ETHERNET,
                  mode: str = "fused", n_slots: int = 8,
-                 vpu: VpuSpec | None = None, kv_mode: str = "slotted",
-                 block_size: int = 16, n_kv_blocks: int | None = None,
-                 prefix_sharing: bool = True,
+                 kv_mode: str = "slotted", block_size: int = 16,
+                 n_kv_blocks: int | None = None,
                  token_oracle: TokenOracle | None = None) -> None:
         validate_tp(model_config, tp)
         if kv_mode == "paged":
@@ -152,9 +154,8 @@ class ShardedCycleBackend(_ShardedTimingMixin, CycleModelBackend):
                 model_config, quant, platform, tp, n_slots, block_size,
                 n_kv_blocks)
         super().__init__(model_config, quant, platform, mode=mode,
-                         n_slots=n_slots, vpu=vpu, kv_mode=kv_mode,
+                         n_slots=n_slots, kv_mode=kv_mode,
                          block_size=block_size, n_kv_blocks=n_kv_blocks,
-                         prefix_sharing=prefix_sharing,
                          token_oracle=token_oracle, tp=tp)
         self.interconnect = interconnect
         self.comm = TPCommModel(model_config, quant, interconnect, tp,
@@ -167,10 +168,8 @@ class ShardedAnalyticalBackend(_ShardedTimingMixin, AnalyticalBackend):
     def __init__(self, model_config: ModelConfig, quant: QuantConfig,
                  platform: PlatformConfig = KV260, tp: int = 2,
                  interconnect: LinkSpec = TEN_GIG_ETHERNET,
-                 n_slots: int = 8, lanes: int = 128,
-                 ddr_efficiency: float = 0.95, kv_mode: str = "slotted",
+                 n_slots: int = 8, kv_mode: str = "slotted",
                  block_size: int = 16, n_kv_blocks: int | None = None,
-                 prefix_sharing: bool = True,
                  token_oracle: TokenOracle | None = None) -> None:
         validate_tp(model_config, tp)
         if kv_mode == "paged":
@@ -178,10 +177,8 @@ class ShardedAnalyticalBackend(_ShardedTimingMixin, AnalyticalBackend):
                 model_config, quant, platform, tp, n_slots, block_size,
                 n_kv_blocks)
         super().__init__(model_config, quant, platform, n_slots=n_slots,
-                         lanes=lanes, ddr_efficiency=ddr_efficiency,
                          kv_mode=kv_mode, block_size=block_size,
                          n_kv_blocks=n_kv_blocks,
-                         prefix_sharing=prefix_sharing,
                          token_oracle=token_oracle, tp=tp)
         self.interconnect = interconnect
         self.comm = TPCommModel(model_config, quant, interconnect, tp,
@@ -198,10 +195,9 @@ class _ShardWorker:
     """
 
     def __init__(self, shard: FunctionalShard, n_slots: int, kv_mode: str,
-                 block_size: int, n_kv_blocks: int | None, kv_bits: int,
-                 prefix_sharing: bool, lanes: int = 128) -> None:
+                 block_size: int, n_kv_blocks: int | None,
+                 kv_bits: int) -> None:
         self.shard = shard
-        self.lanes = lanes
         cfg = shard.config
         self.rope = HardwareRope(cfg.head_dim, cfg.rope_theta)
         group = cfg.num_heads // cfg.kv_heads
@@ -218,16 +214,15 @@ class _ShardWorker:
             assert n_kv_blocks is not None
             self.kv: PagedKVCache | SlottedKVCache = PagedKVCache(
                 shard.shard_config, n_kv_blocks, block_size,
-                kv_bits=kv_bits, store_data=True,
-                prefix_sharing=prefix_sharing)
+                kv_bits=kv_bits, store_data=True)
         else:
             self.kv = SlottedKVCache(shard.shard_config, n_slots, kv_bits)
 
     def _matvec(self, mat: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return fp16_matvec(mat, x, lanes=self.lanes)
+        return fp16_matvec(mat, x, lanes=_LANES)
 
     def _matmul_t(self, mat_t: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return fp16_matmul_t(mat_t, x, lanes=self.lanes)
+        return fp16_matmul_t(mat_t, x, lanes=_LANES)
 
     def _attend_many(self, layer_idx: int, q: np.ndarray, caches,
                      lengths) -> np.ndarray:
@@ -240,7 +235,7 @@ class _ShardWorker:
         """
         return attend_grouped(q, caches, layer_idx, lengths,
                               self._head_map, self._inv_sqrt_d,
-                              lanes=self.lanes)
+                              lanes=_LANES)
 
     def attention_partial_batch(self, layer_idx: int, x: np.ndarray,
                                 caches, positions) -> np.ndarray:
@@ -301,27 +296,22 @@ class ShardedFunctionalBackend(_ShardedTimingMixin, _CycleTimedBackend):
                  tp: int = 2, interconnect: LinkSpec = TEN_GIG_ETHERNET,
                  mode: str = "fused", n_slots: int = 8,
                  kv_mode: str = "slotted", block_size: int = 16,
-                 n_kv_blocks: int | None = None,
-                 prefix_sharing: bool = True, lanes: int = 128,
-                 allow_inexact: bool = False) -> None:
+                 n_kv_blocks: int | None = None) -> None:
         model = qweights.config
         validate_tp(model, tp)
-        if not allow_inexact \
-                and not functional_reduction_is_exact(model, tp, lanes):
+        if not functional_reduction_is_exact(model, tp, _LANES):
             raise SimulationError(
                 f"{model.name} at tp={tp} does not align with the "
-                f"{lanes}-lane FP16 accumulation tree, so sharded "
-                "partial sums would not be bit-identical to one device; "
-                "pass allow_inexact=True to accept drifting tokens")
+                f"{_LANES}-lane FP16 accumulation tree, so sharded "
+                "partial sums would not be bit-identical to one device")
         if kv_mode == "paged":
             n_kv_blocks = _default_paged_blocks(
                 model, qweights.quant, platform, tp, n_slots, block_size,
                 n_kv_blocks)
         super().__init__(model, qweights.quant, platform, mode, n_slots,
                          kv_mode=kv_mode, block_size=block_size,
-                         n_kv_blocks=n_kv_blocks,
-                         prefix_sharing=prefix_sharing,
-                         store_kv_data=False, tp=tp)
+                         n_kv_blocks=n_kv_blocks, store_kv_data=False,
+                         tp=tp)
         self.interconnect = interconnect
         self.comm = TPCommModel(model, qweights.quant, interconnect, tp,
                                 self.freq_hz)
@@ -330,7 +320,7 @@ class ShardedFunctionalBackend(_ShardedTimingMixin, _CycleTimedBackend):
             n_kv_blocks = self.paged_kv.n_total_blocks
         self.workers = [
             _ShardWorker(shard, n_slots, kv_mode, block_size, n_kv_blocks,
-                         qweights.quant.kv_bits, prefix_sharing, lanes)
+                         qweights.quant.kv_bits)
             for shard in shard_functional_weights(qweights, tp)
         ]
         self.embedding = qweights.embedding

@@ -8,7 +8,6 @@ Functional units (Fig. 5):
   engine with dequantizer.
 * :mod:`repro.core.spu` — Scalar Processing Unit: RoPE / RMSNorm /
   Softmax / SiLU / Quantization submodule latency + functional models.
-* :mod:`repro.core.fifo` — operand and scale-zero FIFOs.
 
 System models:
 

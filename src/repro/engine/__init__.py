@@ -23,13 +23,13 @@ Quickstart::
 
 At scale, stream instead of materializing — a generator trace is
 submitted incrementally and ``telemetry=`` picks how much detail the
-report keeps (``"windows"`` and ``"summary"`` are exact but
-run-length-encoded; every level returns the same :class:`ServeReport`;
-see :mod:`repro.engine.telemetry`)::
+report keeps (``"windows"`` is exact but run-length-encoded,
+``"sketch"`` keeps a bounded percentile sketch; every level returns the
+same :class:`ServeReport`; see :mod:`repro.engine.telemetry`)::
 
     report = engine.run(
         iter_synthetic_trace(LLAMA2_7B, n_requests=1_000_000),
-        max_steps=100_000_000, telemetry="summary")
+        max_steps=100_000_000, telemetry="sketch")
 
 A whole serving run — backend, engine, trace, telemetry level — is one
 :class:`repro.scenario.Scenario`; ``serve()`` builds the stack and

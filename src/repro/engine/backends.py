@@ -43,7 +43,6 @@ import numpy as np
 
 from ..config import KV260, ModelConfig, PlatformConfig, QuantConfig
 from ..core.cyclemodel import CycleModel
-from ..core.vpu import VpuSpec
 from ..errors import CapacityError, SimulationError
 from ..kv import PagedKVCache, blocks_for_budget
 from ..model.kvcache import SlottedKVCache
@@ -157,9 +156,8 @@ def build_backend(kind: str, model_config: ModelConfig, quant: QuantConfig,
                   platform: PlatformConfig = KV260, *, mode: str = "fused",
                   n_slots: int = 8, tp: int = 1, interconnect=None,
                   qweights=None, token_oracle: TokenOracle | None = None,
-                  vpu: VpuSpec | None = None, kv_mode: str = "slotted",
-                  block_size: int = 16, n_kv_blocks: int | None = None,
-                  prefix_sharing: bool = True) -> "EngineBackend":
+                  kv_mode: str = "slotted", block_size: int = 16,
+                  n_kv_blocks: int | None = None) -> "EngineBackend":
     """One constructor for every backend kind, single-device or sharded.
 
     ``tp > 1`` returns the tensor-parallel counterpart from
@@ -175,7 +173,7 @@ def build_backend(kind: str, model_config: ModelConfig, quant: QuantConfig,
     if kind == "functional" and qweights is None:
         raise SimulationError("functional backend needs quantized weights")
     kv = dict(kv_mode=kv_mode, block_size=block_size,
-              n_kv_blocks=n_kv_blocks, prefix_sharing=prefix_sharing)
+              n_kv_blocks=n_kv_blocks)
     if tp > 1:
         from ..cluster.interconnect import TEN_GIG_ETHERNET
         from ..cluster.tp import (ShardedAnalyticalBackend,
@@ -186,7 +184,7 @@ def build_backend(kind: str, model_config: ModelConfig, quant: QuantConfig,
         if kind == "cycle":
             return ShardedCycleBackend(model_config, quant, platform, tp=tp,
                                        interconnect=link, mode=mode,
-                                       n_slots=n_slots, vpu=vpu,
+                                       n_slots=n_slots,
                                        token_oracle=token_oracle, **kv)
         if kind == "analytical":
             return ShardedAnalyticalBackend(model_config, quant, platform,
@@ -198,8 +196,8 @@ def build_backend(kind: str, model_config: ModelConfig, quant: QuantConfig,
                                         n_slots=n_slots, **kv)
     if kind == "cycle":
         return CycleModelBackend(model_config, quant, platform, mode=mode,
-                                 n_slots=n_slots, vpu=vpu,
-                                 token_oracle=token_oracle, **kv)
+                                 n_slots=n_slots, token_oracle=token_oracle,
+                                 **kv)
     if kind == "analytical":
         return AnalyticalBackend(model_config, quant, platform,
                                  n_slots=n_slots,
@@ -307,7 +305,7 @@ def _synthetic_token(state: RequestState, vocab_size: int,
 def _build_paged_kv(model_config: ModelConfig, quant: QuantConfig,
                     platform: PlatformConfig, n_slots: int,
                     block_size: int, n_kv_blocks: int | None,
-                    store_data: bool, prefix_sharing: bool) -> PagedKVCache:
+                    store_data: bool) -> PagedKVCache:
     """Size and build the paged pool; default capacity mirrors the
     token budget the scheduler would derive for slotted KV, so the two
     modes compete over the same DRAM bytes."""
@@ -317,8 +315,7 @@ def _build_paged_kv(model_config: ModelConfig, quant: QuantConfig,
             cap_tokens=n_slots * model_config.max_context)
         n_kv_blocks = blocks_for_budget(budget, block_size)
     return PagedKVCache(model_config, n_kv_blocks, block_size,
-                        kv_bits=quant.kv_bits, store_data=store_data,
-                        prefix_sharing=prefix_sharing)
+                        kv_bits=quant.kv_bits, store_data=store_data)
 
 
 class _KVMixin:
@@ -339,7 +336,7 @@ class _KVMixin:
     def _init_kv(self, model_config: ModelConfig, quant: QuantConfig,
                  platform: PlatformConfig, kv_mode: str, n_slots: int,
                  block_size: int, n_kv_blocks: int | None,
-                 prefix_sharing: bool, store_data: bool) -> None:
+                 store_data: bool) -> None:
         if kv_mode not in KV_MODES:
             raise SimulationError(
                 f"unknown kv_mode {kv_mode!r}; choose from {KV_MODES}")
@@ -348,7 +345,7 @@ class _KVMixin:
         if kv_mode == "paged":
             self.paged_kv = _build_paged_kv(
                 model_config, quant, platform, n_slots, block_size,
-                n_kv_blocks, store_data, prefix_sharing)
+                n_kv_blocks, store_data)
         else:
             self._slots = _SlotCounter(n_slots)
 
@@ -526,20 +523,17 @@ class _CycleTimedBackend(_KVMixin):
 
     def __init__(self, model_config: ModelConfig, quant: QuantConfig,
                  platform: PlatformConfig, mode: str, n_slots: int,
-                 vpu: VpuSpec | None = None, kv_mode: str = "slotted",
-                 block_size: int = 16, n_kv_blocks: int | None = None,
-                 prefix_sharing: bool = True,
+                 kv_mode: str = "slotted", block_size: int = 16,
+                 n_kv_blocks: int | None = None,
                  store_kv_data: bool = False, tp: int = 1) -> None:
         self.model_config = model_config
         self.quant = quant
         self.platform = platform
         self.mode = mode
         self.tp = tp
-        self.cycles = CycleModel(model_config, quant, platform, vpu=vpu,
-                                 tp=tp)
+        self.cycles = CycleModel(model_config, quant, platform, tp=tp)
         self._init_kv(model_config, quant, platform, kv_mode, n_slots,
-                      block_size, n_kv_blocks, prefix_sharing,
-                      store_kv_data)
+                      block_size, n_kv_blocks, store_kv_data)
         # Fast-forward memos: deterministic sub-results of the batched
         # token schedule, keyed so a window of growing contexts reuses
         # every segment it has seen before.
@@ -748,16 +742,13 @@ class CycleModelBackend(_TimingStreamMixin, _CycleTimedBackend):
 
     def __init__(self, model_config: ModelConfig, quant: QuantConfig,
                  platform: PlatformConfig = KV260, mode: str = "fused",
-                 n_slots: int = 8, vpu: VpuSpec | None = None,
-                 kv_mode: str = "slotted", block_size: int = 16,
-                 n_kv_blocks: int | None = None,
-                 prefix_sharing: bool = True,
+                 n_slots: int = 8, kv_mode: str = "slotted",
+                 block_size: int = 16, n_kv_blocks: int | None = None,
                  token_oracle: TokenOracle | None = None,
                  tp: int = 1) -> None:
-        super().__init__(model_config, quant, platform, mode, n_slots, vpu,
+        super().__init__(model_config, quant, platform, mode, n_slots,
                          kv_mode=kv_mode, block_size=block_size,
-                         n_kv_blocks=n_kv_blocks,
-                         prefix_sharing=prefix_sharing, tp=tp)
+                         n_kv_blocks=n_kv_blocks, tp=tp)
         self.token_oracle = token_oracle
 
     def prefill(self, state: RequestState) -> float:
@@ -794,12 +785,10 @@ class FunctionalBackend(_CycleTimedBackend):
                  mode: str = "fused", n_slots: int = 8,
                  functional: QuantizedModel | None = None,
                  kv_mode: str = "slotted", block_size: int = 16,
-                 n_kv_blocks: int | None = None,
-                 prefix_sharing: bool = True) -> None:
+                 n_kv_blocks: int | None = None) -> None:
         super().__init__(qweights.config, qweights.quant, platform, mode,
                          n_slots, kv_mode=kv_mode, block_size=block_size,
-                         n_kv_blocks=n_kv_blocks,
-                         prefix_sharing=prefix_sharing, store_kv_data=True)
+                         n_kv_blocks=n_kv_blocks, store_kv_data=True)
         self.functional = functional if functional is not None \
             else QuantizedModel(qweights)
         if kv_mode == "slotted":
@@ -871,34 +860,30 @@ class AnalyticalBackend(_TimingStreamMixin, _KVMixin):
     (:func:`repro.memory.traffic.batched_decode_traffic`).
     """
 
+    #: DOT-engine lanes and the DRAM derating the roofline prices with.
+    lanes = 128
+    ddr_efficiency = 0.95
+
     def __init__(self, model_config: ModelConfig, quant: QuantConfig,
                  platform: PlatformConfig = KV260, n_slots: int = 8,
-                 lanes: int = 128, ddr_efficiency: float = 0.95,
                  kv_mode: str = "slotted", block_size: int = 16,
                  n_kv_blocks: int | None = None,
-                 prefix_sharing: bool = True,
                  token_oracle: TokenOracle | None = None,
                  tp: int = 1) -> None:
         if platform.pl_freq_hz <= 0:
             raise SimulationError(
                 f"platform {platform.name} has no PL clock")
-        if not 0 < ddr_efficiency <= 1:
-            raise SimulationError(
-                f"ddr_efficiency must be in (0, 1], got {ddr_efficiency}")
         if tp < 1:
             raise SimulationError(
                 f"tensor-parallel degree must be >= 1: {tp}")
         self.model_config = model_config
         self.quant = quant
         self.platform = platform
-        self.lanes = lanes
-        self.ddr_efficiency = ddr_efficiency
         self.token_oracle = token_oracle
         self.tp = tp
         self._ff_const: dict[int, tuple] = {}
         self._init_kv(model_config, quant, platform, kv_mode, n_slots,
-                      block_size, n_kv_blocks, prefix_sharing,
-                      store_data=False)
+                      block_size, n_kv_blocks, store_data=False)
 
     @property
     def freq_hz(self) -> float:

@@ -54,6 +54,10 @@ if TYPE_CHECKING:  # avoids the runtime<->engine package-import cycle
 
 #: rank of the lowest (droppable) priority class.
 _LOWEST_RANK = len(PRIORITY_CLASSES) - 1
+#: best-effort work evicted more than this many times in favour of
+#: higher classes is dropped (REJECTED) instead of requeued, so it
+#: cannot thrash the pool while interactive traffic waits.
+_BEST_EFFORT_EVICTION_LIMIT = 3
 
 
 @dataclass(frozen=True)
@@ -268,10 +272,6 @@ class ContinuousBatchScheduler:
         #: that declare a quota so the default path pays nothing.
         self._quota_specs: dict[str, int] = {}
         self._tenant_cached: dict[str, int] = {}
-        #: best-effort work evicted more than this many times in favour
-        #: of higher classes is dropped (REJECTED) instead of requeued,
-        #: so it cannot thrash the pool while interactive traffic waits.
-        self.best_effort_eviction_limit = 3
         #: deterministic fault plan for this replica — any object with
         #: a sorted ``actions`` tuple of ``(kind, start_s, duration_s,
         #: factor)`` entries (see :class:`repro.cluster.faults.
@@ -900,7 +900,7 @@ class ContinuousBatchScheduler:
         had_pending = victim.has_pending_forward
         self._evict(victim)
         if victim.request.tenant.rank == _LOWEST_RANK \
-                and victim.preemptions > self.best_effort_eviction_limit:
+                and victim.preemptions > _BEST_EFFORT_EVICTION_LIMIT:
             if had_pending:
                 victim.generated.pop()
                 if not victim.generated:
@@ -1551,9 +1551,8 @@ class ContinuousBatchScheduler:
         ``telemetry`` picks the recording level: ``"full"`` materializes
         every per-step observable (the reference), ``"windows"`` keeps
         columnar run-length records that expand lazily to the identical
-        values, ``"summary"`` drops per-request tokens and per-token
-        latencies but keeps every aggregate and exact percentile,
-        ``"sketch"`` replaces the exact latency sample with a
+        values, ``"sketch"`` drops per-request tokens and per-token
+        latencies and replaces the exact latency sample with a
         bounded-memory t-digest (percentiles within its documented
         rank-error bound).  Every level returns the same
         :class:`ServeReport`.

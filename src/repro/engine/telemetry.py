@@ -1,6 +1,6 @@
 """Serving telemetry: per-step records, run-length windows, one report.
 
-The scheduler can record what happened at four levels of detail
+The scheduler can record what happened at three levels of detail
 (``telemetry=`` on :meth:`ContinuousBatchScheduler.run`):
 
 * ``"full"`` — every decode step materializes a :class:`StepEvent` in
@@ -14,13 +14,12 @@ The scheduler can record what happened at four levels of detail
   bytes per record instead of a Python object — so million-request
   runs fit in bounded memory, and expands lazily to the bit-identical
   ``"full"`` events.
-* ``"summary"`` — no step records: per-request tokens and per-token
-  latencies are gone, every other observable stays exact.
-* ``"sketch"`` — like ``"summary"``, but the run-length latency sample
-  is replaced by a :class:`repro.stats.TDigest` percentile sketch:
+* ``"sketch"`` — no step records, so per-request tokens and
+  per-token latencies are gone, and the run-length latency sample is
+  replaced by a :class:`repro.stats.TDigest` percentile sketch:
   O(compression) memory, latency percentiles within the digest's
-  documented rank-error bound.  The cheapest level, for
-  million-request sweeps.
+  documented rank-error bound.  Every other observable stays exact.
+  The cheapest level, for million-request sweeps.
 
 Every level, and every cluster merge, returns the same
 :class:`ServeReport`.  Its per-request scalar columns (id, prompt
@@ -36,14 +35,13 @@ t-digests, and sums their counters.
 
 **Token latency** is the board's decode-step stream: each decode
 step's latency, counted once per batch member.  Every level keeps it
-— as a :class:`RunLengthSample` at ``"full"``, ``"windows"`` and
-``"summary"`` (exact percentiles through
-:func:`repro.stats.percentile_of_runs`), as the t-digest at
-``"sketch"`` — so the levels agree by construction.  Steps whose work
-never reaches a result still count, because they occupied the board:
-decodes of a request later killed by a crash, or of a hedge copy that
-lost.  A result's own ``decode_step_s`` is that stream gathered over
-its spans.
+— as a :class:`RunLengthSample` at ``"full"`` and ``"windows"``
+(exact percentiles through :func:`repro.stats.percentile_of_runs`), as
+the t-digest at ``"sketch"`` — so the levels agree by construction.
+Steps whose work never reaches a result still count, because they
+occupied the board: decodes of a request later killed by a crash, or of
+a hedge copy that lost.  A result's own ``decode_step_s`` is that stream
+gathered over its spans.
 """
 
 from __future__ import annotations
@@ -61,10 +59,9 @@ from ..stats import TDigest, percentile_of_runs, percentile_of_sorted
 from .request import FinishReason, Request, RequestState
 from .tenancy import PRIORITY_CLASSES
 
-TELEMETRY_LEVELS = ("full", "windows", "summary", "sketch")
-
-#: Levels that keep the step-record stream (events + windows).
-_RECORDING_LEVELS = ("full", "windows")
+#: Every level but ``"sketch"`` keeps the step-record stream (events +
+#: windows) and the exact latency sample.
+TELEMETRY_LEVELS = ("full", "windows", "sketch")
 
 #: Why a fast-forward window ended.  Fixed key set so histograms from
 #: different runs/replicas merge by plain addition; only a window that
@@ -220,7 +217,7 @@ class TelemetryRecorder:
         #: the step-record stream — a plain list at ``"full"`` (the
         #: eager oracle materializes anyway), typed columns at
         #: ``"windows"`` so million-record streams stay O(bytes), and
-        #: unused (empty list) at the aggregate-only levels.
+        #: unused (empty list) at ``"sketch"``.
         self.records: "ColumnarRecords | list[StepEvent]" = \
             ColumnarRecords(freq_hz) if level == "windows" else []
         self.n_steps = 0
@@ -241,7 +238,7 @@ class TelemetryRecorder:
         #: per-request scalar columns in retire order (all levels).
         self.columns = {name: array(code)
                         for name, code in RECORDER_COLUMNS}
-        # Request decode spans, flattened (recording levels only):
+        # Request decode spans, flattened (all levels but sketch):
         # request i's spans are the ``(lo, hi)`` pairs at
         # ``span_bounds[2k:2k+2]`` for ``k`` in
         # ``[span_starts[i], span_starts[i] + span_counts[i])``.
@@ -263,7 +260,7 @@ class TelemetryRecorder:
             if event.batch > self.max_batch:
                 self.max_batch = event.batch
             self.latency.add(event.cycles / self.freq_hz, event.batch)
-        if self.level in _RECORDING_LEVELS:
+        if self.level != "sketch":
             self.records.append(event)
 
     def note_break(self, reason: str) -> None:
@@ -341,7 +338,7 @@ class TelemetryRecorder:
         c["preemptions"].append(state.preemptions)
         c["eos_id"].append(-1 if eos is None else eos)
         c["tenant_rank"].append(state.request.tenant.rank)
-        if self.level not in _RECORDING_LEVELS:
+        if self.level == "sketch":
             return
         self.span_starts.append(len(self.span_bounds) >> 1)
         self.span_counts.append(len(state.spans))
@@ -373,7 +370,7 @@ class TelemetryRecorder:
 
     def expanded_events(self) -> list[StepEvent]:
         """The eager per-step event list (windows expanded, cached)."""
-        if self.level not in _RECORDING_LEVELS:
+        if self.level == "sketch":
             raise SimulationError(
                 f"telemetry='{self.level}' records no step events")
         if self.level == "full":
@@ -390,7 +387,7 @@ class TelemetryRecorder:
         return self._events_cache[1]
 
     def step_batches(self) -> list[int]:
-        if self.level not in _RECORDING_LEVELS:
+        if self.level == "sketch":
             raise SimulationError(
                 f"telemetry='{self.level}' records no step batches")
         out: list[int] = []
@@ -405,7 +402,7 @@ class TelemetryRecorder:
     def latency_stream(self) -> np.ndarray:
         """Latency of every decode step, in global decode-step order —
         the array request spans index into."""
-        if self.level not in _RECORDING_LEVELS:
+        if self.level == "sketch":
             raise SimulationError(
                 f"telemetry='{self.level}' records no decode latencies")
         if self._lat_stream is None \
@@ -702,7 +699,7 @@ class ServeReport:
     def results(self) -> list[RequestResult]:
         """Per-request results in request-id order (``"full"`` and
         ``"windows"`` only)."""
-        if self.telemetry not in _RECORDING_LEVELS:
+        if self.telemetry == "sketch":
             raise SimulationError(
                 f"telemetry='{self.telemetry}' keeps no per-request "
                 "results; use 'windows' or 'full'")

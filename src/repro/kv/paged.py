@@ -74,14 +74,12 @@ class PagedKVCache:
 
     def __init__(self, config: ModelConfig, n_blocks: int,
                  block_size: int = 16, kv_bits: int = 8,
-                 store_data: bool = True,
-                 prefix_sharing: bool = True) -> None:
+                 store_data: bool = True) -> None:
         self.config = config
         self.kv_bits = kv_bits
         self.pool = BlockPool(config, n_blocks, block_size,
                               store_data=store_data)
         self.prefix = PrefixCache(self.pool)
-        self.prefix_sharing = prefix_sharing
         self.store_data = store_data
         self._seqs: dict[int, _Sequence] = {}
         self._next_seq = 0
@@ -126,7 +124,7 @@ class PagedKVCache:
         ``cached_length(seq) <= len(tokens) - 1`` always holds.
         """
         seq = _Sequence()
-        if tokens is not None and self.prefix_sharing and len(tokens) > 1:
+        if tokens is not None and len(tokens) > 1:
             shareable = (len(tokens) - 1) // self.block_size
             hashes = chain_hashes(tokens, self.block_size)[:shareable]
             matched = self.prefix.match(hashes)
@@ -215,7 +213,7 @@ class PagedKVCache:
         evictable would overcommit the pool.
         """
         matched: list[int] = []
-        if self.prefix_sharing and len(tokens) > 1:
+        if len(tokens) > 1:
             shareable = (len(tokens) - 1) // self.block_size
             matched = self.prefix.peek(
                 chain_hashes(tokens, self.block_size)[:shareable])
@@ -343,8 +341,6 @@ class PagedKVCache:
         re-registering content that is already cached keeps the incumbent
         physical block.
         """
-        if not self.prefix_sharing:
-            return
         seq = self._get(seq_id)
         covered = min(len(tokens), seq.length)
         for i, h in enumerate(chain_hashes(tokens[:covered],

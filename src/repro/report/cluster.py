@@ -54,7 +54,7 @@ def replica_table(report) -> tuple[list[dict], str]:
         raise ReproError("cluster report has no replicas")
     rows = []
     for idx, rep in enumerate(report.replica_reports):
-        # n_requests (not len(results)) so summary-level replica
+        # n_requests (not len(results)) so sketch-level replica
         # reports — which keep no per-request results — render.
         served = rep.n_requests
         rows.append({

@@ -48,23 +48,21 @@ def assert_reports_identical(a, b):
 
 
 def assert_levels_agree(run):
-    """``run(level)`` serves one scenario at a telemetry level.  Full,
-    windows and summary must record identical run-store metrics
-    (resilience included), tenant stats, and TTFT and token-latency
-    percentiles; sketch matches every metric but token latency, which
-    lands within its t-digest's rank-error bound.  Returns the full
-    report."""
+    """``run(level)`` serves one scenario at a telemetry level.  Full
+    and windows must record identical run-store metrics (resilience
+    included), tenant stats, and TTFT and token-latency percentiles;
+    sketch matches every metric but token latency, which lands within
+    its t-digest's rank-error bound.  Returns the full report."""
     full = run("full")
-    for level in ("windows", "summary"):
-        other = run(level)
-        assert report_metrics(other) == report_metrics(full), level
-        assert other.tenant_stats == full.tenant_stats, level
-        assert other.resilience == full.resilience, level
-        for p in LEVEL_PERCENTILES:
-            assert other.latency_percentile_s(p) \
-                == full.latency_percentile_s(p), (level, p)
-            assert other.ttft_percentile_s(p) \
-                == full.ttft_percentile_s(p), (level, p)
+    windows = run("windows")
+    assert report_metrics(windows) == report_metrics(full)
+    assert windows.tenant_stats == full.tenant_stats
+    assert windows.resilience == full.resilience
+    for p in LEVEL_PERCENTILES:
+        assert windows.latency_percentile_s(p) \
+            == full.latency_percentile_s(p), p
+        assert windows.ttft_percentile_s(p) \
+            == full.ttft_percentile_s(p), p
 
     sketch = run("sketch")
     exact, sketched = report_metrics(full), report_metrics(sketch)
@@ -107,33 +105,37 @@ def count_steps(engine) -> dict:
 def assert_windows_match_eager(make_engine, requests, check=None):
     """Serve ``requests`` on fresh ``make_engine(fast_forward)`` engines:
     the eager oracle at full telemetry, then event-horizon windows at
-    full, windows and summary telemetry, each materialized and
+    full, windows and sketch telemetry, each materialized and
     streamed.  Every windowed run reports what the eager one does (at
-    summary, which keeps no per-request tokens: every run-store metric
-    and percentile).  ``check(engine, eager_engine, report, counts)``
+    sketch, which keeps no per-request tokens: every run-store metric
+    but token latency, which its t-digest approximates, and every TTFT
+    percentile).  ``check(engine, eager_engine, report, counts)``
     then inspects each windowed run with its :func:`count_steps`
     tally.  Returns the eager engine and report."""
     eager_engine = make_engine(False)
     eager = eager_engine.run(list(requests))
     ordered = sorted(requests, key=lambda r: r.arrival_s)
-    for level in ("full", "windows", "summary"):
+    for level in ("full", "windows", "sketch"):
         for streamed in (False, True):
             engine = make_engine(True)
             counts = count_steps(engine)
             report = engine.run(iter(ordered) if streamed
                                 else list(requests), telemetry=level)
             where = (level, "streamed" if streamed else "materialized")
-            if level == "summary":
+            if level == "sketch":
                 metrics, sections = report_metrics(report)
                 want, want_sections = report_metrics(eager)
-                assert metrics == want, where
+                assert metrics.keys() == want.keys(), where
+                for key, value in want.items():
+                    if "token_lat" not in key:
+                        assert metrics[key] == value, (where, key)
+                assert report.latency_digest().n \
+                    == eager.latency_runs()[1].sum(), where
                 # Window stats count how the run was fast-forwarded.
                 sections.pop("window_stats", None)
                 want_sections.pop("window_stats", None)
                 assert sections == want_sections, where
                 for p in LEVEL_PERCENTILES:
-                    assert report.latency_percentile_s(p) \
-                        == eager.latency_percentile_s(p), (where, p)
                     assert report.ttft_percentile_s(p) \
                         == eager.ttft_percentile_s(p), (where, p)
             else:

@@ -1,52 +1,14 @@
-"""Core hardware units: FIFO, dequantizer, VPU, SPU, MCU."""
+"""Core hardware units: dequantizer, VPU, SPU, MCU."""
 
 import numpy as np
 import pytest
 
 from repro.core.dequant import Dequantizer
-from repro.core.fifo import HardwareFifo
 from repro.core.mcu import Mcu
 from repro.core.spu import SpuModel
 from repro.core.vpu import DotEngine, VpuSpec
 from repro.errors import ConfigError, LayoutError, SimulationError
 from repro.quant.groupquant import pack_codes
-
-
-class TestFifo:
-    def test_push_pop_order(self):
-        f = HardwareFifo("t", 4)
-        f.push(1)
-        f.push(2)
-        assert f.pop() == 1
-        assert f.pop() == 2
-
-    def test_overflow_raises(self):
-        f = HardwareFifo("t", 1)
-        f.push(1)
-        with pytest.raises(SimulationError):
-            f.push(2)
-
-    def test_underflow_raises(self):
-        with pytest.raises(SimulationError):
-            HardwareFifo("t", 1).pop()
-
-    def test_peak_occupancy(self):
-        f = HardwareFifo("t", 8)
-        for i in range(5):
-            f.push(i)
-        f.pop()
-        assert f.peak_occupancy == 5
-
-    def test_drain(self):
-        f = HardwareFifo("t", 4)
-        f.push("a")
-        f.push("b")
-        assert f.drain() == ["a", "b"]
-        assert f.empty
-
-    def test_zero_depth_rejected(self):
-        with pytest.raises(SimulationError):
-            HardwareFifo("t", 0)
 
 
 class TestDequantizer:

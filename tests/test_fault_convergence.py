@@ -142,7 +142,7 @@ class TestWorklistMatchesJacobi:
         try:
             oracle, oracle_router = fault_run(JacobiRouter, **case)
         except SimulationError as err:
-            # Open defect (ROADMAP item 1): a few drain schedules make
+            # Open defect (ROADMAP item 3): a few drain schedules make
             # the Jacobi rounds oscillate between two plans; the cap
             # turns that into a clear error, never a silent result.
             assert "did not converge" in str(err)
@@ -188,6 +188,27 @@ def test_sweep_cap_raises_and_names_the_cap():
                        match=f"did not converge within {cap} sweeps"):
         router.run(trace)
     assert router.evaluations > cap
+
+
+#: Generated schedules the worklist does not converge on (the open
+#: defect above): seed 35 cycles through six plans with period four, as
+#: a replay moves a hop-1 drain checkpoint between two requests and so
+#: renumbers a later hop's target.  Fixing the defect turns these into
+#: passing tests.
+NON_CONVERGING = {35: {"drain", "slowdown"}, 45: {"drain", "slowdown"},
+                  885: {"drain", "slowdown"}, 710: set(WEIGHTS)}
+
+
+@pytest.mark.xfail(strict=True, raises=SimulationError,
+                   reason="known drain-schedule limit cycle")
+@pytest.mark.parametrize("seed", sorted(NON_CONVERGING))
+def test_known_non_converging_schedules(seed):
+    try:
+        fault_run(ReplicaRouter, n_replicas=4, n_requests=120, seed=seed,
+                  kinds=NON_CONVERGING[seed], kv="slotted")
+    except SimulationError as err:
+        assert "did not converge" in str(err)
+        raise
 
 
 # ---------------------------------------------------------------------

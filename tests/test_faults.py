@@ -473,8 +473,8 @@ class TestRouterResilience:
     def test_streamed_chaos_matches_full_counts(self):
         """Telemetry levels agree under faults.  Crash and drain runs
         record the identical run-store metrics, tenant stats, and
-        latency percentiles at full, windows and summary, and sketch
-        lands within its digest's rank-error bound: token latency is
+        latency percentiles at full and windows, and sketch lands
+        within its digest's rank-error bound: token latency is
         the board's decode-step stream at every level, so the decodes
         of a request a crash later kills count everywhere.  The shed
         scenario checks the router's verdict rows at every level."""

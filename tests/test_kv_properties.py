@@ -128,7 +128,7 @@ _data_ops = st.lists(
 @given(ops=_data_ops, seed=st.integers(0, 2**16))
 def test_cow_data_matches_quantized_cache_oracle(ops, seed):
     kv = PagedKVCache(PROP_MODEL, n_blocks=24, block_size=BLOCK_SIZE,
-                      store_data=True, prefix_sharing=False)
+                      store_data=True)
     root = kv.allocate()
     #: per sequence, the seeds of the vectors appended at each position —
     #: enough to replay its exact history into a fresh oracle cache.

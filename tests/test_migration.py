@@ -30,12 +30,14 @@ from repro.cluster import (
 from repro.config import TINY_MODEL
 from repro.engine import (
     FinishReason,
+    Request,
     StepEvent,
     TenantSpec,
     iter_synthetic_trace,
     synthetic_trace,
 )
 from repro.errors import SimulationError
+from repro.scenario import Scenario
 from report_checks import (
     assert_levels_agree,
     assert_reports_identical,
@@ -259,7 +261,7 @@ class TestDrainMigration:
     def test_drain_streamed_matches_full_counts(self):
         full = cluster(faults=DRAIN).run(trace(), telemetry="full")
         streamed = cluster(faults=DRAIN).run(trace(),
-                                             telemetry="summary")
+                                             telemetry="sketch")
         assert streamed.resilience == full.resilience
         assert streamed.n_requests == full.n_requests
         assert streamed.total_new_tokens == full.total_new_tokens
@@ -468,7 +470,7 @@ class TestHedgedDispatch:
     def test_hedging_agrees_across_telemetry_levels(self):
         """The router reads first-token times off report rows, which
         every level keeps: a hang plus a crash, hedged, serves the same
-        run at full, windows and summary (sketch within its bound)."""
+        run at full and windows (sketch within its bound)."""
         faults = FaultSchedule([
             FaultEvent("hang", 0, 0.0002, 0.004),
             FaultEvent("crash", 1, 0.0004, 0.002, warmup_s=0.0005)])
@@ -482,6 +484,25 @@ class TestHedgedDispatch:
         res = assert_levels_agree(run).resilience
         assert res["n_hedged"] > 0 and res["n_killed"] > 0, res
         assert res["n_lost"] == 0, res
+
+    def test_loser_clamp_is_linear_in_requests(self, monkeypatch):
+        """Clamping each losing contender finds it in its share by id,
+        so request comparisons stay a small multiple of the request
+        count; a search of the share per loser grows with its square."""
+        calls = [0]
+        eq = Request.__eq__
+
+        def counted(self, other):
+            calls[0] += 1
+            return eq(self, other)
+
+        monkeypatch.setattr(Request, "__eq__", counted)
+        n = 300
+        report = Scenario(requests=n, replicas=3, arrival_rate=36_000.0,
+                          chaos=True, hedge=0.002,
+                          telemetry="windows").serve()
+        assert report.resilience["n_hedge_wins"] > 0
+        assert calls[0] <= 40 * n, calls[0]
 
 
 # ---------------------------------------------------------------------

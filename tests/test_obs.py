@@ -381,7 +381,7 @@ class TestFlightRecorder:
                                  arrival_rate_rps=arrival_rate_rps,
                                  seed=9, prompt_len=(3, 8),
                                  decode_len=(4, 20)),
-            telemetry="summary")
+            telemetry="sketch")
         return report, recorder
 
     def _exported_names(self, tmp_path, **engine_kwargs) -> set:
@@ -457,7 +457,7 @@ class TestFlightRecorder:
         report = engine.run(
             synthetic_trace(TINY_MODEL, 8, arrival_rate_rps=1e9, seed=3,
                             prompt_len=(4, 8), decode_len=(16, 32)),
-            telemetry="summary")
+            telemetry="sketch")
         assert report.preemptions > 0
         events = recorder.chrome_events()
         preempts = [e for e in events
@@ -529,7 +529,7 @@ class TestFlightRecorder:
                                        arrival_rate_rps=500.0,
                                        seed=replica, prompt_len=(3, 6),
                                        decode_len=(4, 12)),
-                       telemetry="summary")
+                       telemetry="sketch")
             recorders.append(recorder)
         payload = export_chrome_trace(tmp_path / "cluster.json",
                                       recorders)
@@ -547,7 +547,7 @@ class TestFlightRecorder:
         engine = make_engine()
         assert engine.flight is None
         engine.run([Request(0, (1, 2), max_new_tokens=4)],
-                   telemetry="summary")
+                   telemetry="sketch")
 
     def test_traced_run_leaves_report_unchanged(self):
         """Tracing is pure observation: attaching a recorder must not

@@ -127,18 +127,6 @@ class TestAdmissionArithmetic:
         assert fresh == 3
         assert claimable == 3
 
-    def test_prefix_sharing_disabled_is_fully_private(self):
-        acc = PagedKVCache(TINY_MODEL, n_blocks=8, block_size=4,
-                           store_data=False, prefix_sharing=False)
-        prompt = list(range(9))
-        a = acc.allocate(tokens=prompt)
-        acc.advance(a, 9)
-        acc.commit_prefix(a, prompt)  # no-op when sharing is off
-        b = acc.allocate(tokens=prompt)
-        assert acc.cached_length(b) == 0
-        assert acc.blocks_needed(prompt) == 3
-        assert len(acc.prefix.entries()) == 0
-
 
 class TestPrefixCacheBehaviour:
     def test_register_keeps_incumbent_block(self, kv):

@@ -13,8 +13,8 @@ import pytest
 from repro.cli import main
 from repro.cluster import FaultEvent, FaultSchedule
 from repro.config import LLAMA2_7B, TINY_MODEL
-from repro.engine import TenantSpec, build_backend
-from repro.errors import ReproError
+from repro.engine import TELEMETRY_LEVELS, TenantSpec, build_backend
+from repro.errors import ConfigError, ReproError, SimulationError
 from repro.kv import blocks_for_budget
 from repro.obs import RunStore
 from repro.scenario import Scenario
@@ -117,12 +117,29 @@ def test_serve_sim_has_no_context_flag(capsys):
     assert "unrecognized arguments: --context" in capsys.readouterr().err
 
 
-def test_serve_sim_hedges_at_summary_telemetry(capsys):
+def test_summary_telemetry_level_is_gone(capsys):
+    """Every entry point rejects the retired ``summary`` level and names
+    the remaining choices."""
+    assert TELEMETRY_LEVELS == ("full", "windows", "sketch")
+    choices = "'full', 'windows', 'sketch'"
+    with pytest.raises(ConfigError, match=choices):
+        Scenario(telemetry="summary")
+    scenario = Scenario(requests=2)
+    with pytest.raises(SimulationError, match=choices):
+        scenario.build().engines[0].run(scenario.trace(),
+                                         telemetry="summary")
+    with pytest.raises(SystemExit) as exc:
+        main(["serve-sim", "--telemetry", "summary"])
+    assert exc.value.code == 2
+    assert f"choose from {choices}" in capsys.readouterr().err
+
+
+def test_serve_sim_hedges_at_sketch_telemetry(capsys):
     """Hedging reads first-token times off report rows, which every
     telemetry level keeps."""
     assert main(["serve-sim", "--model", "tiny-test", "--requests", "48",
                  "--replicas", "3", "--chaos", "--drain", "--hedge",
-                 "0.002", "--telemetry", "summary"]) == 0
+                 "0.002", "--telemetry", "sketch"]) == 0
     assert "hedged" in capsys.readouterr().out
 
 

@@ -45,12 +45,9 @@ class TestKernelValidation:
 
 
 class TestStepCycleValidation:
-    @pytest.mark.parametrize("prefix_sharing", [False, True])
-    def test_batch_validations(self, quant32, prefix_sharing):
-        for backend in (CycleModelBackend(TINY_MODEL, quant32,
-                                          prefix_sharing=prefix_sharing),
-                        AnalyticalBackend(TINY_MODEL, quant32,
-                                          prefix_sharing=prefix_sharing)):
+    def test_batch_validations(self, quant32):
+        for backend in (CycleModelBackend(TINY_MODEL, quant32),
+                        AnalyticalBackend(TINY_MODEL, quant32)):
             with pytest.raises(SimulationError):
                 backend.step_cycles([])
             with pytest.raises(SimulationError):

@@ -5,8 +5,8 @@ are pure *representations* — every observable (events, step batches,
 clocks, per-request token streams and latencies, percentiles) expands
 to the bit-identical values the eager ``telemetry="full"`` run
 materializes, across all three backends, both KV disciplines, and a
-TP=2 sharded backend; ``telemetry="summary"`` preserves every scalar
-aggregate and percentile exactly.
+TP=2 sharded backend; ``telemetry="sketch"`` preserves every scalar
+aggregate exactly.
 """
 
 from __future__ import annotations
@@ -168,16 +168,14 @@ class TestWindowedExpansionIsExact:
         # Expanded event streams (clocks included) match bit for bit.
         assert eng_win.events == eng_full.events
 
-        eng_sum = make_engine(kind, kv_mode)
-        summary = eng_sum.run(
+        sketch = make_engine(kind, kv_mode).run(
             iter_synthetic_trace(TINY_MODEL, n_requests, **kwargs),
-            telemetry="summary")
-        assert summary.total_time_s == full.total_time_s
-        assert summary.n_steps == full.n_steps
-        assert summary.total_new_tokens == full.total_new_tokens
-        assert summary.max_batch_observed == full.max_batch_observed
-        assert summary.mean_batch == full.mean_batch
-        assert_percentiles_identical(summary, full)
+            telemetry="sketch")
+        assert sketch.total_time_s == full.total_time_s
+        assert sketch.n_steps == full.n_steps
+        assert sketch.total_new_tokens == full.total_new_tokens
+        assert sketch.max_batch_observed == full.max_batch_observed
+        assert sketch.mean_batch == full.mean_batch
 
     @pytest.mark.parametrize("kind", ("cycle", "analytical"))
     def test_sharded_tp2_windows_expand_to_full(self, kind):
@@ -240,10 +238,10 @@ class TestWindowedExpansionIsExact:
         assert_reports_identical(windows, full)
         assert windows.results[0].tokens == stream
 
-    def test_summary_keeps_no_results(self):
+    def test_sketch_keeps_no_results(self):
         eng = make_engine("cycle", "slotted")
         report = eng.run([Request(0, (1, 2), max_new_tokens=4)],
-                         telemetry="summary")
+                         telemetry="sketch")
         with pytest.raises(SimulationError):
             report.results
         with pytest.raises(SimulationError):
@@ -455,10 +453,10 @@ class TestEventHorizonTiers:
                       prompt_len=(3, 8), decode_len=(10, 30))
         full = make_engine("cycle", "paged").run(
             synthetic_trace(TINY_MODEL, 20, **kwargs))
-        summary = make_engine("cycle", "paged").run(
+        sketch = make_engine("cycle", "paged").run(
             iter_synthetic_trace(TINY_MODEL, 20, **kwargs),
-            telemetry="summary")
-        assert summary.window_stats == full.window_stats
+            telemetry="sketch")
+        assert sketch.window_stats == full.window_stats
         assert full.window_stats["n_windows"] > 0
 
     def test_off_tier_records_no_windows(self):
@@ -550,12 +548,11 @@ class TestStreamedCluster:
         assert [r.n_requests for r in streamed.replica_reports] \
             == [r.n_requests for r in eager.replica_reports]
 
-        summary = ReplicaRouter(self._engines(2), policy=policy).run(
-            factory, telemetry="summary")
-        assert summary.total_time_s == eager.total_time_s
-        assert summary.n_steps == eager.n_steps
-        assert summary.total_new_tokens == eager.total_new_tokens
-        assert_percentiles_identical(summary, eager)
+        sketch = ReplicaRouter(self._engines(2), policy=policy).run(
+            factory, telemetry="sketch")
+        assert sketch.total_time_s == eager.total_time_s
+        assert sketch.n_steps == eager.n_steps
+        assert sketch.total_new_tokens == eager.total_new_tokens
 
     def test_factory_full_run_records_assignments_and_loads(self):
         """At telemetry='full' a factory run must report routing like a
@@ -652,11 +649,11 @@ class TestSketchLevel:
             sketch.latency_runs()
         with pytest.raises(SimulationError):
             sketch.results
-        summary = make_engine("cycle", "slotted").run(
+        windows = make_engine("cycle", "slotted").run(
             iter_synthetic_trace(TINY_MODEL, 8, **self.KWARGS),
-            telemetry="summary")
+            telemetry="windows")
         with pytest.raises(SimulationError, match="latency_runs"):
-            summary.latency_digest()
+            windows.latency_digest()
 
     def test_recorder_storage_by_level(self):
         from repro.obs import ColumnarRecords
@@ -709,7 +706,7 @@ class TestSketchLevel:
             assert err <= bound, (p, value, err, bound)
         with pytest.raises(SimulationError, match="latency_percentile_s"):
             ReplicaRouter(engines()).run(
-                factory, telemetry="summary").latency_digest()
+                factory, telemetry="windows").latency_digest()
 
 
 class TestWindowedMemory:
@@ -798,7 +795,7 @@ class TestIdleAndEvictionFolds:
             stats = report.window_stats
             assert stats["folded_admissions"] == len(requests)
             assert stats["n_windows"] < len(requests)
-            if report.telemetry != "summary":
+            if report.telemetry != "sketch":
                 assert engine.events == eager_engine.events
 
         _, eager = assert_windows_match_eager(

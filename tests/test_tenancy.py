@@ -435,8 +435,7 @@ class TestTenancyTiersAgree:
         windowed = make_engine("cycle", "slotted", tp=2).run(trace)
         assert_reports_identical(windowed, eager)
 
-    @pytest.mark.parametrize("telemetry", ("windows", "summary",
-                                           "sketch"))
+    @pytest.mark.parametrize("telemetry", ("windows", "sketch"))
     def test_streamed_tenant_stats_match_full(self, telemetry):
         """Tenant stats are per-request scalars, exact at every level —
         including ``"sketch"``, which only sketches decode latencies."""
