@@ -9,8 +9,9 @@ data-parallel router.
   tiling validation back to the unsharded image.
 * :mod:`repro.cluster.interconnect` — link model (bandwidth, latency,
   ring vs all-to-all) and per-step collective costs.
-* :mod:`repro.cluster.tp`           — sharded engine backends (cycle,
-  analytical, and the bit-exact functional group).
+* :mod:`repro.cluster.tp`           — the bit-exact functional TP
+  group (the timing backends take ``tp`` and ``interconnect``
+  themselves).
 * :mod:`repro.cluster.router`       — replica routing and merged
   cluster serving reports.
 * :mod:`repro.cluster.sweep`        — TP x DP scaling sweeps.
@@ -76,12 +77,7 @@ from .sharding import (
     validate_tp,
 )
 from .sweep import ScalingPoint, scaling_sweep, tp_scaling_is_sane
-from .tp import (
-    ShardedAnalyticalBackend,
-    ShardedCycleBackend,
-    ShardedFunctionalBackend,
-    derive_tp_kv_token_budget,
-)
+from .tp import ShardedFunctionalBackend
 
 __all__ = [
     "ACTION_KINDS",
@@ -108,14 +104,11 @@ __all__ = [
     "ReplicaRouter",
     "RetryPolicy",
     "ScalingPoint",
-    "ShardedAnalyticalBackend",
-    "ShardedCycleBackend",
     "ShardedFunctionalBackend",
     "TEN_GIG_ETHERNET",
     "TPCommModel",
     "all_gather_cost",
     "all_reduce_cost",
-    "derive_tp_kv_token_budget",
     "functional_reduction_is_exact",
     "projection_shapes",
     "scaling_sweep",

@@ -143,6 +143,7 @@ class TPCommModel:
         self.freq_hz = freq_hz
         self.hidden_bytes = model.hidden_size * quant.activation_bits / 8
         self.logits_bytes = model.vocab_size * quant.activation_bits / 8
+        self._step_cycles: dict[int, float] = {}
 
     def decode_step_cost(self, batch: int) -> CollectiveCost:
         """Interconnect cost of one batched decode step."""
@@ -162,7 +163,14 @@ class TPCommModel:
         )
 
     def decode_step_cycles(self, batch: int) -> float:
-        return self.decode_step_cost(batch).time_s * self.freq_hz
+        """Memoized: a deterministic function of the batch size, queried
+        once per segment by the multi-segment fast-forward path, so the
+        collective model runs once per distinct batch."""
+        cycles = self._step_cycles.get(batch)
+        if cycles is None:
+            cycles = self._step_cycles[batch] = \
+                self.decode_step_cost(batch).time_s * self.freq_hz
+        return cycles
 
     def prefill_cost(self, n_tokens: int) -> CollectiveCost:
         """Interconnect cost of prefilling ``n_tokens`` prompt positions.

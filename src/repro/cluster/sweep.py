@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 from ..config import KV260, ModelConfig, PlatformConfig, QuantConfig
 from ..errors import SimulationError
-from .interconnect import TEN_GIG_ETHERNET, LinkSpec, TPCommModel
+from .interconnect import TEN_GIG_ETHERNET, LinkSpec
 
 
 @dataclass(frozen=True)
@@ -78,15 +78,14 @@ def scaling_sweep(model: ModelConfig, quant: QuantConfig,
                 decode_len=decode_len, seed=seed,
                 telemetry=telemetry).build()
             report = deployment.serve(max_steps=max_steps)
-            comm = TPCommModel(model, quant, interconnect, tp,
-                               deployment.backends[0].freq_hz)
+            comm = deployment.backends[0].comm
+            comm_s = 0.0 if comm is None else comm.decode_step_cost(
+                max(1, round(report.mean_batch))).time_s
             points.append(ScalingPoint(
                 tp=tp, replicas=dp,
                 aggregate_tokens_per_s=report.aggregate_tokens_per_s,
                 speedup=1.0, total_time_s=report.total_time_s,
-                mean_batch=report.mean_batch,
-                comm_step_time_s=comm.decode_step_cost(
-                    max(1, round(report.mean_batch))).time_s,
+                mean_batch=report.mean_batch, comm_step_time_s=comm_s,
                 kv_budget_tokens=deployment.engines[0].kv_token_budget))
     # Speedups are relative to the fewest-board configuration in the
     # grid — (tp=1, replicas=1) whenever it was swept — regardless of

@@ -1,42 +1,30 @@
-"""Tensor-parallel engine backends: N shards + interconnect, one clock.
+"""The bit-exact functional tensor-parallel group.
 
-Three sharded counterparts of the single-device engine backends, all
-implementing the :class:`repro.engine.backends.EngineBackend` protocol
-so the continuous-batching scheduler drives a TP group exactly like one
-accelerator:
+:class:`ShardedFunctionalBackend` runs the real quantized-model math
+per shard (column-parallel Q/K/V and gate/up, row-parallel O and down
+over each shard's own KV8 cache) and combines the row-parallel partial
+sums with an FP16 pairwise tree
+(:func:`repro.numerics.fp16.fp16_tree_combine`), which reproduces the
+single-device DOT-engine rounding bit for bit on alignment-compatible
+models — so TP=N generation emits the identical token stream as TP=1.
 
-* :class:`ShardedCycleBackend` — N identical per-shard cycle models
-  (the ``tp``-aware :class:`repro.core.cyclemodel.CycleModel`) plus the
-  collective costs of :class:`repro.cluster.interconnect.TPCommModel`.
-  Shards run in lock step, so the group's step time is one shard's
-  cycles plus the all-reduce/all-gather time.
-* :class:`ShardedAnalyticalBackend` — the per-shard roofline (1/tp of
-  the weight and KV streams against one board's DRAM bandwidth) plus
-  the same collective costs.
-* :class:`ShardedFunctionalBackend` — runs the real quantized-model
-  math per shard (column-parallel Q/K/V and gate/up, row-parallel O and
-  down over each shard's own KV8 cache) and combines the row-parallel
-  partial sums with an FP16 pairwise tree
-  (:func:`repro.numerics.fp16.fp16_tree_combine`), which reproduces the
-  single-device DOT-engine rounding bit for bit on alignment-compatible
-  models — so TP=N generation emits the identical token stream as TP=1.
-
-Capacity scales with the cluster: each board stores ``1/tp`` of the
-projections (plus replicated embedding/norms) and ``1/tp`` of every
-token's KV, so :func:`derive_tp_kv_token_budget` frees far more than
-``tp`` times the single-device KV headroom.
+Its timing and KV capacity are those of every TP group: the per-shard
+cycle model plus the interconnect collectives, and one board's DRAM
+after its shard of the weights (the ``tp``/``interconnect`` parameters
+of :class:`repro.engine.backends.CycleModelBackend` and
+:class:`repro.engine.backends.AnalyticalBackend`, which price the
+timing-only groups).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..config import KV260, ModelConfig, PlatformConfig, QuantConfig
-from ..engine.backends import (AnalyticalBackend, CycleModelBackend,
-                               TokenOracle, _CycleTimedBackend)
+from ..config import KV260, PlatformConfig
+from ..engine.backends import _CycleTimedBackend
 from ..engine.request import RequestState
-from ..errors import CapacityError, SimulationError
-from ..kv import PagedKVCache, blocks_for_budget
+from ..errors import SimulationError
+from ..kv import PagedKVCache
 from ..model.kvcache import SlottedKVCache, store_kv_rows
 from ..model.quantized import (attend_grouped, fuse_projections_t,
                                mlp_hidden, split_qkv)
@@ -44,145 +32,13 @@ from ..numerics.fp16 import (as_fp16_grid, fp16, fp16_matmul_t,
                              fp16_matvec, fp16_tree_combine)
 from ..numerics.rmsnorm import batched_two_pass_rmsnorm, two_pass_rmsnorm
 from ..numerics.rope import HardwareRope
-from .interconnect import TEN_GIG_ETHERNET, LinkSpec, TPCommModel
+from .interconnect import LinkSpec
 from .sharding import (FunctionalShard, functional_reduction_is_exact,
                        shard_functional_weights, validate_tp)
 
 #: DOT-engine lanes of every shard: the FP16 accumulation tile width the
 #: sharded partial sums must align with to stay bit-exact.
 _LANES = 128
-
-
-def derive_tp_kv_token_budget(model: ModelConfig, quant: QuantConfig,
-                              platform: PlatformConfig, tp: int,
-                              cap_tokens: int, system=None) -> int:
-    """KV tokens one board of a ``tp`` group holds beyond its weights.
-
-    Each shard stores ``1/tp`` of the projections, the full embedding
-    table and norm weights (replicated), and ``1/tp`` of every resident
-    token's KV — so the per-board budget in *tokens* grows faster than
-    linearly with ``tp``: sharding frees weight bytes AND shrinks the
-    per-token cost.  ``tp = 1`` matches
-    :func:`repro.engine.backends.derive_kv_token_budget` exactly.
-    """
-    validate_tp(model, tp)
-    if system is None:
-        from ..runtime.baremetal import BareMetalSystem
-
-        system = BareMetalSystem(platform)
-    report = system.capacity_report(model, quant, 1)
-    replicated = (model.embedding_params() + model.norm_params()) * 2
-    shard_weights = (report.weight_bytes - replicated) / tp + replicated
-    per_token = report.kv_bytes / tp
-    free = report.dram_bytes - shard_weights - report.reserved_bytes
-    if free < per_token:
-        raise CapacityError(
-            f"{model.name} shard weights leave no KV room on "
-            f"{platform.name} at tp={tp}")
-    return int(min(free // per_token, cap_tokens))
-
-
-def _default_paged_blocks(model: ModelConfig, quant: QuantConfig,
-                          platform: PlatformConfig, tp: int, n_slots: int,
-                          block_size: int,
-                          n_kv_blocks: int | None) -> int | None:
-    """Size the per-board paged pool from the sharded capacity report."""
-    if n_kv_blocks is not None:
-        return n_kv_blocks
-    budget = derive_tp_kv_token_budget(
-        model, quant, platform, tp,
-        cap_tokens=n_slots * model.max_context)
-    return blocks_for_budget(budget, block_size)
-
-
-class _ShardedTimingMixin:
-    """Adds collective time on top of a per-shard timing backend.
-
-    Requires ``self.comm`` (a :class:`TPCommModel`) and the per-shard
-    ``step_cycles`` / ``prefill_cycles`` of the superclass.
-    """
-
-    comm: TPCommModel
-
-    def _decode_comm_cycles(self, batch: int) -> float:
-        """Memoized ``comm.decode_step_cycles`` — a deterministic
-        function of the batch size, queried once per segment by the
-        multi-segment fast-forward path, so the collective model runs
-        once per distinct batch instead of once per call."""
-        memo = getattr(self, "_comm_memo", None)
-        if memo is None:
-            memo = self._comm_memo = {}
-        val = memo.get(batch)
-        if val is None:
-            val = memo[batch] = self.comm.decode_step_cycles(batch)
-        return val
-
-    def step_cycles(self, contexts, fetched=None) -> float:
-        return super().step_cycles(contexts, fetched) \
-            + self._decode_comm_cycles(len(contexts))
-
-    def prefill_cycles(self, n_tokens: int, start: int = 0) -> float:
-        return super().prefill_cycles(n_tokens, start) \
-            + self.comm.prefill_cycles(n_tokens - start)
-
-    def _fast_forward_cycles(self, contexts, fetched, n_steps):
-        """Per-shard window cycles plus the (batch-constant) collective
-        time, added per step in the same order as :meth:`step_cycles`."""
-        comm = self._decode_comm_cycles(len(contexts))
-        return [c + comm for c in
-                super()._fast_forward_cycles(contexts, fetched, n_steps)]
-
-    def derive_kv_token_budget(self, cap_tokens: int, system=None) -> int:
-        return derive_tp_kv_token_budget(
-            self.model_config, self.quant, self.platform, self.tp,
-            cap_tokens, system=system)
-
-
-class ShardedCycleBackend(_ShardedTimingMixin, CycleModelBackend):
-    """Timing-only TP group: per-shard cycle model + interconnect."""
-
-    def __init__(self, model_config: ModelConfig, quant: QuantConfig,
-                 platform: PlatformConfig = KV260, tp: int = 2,
-                 interconnect: LinkSpec = TEN_GIG_ETHERNET,
-                 mode: str = "fused", n_slots: int = 8,
-                 kv_mode: str = "slotted", block_size: int = 16,
-                 n_kv_blocks: int | None = None,
-                 token_oracle: TokenOracle | None = None) -> None:
-        validate_tp(model_config, tp)
-        if kv_mode == "paged":
-            n_kv_blocks = _default_paged_blocks(
-                model_config, quant, platform, tp, n_slots, block_size,
-                n_kv_blocks)
-        super().__init__(model_config, quant, platform, mode=mode,
-                         n_slots=n_slots, kv_mode=kv_mode,
-                         block_size=block_size, n_kv_blocks=n_kv_blocks,
-                         token_oracle=token_oracle, tp=tp)
-        self.interconnect = interconnect
-        self.comm = TPCommModel(model_config, quant, interconnect, tp,
-                                self.freq_hz)
-
-
-class ShardedAnalyticalBackend(_ShardedTimingMixin, AnalyticalBackend):
-    """Roofline TP group: per-shard bandwidth/compute + interconnect."""
-
-    def __init__(self, model_config: ModelConfig, quant: QuantConfig,
-                 platform: PlatformConfig = KV260, tp: int = 2,
-                 interconnect: LinkSpec = TEN_GIG_ETHERNET,
-                 n_slots: int = 8, kv_mode: str = "slotted",
-                 block_size: int = 16, n_kv_blocks: int | None = None,
-                 token_oracle: TokenOracle | None = None) -> None:
-        validate_tp(model_config, tp)
-        if kv_mode == "paged":
-            n_kv_blocks = _default_paged_blocks(
-                model_config, quant, platform, tp, n_slots, block_size,
-                n_kv_blocks)
-        super().__init__(model_config, quant, platform, n_slots=n_slots,
-                         kv_mode=kv_mode, block_size=block_size,
-                         n_kv_blocks=n_kv_blocks,
-                         token_oracle=token_oracle, tp=tp)
-        self.interconnect = interconnect
-        self.comm = TPCommModel(model_config, quant, interconnect, tp,
-                                self.freq_hz)
 
 
 class _ShardWorker:
@@ -282,18 +138,19 @@ class _ShardWorker:
         return self._matmul_t(self._lm_head32_t, normed.T).T
 
 
-class ShardedFunctionalBackend(_ShardedTimingMixin, _CycleTimedBackend):
+class ShardedFunctionalBackend(_CycleTimedBackend):
     """Bit-exact functional TP group over per-shard KV8 caches.
 
     Token streams are identical to the single-device
     :class:`repro.engine.backends.FunctionalBackend` (the FP16 tree
     reduction reproduces the DOT engine's rounding); timing is the
-    per-shard cycle model plus interconnect, the sharded analogue of
-    how the single-device functional backend is timed.
+    per-shard cycle model plus interconnect, priced by the shared
+    :class:`repro.engine.backends._CycleTimedBackend` plumbing.
+    ``interconnect`` defaults to the 10GbE ring.
     """
 
     def __init__(self, qweights, platform: PlatformConfig = KV260,
-                 tp: int = 2, interconnect: LinkSpec = TEN_GIG_ETHERNET,
+                 tp: int = 2, interconnect: LinkSpec | None = None,
                  mode: str = "fused", n_slots: int = 8,
                  kv_mode: str = "slotted", block_size: int = 16,
                  n_kv_blocks: int | None = None) -> None:
@@ -304,17 +161,10 @@ class ShardedFunctionalBackend(_ShardedTimingMixin, _CycleTimedBackend):
                 f"{model.name} at tp={tp} does not align with the "
                 f"{_LANES}-lane FP16 accumulation tree, so sharded "
                 "partial sums would not be bit-identical to one device")
-        if kv_mode == "paged":
-            n_kv_blocks = _default_paged_blocks(
-                model, qweights.quant, platform, tp, n_slots, block_size,
-                n_kv_blocks)
         super().__init__(model, qweights.quant, platform, mode, n_slots,
                          kv_mode=kv_mode, block_size=block_size,
                          n_kv_blocks=n_kv_blocks, store_kv_data=False,
-                         tp=tp)
-        self.interconnect = interconnect
-        self.comm = TPCommModel(model, qweights.quant, interconnect, tp,
-                                self.freq_hz)
+                         tp=tp, interconnect=interconnect)
         if kv_mode == "paged":
             assert self.paged_kv is not None
             n_kv_blocks = self.paged_kv.n_total_blocks

@@ -20,6 +20,14 @@ All three share the batch cost split of the paper's Fig. 2: the
 quantized weight stream is charged once per step; KV traffic and misc
 work are charged per batch member.
 
+The timing backends take a tensor-parallel degree ``tp`` and the
+``interconnect`` that links the group's boards, and price the whole
+group: one shard's cycles plus the partial-sum collectives
+(:class:`repro.cluster.interconnect.TPCommModel`), with the KV budget
+of one board's DRAM after its shard of the weights.  ``tp = 1`` is one
+board and charges no collective.  The bit-exact functional group is
+:class:`repro.cluster.tp.ShardedFunctionalBackend`.
+
 Every backend also supports both KV disciplines (``kv_mode``):
 
 * ``"slotted"`` — one contiguous max-length reservation per sequence
@@ -70,6 +78,8 @@ class EngineBackend(Protocol):
     model_config: ModelConfig
     quant: QuantConfig
     platform: PlatformConfig
+    #: boards of the tensor-parallel group one step is priced over
+    tp: int
 
     @property
     def freq_hz(self) -> float:
@@ -107,25 +117,54 @@ class EngineBackend(Protocol):
 
 def derive_kv_token_budget(model: ModelConfig, quant: QuantConfig,
                            platform: PlatformConfig, cap_tokens: int,
-                           system=None) -> int:
+                           system=None, tp: int = 1) -> int:
     """KV tokens the platform's DRAM holds beyond weights + reservation.
 
     The capacity discipline of the paper's Sec. VII-A carried to serving:
     whatever DRAM remains after the quantized weights and the bare-metal
     reservation is the KV budget, clamped to ``cap_tokens`` (typically
     ``max_batch * max_context`` — more can never be resident at once).
+
+    In a ``tp`` group each board stores ``1/tp`` of the projections, the
+    full embedding table and norm weights (replicated), and ``1/tp`` of
+    every resident token's KV — so the per-board budget in tokens grows
+    faster than linearly with ``tp``.
     """
     if system is None:
         from ..runtime.baremetal import BareMetalSystem
 
         system = BareMetalSystem(platform)
     report = system.capacity_report(model, quant, 1)
-    per_token = report.kv_bytes
-    free = report.dram_bytes - report.weight_bytes - report.reserved_bytes
+    weights, per_token = report.weight_bytes, report.kv_bytes
+    if tp != 1:
+        from ..cluster.sharding import validate_tp
+
+        validate_tp(model, tp)
+        replicated = (model.embedding_params() + model.norm_params()) * 2
+        weights = (weights - replicated) / tp + replicated
+        per_token = per_token / tp
+    free = report.dram_bytes - weights - report.reserved_bytes
     if free < per_token:
         raise CapacityError(
-            f"{model.name} weights leave no KV room on {platform.name}")
+            f"{model.name} weights leave no KV room on {platform.name}"
+            f" at tp={tp}")
     return int(min(free // per_token, cap_tokens))
+
+
+def _collectives(model_config: ModelConfig, quant: QuantConfig, tp: int,
+                 interconnect, freq_hz: float):
+    """The interconnect model of a ``tp``-board group, or None for one
+    board.  ``interconnect`` defaults to the 10GbE ring; the cluster
+    layer sits above the engine, so it is imported lazily."""
+    if tp == 1:
+        return None
+    from ..cluster.interconnect import TEN_GIG_ETHERNET, TPCommModel
+    from ..cluster.sharding import validate_tp
+
+    validate_tp(model_config, tp)
+    return TPCommModel(model_config, quant,
+                       interconnect if interconnect is not None
+                       else TEN_GIG_ETHERNET, tp, freq_hz)
 
 
 def kv_discipline_kwargs(kv_mode: str, budget_tokens: int | None = None,
@@ -160,11 +199,11 @@ def build_backend(kind: str, model_config: ModelConfig, quant: QuantConfig,
                   n_kv_blocks: int | None = None) -> "EngineBackend":
     """One constructor for every backend kind, single-device or sharded.
 
-    ``tp > 1`` returns the tensor-parallel counterpart from
-    :mod:`repro.cluster.tp` (imported lazily — the cluster layer sits
-    above the engine); ``interconnect`` is a
-    :class:`repro.cluster.interconnect.LinkSpec` and defaults to the
-    10GbE ring.  The functional kinds need ``qweights``.
+    ``interconnect`` is a :class:`repro.cluster.interconnect.LinkSpec`
+    and defaults to the 10GbE ring.  A functional ``tp > 1`` group is
+    :class:`repro.cluster.tp.ShardedFunctionalBackend` (imported lazily
+    — the cluster layer sits above the engine).  The functional kinds
+    need ``qweights``.
     """
     if kind not in ("functional", "cycle", "analytical"):
         raise SimulationError(
@@ -174,36 +213,22 @@ def build_backend(kind: str, model_config: ModelConfig, quant: QuantConfig,
         raise SimulationError("functional backend needs quantized weights")
     kv = dict(kv_mode=kv_mode, block_size=block_size,
               n_kv_blocks=n_kv_blocks)
-    if tp > 1:
-        from ..cluster.interconnect import TEN_GIG_ETHERNET
-        from ..cluster.tp import (ShardedAnalyticalBackend,
-                                  ShardedCycleBackend,
-                                  ShardedFunctionalBackend)
-
-        link = interconnect if interconnect is not None else TEN_GIG_ETHERNET
-        if kind == "cycle":
-            return ShardedCycleBackend(model_config, quant, platform, tp=tp,
-                                       interconnect=link, mode=mode,
-                                       n_slots=n_slots,
-                                       token_oracle=token_oracle, **kv)
-        if kind == "analytical":
-            return ShardedAnalyticalBackend(model_config, quant, platform,
-                                            tp=tp, interconnect=link,
-                                            n_slots=n_slots,
-                                            token_oracle=token_oracle, **kv)
-        return ShardedFunctionalBackend(qweights, platform, tp=tp,
-                                        interconnect=link, mode=mode,
-                                        n_slots=n_slots, **kv)
+    if kind == "functional" and tp == 1:
+        return FunctionalBackend(qweights, platform, mode=mode,
+                                 n_slots=n_slots, **kv)
+    group = dict(tp=tp, interconnect=interconnect, **kv)
     if kind == "cycle":
         return CycleModelBackend(model_config, quant, platform, mode=mode,
                                  n_slots=n_slots, token_oracle=token_oracle,
-                                 **kv)
+                                 **group)
     if kind == "analytical":
         return AnalyticalBackend(model_config, quant, platform,
                                  n_slots=n_slots,
-                                 token_oracle=token_oracle, **kv)
-    return FunctionalBackend(qweights, platform, mode=mode,
-                             n_slots=n_slots, **kv)
+                                 token_oracle=token_oracle, **group)
+    from ..cluster.tp import ShardedFunctionalBackend
+
+    return ShardedFunctionalBackend(qweights, platform, mode=mode,
+                                    n_slots=n_slots, **group)
 
 
 class _SlotCounter:
@@ -305,14 +330,14 @@ def _synthetic_token(state: RequestState, vocab_size: int,
 def _build_paged_kv(model_config: ModelConfig, quant: QuantConfig,
                     platform: PlatformConfig, n_slots: int,
                     block_size: int, n_kv_blocks: int | None,
-                    store_data: bool) -> PagedKVCache:
+                    store_data: bool, tp: int) -> PagedKVCache:
     """Size and build the paged pool; default capacity mirrors the
     token budget the scheduler would derive for slotted KV, so the two
     modes compete over the same DRAM bytes."""
     if n_kv_blocks is None:
         budget = derive_kv_token_budget(
             model_config, quant, platform,
-            cap_tokens=n_slots * model_config.max_context)
+            cap_tokens=n_slots * model_config.max_context, tp=tp)
         n_kv_blocks = blocks_for_budget(budget, block_size)
     return PagedKVCache(model_config, n_kv_blocks, block_size,
                         kv_bits=quant.kv_bits, store_data=store_data)
@@ -336,7 +361,7 @@ class _KVMixin:
     def _init_kv(self, model_config: ModelConfig, quant: QuantConfig,
                  platform: PlatformConfig, kv_mode: str, n_slots: int,
                  block_size: int, n_kv_blocks: int | None,
-                 store_data: bool) -> None:
+                 store_data: bool, tp: int) -> None:
         if kv_mode not in KV_MODES:
             raise SimulationError(
                 f"unknown kv_mode {kv_mode!r}; choose from {KV_MODES}")
@@ -345,7 +370,7 @@ class _KVMixin:
         if kv_mode == "paged":
             self.paged_kv = _build_paged_kv(
                 model_config, quant, platform, n_slots, block_size,
-                n_kv_blocks, store_data)
+                n_kv_blocks, store_data, tp)
         else:
             self._slots = _SlotCounter(n_slots)
 
@@ -496,9 +521,14 @@ class _TimingStreamMixin:
         calling :meth:`decode_batch` that many times.  Pure — commit the
         window with :meth:`commit_fast_forward` afterwards."""
         contexts = [s.context for s in states]
-        return self._fast_forward_cycles(contexts,
-                                         self._fetch_plan(states, contexts),
-                                         n_steps)
+        cycles = self._fast_forward_cycles(
+            contexts, self._fetch_plan(states, contexts), n_steps)
+        if self.comm is None:
+            return cycles
+        # The (batch-constant) collective time, added per step in the
+        # same order as step_cycles adds it.
+        comm = self.comm.decode_step_cycles(len(contexts))
+        return [c + comm for c in cycles]
 
     def commit_fast_forward(self, states: Sequence[RequestState],
                             n_steps: int) -> None:
@@ -513,10 +543,10 @@ class _TimingStreamMixin:
 class _CycleTimedBackend(_KVMixin):
     """Shared plumbing: batched cycle-model timing + KV bookkeeping.
 
-    ``tp > 1`` makes the cycle model account ONE tensor-parallel shard
-    (1/tp of the weight and KV streams); interconnect time for the
-    partial-sum collectives is added by the :mod:`repro.cluster.tp`
-    subclasses, never here.
+    ``tp > 1`` prices a tensor-parallel group: the cycle model accounts
+    ONE shard (1/tp of the weight and KV streams), and ``comm`` adds the
+    partial-sum collectives over ``interconnect`` to every step and
+    prompt.
     """
 
     supports_fast_forward = False
@@ -525,15 +555,18 @@ class _CycleTimedBackend(_KVMixin):
                  platform: PlatformConfig, mode: str, n_slots: int,
                  kv_mode: str = "slotted", block_size: int = 16,
                  n_kv_blocks: int | None = None,
-                 store_kv_data: bool = False, tp: int = 1) -> None:
+                 store_kv_data: bool = False, tp: int = 1,
+                 interconnect=None) -> None:
         self.model_config = model_config
         self.quant = quant
         self.platform = platform
         self.mode = mode
         self.tp = tp
+        self.comm = _collectives(model_config, quant, tp, interconnect,
+                                 self.freq_hz)
         self.cycles = CycleModel(model_config, quant, platform, tp=tp)
         self._init_kv(model_config, quant, platform, kv_mode, n_slots,
-                      block_size, n_kv_blocks, store_kv_data)
+                      block_size, n_kv_blocks, store_kv_data, tp)
         # Fast-forward memos: deterministic sub-results of the batched
         # token schedule, keyed so a window of growing contexts reuses
         # every segment it has seen before.
@@ -557,11 +590,11 @@ class _CycleTimedBackend(_KVMixin):
         # The decomposed window computation with a one-step window: the
         # identical floats as self.cycles.batched_decode_step (pinned by
         # the kernel property tests), minus the per-call schedule build.
-        # Explicit class call: the sharded mixin adds collective time on
-        # top of this method, so dispatching virtually would double it.
         _validate_batch(contexts, fetched)
-        return _CycleTimedBackend._fast_forward_cycles(
-            self, contexts, fetched, 1)[0]
+        cycles = self._fast_forward_cycles(contexts, fetched, 1)[0]
+        if self.comm is None:
+            return cycles
+        return cycles + self.comm.decode_step_cycles(len(contexts))
 
     def prefill_cycles(self, n_tokens: int, start: int = 0) -> float:
         """Memoized :meth:`CycleModel.prefill_cycles`: one decode-step
@@ -580,7 +613,9 @@ class _CycleTimedBackend(_KVMixin):
                 tok = self.cycles.token_schedule(pos, "fused").total_cycles
                 self._ff_prefill[pos] = tok
             total = total + tok
-        return total
+        if self.comm is None:
+            return total
+        return total + self.comm.prefill_cycles(n_tokens - start)
 
     # -- fast-forward decomposition -----------------------------------------
     #
@@ -745,10 +780,11 @@ class CycleModelBackend(_TimingStreamMixin, _CycleTimedBackend):
                  n_slots: int = 8, kv_mode: str = "slotted",
                  block_size: int = 16, n_kv_blocks: int | None = None,
                  token_oracle: TokenOracle | None = None,
-                 tp: int = 1) -> None:
+                 tp: int = 1, interconnect=None) -> None:
         super().__init__(model_config, quant, platform, mode, n_slots,
                          kv_mode=kv_mode, block_size=block_size,
-                         n_kv_blocks=n_kv_blocks, tp=tp)
+                         n_kv_blocks=n_kv_blocks, tp=tp,
+                         interconnect=interconnect)
         self.token_oracle = token_oracle
 
     def prefill(self, state: RequestState) -> float:
@@ -869,21 +905,20 @@ class AnalyticalBackend(_TimingStreamMixin, _KVMixin):
                  kv_mode: str = "slotted", block_size: int = 16,
                  n_kv_blocks: int | None = None,
                  token_oracle: TokenOracle | None = None,
-                 tp: int = 1) -> None:
+                 tp: int = 1, interconnect=None) -> None:
         if platform.pl_freq_hz <= 0:
             raise SimulationError(
                 f"platform {platform.name} has no PL clock")
-        if tp < 1:
-            raise SimulationError(
-                f"tensor-parallel degree must be >= 1: {tp}")
         self.model_config = model_config
         self.quant = quant
         self.platform = platform
         self.token_oracle = token_oracle
         self.tp = tp
+        self.comm = _collectives(model_config, quant, tp, interconnect,
+                                 self.freq_hz)
         self._ff_const: dict[int, tuple] = {}
         self._init_kv(model_config, quant, platform, kv_mode, n_slots,
-                      block_size, n_kv_blocks, store_data=False)
+                      block_size, n_kv_blocks, store_data=False, tp=tp)
 
     @property
     def freq_hz(self) -> float:
@@ -894,12 +929,13 @@ class AnalyticalBackend(_TimingStreamMixin, _KVMixin):
         # One-step window of the decomposed roofline: term-by-term the
         # arithmetic of memory.traffic.batched_decode_traffic, so the
         # cycles are the identical floats without building the per-member
-        # traffic breakdown objects.  Explicit class call: the sharded
-        # mixin adds collective time on top of this method.  The
-        # differential tests pin it to the object-building oracle.
+        # traffic breakdown objects.  The differential tests pin it to
+        # the object-building oracle.
         _validate_batch(contexts, fetched)
-        return float(AnalyticalBackend._fast_forward_cycles(
-            self, contexts, fetched, 1)[0])
+        cycles = float(self._fast_forward_cycles(contexts, fetched, 1)[0])
+        if self.comm is None:
+            return cycles
+        return cycles + self.comm.decode_step_cycles(len(contexts))
 
     def prefill_cycles(self, n_tokens: int, start: int = 0) -> float:
         """Roofline prefill: one single-member step per prompt position
@@ -910,8 +946,11 @@ class AnalyticalBackend(_TimingStreamMixin, _KVMixin):
         if not 0 <= start < n_tokens:
             raise SimulationError(
                 f"prefill start {start} outside prompt of {n_tokens}")
-        return sum(AnalyticalBackend._fast_forward_cycles(
-            self, [start], None, n_tokens - start))
+        total = sum(self._fast_forward_cycles([start], None,
+                                              n_tokens - start))
+        if self.comm is None:
+            return total
+        return total + self.comm.prefill_cycles(n_tokens - start)
 
     def _ff_roofline_constants(self, batch: int) -> tuple:
         """Context-independent terms of one roofline step at ``batch``."""

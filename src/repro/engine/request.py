@@ -120,9 +120,15 @@ class Request:
             else self.accounted_arrival_s
 
 
-@dataclass
+@dataclass(eq=False)
 class RequestState:
-    """Mutable engine-side state of one request."""
+    """Mutable engine-side state of one request.
+
+    Compared by identity (``eq=False``): each state is one live request
+    instance, so ``state in running`` and ``running.remove(state)`` find
+    it by reference instead of comparing every field of every member
+    ahead of it, down to the nested :class:`Request`.
+    """
 
     request: Request
     status: RequestStatus = RequestStatus.QUEUED

@@ -60,16 +60,24 @@ _LOWEST_RANK = len(PRIORITY_CLASSES) - 1
 _BEST_EFFORT_EVICTION_LIMIT = 3
 
 
+def _fault_phase(request: Request, start_s: float) -> str:
+    """Where a crash or drain starting at ``start_s`` caught a request
+    that was not running: ``"queued"`` if it had arrived by then,
+    ``"arrival"`` if it arrived inside the fault window."""
+    return "queued" if request.arrival_s < start_s else "arrival"
+
+
 @dataclass(frozen=True)
 class KilledRequest:
     """One request instance lost to an injected replica crash.
 
     ``phase`` records where the fault caught it: ``"running"`` (in the
-    batch — KV and generated tokens lost), ``"queued"`` (waiting), or
-    ``"arrival"`` (arrived during the outage, nobody listening).  Kill
-    times are pure functions of the fault and the request, never of
-    the discovering clock, so fault replay stays bit-identical with
-    fast-forward on or off.
+    batch — KV and generated tokens lost), ``"queued"`` (not running,
+    arrived before the crash), or ``"arrival"`` (not running, arrived
+    during the outage, nobody listening).  Kill times and phases are
+    pure functions of the fault and the request — never of the
+    discovering clock or of how the trace was fed (list or iterator) —
+    so fault replay stays bit-identical with fast-forward on or off.
     """
 
     request: Request
@@ -84,11 +92,13 @@ class MigratedRequest:
 
     ``phase`` records where the drain caught it: ``"running"`` (in the
     batch — its KV checkpoint of ``kv_bytes`` ships over the
-    interconnect), ``"queued"`` (waiting — nothing resident, a
-    zero-byte handoff), or ``"arrival"`` (arrived mid-drain, admission
-    closed).  Migration times are pure functions of the fault and the
-    request, like kill times, so the router's re-dispatch plan is
-    bit-identical with fast-forward on or off.
+    interconnect), ``"queued"`` (not running, arrived before the drain
+    — nothing resident, a zero-byte handoff), or ``"arrival"`` (not
+    running, arrived mid-drain, admission closed).  Migration times and
+    phases are pure functions of the fault and the request, like kill
+    times, so the router's re-dispatch plan is bit-identical with
+    fast-forward on or off and with the trace fed as a list or an
+    iterator.
     """
 
     request: Request
@@ -222,17 +232,10 @@ class ContinuousBatchScheduler:
             kv_token_budget = self.paged_kv.n_total_blocks \
                 * self.paged_kv.block_size
         elif kv_token_budget is None:
-            derive = getattr(backend, "derive_kv_token_budget", None)
-            if derive is not None:
-                # Cluster backends size KV from their own (sharded)
-                # capacity split instead of the single-device report.
-                kv_token_budget = derive(
-                    cap_tokens=max_batch * model.max_context,
-                    system=system)
-            else:
-                kv_token_budget = derive_kv_token_budget(
-                    model, backend.quant, backend.platform,
-                    cap_tokens=max_batch * model.max_context, system=system)
+            kv_token_budget = derive_kv_token_budget(
+                model, backend.quant, backend.platform,
+                cap_tokens=max_batch * model.max_context, system=system,
+                tp=backend.tp)
         if kv_token_budget <= 0:
             raise CapacityError("KV token budget must be positive")
         self.kv_token_budget = int(kv_token_budget)
@@ -593,12 +596,13 @@ class ContinuousBatchScheduler:
                 lambda s: s.request.arrival_s < down_until):
             self._log_kill(state.request,
                            max(action.start_s, state.request.arrival_s),
-                           "queued", len(state.generated))
+                           _fault_phase(state.request, action.start_s),
+                           len(state.generated))
         head = self._stream_head
         if head is not None and head.arrival_s < down_until:
             self._stream_head = None
             self._log_kill(head, max(action.start_s, head.arrival_s),
-                           "arrival", 0)
+                           _fault_phase(head, action.start_s), 0)
         # The clock stays put: the replica itself resumes scheduling
         # surviving arrivals the moment the outage ends (the idle jump
         # lands on the first post-outage arrival).
@@ -639,7 +643,7 @@ class ContinuousBatchScheduler:
             self._log_migration(MigratedRequest(
                 request=state.request,
                 migrate_s=max(action.start_s, state.request.arrival_s),
-                phase="queued",
+                phase=_fault_phase(state.request, action.start_s),
                 n_generated=state.n_generated,
                 tokens=tuple(state.generated),
                 first_token_s=state.first_token_s,
@@ -650,7 +654,7 @@ class ContinuousBatchScheduler:
             self._log_migration(MigratedRequest(
                 request=head,
                 migrate_s=max(action.start_s, head.arrival_s),
-                phase="arrival"))
+                phase=_fault_phase(head, action.start_s)))
 
     def _finish_drain(self) -> None:
         """Drain deadline reached: checkpoint every still-running
@@ -1511,7 +1515,7 @@ class ContinuousBatchScheduler:
                     self._stream_head = None
                     self._log_kill(
                         head, max(head.arrival_s, self._down_start),
-                        "arrival", 0)
+                        _fault_phase(head, self._down_start), 0)
                     continue
                 self._down_until = None
             if self._drain_until is not None \
@@ -1523,7 +1527,7 @@ class ContinuousBatchScheduler:
                 self._log_migration(MigratedRequest(
                     request=head,
                     migrate_s=max(head.arrival_s, self._drain_start),
-                    phase="arrival"))
+                    phase=_fault_phase(head, self._drain_start)))
                 continue
             if self.waiting and head.arrival_s > self.clock_s:
                 return

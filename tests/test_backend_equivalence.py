@@ -22,12 +22,7 @@ observable behaviour is invariant to the backend/KV combination:
 import numpy as np
 import pytest
 
-from repro.cluster import (
-    TEN_GIG_ETHERNET,
-    ShardedAnalyticalBackend,
-    ShardedCycleBackend,
-    ShardedFunctionalBackend,
-)
+from repro.cluster import TEN_GIG_ETHERNET, ShardedFunctionalBackend
 from repro.config import LLAMA2_7B, TINY_MODEL, W4A16_KV8, QuantConfig
 from repro.core.cyclemodel import CycleModel
 from repro.engine import (
@@ -314,8 +309,7 @@ class TestFastForwardEquivalence:
         assert backend._fast_forward_cycles(contexts, fetched,
                                             n_steps) == want
 
-    @pytest.mark.parametrize("cls", [ShardedCycleBackend,
-                                     ShardedAnalyticalBackend])
+    @pytest.mark.parametrize("cls", [CycleModelBackend, AnalyticalBackend])
     def test_sharded_fast_forward_is_bit_identical(self, cls, quant32):
         trace = synthetic_trace(TINY_MODEL, 12, arrival_rate_rps=500.0,
                                 seed=4, prompt_len=(3, 10),
@@ -430,7 +424,7 @@ class TestShardedEquivalence:
         fn = ShardedFunctionalBackend(
             tiny_qweights, tp=2, kv_mode="slotted", block_size=BLOCK_SIZE,
             n_kv_blocks=BUDGET_TOKENS // BLOCK_SIZE)
-        cy = ShardedCycleBackend(
+        cy = CycleModelBackend(
             TINY_MODEL, quant32, tp=2, kv_mode="slotted",
             block_size=BLOCK_SIZE,
             n_kv_blocks=BUDGET_TOKENS // BLOCK_SIZE, n_slots=MAX_BATCH,
@@ -447,10 +441,10 @@ class TestShardedEquivalence:
         trace = synthetic_trace(LLAMA2_7B, 6, arrival_rate_rps=1e9,
                                 seed=3, shared_prefix_len=16)
         times = {}
-        for cls in (ShardedCycleBackend, ShardedAnalyticalBackend):
+        for cls in (CycleModelBackend, AnalyticalBackend):
             backend = cls(LLAMA2_7B, W4A16_KV8, tp=2,
                           interconnect=TEN_GIG_ETHERNET,
                           n_slots=MAX_BATCH)
             times[cls] = run_engine(backend, trace).total_time_s
-        ratio = times[ShardedAnalyticalBackend] / times[ShardedCycleBackend]
+        ratio = times[AnalyticalBackend] / times[CycleModelBackend]
         assert ratio == pytest.approx(1.0, rel=0.05)

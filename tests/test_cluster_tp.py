@@ -1,14 +1,11 @@
-"""Sharded engine backends: timing composition and capacity scaling."""
+"""TP groups: timing composition and capacity scaling."""
 
 import pytest
 
 from repro.cluster import (
     GIG_ETHERNET,
     TEN_GIG_ETHERNET,
-    ShardedAnalyticalBackend,
-    ShardedCycleBackend,
     ShardedFunctionalBackend,
-    derive_tp_kv_token_budget,
 )
 from repro.config import KV260, LLAMA2_7B, TINY_MODEL, W4A16_KV8, QuantConfig
 from repro.engine import (
@@ -17,6 +14,7 @@ from repro.engine import (
     CycleModelBackend,
     Request,
     build_backend,
+    derive_kv_token_budget,
 )
 from repro.errors import SimulationError
 
@@ -33,10 +31,13 @@ def tiny_trace():
 
 class TestShardedTiming:
     def test_tp1_cycle_backend_matches_unsharded_exactly(self, quant32):
-        """Degenerate TP group: no comm, per-shard model == full model."""
+        """Degenerate TP group: no comm (the link is never priced),
+        per-shard model == full model."""
         trace = tiny_trace()
         plain = CycleModelBackend(TINY_MODEL, quant32, n_slots=4)
-        sharded = ShardedCycleBackend(TINY_MODEL, quant32, tp=1)
+        sharded = CycleModelBackend(TINY_MODEL, quant32, tp=1,
+                                    interconnect=GIG_ETHERNET)
+        assert sharded.comm is None
         t_plain = ContinuousBatchScheduler(
             plain, max_batch=4, kv_token_budget=256).run(trace).total_time_s
         t_sharded = ContinuousBatchScheduler(
@@ -46,8 +47,8 @@ class TestShardedTiming:
     def test_7b_step_splits_weights_plus_comm(self):
         """One TP=2 step = half the weight/KV stream + the collectives."""
         plain = CycleModelBackend(LLAMA2_7B, W4A16_KV8)
-        sharded = ShardedCycleBackend(LLAMA2_7B, W4A16_KV8, tp=2,
-                                      interconnect=TEN_GIG_ETHERNET)
+        sharded = CycleModelBackend(LLAMA2_7B, W4A16_KV8, tp=2,
+                                    interconnect=TEN_GIG_ETHERNET)
         contexts = [512] * 4
         shard_only = sharded.step_cycles(contexts) \
             - sharded.comm.decode_step_cycles(4)
@@ -60,22 +61,22 @@ class TestShardedTiming:
     def test_7b_tp_decode_is_faster_but_sublinear(self):
         steps = {}
         for tp in (1, 2, 4):
-            backend = ShardedCycleBackend(LLAMA2_7B, W4A16_KV8, tp=tp,
-                                          interconnect=TEN_GIG_ETHERNET)
+            backend = CycleModelBackend(LLAMA2_7B, W4A16_KV8, tp=tp,
+                                        interconnect=TEN_GIG_ETHERNET)
             steps[tp] = backend.step_cycles([512] * 4)
         assert steps[2] < steps[1] and steps[4] < steps[2]
         assert steps[1] / steps[2] < 2.0
         assert steps[1] / steps[4] < 4.0
 
     def test_slower_link_costs_more(self):
-        fast = ShardedCycleBackend(LLAMA2_7B, W4A16_KV8, tp=2,
-                                   interconnect=TEN_GIG_ETHERNET)
-        slow = ShardedCycleBackend(LLAMA2_7B, W4A16_KV8, tp=2,
-                                   interconnect=GIG_ETHERNET)
+        fast = CycleModelBackend(LLAMA2_7B, W4A16_KV8, tp=2,
+                                 interconnect=TEN_GIG_ETHERNET)
+        slow = CycleModelBackend(LLAMA2_7B, W4A16_KV8, tp=2,
+                                 interconnect=GIG_ETHERNET)
         assert slow.step_cycles([128]) > fast.step_cycles([128])
 
     def test_prefill_charges_comm_only_for_computed_positions(self, quant32):
-        backend = ShardedCycleBackend(TINY_MODEL, quant32, tp=2)
+        backend = CycleModelBackend(TINY_MODEL, quant32, tp=2)
         full = backend.prefill_cycles(8)
         resumed = backend.prefill_cycles(8, start=4)
         assert resumed < full
@@ -88,18 +89,16 @@ class TestShardedTiming:
         by the full factor (replicated norms + comm keep it above)."""
         steps = {}
         for tp in (1, 2):
-            backend = ShardedAnalyticalBackend(
-                LLAMA2_7B, W4A16_KV8, tp=tp,
-                interconnect=TEN_GIG_ETHERNET) if tp > 1 \
-                else AnalyticalBackend(LLAMA2_7B, W4A16_KV8)
+            backend = AnalyticalBackend(LLAMA2_7B, W4A16_KV8, tp=tp,
+                                        interconnect=TEN_GIG_ETHERNET)
             steps[tp] = backend.step_cycles([512] * 4)
         assert steps[1] / 2 < steps[2] < steps[1]
 
 
 class TestShardedCapacity:
     def test_budget_grows_superlinearly_with_tp(self):
-        budgets = [derive_tp_kv_token_budget(LLAMA2_7B, W4A16_KV8, KV260,
-                                             tp, cap_tokens=10**9)
+        budgets = [derive_kv_token_budget(LLAMA2_7B, W4A16_KV8, KV260,
+                                          cap_tokens=10**9, tp=tp)
                    for tp in (1, 2, 4)]
         assert budgets[1] > 2 * budgets[0]
         assert budgets[2] > 2 * budgets[1]
@@ -108,7 +107,7 @@ class TestShardedCapacity:
         plain = ContinuousBatchScheduler(
             CycleModelBackend(LLAMA2_7B, W4A16_KV8, n_slots=4), max_batch=4)
         sharded = ContinuousBatchScheduler(
-            ShardedCycleBackend(LLAMA2_7B, W4A16_KV8, tp=2, n_slots=4),
+            CycleModelBackend(LLAMA2_7B, W4A16_KV8, tp=2, n_slots=4),
             max_batch=4)
         assert sharded.kv_token_budget > plain.kv_token_budget
 
@@ -117,8 +116,8 @@ class TestShardedCapacity:
         # single-device DRAM budget, so the sharded headroom can show.
         plain = CycleModelBackend(LLAMA2_7B, W4A16_KV8, n_slots=8,
                                   kv_mode="paged")
-        sharded = ShardedCycleBackend(LLAMA2_7B, W4A16_KV8, tp=2,
-                                      n_slots=8, kv_mode="paged")
+        sharded = CycleModelBackend(LLAMA2_7B, W4A16_KV8, tp=2,
+                                    n_slots=8, kv_mode="paged")
         assert sharded.paged_kv.n_total_blocks > plain.paged_kv.n_total_blocks
 
 
@@ -128,11 +127,11 @@ class TestShardedCapacity:
         from repro.runtime.baremetal import BareMetalSystem
 
         starved = BareMetalSystem(KV260, os_reserved_bytes=2 * 2**30)
-        backend = ShardedCycleBackend(LLAMA2_7B, W4A16_KV8, tp=2,
-                                      n_slots=4)
+        backend = CycleModelBackend(LLAMA2_7B, W4A16_KV8, tp=2,
+                                    n_slots=4)
         default = ContinuousBatchScheduler(backend, max_batch=4)
         custom = ContinuousBatchScheduler(
-            ShardedCycleBackend(LLAMA2_7B, W4A16_KV8, tp=2, n_slots=4),
+            CycleModelBackend(LLAMA2_7B, W4A16_KV8, tp=2, n_slots=4),
             system=starved, max_batch=4)
         assert custom.kv_token_budget < default.kv_token_budget
 
@@ -191,14 +190,17 @@ class TestShardedFunctionalGuards:
 class TestBuildBackendFactory:
     def test_dispatches_sharded_kinds(self, quant32):
         backend = build_backend("cycle", TINY_MODEL, quant32, tp=2)
-        assert isinstance(backend, ShardedCycleBackend)
-        backend = build_backend("analytical", TINY_MODEL, quant32, tp=2)
-        assert isinstance(backend, ShardedAnalyticalBackend)
+        assert type(backend) is CycleModelBackend
+        assert backend.tp == 2 and backend.comm.link == TEN_GIG_ETHERNET
+        backend = build_backend("analytical", TINY_MODEL, quant32, tp=2,
+                                interconnect=GIG_ETHERNET)
+        assert type(backend) is AnalyticalBackend
+        assert backend.tp == 2 and backend.comm.link == GIG_ETHERNET
 
     def test_dispatches_plain_kinds(self, quant32):
         backend = build_backend("cycle", TINY_MODEL, quant32)
         assert isinstance(backend, CycleModelBackend)
-        assert not isinstance(backend, ShardedCycleBackend)
+        assert backend.comm is None
         backend = build_backend("analytical", TINY_MODEL, quant32)
         assert isinstance(backend, AnalyticalBackend)
 

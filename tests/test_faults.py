@@ -181,6 +181,32 @@ class TestEngineFaults:
         assert {k.phase for k in eng_w.killed} \
             <= {"running", "queued", "arrival"}
 
+    def test_fault_phases_do_not_depend_on_the_input_container(self):
+        """A request the fault finds not running is ``"queued"`` if it
+        arrived before the fault started and ``"arrival"`` otherwise,
+        whether the trace is served as a list (submitted up front) or
+        as an iterator (pulled with one look-ahead)."""
+        n, rate = 400, 30000.0  # past one engine's knee: queues build
+        span = span_s(n, rate)
+        plan = FaultSchedule([
+            FaultEvent("crash", 0, 0.3 * span, 0.1 * span, warmup_s=0.0),
+            FaultEvent("drain", 0, 0.6 * span, 0.1 * span),
+        ]).plan_for(0)
+        starts = {a.kind: a.start_s for a in plan.actions}
+        requests = trace(n=n, rate=rate)
+        listed, _ = run_with_plan(True, plan, requests=requests)
+        streamed, _ = run_with_plan(True, plan, requests=iter(requests))
+        assert listed.killed == streamed.killed
+        assert listed.drained == streamed.drained
+        caught = [(k, starts["crash"]) for k in listed.killed] \
+            + [(m, starts["drain"]) for m in listed.drained]
+        for record, start in caught:
+            if record.phase != "running":
+                assert record.phase == ("queued"
+                                        if record.request.arrival_s < start
+                                        else "arrival"), record
+        assert {r.phase for r, _ in caught} >= {"queued", "arrival"}
+
     def test_hang_and_slowdown_are_tier_identical(self):
         events = [FaultEvent("hang", 0, 0.2 * span_s(),
                              0.1 * span_s()),

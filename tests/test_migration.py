@@ -325,7 +325,7 @@ class TestDrainMigration:
         eager_engine, _ = assert_windows_match_eager(engine, requests,
                                                      check)
         assert eager_engine.fault_stats()["drains"] == 1
-        assert [m.phase for m in eager_engine.drained] == ["queued"]
+        assert [m.phase for m in eager_engine.drained] == ["arrival"]
 
     def test_drain_reopens_admission_after_deadline(self):
         """Post-deadline arrivals are served by the drained replica

@@ -17,11 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster import (
-    ReplicaRouter,
-    ShardedAnalyticalBackend,
-    ShardedCycleBackend,
-)
+from repro.cluster import ReplicaRouter
 from repro.config import TINY_MODEL, QuantConfig
 from repro.engine import (
     WINDOW_BREAK_REASONS,
@@ -120,13 +116,9 @@ def make_engine(kind, kv_mode, tiny_qweights=None, tp=1, ff=True):
     if kind == "functional":
         backend = FunctionalBackend(tiny_qweights, n_slots=MAX_BATCH,
                                     **kv)
-    elif tp > 1:
-        cls = ShardedCycleBackend if kind == "cycle" \
-            else ShardedAnalyticalBackend
-        backend = cls(TINY_MODEL, QUANT32, tp=tp, n_slots=MAX_BATCH, **kv)
     else:
         cls = CycleModelBackend if kind == "cycle" else AnalyticalBackend
-        backend = cls(TINY_MODEL, QUANT32, n_slots=MAX_BATCH, **kv)
+        backend = cls(TINY_MODEL, QUANT32, tp=tp, n_slots=MAX_BATCH, **kv)
     budget = BUDGET_TOKENS if kv_mode == "slotted" else None
     return ContinuousBatchScheduler(backend, max_batch=MAX_BATCH,
                                     kv_token_budget=budget,

@@ -15,7 +15,7 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster import ReplicaRouter, ShardedCycleBackend
+from repro.cluster import ReplicaRouter
 from repro.config import TINY_MODEL, QuantConfig
 from repro.engine import (
     DEFAULT_TENANT,
@@ -48,12 +48,9 @@ def make_engine(kind, kv_mode, tp=1, ff=True, max_batch=MAX_BATCH,
                 budget=BUDGET_TOKENS):
     kv = dict(kv_mode=kv_mode, block_size=BLOCK_SIZE,
               n_kv_blocks=budget // BLOCK_SIZE)
-    if tp > 1:
-        backend = ShardedCycleBackend(TINY_MODEL, QUANT32, tp=tp,
-                                      n_slots=max_batch, **kv)
-    else:
-        cls = CycleModelBackend if kind == "cycle" else AnalyticalBackend
-        backend = cls(TINY_MODEL, QUANT32, n_slots=max_batch, **kv)
+    cls = CycleModelBackend if kind == "cycle" or tp > 1 \
+        else AnalyticalBackend
+    backend = cls(TINY_MODEL, QUANT32, tp=tp, n_slots=max_batch, **kv)
     token_budget = budget if kv_mode == "slotted" else None
     return ContinuousBatchScheduler(backend, max_batch=max_batch,
                                     kv_token_budget=token_budget,
@@ -464,6 +461,27 @@ class TestTenancyTiersAgree:
         total = sum(s["n_requests"]
                     for s in eager.tenant_stats.values())
         assert total == 40
+
+
+def test_running_members_leave_by_identity(monkeypatch):
+    """Retiring, evicting or checkpointing a sequence finds it in the
+    running batch by identity: comparing states field by field would
+    call ``Request.__eq__`` against every member ahead of it, on every
+    retirement."""
+    requests = synthetic_trace(TINY_MODEL, 1000, arrival_rate_rps=12000.0,
+                               seed=1, tenant_mix=MIX)
+    calls = [0]
+    request_eq = Request.__eq__
+
+    def counting_eq(self, other):
+        calls[0] += 1
+        return request_eq(self, other)
+
+    monkeypatch.setattr(Request, "__eq__", counting_eq)
+    backend = CycleModelBackend(TINY_MODEL, QUANT32, n_slots=8)
+    report = ContinuousBatchScheduler(backend, max_batch=8).run(requests)
+    assert len(report.results) == len(requests)
+    assert calls[0] <= len(requests) // 100
 
 
 class TestDefaultTenantUnchanged:
