@@ -26,8 +26,9 @@ study), all deterministic functions of the trace seed and schedule:
 Results go to ``BENCH_migration.json`` at the repo root,
 ``benchmarks/results/migration*.txt``, and the run store under
 ``benchmarks/runs/migration.jsonl``.  The assertions double as the CI
-chaos smoke (``MIGRATION_SWEEP=smoke`` scales the trace down): migrated
-work > 0, zero lost, zero recompute, drain p99 < crash p99.
+chaos smoke (``MIGRATION_SWEEP=smoke`` scales the trace down and
+writes all three under the gitignored ``benchmarks/results/smoke/``):
+migrated work > 0, zero lost, zero recompute, drain p99 < crash p99.
 """
 
 from __future__ import annotations
@@ -37,15 +38,20 @@ import json
 import os
 import pathlib
 
-from mixed_tenants import BASE, timed_serve
+from mixed_tenants import BASE, SMOKE_DIR, timed_serve
 from repro.cluster import FailureDomain, FaultEvent, FaultSchedule
 
 REPO_ROOT = pathlib.Path(__file__).parent.parent
-RECORD_PATH = REPO_ROOT / "BENCH_migration.json"
 
 #: ``full`` is the committed record; ``smoke`` is the CI budget with
 #: the same floor assertions.
 SWEEP_MODE = os.environ.get("MIGRATION_SWEEP", "full")
+#: The full budget writes the committed record and run store; smoke
+#: writes both under the gitignored ``SMOKE_DIR``.
+RECORD_PATH = (SMOKE_DIR if SWEEP_MODE == "smoke" else REPO_ROOT) \
+    / "BENCH_migration.json"
+RUNS_DIR = SMOKE_DIR / "runs" if SWEEP_MODE == "smoke" \
+    else REPO_ROOT / "benchmarks" / "runs"
 N_REQUESTS = 1_500 if SWEEP_MODE == "smoke" else 12_000
 LOAD_RPS = 36_000.0
 
@@ -263,6 +269,7 @@ def bench_write_record(save_result):
         "independent crashes over a FailureDomain topology; hedged "
         "dispatch vs retry-only under a replica hang; all runs are "
         "deterministic simulator observables (wall_s is harness time)")
+    RECORD_PATH.parent.mkdir(parents=True, exist_ok=True)
     RECORD_PATH.write_text(json.dumps(RECORD, indent=2) + "\n")
 
     dvc = RECORD["sections"]["drain_vs_crash"]
@@ -312,7 +319,7 @@ def bench_write_record(save_result):
         "retry_only_p99_ttft_ms": hedge["retry_only"]["p99_ttft_ms"],
         "n_hedge_wins": hedge["hedged"]["n_hedge_wins"],
     }
-    store = RunStore(REPO_ROOT / "benchmarks" / "runs")
+    store = RunStore(RUNS_DIR)
     store.save(store.record(
         "migration", {"bench": "migration", "mode": SWEEP_MODE,
                       "n_requests": N_REQUESTS,

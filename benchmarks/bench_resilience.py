@@ -19,7 +19,8 @@ contract.
 Results go to ``BENCH_faults.json`` at the repo root,
 ``benchmarks/results/resilience.txt``, and the diffable run store under
 ``benchmarks/runs/faults.jsonl``.  The assertions double as the CI
-chaos smoke (``RESILIENCE_SWEEP=smoke`` scales the trace down): zero
+chaos smoke (``RESILIENCE_SWEEP=smoke`` scales the trace down and
+writes all three under the gitignored ``benchmarks/results/smoke/``): zero
 lost requests, recovery completes (every killed request is
 re-dispatched, none fail), and interactive p99 TTFT stays bounded
 through the outage.
@@ -32,17 +33,22 @@ import json
 import os
 import pathlib
 
-from mixed_tenants import BASE, timed_serve
+from mixed_tenants import BASE, SMOKE_DIR, timed_serve
 from repro.cluster import FaultSchedule
 
 REPO_ROOT = pathlib.Path(__file__).parent.parent
-RECORD_PATH = REPO_ROOT / "BENCH_faults.json"
 
 REPLICAS = 3
 
 #: ``full`` is the committed record; ``smoke`` is the CI budget with
 #: the same floor assertions.
 SWEEP_MODE = os.environ.get("RESILIENCE_SWEEP", "full")
+#: The full budget writes the committed record and run store; smoke
+#: writes both under the gitignored ``SMOKE_DIR``.
+RECORD_PATH = (SMOKE_DIR if SWEEP_MODE == "smoke" else REPO_ROOT) \
+    / "BENCH_faults.json"
+RUNS_DIR = SMOKE_DIR / "runs" if SWEEP_MODE == "smoke" \
+    else REPO_ROOT / "benchmarks" / "runs"
 N_REQUESTS = 3_000 if SWEEP_MODE == "smoke" else 30_000
 #: Offered load at the three-replica saturation knee (~3x the single
 #: engine knee measured by bench_slo at this model/config).
@@ -183,6 +189,7 @@ def bench_write_record(save_result):
         "trace; fault injection, retry, and recovery are deterministic "
         "simulator observables (wall_s is harness time); replay "
         "section pins the bit-identical same-seed contract")
+    RECORD_PATH.parent.mkdir(parents=True, exist_ok=True)
     RECORD_PATH.write_text(json.dumps(RECORD, indent=2) + "\n")
 
     section = RECORD["sections"]["crash_at_knee"]
@@ -237,7 +244,7 @@ def bench_write_record(save_result):
         "healthy_interactive_p99_ttft_ms":
             section["healthy"]["classes"]["interactive"]["p99_ttft_ms"],
     }
-    store = RunStore(REPO_ROOT / "benchmarks" / "runs")
+    store = RunStore(RUNS_DIR)
     store.save(store.record(
         "faults", {"bench": "resilience", "mode": SWEEP_MODE,
                    "n_requests": N_REQUESTS, "replicas": REPLICAS,

@@ -18,7 +18,9 @@ equal offered load.
 
 Results go to ``BENCH_slo.json`` at the repo root and
 ``benchmarks/results/slo.txt``.  The assertions double as the CI smoke
-budget (``SLO_SWEEP=smoke`` scales the sweep down): priority admission
+budget (``SLO_SWEEP=smoke`` scales the sweep down and writes its
+record, texts and run store under the gitignored
+``benchmarks/results/smoke/``): priority admission
 must beat FIFO on interactive p99 TTFT by a wide margin past the knee,
 and the total-goodput tax for that protection stays bounded.
 """
@@ -30,16 +32,21 @@ import json
 import os
 import pathlib
 
-from mixed_tenants import BASE, timed_serve
+from mixed_tenants import BASE, SMOKE_DIR, timed_serve
 from repro.engine import DEFAULT_TENANT
 from repro.stats import percentile_of_sorted
 
 REPO_ROOT = pathlib.Path(__file__).parent.parent
-RECORD_PATH = REPO_ROOT / "BENCH_slo.json"
 
 #: ``full`` is the committed record (100k requests per run, three load
 #: points); ``smoke`` is the CI budget with the same floor assertions.
 SWEEP_MODE = os.environ.get("SLO_SWEEP", "full")
+#: The full budget writes the committed record and run store; smoke
+#: writes both under the gitignored ``SMOKE_DIR``.
+RECORD_PATH = (SMOKE_DIR if SWEEP_MODE == "smoke" else REPO_ROOT) \
+    / "BENCH_slo.json"
+RUNS_DIR = SMOKE_DIR / "runs" if SWEEP_MODE == "smoke" \
+    else REPO_ROOT / "benchmarks" / "runs"
 N_REQUESTS = 12_000 if SWEEP_MODE == "smoke" else 100_000
 #: Arrival rates: light load, the saturation knee, full overload
 #: (pool tokens/s is ~110k at this config; smoke keeps knee+overload).
@@ -146,6 +153,7 @@ def bench_write_record(save_result):
         "offered load; scheduling-policy outcomes are exact simulator "
         "observables, wall_s is harness time (tiers are bit-identical; "
         "see tests/test_tenancy.py)")
+    RECORD_PATH.parent.mkdir(parents=True, exist_ok=True)
     RECORD_PATH.write_text(json.dumps(RECORD, indent=2) + "\n")
 
     sweep = RECORD["sections"]["load_sweep"]
@@ -179,7 +187,7 @@ def bench_write_record(save_result):
         metrics[f"{rate}.goodput_tokens_per_s"] = \
             row["priority"]["total_goodput_tokens_per_s"]
         metrics[f"{rate}.preemptions"] = row["priority"]["preemptions"]
-    store = RunStore(REPO_ROOT / "benchmarks" / "runs")
+    store = RunStore(RUNS_DIR)
     store.save(store.record(
         "slo", {"bench": "slo", "mode": SWEEP_MODE,
                 "n_requests": N_REQUESTS}, metrics))

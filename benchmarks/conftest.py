@@ -3,6 +3,9 @@
 Every benchmark regenerates one of the paper's tables or figures.  Apart
 from the pytest-benchmark timing, each writes its reproduced rows to
 ``benchmarks/results/<name>.txt`` so the evidence survives output capture.
+A module run at its CI smoke budget (``SWEEP_MODE == "smoke"``) writes
+them under the gitignored ``benchmarks/results/smoke/`` instead, so the
+committed full-budget texts are never overwritten by a smaller run.
 """
 
 from __future__ import annotations
@@ -21,8 +24,12 @@ def results_dir() -> pathlib.Path:
 
 
 @pytest.fixture()
-def save_result(results_dir):
-    """Writer: save_result("table2", text) -> results/table2.txt."""
+def save_result(results_dir, request):
+    """Writer: save_result("table2", text) -> results/table2.txt (or
+    results/smoke/table2.txt from a smoke-budget module)."""
+    if getattr(request.module, "SWEEP_MODE", "full") == "smoke":
+        results_dir = results_dir / "smoke"
+        results_dir.mkdir(exist_ok=True)
 
     def _save(name: str, text: str) -> None:
         path = results_dir / f"{name}.txt"

@@ -11,6 +11,7 @@ growth, and best-effort is the class degraded mode sheds first.
 
 from __future__ import annotations
 
+import pathlib
 import time
 
 from repro.config import TINY_MODEL, QuantConfig
@@ -24,6 +25,11 @@ MIX = ((TenantSpec("fg", "interactive", ttft_slo_s=0.005), 0.25),
 BASE = Scenario(model=TINY_MODEL, quant=QuantConfig(weight_group_size=32),
                 max_batch=8, kv_budget=256, prompt_len=(3, 10),
                 decode_len=(6, 28), seed=23, tenant_mix=MIX)
+
+
+#: Where a bench run at its CI smoke budget writes its record, texts
+#: and run store (gitignored): the committed ones hold the full budget.
+SMOKE_DIR = pathlib.Path(__file__).parent / "results" / "smoke"
 
 
 def timed_serve(scenario: Scenario, trace=None) -> tuple:

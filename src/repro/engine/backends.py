@@ -295,28 +295,20 @@ def _stream_token(request_id: int, step: int, vocab_size: int,
     return token
 
 
-def _stream_token_grid(request_ids: Sequence[int], bases: Sequence[int],
-                       n: int, vocab_size: int,
-                       eos_ids: Sequence[int | None]) -> np.ndarray:
-    """``n`` consecutive :func:`_stream_token` values of many requests
-    in one vector op: row ``i`` holds request ``request_ids[i]``'s
-    tokens from its step ``bases[i]`` on.
-
-    Same hash arithmetic on int64 (no overflow: the multiplier times
-    any realistic request id stays far below 2**63), so each entry
-    equals the scalar function exactly.
-    """
-    request_ids = np.asarray(request_ids, dtype=np.int64)
-    bases = np.asarray(bases, dtype=np.int64)
-    steps = bases[:, None] + np.arange(1, n + 1, dtype=np.int64)
-    tokens = (2654435761 * (request_ids[:, None] + 1) + 40503 * steps) \
-        % vocab_size
-    if any(eos_id is not None for eos_id in eos_ids):
-        # -1 (no EOS) never matches a token.
-        eos = np.array([-1 if e is None else e for e in eos_ids],
-                       dtype=np.int64)
-        tokens = np.where(tokens == eos[:, None],
-                          (tokens + 1) % vocab_size, tokens)
+def _stream_tokens(request_id: int, base: int, n: int, vocab_size: int,
+                   eos_id: int | None) -> list[int]:
+    """``n`` consecutive :func:`_stream_token` values of one request,
+    from its step ``base`` on, in plain ints: the request's hash term is
+    fixed, so each step adds 40503 before the same modulo and EOS skip.
+    Exact, and cheaper than a numpy call at a few steps."""
+    h = 2654435761 * (request_id + 1) + 40503 * base
+    tokens = []
+    for _ in range(n):
+        h += 40503
+        tokens.append(h % vocab_size)
+    if eos_id is not None and eos_id in tokens:
+        skip = (eos_id + 1) % vocab_size
+        tokens = [skip if t == eos_id else t for t in tokens]
     return tokens
 
 
@@ -460,13 +452,12 @@ class _TimingStreamMixin:
                                 state.request.eos_id)
 
     def planned_tokens(self, state: RequestState,
-                       n: int) -> Sequence[int]:
+                       n: int) -> list[int]:
         """The next up-to-``n`` tokens :meth:`sample` would return for
         ``state`` (index ``j`` is the sample of fast-forward step ``j``).
 
         Stops at the first EOS: a recorded oracle stream ends there, so
         probing past it would read positions the recording never had.
-        The synthetic stream comes back as one int64 array.
         """
         base = state.n_generated
         eos = state.request.eos_id
@@ -478,29 +469,23 @@ class _TimingStreamMixin:
                 if eos is not None and token == eos:
                     break
             return tokens
-        return _stream_token_grid([state.request_id], [base], n,
-                                  self.model_config.vocab_size, [eos])[0]
+        return _stream_tokens(state.request_id, base, n,
+                              self.model_config.vocab_size, eos)
 
     def planned_token_grid(self, states: Sequence[RequestState],
-                           ns: Sequence[int]) -> np.ndarray:
-        """:meth:`planned_tokens` of every state at once, as one int64
-        grid with ``max(ns)`` columns: row ``i`` starts with the next
-        up-to-``ns[i]`` samples of ``states[i]``.  Entries past that
-        (or past a recorded stream's EOS) are padding no caller may
-        read.  The synthetic stream fills the whole grid in one vector
-        op; a recorded oracle is probed row by row, never past its
-        EOS."""
-        width = max(ns, default=0)
+                           ns: Sequence[int]) -> list[list[int]]:
+        """:meth:`planned_tokens` of every state at once: row ``i``
+        starts with the next up-to-``ns[i]`` samples of ``states[i]``.
+        Synthetic rows run ``max(ns)`` wide, past which no caller may
+        read; a recorded oracle's row stops at its EOS."""
         if self.token_oracle is not None:
-            grid = np.full((len(states), width), -1, dtype=np.int64)
-            for i, (state, n) in enumerate(zip(states, ns)):
-                row = self.planned_tokens(state, n) if n else ()
-                grid[i, :len(row)] = row
-            return grid
-        return _stream_token_grid([s.request_id for s in states],
-                                  [s.n_generated for s in states], width,
-                                  self.model_config.vocab_size,
-                                  [s.request.eos_id for s in states])
+            return [self.planned_tokens(state, n)
+                    for state, n in zip(states, ns)]
+        width = max(ns, default=0)
+        vocab = self.model_config.vocab_size
+        return [_stream_tokens(s.request.request_id, len(s.generated),
+                               width, vocab, s.request.eos_id)
+                for s in states]
 
     def replay_tokens(self, request_id: int, n: int,
                       eos_id: int | None = None) -> tuple[int, ...]:
@@ -510,9 +495,8 @@ class _TimingStreamMixin:
         if self.token_oracle is not None:
             return tuple(self.token_oracle(request_id, j)
                          for j in range(n))
-        return tuple(_stream_token_grid(
-            [request_id], [0], n, self.model_config.vocab_size,
-            [eos_id])[0].tolist())
+        return tuple(_stream_tokens(request_id, 0, n,
+                                    self.model_config.vocab_size, eos_id))
 
     def fast_forward_cycles(self, states: Sequence[RequestState],
                             n_steps: int) -> list[float]:
@@ -520,7 +504,7 @@ class _TimingStreamMixin:
         steps (contexts advancing by one each step), bit-identical to
         calling :meth:`decode_batch` that many times.  Pure — commit the
         window with :meth:`commit_fast_forward` afterwards."""
-        contexts = [s.context for s in states]
+        contexts = [s.position for s in states]
         cycles = self._fast_forward_cycles(
             contexts, self._fetch_plan(states, contexts), n_steps)
         if self.comm is None:
@@ -574,12 +558,14 @@ class _CycleTimedBackend(_KVMixin):
         self._ff_const: dict[tuple[int, str], tuple] = {}
         self._ff_prefill: dict[int, float] = {}
         # The per-context terms, filled densely from index 0: entry
-        # ``i`` holds the exposed-misc cycles at context ``i`` and the
-        # KV stream cycles of fetching ``i`` tokens.  The scalar loop
-        # indexes them directly, the numpy fold gathers through a
-        # zero-copy view.
+        # ``i`` holds the exposed-misc cycles at context ``i``, and a
+        # member's two attention candidates, ``2 * heads`` times the KV
+        # stream cycles of fetching ``i`` tokens and times the compute
+        # cycles at context ``i``.  The scalar loop indexes them
+        # directly, the numpy fold gathers through zero-copy views.
         self._ff_exp = array("d")
-        self._ff_kvtx = array("d")
+        self._ff_kv = array("d")
+        self._ff_cmp = array("d")
 
     @property
     def freq_hz(self) -> float:
@@ -704,21 +690,25 @@ class _CycleTimedBackend(_KVMixin):
         is dense from 0, but a sequence reaches context ``c`` only by
         prefilling or decoding through the positions below it, whose
         schedules the prefill memo builds anyway."""
+        if top < len(self._ff_exp):
+            return
+        sch = self.cycles.scheduler
+        heads2 = 2 * (sch.model.num_heads // sch.tp)
+        tiles_d = sch._tiles(sch.model.head_dim)
         for i in range(len(self._ff_exp), top + 1):
             self._ff_exp.append(self._ff_exposed(i))
-            self._ff_kvtx.append(self._ff_kv_tx(i))
+            self._ff_kv.append(heads2 * self._ff_kv_tx(i))
+            self._ff_cmp.append(heads2 * ((i + 1) * tiles_d))
 
     def _fast_forward_cycles(self, contexts: Sequence[int],
                              fetched: Sequence[int] | None,
                              n_steps: int) -> list[float]:
-        sch = self.cycles.scheduler
-        m = sch.model
-        tiles_d = sch._tiles(m.head_dim)
-        heads = m.num_heads // sch.tp
+        m = self.cycles.scheduler.model
         emb, mlp, final, lm, wsum = self._ff_step_constants(len(contexts))
         if fetched is None:
             fetched = contexts
-        self._ff_fill(max(max(contexts), max(fetched)) + n_steps - 1)
+        # A member fetches at most its context.
+        self._ff_fill(max(contexts) + n_steps - 1)
         if n_steps >= _FF_VECTOR_MIN_STEPS:
             # Vectorized window: per-member terms gather from the memos
             # and fold in the same member order, the layer fold runs as
@@ -726,14 +716,15 @@ class _CycleTimedBackend(_KVMixin):
             # same operands as the scalar loop below, so the floats are
             # bit-identical (pinned by the telemetry property tests).
             exp_tab = np.frombuffer(self._ff_exp, dtype=np.float64)
-            kvtx_tab = np.frombuffer(self._ff_kvtx, dtype=np.float64)
+            kv_tab = np.frombuffer(self._ff_kv, dtype=np.float64)
+            cmp_tab = np.frombuffer(self._ff_cmp, dtype=np.float64)
             steps = np.arange(n_steps, dtype=np.int64)
             cycles = np.full(n_steps, wsum)
             exposed = np.zeros(n_steps)
             for c0, f0 in zip(contexts, fetched):
                 ctxs = c0 + steps
-                cycles = cycles + 2 * heads * np.maximum(
-                    kvtx_tab[f0 + steps], (ctxs + 1) * tiles_d)
+                cycles = cycles + np.maximum(kv_tab[f0 + steps],
+                                             cmp_tab[ctxs])
                 exposed = exposed + exp_tab[ctxs]
             # The layer fold as one row per step — embedding, then per
             # layer the attention and MLP segments, then the final norm
@@ -750,15 +741,17 @@ class _CycleTimedBackend(_KVMixin):
             terms[:, -2] = final
             terms[:, -1] = lm
             return np.add.accumulate(terms, axis=1)[:, -1].tolist()
-        exp, kvtx = self._ff_exp, self._ff_kvtx
+        # ``2 * heads`` times a max is the max of the two products:
+        # rounding is monotone, so the tables give the identical floats.
+        exp, kv, cmp = self._ff_exp, self._ff_kv, self._ff_cmp
         out = []
         for j in range(n_steps):
             cycles = wsum
             exposed = 0.0
             for c0, f0 in zip(contexts, fetched):
-                ctx = c0 + j
-                cycles += 2 * heads * max(kvtx[f0 + j], (ctx + 1) * tiles_d)
-                exposed += exp[ctx]
+                kv_j, cmp_j = kv[f0 + j], cmp[c0 + j]
+                cycles += cmp_j if cmp_j > kv_j else kv_j
+                exposed += exp[c0 + j]
             attn = cycles + exposed
             total = 0.0
             total += emb

@@ -34,8 +34,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
-import numpy as np
-
 from ..errors import CapacityError, SimulationError
 from .backends import EngineBackend, derive_kv_token_budget
 from .request import FinishReason, Request, RequestState, RequestStatus
@@ -1051,11 +1049,11 @@ class ContinuousBatchScheduler:
         replay — and paged block allocation is arithmetic on context
         length, so the event horizon (the next *unavoidable* scheduler
         state change) is computable without stepping.  Each segment is
-        evaluated with the vectorized ``fast_forward_cycles`` machinery;
-        between segments the batch shrink and block-table growth are
-        folded in the same member order as the eager loop (commit, then
-        retire in pending order), so every clock, event, latency, and
-        token stream stays bit-identical.
+        charged in one ``fast_forward_cycles`` call; between segments
+        the batch shrink and block-table growth are folded in the same
+        member order as the eager loop (commit, then retire in pending
+        order), so every clock, event, latency, and token stream stays
+        bit-identical.
 
         A segment that starts with an empty batch first makes the eager
         idle jump to the next arrival (unless a fault boundary lies
@@ -1178,7 +1176,7 @@ class ContinuousBatchScheduler:
             # the length/context budget — unless a planned EOS retires
             # it earlier.
             length_caps = [
-                min(s.request.max_new_tokens - s.n_generated,
+                min(s.request.max_new_tokens - len(s.generated),
                     max_context - 1 - s.position)
                 for s in pending]
             horizon = min(length_caps)
@@ -1253,10 +1251,10 @@ class ContinuousBatchScheduler:
             kinds = [FinishReason.LENGTH] * batch
             for i, s in enumerate(pending):
                 eos = s.request.eos_id
-                if eos is not None:
-                    hits = np.nonzero(planned[i, :bounds[i]] == eos)[0]
-                    if len(hits):
-                        bounds[i] = int(hits[0])
+                if eos is not None and eos in planned[i]:
+                    hit = planned[i].index(eos)
+                    if hit < bounds[i]:
+                        bounds[i] = hit
                         kinds[i] = FinishReason.EOS
             boundary = min(bounds)
             n_seg = min(boundary + 1, seg_cap)
@@ -1304,7 +1302,6 @@ class ContinuousBatchScheduler:
             self.clock_s = end_s = clocks[applied]
             self._decode_steps += applied
             lat_list = seg_cycles[:applied] if full else None
-            samples = planned[:, :applied].tolist()
             for i, s in enumerate(pending):
                 if full:
                     s.decode_cycles.extend(lat_list)
@@ -1312,9 +1309,9 @@ class ContinuousBatchScheduler:
                         and kinds[i] is FinishReason.LENGTH:
                     # The boundary step forwards the retiree's final
                     # pending token but samples nothing.
-                    s.generated.extend(samples[i][:applied - 1])
+                    s.generated.extend(planned[i][:applied - 1])
                 else:
-                    s.generated.extend(samples[i])
+                    s.generated.extend(planned[i][:applied])
             self.backend.commit_fast_forward(pending, applied)
             self._cached_total += applied * batch
             if self._quota_specs:

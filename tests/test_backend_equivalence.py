@@ -33,7 +33,11 @@ from repro.engine import (
     Request,
     synthetic_trace,
 )
-from repro.engine.backends import _FF_VECTOR_MIN_STEPS
+from repro.engine.backends import (
+    _FF_VECTOR_MIN_STEPS,
+    _stream_token,
+    _stream_tokens,
+)
 from repro.memory.traffic import batched_decode_traffic
 
 from report_checks import assert_reports_identical
@@ -290,24 +294,60 @@ class TestFastForwardEquivalence:
         assert_reports_identical(run(CycleModelBackend, True), reference)
         assert_reports_identical(run(CycleModelBackend, False), reference)
 
+    @pytest.mark.parametrize("fetched", [None, [5, 9, 24]],
+                             ids=["slotted", "paged"])
     @pytest.mark.parametrize("n_steps", [
         1, _FF_VECTOR_MIN_STEPS - 1, _FF_VECTOR_MIN_STEPS,
         2 * _FF_VECTOR_MIN_STEPS + 3])
     @pytest.mark.parametrize("model", [TINY_MODEL, LLAMA2_7B],
                              ids=lambda m: m.name)
-    def test_window_folds_match_reference_steps(self, model, n_steps):
+    def test_window_folds_match_reference_steps(self, model, n_steps,
+                                                fetched):
         """Both cycle folds — the scalar loop below
         ``_FF_VECTOR_MIN_STEPS`` steps and the numpy fold from there on
-        — equal the reference schedule builder step by step, with
-        paged fetch counts below the contexts."""
+        — equal the reference schedule builder step by step, fetching
+        every cached token (slotted) or paged fetch counts below the
+        contexts."""
         backend = CycleModelBackend(model, W4A16_KV8, n_slots=MAX_BATCH)
-        contexts, fetched = [5, 17, 40], [5, 9, 24]
+        contexts = [5, 17, 40]
         want = [backend.cycles.batched_decode_step(
                     [c + j for c in contexts], "fused",
-                    [f + j for f in fetched]).cycles
+                    None if fetched is None else [f + j for f in fetched]
+                ).cycles
                 for j in range(n_steps)]
         assert backend._fast_forward_cycles(contexts, fetched,
                                             n_steps) == want
+
+    @pytest.mark.parametrize("request_id", [0, 3, 1_000_003, 7_654_321])
+    @pytest.mark.parametrize("n", [0, 1, 5, 40])
+    def test_stream_tokens_equal_the_scalar_hash(self, request_id, n):
+        """The list builder is :func:`_stream_token` step by step: no
+        EOS, an ``eos_id`` the hash never hits, and one it hits inside
+        the window (the raw hash's own token at step ``n // 2``)."""
+        vocab, base = TINY_MODEL.vocab_size, 11
+        raw = [_stream_token(request_id, base + j, vocab, None)
+               for j in range(64)]
+        hit = raw[n // 2]
+        missed = next(t for t in range(vocab) if t not in raw)
+        for eos in (None, missed, hit):
+            want = [_stream_token(request_id, base + j, vocab, eos)
+                    for j in range(n)]
+            assert _stream_tokens(request_id, base, n, vocab, eos) == want
+            assert eos is None or eos not in want
+        if n:
+            assert _stream_tokens(request_id, base, n, vocab, hit) != \
+                raw[:n]
+
+    def test_stream_tokens_skip_wraps_past_the_last_id(self):
+        """An EOS at the vocabulary's last id skips to token 0."""
+        vocab = TINY_MODEL.vocab_size
+        request_id, step = next(
+            (r, j) for r in range(2_000_000, 2_100_000) for j in range(8)
+            if _stream_token(r, j, vocab, None) == vocab - 1)
+        tokens = _stream_tokens(request_id, 0, step + 1, vocab, vocab - 1)
+        assert tokens[step] == 0
+        assert tokens == [_stream_token(request_id, j, vocab, vocab - 1)
+                          for j in range(step + 1)]
 
     @pytest.mark.parametrize("cls", [CycleModelBackend, AnalyticalBackend])
     def test_sharded_fast_forward_is_bit_identical(self, cls, quant32):

@@ -310,6 +310,41 @@ class TestEventHorizonTiers:
         assert {r.finish_reason for r in windowed.results} \
             == {FinishReason.EOS, FinishReason.LENGTH}
 
+    @pytest.mark.parametrize("kv_mode", ("slotted", "paged"))
+    @pytest.mark.parametrize("eos_step", range(1, 12))
+    def test_oracle_eos_at_every_segment_position(self, kv_mode, eos_step):
+        """One oracle EOS swept across a window whose segments end at
+        two LENGTH retirements (decode steps 5 and 9; step ``k``
+        samples token ``k``): it lands on a segment's first step (1, 6,
+        10), a middle step (2-4, 7-8), its last step, beside the
+        LENGTH retiree (5, 9), and the request's last token, where its
+        length budget ends too (11).  Every position retires at the
+        EOS, bit-identical to the eager loop."""
+        def oracle(request_id, step):
+            if request_id == 1 and step == eos_step:
+                return 7
+            return 20 + 10 * request_id + step
+
+        def engine(ff):
+            backend = CycleModelBackend(
+                TINY_MODEL, QUANT32, n_slots=MAX_BATCH,
+                token_oracle=oracle, kv_mode=kv_mode,
+                block_size=BLOCK_SIZE,
+                n_kv_blocks=BUDGET_TOKENS // BLOCK_SIZE)
+            budget = BUDGET_TOKENS if kv_mode == "slotted" else None
+            return ContinuousBatchScheduler(
+                backend, max_batch=MAX_BATCH, kv_token_budget=budget,
+                fast_forward=ff)
+
+        requests = [Request(i, (5, 6 + i), max_new_tokens=n, eos_id=7)
+                    for i, n in enumerate((5, 12, 9))]
+        eager = engine(False).run(requests)
+        windowed = engine(True).run(requests)
+        assert_reports_identical(windowed, eager)
+        result = next(r for r in windowed.results if r.request_id == 1)
+        assert result.finish_reason is FinishReason.EOS
+        assert len(result.tokens) == eos_step + 1
+
     @pytest.mark.parametrize("kind", ("cycle", "analytical"))
     def test_sharded_tp2_tiers_agree(self, kind):
         kwargs = dict(arrival_rate_rps=800.0, seed=9,
