@@ -224,21 +224,13 @@ class ReplicaRouter:
         ledger, so full-telemetry factory runs report routing exactly
         like materialized runs.
         """
-        routing = self._routing if record \
-            else _RoutingState(self.n_replicas, self.policy)
+        # Only the recording pass goes through route() and its duplicate
+        # guard: the streaming levels skip the O(trace) id set by design
+        # — duplicate-free traces are the caller's contract there.
+        route = self.route if record \
+            else _RoutingState(self.n_replicas, self.policy).route
         for request in factory():
-            target = routing.route(request)
-            if record:
-                # Same duplicate guard route() applies on the
-                # materialized path.  (The streaming levels skip the
-                # O(trace) id set by design — duplicate-free traces are
-                # the caller's contract there.)
-                if request.request_id in self.assignments:
-                    raise SimulationError(
-                        f"request {request.request_id} was already "
-                        "routed")
-                self.assignments[request.request_id] = target
-            if target == replica:
+            if route(request) == replica:
                 yield request
 
     def run(self, requests: TraceLike, telemetry: str = "full",

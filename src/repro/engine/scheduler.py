@@ -117,13 +117,14 @@ class MigratedRequest:
 
 
 class _ClassQueues:
-    """The waiting queue: one arrival-sorted deque per priority class.
+    """The waiting queue: one FIFO deque per priority class.
 
     Admission scans classes highest-first; within a class the order is
     FIFO with preempted re-entries (already arrived) at the head —
-    exactly the old single-deque discipline, applied per class.  Since
-    every class deque is arrival-sorted, the global next arrival is the
-    minimum over the class heads, keeping the idle jump O(classes).
+    exactly the old single-deque discipline, applied per class.  A
+    streamed run appends in arrival order, but direct ``submit()`` calls
+    may not: the idle jump therefore targets the minimum over the class
+    heads (see :meth:`min_head_arrival`), which needs no sortedness.
     """
 
     __slots__ = ("queues", "_n")
@@ -157,8 +158,11 @@ class _ClassQueues:
         return state
 
     def min_head_arrival(self) -> float | None:
-        """Earliest arrival among class heads — the global next arrival
-        when every class deque is arrival-sorted."""
+        """Earliest arrival among class heads: the earliest moment
+        anything waiting can be admitted.  Admission is FIFO within a
+        class, so nothing behind a head is admitted before it — an
+        earlier arrival queued behind a later head waits for that head
+        either way, sorted queue or not."""
         best: float | None = None
         for q in self.queues:
             if q:
@@ -169,7 +173,8 @@ class _ClassQueues:
 
     def remove_if(self, predicate) -> list[RequestState]:
         """Remove and return every member matching ``predicate``,
-        preserving per-class arrival order (the crash kill path)."""
+        preserving per-class queue order (the crash and drain
+        paths)."""
         removed: list[RequestState] = []
         for q in self.queues:
             if not q:
@@ -255,15 +260,11 @@ class ContinuousBatchScheduler:
         #: global decode-step counter — the index space request spans
         #: point into.
         self._decode_steps = 0
-        #: incremental submission source (a sorted Request iterator);
-        #: None outside streamed runs.
+        #: the run's arrival source (an arrival-sorted Request
+        #: iterator), pulled by :meth:`_refill`; None once exhausted.
         self._stream: Iterator[Request] | None = None
         self._stream_head: Request | None = None
         self._last_stream_arrival = 0.0
-        #: True while the waiting deque is known to hold requests in
-        #: arrival order (run() sorts materialized traces before
-        #: submitting) — the idle jump then reads the head in O(1).
-        self._arrival_sorted = False
         #: running sum of cached tokens across the running set, kept in
         #: lockstep by admit/retire/preempt/decode instead of re-summed
         #: every scheduler step.
@@ -580,14 +581,10 @@ class ContinuousBatchScheduler:
             self.flight.marker("crash", action.start_s,
                                down_s=action.duration_s)
             self.flight.marker("recover", down_until)
-        for state in self.running:
-            self.backend.release(state)
-            self._cached_total -= state.position
-            if self._quota_specs:
-                self._uncache_tenant(state)
+        for state in list(self.running):
+            self._leave_batch(state)
             self._log_kill(state.request, action.start_s, "running",
                            len(state.generated))
-        self.running.clear()
         # The board lost all KV, cached prefixes included.
         self.backend.lose_kv()
         for state in self.waiting.remove_if(
@@ -596,14 +593,11 @@ class ContinuousBatchScheduler:
                            max(action.start_s, state.request.arrival_s),
                            _fault_phase(state.request, action.start_s),
                            len(state.generated))
-        head = self._stream_head
-        if head is not None and head.arrival_s < down_until:
-            self._stream_head = None
-            self._log_kill(head, max(action.start_s, head.arrival_s),
-                           _fault_phase(head, action.start_s), 0)
-        # The clock stays put: the replica itself resumes scheduling
-        # surviving arrivals the moment the outage ends (the idle jump
-        # lands on the first post-outage arrival).
+        # Outage arrivals still in the stream die in _refill, with the
+        # same kill time and phase.  The clock stays put: the replica
+        # itself resumes scheduling surviving arrivals the moment the
+        # outage ends (the idle jump lands on the first post-outage
+        # arrival).
 
     def _log_kill(self, request: Request, kill_s: float, phase: str,
                   tokens_lost: int) -> None:
@@ -646,13 +640,8 @@ class ContinuousBatchScheduler:
                 tokens=tuple(state.generated),
                 first_token_s=state.first_token_s,
                 preemptions=state.preemptions))
-        head = self._stream_head
-        if head is not None and head.arrival_s < deadline:
-            self._stream_head = None
-            self._log_migration(MigratedRequest(
-                request=head,
-                migrate_s=max(action.start_s, head.arrival_s),
-                phase=_fault_phase(head, action.start_s)))
+        # Mid-drain arrivals still in the stream hand over in _refill,
+        # with the same migration time and phase.
 
     def _finish_drain(self) -> None:
         """Drain deadline reached: checkpoint every still-running
@@ -681,12 +670,7 @@ class ContinuousBatchScheduler:
     def _extract_running(self, state: RequestState,
                          migrate_s: float) -> MigratedRequest:
         kv_bytes, blocks = self._kv_payload(state)
-        self.backend.release(state)
-        self.running.remove(state)
-        self._cached_total -= state.position
-        if self._quota_specs:
-            self._uncache_tenant(state)
-        state.spans.append((state._span_start, self._decode_steps))
+        self._leave_batch(state)
         ckpt = MigratedRequest(
             request=state.request, migrate_s=migrate_s, phase="running",
             position=state.position, n_generated=state.n_generated,
@@ -775,29 +759,41 @@ class ContinuousBatchScheduler:
         if self._recorder.level == "full":
             self.finished.append(state)
 
-    def _retire(self, state: RequestState, reason: FinishReason) -> None:
+    def _leave_batch(self, state: RequestState) -> None:
+        """Take a running sequence out of the batch — retired, evicted,
+        checkpointed or killed alike: its cached tokens leave the pool
+        and tenant ledgers, its slot is released, its decode span
+        closes."""
+        self.running.remove(state)
+        self._cached_total -= state.position
+        if self._quota_specs:
+            self._uncache_tenant(state)
         self.backend.release(state)
-        state.finish_s = self.clock_s
-        if state in self.running:
-            self.running.remove(state)
-            self._cached_total -= state.position
-            if self._quota_specs:
-                self._uncache_tenant(state)
         state.spans.append((state._span_start, self._decode_steps))
+
+    def _retire(self, state: RequestState, reason: FinishReason) -> None:
+        self._leave_batch(state)
+        state.finish_s = self.clock_s
         self._finalize(state, reason)
 
-    def _retire_overgrown(self, state: RequestState) -> None:
-        """Retire a sequence that cannot be preempted in its own favour
-        (it alone outgrew the pool or its tenant's quota).  The
-        sampled-but-never-forwarded tail token is dropped to keep the
-        invariant that every reported non-EOS token was charged one
-        decode step — and when that token was the *first*, the TTFT
-        goes with it: a request retired with zero reported tokens must
-        not carry a first-token time."""
+    @staticmethod
+    def _drop_pending_token(state: RequestState) -> None:
+        """Drop a running sequence's sampled-but-never-forwarded tail
+        token before it leaves unfinished, keeping the invariant that
+        every reported non-EOS token was charged one decode step — and
+        when that token was the *first*, the TTFT goes with it: a
+        request retired with zero reported tokens must not carry a
+        first-token time."""
         if state.has_pending_forward:
             state.generated.pop()
             if not state.generated:
                 state.first_token_s = None
+
+    def _retire_overgrown(self, state: RequestState) -> None:
+        """Retire a sequence that cannot be preempted in its own favour
+        (it alone outgrew the pool or its tenant's quota), its pending
+        tail token dropped."""
+        self._drop_pending_token(state)
         if self.flight is not None:
             self.flight.instant("quota-retire", self.clock_s,
                                 state.request_id,
@@ -834,13 +830,8 @@ class ContinuousBatchScheduler:
     def _evict(self, state: RequestState) -> None:
         """Push one running sequence out of the batch: slot freed,
         tokens kept, KV accounting unwound."""
-        self.running.remove(state)
-        self._cached_total -= state.position
-        if self._quota_specs:
-            self._uncache_tenant(state)
-        self.backend.release(state)
+        self._leave_batch(state)
         state.status = RequestStatus.PREEMPTED
-        state.spans.append((state._span_start, self._decode_steps))
         state.position = 0
         state.logits = None
         state.resume_skip = 0  # transferred KV does not survive eviction
@@ -899,14 +890,13 @@ class ContinuousBatchScheduler:
             # the head just the same.
             self._retire_overgrown(victim)
             return True
-        had_pending = victim.has_pending_forward
+        # Does this eviction take it past the limit?
+        drop = victim.request.tenant.rank == _LOWEST_RANK \
+            and victim.preemptions >= _BEST_EFFORT_EVICTION_LIMIT
+        if drop:
+            self._drop_pending_token(victim)
         self._evict(victim)
-        if victim.request.tenant.rank == _LOWEST_RANK \
-                and victim.preemptions > _BEST_EFFORT_EVICTION_LIMIT:
-            if had_pending:
-                victim.generated.pop()
-                if not victim.generated:
-                    victim.first_token_s = None
+        if drop:
             victim.finish_s = self.clock_s
             self._finalize(victim, FinishReason.REJECTED)
         else:
@@ -1118,7 +1108,7 @@ class ContinuousBatchScheduler:
                 break
             idle = not self.running and bool(self.waiting)
             if idle:
-                next_arrival = self._next_arrival()
+                next_arrival = self.waiting.min_head_arrival()
                 if next_arrival > self.clock_s:
                     boundary = self._fault_in_gap(next_arrival)
                     if boundary is not None:
@@ -1360,20 +1350,6 @@ class ContinuousBatchScheduler:
         self.flight.span("window", start_s, end_s, batch=batch,
                          steps=steps, segments=segments, reason=reason)
 
-    def _next_arrival(self) -> float:
-        """Earliest arrival in the waiting queue.  Streamed and sorted
-        materialized runs hold each class queue in arrival order with
-        preempted re-entries (already arrived) at its head, so the
-        minimum over the class heads IS the next arrival — no scan.
-        Only a queue built by direct out-of-order submit() calls needs
-        the linear min."""
-        if self._stream is not None or self._stream_head is not None \
-                or self._arrival_sorted:
-            nxt = self.waiting.min_head_arrival()
-            assert nxt is not None
-            return nxt
-        return min(s.request.arrival_s for s in self.waiting)
-
     def _fault_in_gap(self, arrival: float) -> float | None:
         """The fault boundary strictly between the clock and an idle
         engine's next ``arrival``, if any: the jump must land there so
@@ -1398,7 +1374,7 @@ class ContinuousBatchScheduler:
         # fast-forward on or off, since the window leaves exactly this
         # jump to step().
         if not self.running and self.waiting:
-            next_arrival = self._next_arrival()
+            next_arrival = self.waiting.min_head_arrival()
             if next_arrival > self.clock_s:
                 boundary = self._fault_in_gap(next_arrival)
                 self.clock_s = next_arrival if boundary is None \
@@ -1424,27 +1400,21 @@ class ContinuousBatchScheduler:
             if over is not None:
                 members, growing = over
                 verdict = self._preempt_one(members)
-                if verdict == "preempted":
-                    preempted += 1
-                elif verdict == "retired":
-                    retired += 1
-                else:
-                    self._retire_overgrown(growing[0])
-                    retired += 1
+                lone = growing[0]
             elif self._growth_overflows(pending):
                 verdict = self._preempt_one()
-                if verdict == "preempted":
-                    preempted += 1
-                elif verdict == "retired":
-                    retired += 1
-                else:
-                    # A lone sequence has outgrown the budget: it cannot
-                    # be preempted in its own favour, so it retires
-                    # where it is.
-                    self._retire_overgrown(pending[0])
-                    retired += 1
+                lone = pending[0]
             else:
                 break
+            if verdict == "preempted":
+                preempted += 1
+            else:
+                if verdict is None:
+                    # A lone sequence has outgrown its quota or the
+                    # budget: it cannot be preempted in its own favour,
+                    # so it retires where it is.
+                    self._retire_overgrown(lone)
+                retired += 1
             pending = [s for s in self.running if s.has_pending_forward]
 
         cycles = 0.0
@@ -1487,7 +1457,11 @@ class ContinuousBatchScheduler:
         """Pull the stream into the waiting queue: every request that
         has already arrived, plus one look-ahead so the admission gate,
         the window arrival cut, and the idle jump always see the true
-        next arrival.  Keeps the queue O(in-flight), not O(trace)."""
+        next arrival.  Keeps the queue O(in-flight), not O(trace).
+
+        The one way a run's trace enters the engine: each arrival is
+        queued, rejected (admission control), killed (replica outage)
+        or handed over (drain) here, list or iterator alike."""
         while self._stream is not None:
             if self._stream_head is None:
                 try:
@@ -1542,12 +1516,13 @@ class ContinuousBatchScheduler:
             telemetry: str = "full") -> ServeReport:
         """Drive the engine until every submitted request retires.
 
-        A materialized ``requests`` collection (list, tuple, deque, any
-        non-iterator iterable) is sorted and submitted up front, as
-        before.  An *iterator* (e.g. an :func:`iter_synthetic_trace`
-        generator) is consumed *incrementally* in arrival order — a
-        million-request trace never exists in memory at once — and must
-        already be arrival-sorted.
+        ``requests`` is consumed *incrementally* in arrival order: an
+        *iterator* (e.g. an :func:`iter_synthetic_trace` generator) must
+        already be arrival-sorted, and a million-request trace never
+        exists in memory at once; a materialized collection (list,
+        tuple, deque, any non-iterator iterable) is sorted and then
+        streamed the same way.  Requests queued by direct
+        :meth:`submit` calls before the run are served alongside.
 
         ``telemetry`` picks the recording level: ``"full"`` materializes
         every per-step observable (the reference), ``"windows"`` keeps
@@ -1572,9 +1547,6 @@ class ContinuousBatchScheduler:
         self._stream = None
         self._stream_head = None
         self._last_stream_arrival = 0.0
-        # A queue populated here is arrival-sorted; one pre-filled by
-        # direct submit() calls carries no such guarantee.
-        self._arrival_sorted = not self.waiting
         self._tenant_cached = {name: 0 for name in self._quota_specs}
         self.killed = []
         self.drained = []
@@ -1597,24 +1569,16 @@ class ContinuousBatchScheduler:
         self._degraded_starts = [s for s, _ in spans]
         self._degraded_ends = [e for _, e in spans]
         if requests is not None:
-            if isinstance(requests, Iterator):
-                self._stream = requests
-            else:
-                for request in sorted(requests, key=lambda r: r.arrival_s):
-                    try:
-                        self.submit(request)
-                    except (CapacityError, SimulationError):
-                        # Same admission-control verdict as the
-                        # streamed path: reject, don't abort the run.
-                        self._reject(request)
+            if not isinstance(requests, Iterator):
+                requests = iter(sorted(requests, key=lambda r: r.arrival_s))
+            self._stream = requests
         self._refill()
         steps = 0
         while self.waiting or self.running or self._stream is not None:
             if self._fault_actions:
                 self._service_faults()
-                # A crash may have emptied the engine (and _refill may
-                # need to skip killed stream arrivals before the next
-                # survivor shows up).
+                # A crash may have emptied the engine; _refill kills
+                # outage arrivals until the next survivor shows up.
                 self._refill()
                 if not (self.waiting or self.running
                         or self._stream is not None):

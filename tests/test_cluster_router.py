@@ -147,6 +147,27 @@ class TestRouterGuards:
         with pytest.raises(SimulationError):
             router.route(request)
 
+    @pytest.mark.parametrize("factory", [False, True],
+                             ids=["list", "factory"])
+    def test_repeated_request_id_rejected(self, quant32, factory):
+        """A trace that repeats a request id is refused by the one
+        duplicate guard, whether it comes as a list or as a factory
+        replayed at full telemetry (which records ``assignments``)."""
+        requests = trace(4)
+        requests.append(requests[1])
+        router = ReplicaRouter(engines(quant32, 2))
+        with pytest.raises(SimulationError, match="already routed"):
+            router.run((lambda: iter(requests)) if factory else requests)
+
+    def test_streaming_factory_run_records_no_assignments(self, quant32):
+        """Below full telemetry a factory run keeps no O(trace) id map:
+        ``assignments`` stays empty and every request is still served."""
+        requests = trace(6)
+        router = ReplicaRouter(engines(quant32, 2))
+        report = router.run(lambda: iter(requests), telemetry="windows")
+        assert router.assignments == {}
+        assert report.n_requests == 6
+
     def test_run_is_repeatable(self, quant32):
         """Each run() is a fresh replay: request ids and load state from
         an earlier replay must not leak into the next."""

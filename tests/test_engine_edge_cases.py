@@ -17,6 +17,7 @@ from repro.engine import (
     Request,
 )
 from repro.errors import CapacityError
+from report_checks import assert_reports_identical
 
 
 @pytest.fixture(scope="module")
@@ -187,3 +188,28 @@ class TestEosAtPrefillBoundary:
         assert backend.paged_kv.n_free_blocks \
             + backend.paged_kv.n_reclaimable_blocks \
             == backend.paged_kv.n_total_blocks
+
+
+class TestDirectSubmitOrder:
+    def test_out_of_order_submits_drain_in_fifo_order(self, quant32):
+        """Two direct submit() calls out of arrival order (5 ms, then
+        1 ms) must drain: the idle jump lands on the class head's
+        arrival, since nothing behind the head is admitted before it.
+        Jumping to the earlier, non-head arrival instead leaves the
+        engine spinning zero-work steps until the step cap."""
+        reports = []
+        for fast_forward in (True, False):
+            backend = CycleModelBackend(TINY_MODEL, quant32, n_slots=2)
+            engine = ContinuousBatchScheduler(backend, max_batch=2,
+                                              fast_forward=fast_forward)
+            engine.submit(Request(0, (1, 2, 3), 4, arrival_s=0.005))
+            engine.submit(Request(1, (4, 5, 6), 4, arrival_s=0.001))
+            reports.append(engine.run(max_steps=2000))
+            first_token = {s.request_id: s.first_token_s
+                           for s in engine.finished}
+            # FIFO within the class: submission order, not arrival.
+            assert 0.005 < first_token[0] < first_token[1]
+        windows, eager = reports
+        assert_reports_identical(windows, eager)
+        assert windows.n_requests == 2
+        assert all(len(r.tokens) == 4 for r in windows.results)

@@ -184,8 +184,9 @@ class TestEngineFaults:
     def test_fault_phases_do_not_depend_on_the_input_container(self):
         """A request the fault finds not running is ``"queued"`` if it
         arrived before the fault started and ``"arrival"`` otherwise,
-        whether the trace is served as a list (submitted up front) or
-        as an iterator (pulled with one look-ahead)."""
+        whether the trace is served as a list or as an iterator (both
+        pulled with one look-ahead), with the not-running ones caught
+        at ``max(start, arrival)``."""
         n, rate = 400, 30000.0  # past one engine's knee: queues build
         span = span_s(n, rate)
         plan = FaultSchedule([
@@ -198,14 +199,19 @@ class TestEngineFaults:
         streamed, _ = run_with_plan(True, plan, requests=iter(requests))
         assert listed.killed == streamed.killed
         assert listed.drained == streamed.drained
-        caught = [(k, starts["crash"]) for k in listed.killed] \
-            + [(m, starts["drain"]) for m in listed.drained]
-        for record, start in caught:
+        caught = [(k, starts["crash"], k.kill_s) for k in listed.killed] \
+            + [(m, starts["drain"], m.migrate_s) for m in listed.drained]
+        # Each request is caught once, wherever the fault found it:
+        # in the batch, in the queue, or still in the stream.
+        ids = [record.request.request_id for record, _, _ in caught]
+        assert len(ids) == len(set(ids))
+        for record, start, at_s in caught:
             if record.phase != "running":
                 assert record.phase == ("queued"
                                         if record.request.arrival_s < start
                                         else "arrival"), record
-        assert {r.phase for r, _ in caught} >= {"queued", "arrival"}
+                assert at_s == max(start, record.request.arrival_s), record
+        assert {r.phase for r, _, _ in caught} >= {"queued", "arrival"}
 
     def test_hang_and_slowdown_are_tier_identical(self):
         events = [FaultEvent("hang", 0, 0.2 * span_s(),
