@@ -5,13 +5,17 @@ model across N boards with tensor parallelism, charge the interconnect
 for the partial-sum collectives, and replicate whole engines behind a
 data-parallel router.
 
+A TP group is not a backend class: every engine backend takes ``tp`` and
+``interconnect`` (:mod:`repro.engine.backends`).  The functional group
+stays bit-exact because only its row-parallel partial sums change, and
+they meet in an FP16 tree that reproduces one board's adder tree
+(:func:`repro.cluster.sharding.functional_reduction_is_exact` says on
+which models).
+
 * :mod:`repro.cluster.sharding`     — TP weight/KV partitioning and the
   tiling validation back to the unsharded image.
 * :mod:`repro.cluster.interconnect` — link model (bandwidth, latency,
   ring vs all-to-all) and per-step collective costs.
-* :mod:`repro.cluster.tp`           — the bit-exact functional TP
-  group (the timing backends take ``tp`` and ``interconnect``
-  themselves).
 * :mod:`repro.cluster.router`       — replica routing and merged
   cluster serving reports.
 * :mod:`repro.cluster.sweep`        — TP x DP scaling sweeps.
@@ -63,10 +67,8 @@ from .router import (
 )
 from .sharding import (
     PROJECTION_AXES,
-    FunctionalShard,
     functional_reduction_is_exact,
     projection_shapes,
-    shard_functional_weights,
     shard_kv_bytes_per_token,
     shard_model_config,
     shard_quant_params,
@@ -77,7 +79,6 @@ from .sharding import (
     validate_tp,
 )
 from .sweep import ScalingPoint, scaling_sweep, tp_scaling_is_sane
-from .tp import ShardedFunctionalBackend
 
 __all__ = [
     "ACTION_KINDS",
@@ -89,7 +90,6 @@ __all__ = [
     "FaultAction",
     "FaultEvent",
     "FaultSchedule",
-    "FunctionalShard",
     "GIG_ETHERNET",
     "HealthTracker",
     "HedgePolicy",
@@ -104,7 +104,6 @@ __all__ = [
     "ReplicaRouter",
     "RetryPolicy",
     "ScalingPoint",
-    "ShardedFunctionalBackend",
     "TEN_GIG_ETHERNET",
     "TPCommModel",
     "all_gather_cost",
@@ -112,7 +111,6 @@ __all__ = [
     "functional_reduction_is_exact",
     "projection_shapes",
     "scaling_sweep",
-    "shard_functional_weights",
     "shard_kv_bytes_per_token",
     "shard_model_config",
     "shard_quant_params",

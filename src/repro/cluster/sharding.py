@@ -31,13 +31,12 @@ per-shard head-major address maps partition the unsharded region.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from ..config import ModelConfig, QuantConfig
 from ..errors import ConfigError, LayoutError
-from ..numerics.fp16 import fp16
 from ..packing.kv_addressing import KVAddressMap
 from ..packing.weight_layout import (WeightLayoutSpec, decode_weight_stream,
                                      encode_weight_stream)
@@ -233,7 +232,7 @@ def validate_kv_tiling(model: ModelConfig, quant: QuantConfig,
 
 
 # ---------------------------------------------------------------------------
-# Functional (bit-exact) weight slices
+# Functional (bit-exact) partial-sum reduction
 # ---------------------------------------------------------------------------
 
 
@@ -261,8 +260,8 @@ def functional_reduction_is_exact(model: ModelConfig, tp: int,
       two-leaf tree, and each tile again decomposes into subtrees.
 
     Anything wider accumulates 3+ tile sums sequentially, which no tree
-    reduction can reproduce; the functional sharded backend refuses
-    such configs rather than silently drifting.
+    reduction can reproduce; the functional backend refuses such a
+    ``tp`` rather than silently drifting.
     """
     if tp == 1:
         return True
@@ -277,80 +276,3 @@ def functional_reduction_is_exact(model: ModelConfig, tp: int,
         elif not (in_f == 2 * lanes and _is_pow2(lanes)):
             return False
     return True
-
-
-@dataclass
-class FunctionalShard:
-    """One shard's dequantized FP16 weights plus replicated pieces.
-
-    Matrices are *views* into the full dequantized weights (slicing
-    after the FP16 rounding, so shard values are bit-identical to the
-    corresponding slice of the single-device matrices).
-    """
-
-    rank: int
-    tp: int
-    config: ModelConfig          # the full model
-    shard_config: ModelConfig    # per-shard KV/activation shapes
-    mats: list[dict[str, np.ndarray]]
-    lm_head: np.ndarray
-    embedding: np.ndarray
-    norms: list[tuple[np.ndarray, np.ndarray]]
-    final_norm: np.ndarray
-
-    @property
-    def local_heads(self) -> int:
-        return self.config.num_heads // self.tp
-
-    @property
-    def local_kv_heads(self) -> int:
-        return self.config.kv_heads // self.tp
-
-
-def shard_functional_weights(qweights, tp: int) -> list[FunctionalShard]:
-    """Slice dequantized model weights into ``tp`` functional shards.
-
-    Dequantization happens once for the full model (exactly as
-    :class:`repro.model.quantized.QuantizedModel` does), then each
-    shard takes row/column views per :data:`PROJECTION_AXES`, so the
-    sharded math starts from bit-identical weight values.
-    """
-    model = qweights.config
-    validate_tp(model, tp)
-    h, kv, inter = model.hidden_size, model.kv_dim, model.intermediate_size
-    full_layers = []
-    for layer in qweights.layers:
-        full_layers.append({name: fp16(result.effective_weight())
-                            for name, result in layer.items()})
-    full_head = fp16(qweights.lm_head.effective_weight())
-    vocab_rows = full_head.shape[0] // tp
-
-    shards = []
-    for rank in range(tp):
-        heads = slice(rank * (h // tp), (rank + 1) * (h // tp))
-        kv_rows = slice(rank * (kv // tp), (rank + 1) * (kv // tp))
-        cols = slice(rank * (h // tp), (rank + 1) * (h // tp))
-        ch = slice(rank * (inter // tp), (rank + 1) * (inter // tp))
-        mats = []
-        for full in full_layers:
-            sliced = {
-                "wq": full["wq"][heads],
-                "wk": full["wk"][kv_rows],
-                "wv": full["wv"][kv_rows],
-                "wo": full["wo"][:, cols],
-                "w_up": full["w_up"][ch],
-                "w_down": full["w_down"][:, ch],
-            }
-            if "w_gate" in full:
-                sliced["w_gate"] = full["w_gate"][ch]
-            mats.append(sliced)
-        shards.append(FunctionalShard(
-            rank=rank, tp=tp, config=model,
-            shard_config=shard_model_config(model, tp),
-            mats=mats,
-            lm_head=full_head[rank * vocab_rows:(rank + 1) * vocab_rows],
-            embedding=qweights.embedding,
-            norms=qweights.norms,
-            final_norm=qweights.final_norm,
-        ))
-    return shards

@@ -20,13 +20,17 @@ All three share the batch cost split of the paper's Fig. 2: the
 quantized weight stream is charged once per step; KV traffic and misc
 work are charged per batch member.
 
-The timing backends take a tensor-parallel degree ``tp`` and the
-``interconnect`` that links the group's boards, and price the whole
+Every backend takes a tensor-parallel degree ``tp`` and the
+``interconnect`` that links the group's boards, and prices the whole
 group: one shard's cycles plus the partial-sum collectives
 (:class:`repro.cluster.interconnect.TPCommModel`), with the KV budget
 of one board's DRAM after its shard of the weights.  ``tp = 1`` is one
-board and charges no collective.  The bit-exact functional group is
-:class:`repro.cluster.tp.ShardedFunctionalBackend`.
+board and charges no collective.  The functional group stays bit-exact:
+TP changes its math only in the row-parallel O and down projections,
+whose per-board partial sums meet in an FP16 tree that reproduces one
+DOT engine's adder tree (``QuantizedModel(tp=)``); everything else is
+an exact slice of the single-device result, so one model and one
+full-width KV store serve the whole group.
 
 Every backend also supports both KV disciplines (``kv_mode``):
 
@@ -200,44 +204,36 @@ def build_backend(kind: str, model_config: ModelConfig, quant: QuantConfig,
     """One constructor for every backend kind, single-device or sharded.
 
     ``interconnect`` is a :class:`repro.cluster.interconnect.LinkSpec`
-    and defaults to the 10GbE ring.  A functional ``tp > 1`` group is
-    :class:`repro.cluster.tp.ShardedFunctionalBackend` (imported lazily
-    — the cluster layer sits above the engine).  The functional kinds
-    need ``qweights``.
+    and defaults to the 10GbE ring.  The functional kind needs
+    ``qweights``.
     """
     if kind not in ("functional", "cycle", "analytical"):
         raise SimulationError(
             f"unknown backend kind {kind!r}; choose from "
             "('functional', 'cycle', 'analytical')")
-    if kind == "functional" and qweights is None:
-        raise SimulationError("functional backend needs quantized weights")
-    kv = dict(kv_mode=kv_mode, block_size=block_size,
-              n_kv_blocks=n_kv_blocks)
-    if kind == "functional" and tp == 1:
+    group = dict(tp=tp, interconnect=interconnect, kv_mode=kv_mode,
+                 block_size=block_size, n_kv_blocks=n_kv_blocks)
+    if kind == "functional":
+        if qweights is None:
+            raise SimulationError(
+                "functional backend needs quantized weights")
         return FunctionalBackend(qweights, platform, mode=mode,
-                                 n_slots=n_slots, **kv)
-    group = dict(tp=tp, interconnect=interconnect, **kv)
+                                 n_slots=n_slots, **group)
     if kind == "cycle":
         return CycleModelBackend(model_config, quant, platform, mode=mode,
                                  n_slots=n_slots, token_oracle=token_oracle,
                                  **group)
-    if kind == "analytical":
-        return AnalyticalBackend(model_config, quant, platform,
-                                 n_slots=n_slots,
-                                 token_oracle=token_oracle, **group)
-    from ..cluster.tp import ShardedFunctionalBackend
-
-    return ShardedFunctionalBackend(qweights, platform, mode=mode,
-                                    n_slots=n_slots, **group)
+    return AnalyticalBackend(model_config, quant, platform,
+                             n_slots=n_slots, token_oracle=token_oracle,
+                             **group)
 
 
 class _SlotCounter:
     """Slot accounting for timing-only backends (no real storage).
 
     A min-heap free list: allocation pops the lowest free slot in
-    O(log n) instead of scanning every slot, while preserving the
-    lowest-free-first order the sharded functional backend's slot
-    mirroring relies on.
+    O(log n) instead of scanning every slot, in the same lowest-free-
+    first order as the functional backend's slotted storage.
     """
 
     def __init__(self, n_slots: int) -> None:
@@ -370,23 +366,19 @@ class _KVMixin:
     def n_slots(self) -> int:
         return self._n_slots
 
-    def _paged_caches(self) -> list[PagedKVCache]:
-        """Every paged pool this backend keeps in step: the accounting
-        pool, plus any mirrors a subclass holds beside it."""
-        return [] if self.paged_kv is None else [self.paged_kv]
-
     def lose_kv(self) -> None:
-        """The board lost its KV (a crash): forget every cached prefix
-        on every pool.  Live sequences must be released first."""
-        for kv in self._paged_caches():
-            kv.prefix.clear()
+        """The board lost its KV (a crash): forget every cached prefix.
+        Live sequences must be released first."""
+        if self.paged_kv is not None:
+            self.paged_kv.prefix.clear()
 
     def reset_kv(self) -> None:
         """Start a run from a cold pool: drop every cached prefix and
         zero the reuse counters, so a run's prefix hits (and what it
         reports of them) never depend on an earlier run's blocks."""
-        self.lose_kv()
-        for kv in self._paged_caches():
+        kv = self.paged_kv
+        if kv is not None:
+            kv.prefix.clear()
             kv.prefix_reused_tokens = kv.cow_copies = 0
             kv.prefix.hits = kv.prefix.misses = kv.prefix.evictions = 0
 
@@ -808,23 +800,47 @@ class CycleModelBackend(_TimingStreamMixin, _CycleTimedBackend):
 
 
 class FunctionalBackend(_CycleTimedBackend):
-    """Functional pipeline + batched cycle model over real KV storage."""
+    """Functional pipeline + batched cycle model over real KV storage.
+
+    ``tp > 1`` runs a bit-exact tensor-parallel group: the functional
+    model all-reduces its row-parallel partial sums in an FP16 tree
+    (``QuantizedModel(tp=)``), and the group is timed and sized like
+    :class:`CycleModelBackend` with the same ``tp`` and
+    ``interconnect``.  One full-width KV store holds exactly what the
+    shards' caches would (KV8 quantizes per token and head).
+    """
 
     def __init__(self, qweights, platform: PlatformConfig = KV260,
                  mode: str = "fused", n_slots: int = 8,
                  functional: QuantizedModel | None = None,
                  kv_mode: str = "slotted", block_size: int = 16,
-                 n_kv_blocks: int | None = None) -> None:
-        super().__init__(qweights.config, qweights.quant, platform, mode,
+                 n_kv_blocks: int | None = None, tp: int = 1,
+                 interconnect=None) -> None:
+        from ..cluster.sharding import functional_reduction_is_exact
+
+        model = qweights.config
+        # Validates ``tp`` against the model's shapes first.
+        super().__init__(model, qweights.quant, platform, mode,
                          n_slots, kv_mode=kv_mode, block_size=block_size,
-                         n_kv_blocks=n_kv_blocks, store_kv_data=True)
-        self.functional = functional if functional is not None \
-            else QuantizedModel(qweights)
+                         n_kv_blocks=n_kv_blocks, store_kv_data=True,
+                         tp=tp, interconnect=interconnect)
+        if functional is None:
+            functional = QuantizedModel(qweights, tp=tp)
+        if functional.tp != tp:
+            raise SimulationError(
+                f"functional model runs at tp={functional.tp}, the "
+                f"backend at tp={tp}")
+        if not functional_reduction_is_exact(model, tp, functional.lanes):
+            raise SimulationError(
+                f"{model.name} at tp={tp} does not align with the "
+                f"{functional.lanes}-lane FP16 accumulation tree, so "
+                "sharded partial sums would not be bit-identical to one "
+                "device")
+        self.functional = functional
         if kv_mode == "slotted":
             # Real storage replaces the mixin's slot counter: the
             # slotted cache has the same allocate()/free(slot) surface.
-            self.kv = SlottedKVCache(qweights.config, n_slots,
-                                     qweights.quant.kv_bits)
+            self.kv = SlottedKVCache(model, n_slots, qweights.quant.kv_bits)
             self._slots = self.kv
         else:
             assert self.paged_kv is not None

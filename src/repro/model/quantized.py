@@ -24,6 +24,19 @@ only on their own length, which the tile/tree kernels of
 emits bit-for-bit the logits of the scalar reference (pinned by
 ``tests/test_backend_equivalence.py``, the kernel property tests and
 the frozen logits golden).
+
+Tensor-parallel note: ``QuantizedModel(tp=N)`` computes what a
+Megatron-style group of N boards computes.  Column-parallel outputs
+(Q/K/V, gate/up, the vocabulary rows) and the attention heads are exact
+slices of the single-device results, and KV8 quantizes per (token,
+head), so only the row-parallel O and down projections change: each
+board reduces its slice of the input rows and the partial sums meet in
+an FP16 pairwise tree (:meth:`QuantizedModel._row_parallel`).  On
+models that pass
+:func:`repro.cluster.sharding.functional_reduction_is_exact` that tree
+is a subtree split of the one DOT engine's, so every ``tp`` emits the
+single-device bits.  The scalar ``forward_token`` paths stay
+single-device.
 """
 
 from __future__ import annotations
@@ -34,7 +47,7 @@ from ..config import ModelConfig
 from ..errors import SimulationError
 from ..numerics.fp16 import (as_fp16_grid, fp16, fp16_batched_scores,
                              fp16_batched_weighted_values, fp16_matmul_t,
-                             fp16_matvec)
+                             fp16_matvec, fp16_tree_combine)
 from ..numerics.rmsnorm import batched_two_pass_rmsnorm, two_pass_rmsnorm
 from ..numerics.rope import HardwareRope
 from ..numerics.silu import hardware_gated_silu, hardware_silu
@@ -67,9 +80,7 @@ def attend_grouped(q: np.ndarray, caches, layer_idx: int, lengths,
       by level.  (A +0.0 pad would turn a -0.0 partial sum into +0.0;
       only the +0-initialized tile accumulator would then hide it.)
 
-    Returns (n, heads * head_dim).  Shared by the single-device model
-    and every tensor-parallel shard worker — one copy of the
-    rounding-schedule-critical staging.
+    Returns (n, heads * head_dim).
     """
     n, heads, d = q.shape
     width = max(lengths)
@@ -152,10 +163,11 @@ class QuantizedModel:
     """Functional decode/prefill pipeline over quantized weights."""
 
     def __init__(self, qweights: QuantizedModelWeights,
-                 lanes: int = 128) -> None:
+                 lanes: int = 128, tp: int = 1) -> None:
         self.qweights = qweights
         self.config: ModelConfig = qweights.config
         self.lanes = lanes
+        self.tp = tp
         self.rope = HardwareRope(self.config.head_dim, self.config.rope_theta)
         # Dequantize once up front: the hardware dequantizes on the fly,
         # but the mapping code->FP16 value is deterministic, so the
@@ -186,6 +198,21 @@ class QuantizedModel:
 
     def _matmul_t(self, mat_t: np.ndarray, x: np.ndarray) -> np.ndarray:
         return fp16_matmul_t(mat_t, x, lanes=self.lanes)
+
+    def _row_parallel(self, mat_t: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """A row-parallel projection (O or down) of the batched paths.
+
+        In a ``tp``-board group each board holds ``1/tp`` of the input
+        rows, reduces its slice through its own DOT engine, and the
+        interconnect all-reduces the partial sums in an FP16 tree.
+        """
+        if self.tp == 1:
+            return self._matmul_t(mat_t, x)
+        step = mat_t.shape[0] // self.tp
+        return fp16_tree_combine([
+            self._matmul_t(mat_t[r * step:(r + 1) * step],
+                           x[r * step:(r + 1) * step])
+            for r in range(self.tp)])
 
     def _split_heads(self, x: np.ndarray, n_heads: int) -> np.ndarray:
         return x.reshape(n_heads, self.config.head_dim)
@@ -249,7 +276,7 @@ class QuantizedModel:
         normed = batched_two_pass_rmsnorm(x, post_norm, cfg.norm_eps)
         hidden = mlp_hidden(self._matmul_t(mats["w_in"], normed.T),
                             cfg.gated_mlp)
-        down = self._matmul_t(mats["w_down"], hidden)
+        down = self._row_parallel(mats["w_down"], hidden)
         return fp16(x.astype(np.float32) + down.T.astype(np.float32))
 
     def _forward_rows(self, tokens, caches, positions) -> np.ndarray:
@@ -279,7 +306,7 @@ class QuantizedModel:
             # On-chip KV8 quantization as K/V are generated (Sec. IV-B).
             store_kv_rows(caches, layer_idx, k, v, positions)
             attn = self._attend_many(q, caches, layer_idx, lengths)
-            out = self._matmul_t(mats["wo"], attn.T)
+            out = self._row_parallel(mats["wo"], attn.T)
             x = fp16(x.astype(np.float32) + out.T.astype(np.float32))
             x = self._mlp_batch(layer_idx, x)
         return x

@@ -22,7 +22,7 @@ observable behaviour is invariant to the backend/KV combination:
 import numpy as np
 import pytest
 
-from repro.cluster import TEN_GIG_ETHERNET, ShardedFunctionalBackend
+from repro.cluster import TEN_GIG_ETHERNET
 from repro.config import LLAMA2_7B, TINY_MODEL, W4A16_KV8, QuantConfig
 from repro.core.cyclemodel import CycleModel
 from repro.engine import (
@@ -31,6 +31,7 @@ from repro.engine import (
     CycleModelBackend,
     FunctionalBackend,
     Request,
+    build_backend,
     synthetic_trace,
 )
 from repro.engine.backends import (
@@ -448,7 +449,7 @@ class TestShardedEquivalence:
     @pytest.mark.parametrize("tp", [2, 4])
     def test_functional_tp_streams_match_tp1(self, tp, kv_mode,
                                              tiny_qweights, reference):
-        backend = ShardedFunctionalBackend(
+        backend = FunctionalBackend(
             tiny_qweights, tp=tp, kv_mode=kv_mode, block_size=BLOCK_SIZE,
             n_kv_blocks=BUDGET_TOKENS // BLOCK_SIZE)
         report = run_engine(backend, shared_prefix_trace())
@@ -457,22 +458,22 @@ class TestShardedEquivalence:
             == {r.request_id: r.finish_reason
                 for r in reference.results}
 
-    def test_sharded_functional_and_cycle_clocks_agree(self, tiny_qweights,
+    @pytest.mark.parametrize("kv_mode", KV_MODES)
+    @pytest.mark.parametrize("tp", [2, 4])
+    def test_sharded_functional_and_cycle_clocks_agree(self, tp, kv_mode,
+                                                       tiny_qweights,
                                                        quant32, oracle):
         """Same per-shard cost model + same comm model + same tokens
-        => identical cluster clocks."""
-        fn = ShardedFunctionalBackend(
-            tiny_qweights, tp=2, kv_mode="slotted", block_size=BLOCK_SIZE,
-            n_kv_blocks=BUDGET_TOKENS // BLOCK_SIZE)
-        cy = CycleModelBackend(
-            TINY_MODEL, quant32, tp=2, kv_mode="slotted",
-            block_size=BLOCK_SIZE,
-            n_kv_blocks=BUDGET_TOKENS // BLOCK_SIZE, n_slots=MAX_BATCH,
-            token_oracle=oracle)
+        => identical cluster clocks, to the last bit."""
+        kv = dict(kv_mode=kv_mode, block_size=BLOCK_SIZE,
+                  n_kv_blocks=BUDGET_TOKENS // BLOCK_SIZE)
+        fn = build_backend("functional", TINY_MODEL, quant32,
+                           qweights=tiny_qweights, tp=tp, **kv)
+        cy = CycleModelBackend(TINY_MODEL, quant32, tp=tp,
+                               n_slots=MAX_BATCH, token_oracle=oracle, **kv)
         fn_report = run_engine(fn, shared_prefix_trace())
         cy_report = run_engine(cy, shared_prefix_trace())
-        assert fn_report.total_time_s \
-            == pytest.approx(cy_report.total_time_s, rel=1e-12)
+        assert fn_report.total_time_s == cy_report.total_time_s
 
     def test_analytical_tp_tracks_sharded_cycle_model(self):
         """On LLaMA2-7B the sharded roofline and the sharded cycle

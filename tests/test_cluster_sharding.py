@@ -12,7 +12,6 @@ from repro.cluster.sharding import (
     PROJECTION_AXES,
     functional_reduction_is_exact,
     projection_shapes,
-    shard_functional_weights,
     shard_kv_bytes_per_token,
     shard_model_config,
     shard_quant_params,
@@ -25,7 +24,6 @@ from repro.cluster.sharding import (
 from repro.config import (LLAMA2_7B, SMALL_MODEL, TINY_MODEL, TINYLLAMA_1_1B,
                           W4A16_KV8)
 from repro.errors import ConfigError, LayoutError
-from repro.numerics.fp16 import fp16
 from repro.quant.groupquant import quantize_groups
 
 
@@ -131,21 +129,6 @@ class TestQuantShardTiling:
 
 
 class TestFunctionalSlices:
-    def test_slices_are_views_of_full_fp16_mats(self, tiny_qweights):
-        shards = shard_functional_weights(tiny_qweights, 2)
-        assert len(shards) == 2
-        full_wq = fp16(tiny_qweights.layers[0]["wq"].effective_weight())
-        stacked = np.concatenate([s.mats[0]["wq"] for s in shards])
-        assert np.array_equal(stacked, full_wq)
-        full_wo = fp16(tiny_qweights.layers[0]["wo"].effective_weight())
-        side = np.concatenate([s.mats[0]["wo"] for s in shards], axis=1)
-        assert np.array_equal(side, full_wo)
-
-    def test_lm_head_rows_partition_vocab(self, tiny_qweights):
-        shards = shard_functional_weights(tiny_qweights, 4)
-        rows = sum(s.lm_head.shape[0] for s in shards)
-        assert rows == TINY_MODEL.vocab_size
-
     def test_reduction_exactness_predicate(self):
         # Power-of-two widths within two DOT tiles: exact.
         assert functional_reduction_is_exact(TINY_MODEL, 2)

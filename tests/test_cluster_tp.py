@@ -1,22 +1,25 @@
-"""TP groups: timing composition and capacity scaling."""
+"""TP groups: timing composition, capacity scaling, functional guards."""
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
-from repro.cluster import (
-    GIG_ETHERNET,
-    TEN_GIG_ETHERNET,
-    ShardedFunctionalBackend,
-)
+from repro.cluster import GIG_ETHERNET, TEN_GIG_ETHERNET
 from repro.config import KV260, LLAMA2_7B, TINY_MODEL, W4A16_KV8, QuantConfig
 from repro.engine import (
     AnalyticalBackend,
     ContinuousBatchScheduler,
     CycleModelBackend,
+    FunctionalBackend,
     Request,
     build_backend,
     derive_kv_token_budget,
 )
 from repro.errors import SimulationError
+from repro.model.quantized import QuantizedModel
+from repro.model.weights import quantize_model, random_weights
+from repro.numerics.fp16 import fp16, fp16_matmul_t, fp16_tree_combine
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +154,15 @@ class TestScalingSweepBaseline:
             / by_tp[2].aggregate_tokens_per_s
 
 
+@pytest.fixture(scope="module")
+def misaligned_qweights(quant32):
+    """Weights whose 384-wide down rows span three DOT tiles, which no
+    tree of per-board partial sums can replay."""
+    config = replace(TINY_MODEL, name="tiny-misaligned",
+                     intermediate_size=384)
+    return quantize_model(random_weights(config, seed=0), quant32)
+
+
 class TestShardedFunctionalGuards:
     def test_misaligned_model_refused(self):
         """7B rows outrun the FP16 accumulation tree: sharded math would
@@ -158,33 +170,50 @@ class TestShardedFunctionalGuards:
         from repro.cluster.sharding import functional_reduction_is_exact
 
         assert not functional_reduction_is_exact(LLAMA2_7B, 2)
-        # (Constructing 7B functional weights is too heavy for a test;
-        # the predicate is what the constructor enforces.)
 
-    def test_paged_functional_audits_clean(self, tiny_qweights):
-        backend = ShardedFunctionalBackend(tiny_qweights, tp=2,
-                                           kv_mode="paged", block_size=8,
-                                           n_kv_blocks=32)
+    def test_misaligned_functional_group_raises(self, misaligned_qweights):
+        with pytest.raises(SimulationError, match="tp=2"):
+            FunctionalBackend(misaligned_qweights, tp=2)
+
+    def test_misaligned_rows_reduce_per_board(self, misaligned_qweights):
+        """At tp=2 each board reduces its half of the down rows and the
+        halves meet in one FP16 add, which rounds differently from one
+        board's three-tile chain: the reason for the refusal above."""
+        one = QuantizedModel(misaligned_qweights)
+        two = QuantizedModel(misaligned_qweights, tp=2)
+        mat_t = one._mats_t[0]["w_down"]
+        x = fp16(np.random.default_rng(0).standard_normal((384, 8)))
+        halves = [fp16_matmul_t(mat_t[rows], x[rows])
+                  for rows in (slice(0, 192), slice(192, 384))]
+        got = two._row_parallel(mat_t, x)
+        assert np.array_equal(got, fp16_tree_combine(halves))
+        assert not np.array_equal(got, one._row_parallel(mat_t, x))
+
+    @pytest.mark.parametrize("model_tp, backend_tp", [(1, 2), (2, 1)])
+    def test_functional_model_of_another_tp_refused(
+            self, tiny_qweights, model_tp, backend_tp):
+        model = QuantizedModel(tiny_qweights, tp=model_tp)
+        with pytest.raises(SimulationError, match="tp="):
+            FunctionalBackend(tiny_qweights, tp=backend_tp,
+                              functional=model)
+
+    def test_paged_tp_group_audits_clean(self, tiny_qweights):
+        backend = FunctionalBackend(tiny_qweights, tp=2, kv_mode="paged",
+                                    block_size=8, n_kv_blocks=32)
         engine = ContinuousBatchScheduler(backend, max_batch=4)
         report = engine.run(tiny_trace())
         assert len(report.results) == 4
         backend.paged_kv.audit()
-        for worker in backend.workers:
-            worker.kv.audit()
 
-    def test_worker_prefix_reuse_mirrors_accounting(self, tiny_qweights):
+    def test_paged_tp_group_reuses_prefixes(self, tiny_qweights):
         system = tuple(range(1, 17))
         reqs = [Request(i, system + (40 + i,), max_new_tokens=3)
                 for i in range(3)]
-        backend = ShardedFunctionalBackend(tiny_qweights, tp=2,
-                                           kv_mode="paged", block_size=8,
-                                           n_kv_blocks=32)
+        backend = FunctionalBackend(tiny_qweights, tp=2, kv_mode="paged",
+                                    block_size=8, n_kv_blocks=32)
         engine = ContinuousBatchScheduler(backend, max_batch=2)
         engine.run(reqs)
-        reused = backend.paged_kv.prefix_reused_tokens
-        assert reused > 0
-        for worker in backend.workers:
-            assert worker.kv.prefix_reused_tokens == reused
+        assert backend.paged_kv.prefix_reused_tokens > 0
 
 
 class TestBuildBackendFactory:
@@ -211,7 +240,9 @@ class TestBuildBackendFactory:
     def test_functional_with_weights(self, tiny_qweights, quant32):
         backend = build_backend("functional", TINY_MODEL, quant32, tp=2,
                                 qweights=tiny_qweights)
-        assert isinstance(backend, ShardedFunctionalBackend)
+        assert type(backend) is FunctionalBackend
+        assert backend.tp == 2 and backend.functional.tp == 2
+        assert backend.comm.link == TEN_GIG_ETHERNET
 
     def test_unknown_kind_raises(self, quant32):
         with pytest.raises(SimulationError):

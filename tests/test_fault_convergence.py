@@ -22,12 +22,12 @@ from repro.cluster import (
     MigrationPolicy,
     ReplicaFaultPlan,
     ReplicaRouter,
-    ShardedFunctionalBackend,
 )
 from repro.config import TINY_MODEL, QuantConfig
 from repro.engine import (
     ContinuousBatchScheduler,
     CycleModelBackend,
+    FunctionalBackend,
     Request,
     build_backend,
     kv_discipline_kwargs,
@@ -281,11 +281,10 @@ def test_crash_drops_the_prefix_cache():
     assert max(after) > 0
 
 
-class TestShardMirrorsCoolWithTheTwin:
-    """A TP group's shard workers keep paged mirrors that match cached
-    prefixes on their own; a run start or a crash must cool them with
-    the accounting twin, or the mirrors would reuse prefixes the twin
-    re-prefills and their reuse counters would drift apart."""
+class TestTPGroupPrefixCacheCools:
+    """A functional TP group's paged KV pool matches cached prefixes
+    like any other; a run start or a crash must cool it, so a replay
+    reuses exactly what a cold board would."""
 
     SYSTEM = tuple(range(1, 17))
 
@@ -295,37 +294,32 @@ class TestShardMirrorsCoolWithTheTwin:
                 for i in range(3)]
 
     def engine(self, tiny_qweights):
-        backend = ShardedFunctionalBackend(tiny_qweights, tp=2,
-                                           kv_mode="paged", block_size=8,
-                                           n_kv_blocks=32)
+        backend = FunctionalBackend(tiny_qweights, tp=2, kv_mode="paged",
+                                    block_size=8, n_kv_blocks=32)
         return ContinuousBatchScheduler(backend, max_batch=2)
 
-    def assert_mirrors_agree(self, engine):
-        backend = engine.backend
-        reused = backend.paged_kv.prefix_reused_tokens
-        assert reused > 0
-        backend.paged_kv.audit()
-        for worker in backend.workers:
-            assert worker.kv.prefix_reused_tokens == reused
-            worker.kv.audit()
-
-    def test_second_run(self, tiny_qweights):
+    def test_second_run_starts_cold(self, tiny_qweights):
         engine = self.engine(tiny_qweights)
         first = engine.run(self.requests())
         reused = engine.paged_kv.prefix_reused_tokens
+        assert reused > 0
         second = engine.run(self.requests())
         assert_reports_identical(first, second)
         assert engine.paged_kv.prefix_reused_tokens == reused
-        self.assert_mirrors_agree(engine)
+        engine.paged_kv.audit()
 
-    def test_crash(self, tiny_qweights):
+    def test_crash_drops_cached_prefixes(self, tiny_qweights):
         probe = self.engine(tiny_qweights)
         end = max(r.e2e_s for r in probe.run(self.requests()).results)
+        wave = probe.paged_kv.prefix_reused_tokens
+        assert wave > 0
         engine = self.engine(tiny_qweights)
         # The board goes down idle, with the system prompt cached, and
-        # a second wave sharing it arrives after recovery.
+        # a second wave sharing it arrives after recovery: it reuses
+        # only what it re-prefills itself, as the first wave did.
         engine.fault_plan = ReplicaFaultPlan(
             0, (FaultAction("crash", 2 * end, end),))
         engine.run(self.requests() + self.requests(4 * end, first_id=3))
         assert engine.fault_stats()["crashes"] == 1
-        self.assert_mirrors_agree(engine)
+        assert engine.paged_kv.prefix_reused_tokens == 2 * wave
+        engine.paged_kv.audit()

@@ -17,9 +17,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.cluster import ShardedFunctionalBackend
 from repro.config import SMALL_MODEL, TINY_MODEL, QuantConfig
-from repro.engine import ContinuousBatchScheduler, Request
+from repro.engine import ContinuousBatchScheduler, Request, build_backend
 from repro.kv import PagedKVCache
 from repro.model.quantized import QuantizedModel
 from repro.model.weights import quantize_model, random_weights
@@ -39,8 +38,12 @@ GOLDEN = {
     ("small-test", 2): "d8511138cd88e033",
 }
 #: the KV layout changes where K/V live, never what they hold, so both
-#: TP modes emit the same logits.
+#: KV modes of a TP group emit the same logits; and the FP16 tree
+#: all-reduce reproduces one device's adder tree, so every TP degree
+#: does too (the digests coincide with the single-device run's).
 GOLDEN_TP2 = {"slotted": "585ed623a79a81ba", "paged": "585ed623a79a81ba"}
+GOLDEN_TP4 = {"slotted": "585ed623a79a81ba", "paged": "585ed623a79a81ba"}
+GOLDEN_TP = {2: GOLDEN_TP2, 4: GOLDEN_TP4}
 GOLDEN_PAGED_VIEW = "ee5efc91929e4d86"
 
 
@@ -124,33 +127,39 @@ def test_paged_view_logits_are_frozen():
     assert _digest(arrays) == GOLDEN_PAGED_VIEW
 
 
-class _RecordingTP(ShardedFunctionalBackend):
-    """Records every logits vector the TP group produces."""
+def _record_logits(backend) -> list[np.ndarray]:
+    """Wrap ``backend``'s prefill and batched decode so every logits
+    vector it produces lands, in order, in the returned list."""
+    emitted: list[np.ndarray] = []
+    prefill, decode_batch = backend.prefill, backend.decode_batch
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.emitted: list[np.ndarray] = []
-
-    def prefill(self, state):
-        cycles = super().prefill(state)
-        self.emitted.append(state.logits)
+    def recording_prefill(state):
+        cycles = prefill(state)
+        emitted.append(state.logits)
         return cycles
 
-    def decode_batch(self, states):
-        cycles = super().decode_batch(states)
-        self.emitted.extend(s.logits for s in states)
+    def recording_decode_batch(states):
+        cycles = decode_batch(states)
+        emitted.extend(s.logits for s in states)
         return cycles
+
+    backend.prefill = recording_prefill
+    backend.decode_batch = recording_decode_batch
+    return emitted
 
 
 @pytest.mark.parametrize("kv_mode", ["slotted", "paged"])
-def test_tp2_shard_group_logits_are_frozen(kv_mode):
+@pytest.mark.parametrize("tp", [2, 4])
+def test_tp_group_logits_are_frozen(tp, kv_mode):
     config = TINY_MODEL
     qweights = quantize_model(random_weights(config, seed=1), QUANT)
     system = _prompts(config, 1)[4]
     requests = [Request(i, tuple(system[: 8 * (i % 3)] + p[:24]),
                         max_new_tokens=DECODE_STEPS)
                 for i, p in enumerate(_prompts(config, 4))]
-    backend = _RecordingTP(qweights, tp=2, kv_mode=kv_mode, n_slots=4,
-                           block_size=8, n_kv_blocks=48)
+    backend = build_backend("functional", config, QUANT, qweights=qweights,
+                            tp=tp, kv_mode=kv_mode, n_slots=4, block_size=8,
+                            n_kv_blocks=48)
+    emitted = _record_logits(backend)
     ContinuousBatchScheduler(backend, max_batch=4).run(requests)
-    assert _digest(backend.emitted) == GOLDEN_TP2[kv_mode]
+    assert _digest(emitted) == GOLDEN_TP[tp][kv_mode]
