@@ -47,7 +47,6 @@ from .core.accelerator import Accelerator, DecodePerf
 from .core.analytical import theoretical_tokens_per_s, utilization
 from .core.cyclemodel import BatchCycles, CycleModel
 from .engine import (
-    AnalyticalBackend,
     ContinuousBatchScheduler,
     CycleModelBackend,
     FunctionalBackend,
@@ -95,7 +94,6 @@ __all__ = [
     "W8A16_KV8",
     "W16",
     "Accelerator",
-    "AnalyticalBackend",
     "BatchCycles",
     "ContinuousBatchScheduler",
     "CycleModelBackend",

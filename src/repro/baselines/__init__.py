@@ -10,7 +10,6 @@ from .entries import (
     OUR_ENTRY,
     TABLE_II_ENTRIES,
     TABLE_III_ENTRIES,
-    all_entries,
 )
 
 __all__ = [
@@ -18,5 +17,4 @@ __all__ = [
     "OUR_ENTRY",
     "TABLE_II_ENTRIES",
     "TABLE_III_ENTRIES",
-    "all_entries",
 ]

@@ -160,7 +160,3 @@ OUR_ENTRY = BaselineEntry(
     reported_tokens_per_s=4.9, reported_theoretical=5.8,
     reported_utilization=0.845,
 )
-
-
-def all_entries() -> tuple[BaselineEntry, ...]:
-    return TABLE_II_ENTRIES + TABLE_III_ENTRIES + (OUR_ENTRY,)

@@ -27,6 +27,7 @@ from typing import Sequence
 
 from .cluster.router import POLICIES
 from .config import KV260, MODEL_PRESETS, PLATFORM_PRESETS, QuantConfig
+from .engine.backends import BACKEND_KINDS
 from .engine.telemetry import TELEMETRY_LEVELS
 from .errors import ReproError
 
@@ -289,7 +290,7 @@ def cmd_serve_sim(args) -> int:
     if args.per_request and args.telemetry == "sketch":
         raise ReproError(
             "--per-request needs per-request results; use "
-            "--telemetry full or windows")
+            "--telemetry windows")
     scenario = Scenario(
         model=_model(args.model), quant=_quant(args),
         platform=_platform(args.platform), backend=args.backend,
@@ -695,7 +696,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("serve-sim",
                        help="continuous-batching serving simulation")
     common(p, model_default="tiny-test", context=False)
-    p.add_argument("--backend", choices=("cycle", "analytical", "functional"),
+    p.add_argument("--backend", choices=BACKEND_KINDS,
                    default="cycle")
     p.add_argument("--mode", choices=("fused", "coarse"), default="fused")
     p.add_argument("--requests", type=int, default=16)
@@ -732,12 +733,13 @@ def build_parser() -> argparse.ArgumentParser:
                         "(1GbE, 10GbE, Aurora-x4)")
     p.add_argument("--router", choices=POLICIES, default="round_robin",
                    help="replica routing policy for --replicas > 1")
-    p.add_argument("--telemetry", choices=TELEMETRY_LEVELS, default="full",
-                   help="recording level: full materializes every "
-                        "step, windows keeps columnar records that "
-                        "expand to identical values, sketch keeps "
-                        "aggregates only and replaces the exact "
-                        "latency sample with a mergeable t-digest")
+    p.add_argument("--telemetry", choices=TELEMETRY_LEVELS,
+                   default="windows",
+                   help="recording level: windows keeps the exact "
+                        "step record as columnar run-length windows, "
+                        "sketch keeps aggregates only and replaces the "
+                        "exact latency sample with a mergeable "
+                        "t-digest")
     p.add_argument("--per-request", action="store_true",
                    help="print the per-request table")
     p.add_argument("--window-stats", action="store_true",
@@ -816,9 +818,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "multi-accelerator scaling curve")
     p.add_argument("--interconnect", default="10GbE",
                    help="board-to-board link preset for the sweep")
-    p.add_argument("--telemetry", choices=TELEMETRY_LEVELS, default="full",
+    p.add_argument("--telemetry", choices=TELEMETRY_LEVELS,
+                   default="windows",
                    help="recording level for --scaling-sweep replays "
-                        "(windows/sketch stream million-request grids)")
+                        "(sketch keeps aggregates only)")
     p.set_defaults(fn=cmd_bench_serve, context=512)
 
     p = sub.add_parser("obs",

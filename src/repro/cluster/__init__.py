@@ -66,10 +66,7 @@ from .router import (
     ReplicaRouter,
 )
 from .sharding import (
-    PROJECTION_AXES,
     functional_reduction_is_exact,
-    projection_shapes,
-    shard_kv_bytes_per_token,
     shard_model_config,
     shard_quant_params,
     shard_stream_params,
@@ -99,7 +96,6 @@ __all__ = [
     "MigratedRequest",
     "MigrationPolicy",
     "POLICIES",
-    "PROJECTION_AXES",
     "ReplicaFaultPlan",
     "ReplicaRouter",
     "RetryPolicy",
@@ -109,9 +105,7 @@ __all__ = [
     "all_gather_cost",
     "all_reduce_cost",
     "functional_reduction_is_exact",
-    "projection_shapes",
     "scaling_sweep",
-    "shard_kv_bytes_per_token",
     "shard_model_config",
     "shard_quant_params",
     "shard_stream_params",

@@ -213,27 +213,21 @@ class ReplicaRouter:
         return replica
 
     def _replica_share(self, factory: Callable[[], Iterable[Request]],
-                       replica: int,
-                       record: bool = False) -> Iterator[Request]:
+                       replica: int) -> Iterator[Request]:
         """This replica's share of a streamed trace: replay the
         deterministic routing state machine over a fresh iterator and
         keep only the matching requests.
 
-        ``record=True`` (first replica's pass — it sees every request)
-        also writes the router's public ``assignments`` map and load
-        ledger, so full-telemetry factory runs report routing exactly
-        like materialized runs.
+        Neither ``assignments`` nor the load ledger is written, and no
+        duplicate guard runs: streaming skips the O(trace) id map by
+        design — duplicate-free traces are the caller's contract.
         """
-        # Only the recording pass goes through route() and its duplicate
-        # guard: the streaming levels skip the O(trace) id set by design
-        # — duplicate-free traces are the caller's contract there.
-        route = self.route if record \
-            else _RoutingState(self.n_replicas, self.policy).route
+        route = _RoutingState(self.n_replicas, self.policy).route
         for request in factory():
             if route(request) == replica:
                 yield request
 
-    def run(self, requests: TraceLike, telemetry: str = "full",
+    def run(self, requests: TraceLike, telemetry: str = "windows",
             max_steps: int = 1_000_000) -> ServeReport:
         """Route every request, run each replica's engine, merge.
 
@@ -244,10 +238,10 @@ class ReplicaRouter:
         A *callable* ``requests`` is treated as a trace factory: each
         replica replays a fresh iterator through the routing state
         machine and consumes only its own share, so nothing is
-        materialized.  At ``telemetry="full"`` the first pass also
-        records ``assignments`` and the load ledger (per-request detail
-        is being kept anyway); the streaming levels skip that O(trace)
-        map by design.
+        materialized, and ``assignments`` stays empty.  A materialized
+        trace is routed up front and records ``assignments``.
+        ``telemetry`` is the engines' recording level (``"windows"`` or
+        ``"sketch"``).
 
         With a :class:`FaultSchedule` installed the run goes through
         the resilient path instead (see :meth:`_run_with_faults`) —
@@ -260,10 +254,8 @@ class ReplicaRouter:
         self.assignments = {}
         if callable(requests):
             reports = [
-                engine.run(self._replica_share(
-                    requests, idx, record=idx == 0
-                    and telemetry == "full"),
-                    telemetry=telemetry, max_steps=max_steps)
+                engine.run(self._replica_share(requests, idx),
+                           telemetry=telemetry, max_steps=max_steps)
                 for idx, engine in enumerate(self.engines)]
         else:
             shares: list[list[Request]] = [[] for _ in

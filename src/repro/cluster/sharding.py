@@ -42,14 +42,6 @@ from ..packing.weight_layout import (WeightLayoutSpec, decode_weight_stream,
                                      encode_weight_stream)
 from ..quant.groupquant import GroupQuantParams
 
-#: how each canonical projection splits across shards.
-PROJECTION_AXES = {
-    "wq": "column", "wk": "column", "wv": "column", "wo": "row",
-    "w_gate": "column", "w_up": "column", "w_down": "row",
-    "lm_head": "column",
-}
-
-
 def validate_tp(model: ModelConfig, tp: int) -> None:
     """Raise unless ``model`` divides evenly into ``tp`` shards."""
     if tp < 1:
@@ -85,24 +77,6 @@ def shard_model_config(model: ModelConfig, tp: int) -> ModelConfig:
     )
 
 
-def projection_shapes(model: ModelConfig, tp: int = 1) -> dict[str, tuple]:
-    """``name -> (out_features, in_features)`` of one shard's matrices."""
-    validate_tp(model, tp)
-    h, kv, inter = model.hidden_size, model.kv_dim, model.intermediate_size
-    shapes = {
-        "wq": (h // tp, h),
-        "wk": (kv // tp, h),
-        "wv": (kv // tp, h),
-        "wo": (h, h // tp),
-        "w_up": (inter // tp, h),
-        "w_down": (h, inter // tp),
-        "lm_head": (model.vocab_size // tp, h),
-    }
-    if model.gated_mlp:
-        shapes["w_gate"] = (inter // tp, h)
-    return shapes
-
-
 def shard_stream_params(model: ModelConfig, tp: int) -> int:
     """Weight parameters ONE shard streams per decoded token.
 
@@ -113,13 +87,6 @@ def shard_stream_params(model: ModelConfig, tp: int) -> int:
     validate_tp(model, tp)
     sharded = model.decode_stream_params() - model.norm_params()
     return sharded // tp + model.norm_params()
-
-
-def shard_kv_bytes_per_token(model: ModelConfig, tp: int,
-                             kv_bits: int = 8) -> int:
-    """KV payload bytes one shard appends per token (its KV heads only)."""
-    validate_tp(model, tp)
-    return 2 * model.num_layers * (model.kv_dim // tp) * kv_bits // 8
 
 
 # ---------------------------------------------------------------------------

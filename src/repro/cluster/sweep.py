@@ -52,15 +52,16 @@ def scaling_sweep(model: ModelConfig, quant: QuantConfig,
                   n_requests: int = 10, max_batch: int = 8,
                   mode: str = "fused", router_policy: str = "round_robin",
                   prompt_len=(6, 12), decode_len=(12, 20),
-                  seed: int = 0, telemetry: str = "full",
+                  seed: int = 0, telemetry: str = "windows",
                   max_steps: int | None = None) -> list[ScalingPoint]:
     """Replay one trace over the TP x DP grid on cycle backends.
 
     Every grid point is one :class:`repro.scenario.Scenario`: the same
     trace (same seed) hits each of them, so points differ only in how
     the cluster splits the work — TP shards every step, DP shards the
-    queue.  ``telemetry != "full"`` streams the trace, so the grid
-    scales to million-request traces at O(in-flight) memory.
+    queue.  Every point streams the trace, so the grid scales to
+    million-request traces at O(in-flight) memory; ``telemetry`` is
+    the recording level (``"windows"`` or ``"sketch"``).
     ``max_steps`` defaults to the scenario's step cap.
     """
     if not tp_values or not dp_values:

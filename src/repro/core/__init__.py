@@ -25,7 +25,6 @@ System models:
 
 from .accelerator import Accelerator, DecodePerf
 from .analytical import (
-    batched_decode_rate,
     theoretical_tokens_per_s,
     utilization,
 )
@@ -36,13 +35,11 @@ from .explore import evaluate_design, pareto_frontier, sweep_design_space
 from .pipeline import AttentionPipeline
 from .prefill import compare_prefill_engines
 from .resources import ResourceReport, estimate_resources
-from .scheduler import build_token_schedule
 from .stream import StreamingMatvec, WeightStreamReader
 
 __all__ = [
     "Accelerator",
     "DecodePerf",
-    "batched_decode_rate",
     "theoretical_tokens_per_s",
     "utilization",
     "CommandGenerator",
@@ -58,7 +55,6 @@ __all__ = [
     "compare_prefill_engines",
     "ResourceReport",
     "estimate_resources",
-    "build_token_schedule",
     "StreamingMatvec",
     "WeightStreamReader",
 ]

@@ -59,55 +59,3 @@ def intrinsic_utilization_ceiling(model: ModelConfig, quant: QuantConfig,
     """Best possible utilization at a context length, before DDR losses."""
     return weight_bytes_per_token(model, quant.weight_bits) / \
         effective_bandwidth_demand(model, quant, context)
-
-
-def batched_decode_rate(model: ModelConfig, platform: PlatformConfig,
-                        quant: QuantConfig, batch: int, context: int,
-                        compute_macs_per_s: float,
-                        ddr_efficiency: float = 0.95) -> dict:
-    """Aggregate token rate for multi-batch decoding (Chen et al.'s trade).
-
-    Batching reuses each streamed weight across ``batch`` sequences, so
-    aggregate throughput rises until the platform's compute rate (MACs/s)
-    becomes the wall; KV traffic is *not* shared and grows per sequence.
-    The paper targets single-batch edge decoding where none of this
-    applies — this helper quantifies why cloud FPGAs care and the KV260
-    does not (its DOT engine has exactly single-batch compute).
-    """
-    if batch <= 0:
-        raise ConfigError("batch must be positive")
-    if compute_macs_per_s <= 0:
-        raise ConfigError("compute rate must be positive")
-    from ..memory.traffic import decode_traffic
-
-    single = decode_traffic(model, quant, context)
-    bytes_per_step = single.weight_bytes + single.embedding_row_bytes \
-        + single.norm_bytes + batch * single.kv_bytes
-    bandwidth_time = bytes_per_step / (platform.bandwidth_bytes_per_s
-                                       * ddr_efficiency)
-    macs_per_step = batch * model.decode_stream_params()
-    compute_time = macs_per_step / compute_macs_per_s
-    step_time = max(bandwidth_time, compute_time)
-    return {
-        "aggregate_tokens_per_s": batch / step_time,
-        "per_sequence_tokens_per_s": 1.0 / step_time,
-        "compute_bound": compute_time > bandwidth_time,
-        "bytes_per_step": bytes_per_step,
-    }
-
-
-def decode_roofline(model: ModelConfig, platform: PlatformConfig,
-                    quant: QuantConfig, context: int,
-                    ddr_efficiency: float = 1.0) -> dict:
-    """A small roofline summary for one operating point."""
-    ceiling = theoretical_tokens_per_s(model, platform, quant.weight_bits)
-    demand = effective_bandwidth_demand(model, quant, context)
-    achievable = platform.bandwidth_bytes_per_s * ddr_efficiency / demand
-    return {
-        "theoretical_tokens_per_s": ceiling,
-        "achievable_tokens_per_s": achievable,
-        "bytes_per_token": demand,
-        "utilization_ceiling": achievable / ceiling,
-        "intrinsic_ceiling": intrinsic_utilization_ceiling(
-            model, quant, context),
-    }

@@ -374,9 +374,3 @@ class TokenScheduler:
             "lm_head", m.vocab_size // self.tp, m.hidden_size, mode=mode,
             batch=batch))
         return sched
-
-
-def build_token_schedule(model: ModelConfig, quant: QuantConfig,
-                         context: int, mode: str = "fused") -> TokenSchedule:
-    """Convenience wrapper: schedule one decode step with default units."""
-    return TokenScheduler(model, quant).build(context, mode)

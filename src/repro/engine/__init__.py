@@ -1,10 +1,9 @@
 """repro.engine — the unified execution-engine layer.
 
-One request/scheduling model over the repo's three execution paths:
+One request/scheduling model over the repo's two execution paths:
 
 * the functional pipeline (exact tokens + exact timing, small models),
-* the cycle model (exact timing, any model size),
-* the closed-form analytical roofline (instant estimates).
+* the cycle model (exact timing, any model size).
 
 The entry point is :class:`ContinuousBatchScheduler`: submit
 :class:`Request` objects (or a synthetic trace), call :meth:`run`, and
@@ -23,9 +22,10 @@ Quickstart::
 
 At scale, stream instead of materializing — a generator trace is
 submitted incrementally and ``telemetry=`` picks how much detail the
-report keeps (``"windows"`` is exact but run-length-encoded,
-``"sketch"`` keeps a bounded percentile sketch; every level returns the
-same :class:`ServeReport`; see :mod:`repro.engine.telemetry`)::
+report keeps (``"windows"``, the default, is exact but
+run-length-encoded, ``"sketch"`` keeps a bounded percentile sketch;
+both return the same :class:`ServeReport`; see
+:mod:`repro.engine.telemetry`)::
 
     report = engine.run(
         iter_synthetic_trace(LLAMA2_7B, n_requests=1_000_000),
@@ -42,7 +42,6 @@ streams the scenario's trace through it::
 """
 
 from .backends import (
-    AnalyticalBackend,
     CycleModelBackend,
     EngineBackend,
     FunctionalBackend,
@@ -67,7 +66,6 @@ from .tenancy import DEFAULT_TENANT, PRIORITY_CLASSES, TenantSpec
 from .trace import iter_synthetic_trace, synthetic_trace
 
 __all__ = [
-    "AnalyticalBackend",
     "ContinuousBatchScheduler",
     "CycleModelBackend",
     "DEFAULT_TENANT",

@@ -1,7 +1,7 @@
 """Execution backends of the engine: who actually runs a batched step.
 
-Three implementations of one protocol, mirroring the repo's three
-fidelity levels:
+Two implementations of one protocol, at the repo's two fidelity
+levels:
 
 * :class:`FunctionalBackend` — the hardware-equivalent functional
   pipeline (:class:`repro.model.quantized.QuantizedModel`) over multi-
@@ -12,11 +12,8 @@ fidelity levels:
   the per-step cost comes from
   :meth:`repro.core.cyclemodel.CycleModel.batched_decode_step`.  Works
   for any model size, including LLaMA2-7B.
-* :class:`AnalyticalBackend` — closed-form bandwidth/compute roofline
-  per step, no scheduling detail.  The fastest way to sweep serving
-  scenarios analytically.
 
-All three share the batch cost split of the paper's Fig. 2: the
+Both share the batch cost split of the paper's Fig. 2: the
 quantized weight stream is charged once per step; KV traffic and misc
 work are charged per batch member.
 
@@ -39,8 +36,8 @@ Every backend also supports both KV disciplines (``kv_mode``):
 * ``"paged"`` — block-granular allocation with shared-prefix reuse
   (:class:`repro.kv.PagedKVCache`).  Prefill skips prefix tokens whose
   blocks are already resident, and batched decode charges each physical
-  block's DRAM stream once per step.  The timing-only backends run the
-  same accounting (``store_data=False``), so all three make identical
+  block's DRAM stream once per step.  The timing-only backend runs the
+  same accounting (``store_data=False``), so both make identical
   admission and reuse decisions — which is what the cross-backend
   differential test harness checks.
 """
@@ -62,6 +59,7 @@ from ..model.quantized import QuantizedModel
 from .request import RequestState
 
 KV_MODES = ("slotted", "paged")
+BACKEND_KINDS = ("cycle", "functional")
 
 #: Windows of at least this many steps fold their cycles with numpy
 #: (whole-window member adds, then one row-wise accumulate of the layer
@@ -207,10 +205,9 @@ def build_backend(kind: str, model_config: ModelConfig, quant: QuantConfig,
     and defaults to the 10GbE ring.  The functional kind needs
     ``qweights``.
     """
-    if kind not in ("functional", "cycle", "analytical"):
+    if kind not in BACKEND_KINDS:
         raise SimulationError(
-            f"unknown backend kind {kind!r}; choose from "
-            "('functional', 'cycle', 'analytical')")
+            f"unknown backend kind {kind!r}; choose from {BACKEND_KINDS}")
     group = dict(tp=tp, interconnect=interconnect, kv_mode=kv_mode,
                  block_size=block_size, n_kv_blocks=n_kv_blocks)
     if kind == "functional":
@@ -219,11 +216,7 @@ def build_backend(kind: str, model_config: ModelConfig, quant: QuantConfig,
                 "functional backend needs quantized weights")
         return FunctionalBackend(qweights, platform, mode=mode,
                                  n_slots=n_slots, **group)
-    if kind == "cycle":
-        return CycleModelBackend(model_config, quant, platform, mode=mode,
-                                 n_slots=n_slots, token_oracle=token_oracle,
-                                 **group)
-    return AnalyticalBackend(model_config, quant, platform,
+    return CycleModelBackend(model_config, quant, platform, mode=mode,
                              n_slots=n_slots, token_oracle=token_oracle,
                              **group)
 
@@ -337,8 +330,10 @@ class _KVMixin:
     :meth:`_init_kv` sets exactly one of ``_slots`` (slotted) or
     ``paged_kv`` (paged); ``state.slot`` holds a slot index or a paged
     sequence id.  Keeping this logic in one place is what guarantees
-    all backends make identical admission and reuse decisions — the
-    property the differential harness checks.
+    both backends make identical admission and reuse decisions — the
+    property the differential harness checks.  Its one user is
+    :class:`_CycleTimedBackend`; it stays a class of its own because
+    ``perfbench/tracer.py`` wraps its methods by class name.
     """
 
     paged_kv: PagedKVCache | None = None
@@ -421,8 +416,10 @@ class _KVMixin:
 
 
 class _TimingStreamMixin:
-    """Token stream + fast-forward plumbing shared by the timing-only
-    backends (cycle model and analytical roofline).
+    """Token stream + fast-forward plumbing of the timing-only backend
+    (:class:`CycleModelBackend`, its one user; a class of its own
+    because ``perfbench/tracer.py`` hooks ``fast_forward_cycles`` and
+    ``planned_tokens`` under this class name).
 
     Tokens come from the recorded oracle or the synthetic hash stream —
     both pure functions of ``(request_id, step)`` — so a whole window of
@@ -891,169 +888,5 @@ class FunctionalBackend(_CycleTimedBackend):
             [s.position for s in states])
         for i, state in enumerate(states):
             state.logits = logits[i]
-            state.position += 1
-        return cycles
-
-
-class AnalyticalBackend(_TimingStreamMixin, _KVMixin):
-    """Closed-form roofline backend (Table II arithmetic, batched).
-
-    Per step: the weight stream plus per-sequence KV traffic at the
-    platform's (derated) bandwidth, against the DOT engine's compute
-    rate scaled by batch — whichever is slower sets the step time.  In
-    paged mode the KV read traffic is charged per resident block
-    (:func:`repro.memory.traffic.batched_decode_traffic`).
-    """
-
-    #: DOT-engine lanes and the DRAM derating the roofline prices with.
-    lanes = 128
-    ddr_efficiency = 0.95
-
-    def __init__(self, model_config: ModelConfig, quant: QuantConfig,
-                 platform: PlatformConfig = KV260, n_slots: int = 8,
-                 kv_mode: str = "slotted", block_size: int = 16,
-                 n_kv_blocks: int | None = None,
-                 token_oracle: TokenOracle | None = None,
-                 tp: int = 1, interconnect=None) -> None:
-        if platform.pl_freq_hz <= 0:
-            raise SimulationError(
-                f"platform {platform.name} has no PL clock")
-        self.model_config = model_config
-        self.quant = quant
-        self.platform = platform
-        self.token_oracle = token_oracle
-        self.tp = tp
-        self.comm = _collectives(model_config, quant, tp, interconnect,
-                                 self.freq_hz)
-        self._ff_const: dict[int, tuple] = {}
-        self._init_kv(model_config, quant, platform, kv_mode, n_slots,
-                      block_size, n_kv_blocks, store_data=False, tp=tp)
-
-    @property
-    def freq_hz(self) -> float:
-        return self.platform.pl_freq_hz
-
-    def step_cycles(self, contexts: Sequence[int],
-                    fetched: Sequence[int] | None = None) -> float:
-        # One-step window of the decomposed roofline: term-by-term the
-        # arithmetic of memory.traffic.batched_decode_traffic, so the
-        # cycles are the identical floats without building the per-member
-        # traffic breakdown objects.  The differential tests pin it to
-        # the object-building oracle.
-        _validate_batch(contexts, fetched)
-        cycles = float(self._fast_forward_cycles(contexts, fetched, 1)[0])
-        if self.comm is None:
-            return cycles
-        return cycles + self.comm.decode_step_cycles(len(contexts))
-
-    def prefill_cycles(self, n_tokens: int, start: int = 0) -> float:
-        """Roofline prefill: one single-member step per prompt position
-        (all positions evaluated in one decomposed window, summed in
-        position order exactly as the per-step loop would)."""
-        if n_tokens <= 0:
-            raise SimulationError("prompt_len must be positive")
-        if not 0 <= start < n_tokens:
-            raise SimulationError(
-                f"prefill start {start} outside prompt of {n_tokens}")
-        total = sum(self._fast_forward_cycles([start], None,
-                                              n_tokens - start))
-        if self.comm is None:
-            return total
-        return total + self.comm.prefill_cycles(n_tokens - start)
-
-    def _ff_roofline_constants(self, batch: int) -> tuple:
-        """Context-independent terms of one roofline step at ``batch``."""
-        val = self._ff_const.get(batch)
-        if val is not None:
-            return val
-        from ..memory.traffic import decode_traffic
-
-        m, q = self.model_config, self.quant
-        base = decode_traffic(m, q, 0, self.tp)
-        fixed = base.weight_bytes + batch * base.embedding_row_bytes \
-            + base.norm_bytes
-        kv_write = batch * (base.kv_write_bytes + base.kv_write_pack_bytes)
-        kv_elems_per_token = 2 * m.num_layers * m.kv_dim / self.tp
-        packs_per_token = 2 * m.num_layers * m.kv_heads / self.tp
-        denom = self.platform.bandwidth_bytes_per_s * self.ddr_efficiency
-        sharded = (m.decode_stream_params() - m.norm_params()) / self.tp \
-            + m.norm_params()
-        compute_s = batch * sharded / (self.lanes * self.freq_hz)
-        val = (fixed, kv_write, kv_elems_per_token, packs_per_token,
-               denom, compute_s)
-        self._ff_const[batch] = val
-        return val
-
-    def _fast_forward_cycles(self, contexts: Sequence[int],
-                             fetched: Sequence[int] | None,
-                             n_steps: int) -> list[float]:
-        """:meth:`step_cycles` over a static-batch window without the
-        traffic-breakdown objects.
-
-        Step ``j`` of the window evaluates the roofline at contexts (and
-        fetched tokens) advanced by ``j``; every arithmetic op mirrors
-        :func:`repro.memory.traffic.batched_decode_traffic` term by term
-        in the same accumulation order — same IEEE ops on the same
-        values, so the floats are bit-identical to stepping the loop.
-        """
-        (fixed, kv_write, kv_elems_per_token, packs_per_token, denom,
-         compute_s) = self._ff_roofline_constants(len(contexts))
-        if fetched is None:
-            fetched = contexts
-        freq = self.freq_hz
-        if n_steps > 1:
-            # Vectorized window: fold the per-member KV terms in member
-            # order with whole-window adds — the same IEEE ops on the
-            # same operands as the scalar loop below, so the cycles are
-            # bit-identical (pinned by the telemetry property tests).
-            steps = np.arange(n_steps, dtype=np.int64)
-            kv_read = np.zeros(n_steps)
-            for f0 in fetched:
-                fetches = f0 + steps
-                kv_read = kv_read \
-                    + (fetches * kv_elems_per_token
-                       * self.quant.kv_bits / 8
-                       + fetches * packs_per_token
-                       * self.quant.kv_pack_bits / 8)
-            total = fixed + kv_read + kv_write
-            bandwidth_s = total / denom
-            return (np.maximum(bandwidth_s, compute_s) * freq).tolist()
-        out = []
-        for j in range(n_steps):
-            kv_read = 0.0
-            for f0 in fetched:
-                fetch = f0 + j
-                kv_read = kv_read \
-                    + (fetch * kv_elems_per_token * self.quant.kv_bits / 8
-                       + fetch * packs_per_token
-                       * self.quant.kv_pack_bits / 8)
-            total = fixed + kv_read + kv_write
-            bandwidth_s = total / denom
-            out.append(max(bandwidth_s, compute_s) * freq)
-        return out
-
-    def prefill(self, state: RequestState) -> float:
-        tokens = state.sequence_tokens()
-        cached = self._cached_prefix(state)
-        if self.paged_kv is not None:
-            assert state.slot is not None
-            self.paged_kv.advance(state.slot, len(tokens) - cached)
-            self.paged_kv.commit_prefix(state.slot, tokens)
-        state.position = len(tokens)
-        state.logits = None
-        # Migration resume: transferred KV is free compute (see
-        # CycleModelBackend.prefill).
-        start = min(max(cached, state.resume_skip), len(tokens))
-        return self.prefill_cycles(len(tokens), start=start)
-
-    def decode_batch(self, states: Sequence[RequestState]) -> float:
-        contexts = [s.context for s in states]
-        cycles = self.step_cycles(contexts, self._fetch_plan(states,
-                                                             contexts))
-        for state in states:
-            state.pending_token
-            if self.paged_kv is not None:
-                assert state.slot is not None
-                self.paged_kv.advance(state.slot)
             state.position += 1
         return cycles

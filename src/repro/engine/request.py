@@ -139,7 +139,6 @@ class RequestState:
     slot: int | None = None
     logits: object | None = None
     prefill_cycles: float = 0.0
-    decode_cycles: list[float] = field(default_factory=list)
     first_token_s: float | None = None
     finish_s: float | None = None
     finish_reason: FinishReason | None = None

@@ -246,9 +246,8 @@ class ContinuousBatchScheduler:
         self.clock_s = 0.0
         self.waiting = _ClassQueues()
         self.running: list[RequestState] = []
-        self.finished: list[RequestState] = []
         self._recorder = TelemetryRecorder(
-            "full", backend.freq_hz,
+            "windows", backend.freq_hz,
             token_replay=getattr(backend, "replay_tokens", None))
         #: optional request-lifecycle trace recorder
         #: (:class:`repro.obs.FlightRecorder`).  Off by default; when
@@ -312,9 +311,9 @@ class ContinuousBatchScheduler:
 
     @property
     def events(self) -> list[StepEvent]:
-        """Per-step events of the current/last run.  At windowed
-        telemetry the run-length records expand lazily — the identical
-        event stream, paid only when read."""
+        """Per-step events of the current/last run: the run-length
+        records expanded lazily to one event per step, paid only when
+        read."""
         return self._recorder.expanded_events()
 
     @property
@@ -752,12 +751,9 @@ class ContinuousBatchScheduler:
                 state.finish_s, rid, reason=reason.name.lower(),
                 tokens=len(state.generated),
                 tenant=state.request.tenant.name)
-        # The request folds into the report columns; only the eager
-        # oracle level keeps the state object — elsewhere retired work
-        # must not grow with the trace.
+        # The request folds into the report columns; retired work must
+        # not grow with the trace.
         self._recorder.fold_result(state)
-        if self._recorder.level == "full":
-            self.finished.append(state)
 
     def _leave_batch(self, state: RequestState) -> None:
         """Take a running sequence out of the batch — retired, evicted,
@@ -1064,7 +1060,6 @@ class ContinuousBatchScheduler:
         rec = self._recorder
         freq = self.backend.freq_hz
         max_context = self.backend.model_config.max_context
-        full = rec.level == "full"
         end_s = self.clock_s
         n_segments = total_applied = 0
         #: the busy stretch traced as one window span: its start clock,
@@ -1291,10 +1286,7 @@ class ContinuousBatchScheduler:
             at_boundary = applied == n_seg and boundary < seg_cap
             self.clock_s = end_s = clocks[applied]
             self._decode_steps += applied
-            lat_list = seg_cycles[:applied] if full else None
             for i, s in enumerate(pending):
-                if full:
-                    s.decode_cycles.extend(lat_list)
                 if at_boundary and bounds[i] == boundary \
                         and kinds[i] is FinishReason.LENGTH:
                     # The boundary step forwards the retiree's final
@@ -1314,9 +1306,9 @@ class ContinuousBatchScheduler:
                         retired += 1
             # Into the recorder as charged: a window may span a whole
             # run, so its steps are never buffered here.
-            rec.record_segment(clocks[0], clocks[1:applied + 1],
-                               seg_cycles[:applied], seg_deltas[:applied],
-                               batch, admitted, retired)
+            rec.record_segment(clocks[0], seg_cycles[:applied],
+                               seg_deltas[:applied], batch, admitted,
+                               retired)
             if not stretch[2]:
                 stretch[1] = batch
             stretch[2] += 1
@@ -1427,10 +1419,7 @@ class ContinuousBatchScheduler:
                 self._grow_tenants(pending, 1)
             self._advance(cycles)
             self._decode_steps += 1
-            full = self._recorder.level == "full"
             for state in pending:
-                if full:
-                    state.decode_cycles.append(cycles)
                 if state.n_generated < state.request.max_new_tokens \
                         and state.position \
                         < self.backend.model_config.max_context:
@@ -1513,7 +1502,7 @@ class ContinuousBatchScheduler:
 
     def run(self, requests: Iterable[Request] | None = None,
             max_steps: int = 1_000_000,
-            telemetry: str = "full") -> ServeReport:
+            telemetry: str = "windows") -> ServeReport:
         """Drive the engine until every submitted request retires.
 
         ``requests`` is consumed *incrementally* in arrival order: an
@@ -1524,19 +1513,17 @@ class ContinuousBatchScheduler:
         streamed the same way.  Requests queued by direct
         :meth:`submit` calls before the run are served alongside.
 
-        ``telemetry`` picks the recording level: ``"full"`` materializes
-        every per-step observable (the reference), ``"windows"`` keeps
-        columnar run-length records that expand lazily to the identical
-        values, ``"sketch"`` drops per-request tokens and per-token
-        latencies and replaces the exact latency sample with a
-        bounded-memory t-digest (percentiles within its documented
-        rank-error bound).  Every level returns the same
-        :class:`ServeReport`.
+        ``telemetry`` picks the recording level: ``"windows"`` (the
+        exact record) keeps columnar run-length records that expand
+        lazily to one event per decode step, ``"sketch"`` drops
+        per-request tokens and per-token latencies and replaces the
+        exact latency sample with a bounded-memory t-digest
+        (percentiles within its documented rank-error bound).  Both
+        levels return the same :class:`ServeReport`.
         """
         if self.running:
             raise SimulationError("engine is already mid-run")
         self.clock_s = 0.0
-        self.finished = []
         self.backend.reset_kv()
         self._preemptions = 0
         self._n_finished = 0

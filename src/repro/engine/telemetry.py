@@ -1,19 +1,19 @@
-"""Serving telemetry: per-step records, run-length windows, one report.
+"""Serving telemetry: run-length step records and one report.
 
-The scheduler can record what happened at three levels of detail
+The scheduler records what happened at one of two levels of detail
 (``telemetry=`` on :meth:`ContinuousBatchScheduler.run`):
 
-* ``"full"`` — every decode step materializes a :class:`StepEvent` in
-  a plain list.  This is the reference representation the
-  differential harness compares against.
-* ``"windows"`` — a fast-forwarded window is stored as ONE
+* ``"windows"`` (the default) — the exact record.  An eager step is
+  stored as one :class:`StepEvent`, a fast-forwarded window as ONE
   :class:`StepWindow` (per-segment start clocks, batch sizes and
   admission/retirement counts + one per-step cycle array shared by
   every batch member).  The step stream lives in
   :class:`repro.obs.ColumnarRecords` — typed columns, a few dozen
   bytes per record instead of a Python object — so million-request
-  runs fit in bounded memory, and expands lazily to the bit-identical
-  ``"full"`` events.
+  runs fit in bounded memory, and expands lazily to one single-step
+  event per decode step.  The eager loop (``fast_forward=False``)
+  records only single-step events, so comparing a fast-forwarded run
+  against it at this level checks every window's expansion.
 * ``"sketch"`` — no step records, so per-request tokens and
   per-token latencies are gone, and the run-length latency sample is
   replaced by a :class:`repro.stats.TDigest` percentile sketch:
@@ -21,23 +21,23 @@ The scheduler can record what happened at three levels of detail
   documented rank-error bound.  Every other observable stays exact.
   The cheapest level, for million-request sweeps.
 
-Every level, and every cluster merge, returns the same
+Both levels, and every cluster merge, return the same
 :class:`ServeReport`.  Its per-request scalar columns (id, prompt
 length, token count, TTFT, e2e, finish reason, preemptions, tenant
 class) are kept at every level, so counts, TTFT aggregates, and tenant
 stats are exact everywhere.  ``results`` (tokens and per-token
-latencies included) expand lazily at ``"full"`` and ``"windows"``
-from the step records, each request's decode *spans* (index ranges
-into the global decode-step stream), and the backend's pure token
-replay.  A cluster report is the same class: :meth:`ServeReport.merge`
-concatenates the replicas' columns and latency samples, merges their
-t-digests, and sums their counters.
+latencies included) expand lazily at ``"windows"`` from the step
+records, each request's decode *spans* (index ranges into the global
+decode-step stream), and the backend's pure token replay.  A cluster
+report is the same class: :meth:`ServeReport.merge` concatenates the
+replicas' columns and latency samples, merges their t-digests, and
+sums their counters.
 
 **Token latency** is the board's decode-step stream: each decode
-step's latency, counted once per batch member.  Every level keeps it
-— as a :class:`RunLengthSample` at ``"full"`` and ``"windows"``
-(exact percentiles through :func:`repro.stats.percentile_of_runs`), as
-the t-digest at ``"sketch"`` — so the levels agree by construction.
+step's latency, counted once per batch member.  Both levels keep it —
+as a :class:`RunLengthSample` at ``"windows"`` (exact percentiles
+through :func:`repro.stats.percentile_of_runs`), as the t-digest at
+``"sketch"`` — so the levels agree by construction.
 Steps whose work never reaches a result still count, because they
 occupied the board: decodes of a request later killed by a crash, or of
 a hedge copy that lost.  A result's own ``decode_step_s`` is that stream
@@ -59,9 +59,9 @@ from ..stats import TDigest, percentile_of_runs, percentile_of_sorted
 from .request import FinishReason, Request, RequestState
 from .tenancy import PRIORITY_CLASSES
 
-#: Every level but ``"sketch"`` keeps the step-record stream (events +
-#: windows) and the exact latency sample.
-TELEMETRY_LEVELS = ("full", "windows", "sketch")
+#: ``"windows"`` keeps the step-record stream (events + windows) and
+#: the exact latency sample; ``"sketch"`` keeps neither.
+TELEMETRY_LEVELS = ("windows", "sketch")
 
 #: Why a fast-forward window ended.  Fixed key set so histograms from
 #: different runs/replicas merge by plain addition; only a window that
@@ -214,12 +214,10 @@ class TelemetryRecorder:
         #: ``replay(request_id, n, eos_id) -> tuple`` for backends whose
         #: token stream is a pure function; None stores tokens eagerly.
         self.token_replay = token_replay
-        #: the step-record stream — a plain list at ``"full"`` (the
-        #: eager oracle materializes anyway), typed columns at
-        #: ``"windows"`` so million-record streams stay O(bytes), and
-        #: unused (empty list) at ``"sketch"``.
-        self.records: "ColumnarRecords | list[StepEvent]" = \
-            ColumnarRecords(freq_hz) if level == "windows" else []
+        #: the step-record stream in typed columns, so million-record
+        #: streams stay O(bytes); None at ``"sketch"``.
+        self.records: ColumnarRecords | None = \
+            ColumnarRecords(freq_hz) if level == "windows" else None
         self.n_steps = 0
         self.n_decode_steps = 0
         self.batch_sum = 0
@@ -260,7 +258,7 @@ class TelemetryRecorder:
             if event.batch > self.max_batch:
                 self.max_batch = event.batch
             self.latency.add(event.cycles / self.freq_hz, event.batch)
-        if self.level != "sketch":
+        if self.records is not None:
             self.records.append(event)
 
     def note_break(self, reason: str) -> None:
@@ -279,7 +277,6 @@ class TelemetryRecorder:
         }
 
     def record_segment(self, start_s: float,
-                       clocks_after: Sequence[float],
                        cycles: Sequence[float],
                        latencies: Sequence[float],
                        batch: int, admitted: int, retired: int) -> None:
@@ -288,10 +285,9 @@ class TelemetryRecorder:
         clock ``start_s`` once the segment's ``admitted`` admissions
         are in, with ``retired`` members leaving at its last step.
 
-        ``clocks_after[j]`` is the engine clock after step ``j`` and
-        ``latencies`` is ``cycles / freq_hz`` — both already computed
-        by the scheduler's closed-form charge, so recording reuses the
-        exact floats instead of re-deriving them.
+        ``latencies`` is ``cycles / freq_hz``, already computed by the
+        scheduler's closed-form charge, so recording reuses the exact
+        floats instead of re-deriving them.
         """
         count = len(cycles)
         self.n_steps += count
@@ -303,14 +299,7 @@ class TelemetryRecorder:
         self.n_folded_admissions += admitted
         self.n_folded_retirements += retired
         self.latency.add_array(latencies, batch)
-        if self.level == "full":
-            for j in range(count):
-                self.records.append(StepEvent(
-                    clock_s=clocks_after[j], batch=batch,
-                    cycles=cycles[j],
-                    admitted=admitted if j == 0 else 0, preempted=0,
-                    retired=retired if j == count - 1 else 0))
-        elif self.level == "windows":
+        if self.records is not None:
             self.records.append_segment(start_s, cycles, batch, admitted,
                                         retired,
                                         new_window=not self._window_open)
@@ -323,7 +312,7 @@ class TelemetryRecorder:
 
     def fold_result(self, state: RequestState) -> None:
         """Absorb one retired request into the columns (the scheduler
-        keeps no retired state object except at ``"full"``)."""
+        keeps no retired state object)."""
         assert state.finish_reason is not None
         has_ttft = state.first_token_s is not None
         eos = state.request.eos_id
@@ -373,8 +362,6 @@ class TelemetryRecorder:
         if self.level == "sketch":
             raise SimulationError(
                 f"telemetry='{self.level}' records no step events")
-        if self.level == "full":
-            return self.records  # type: ignore[return-value]
         if self._events_cache is None \
                 or self._events_cache[0] != len(self.records):
             events: list[StepEvent] = []
@@ -451,7 +438,7 @@ class ServeReport:
     fault-free run) stay empty on an engine report.
     """
 
-    telemetry: str = "full"
+    telemetry: str = "windows"
     total_time_s: float = 0.0
     n_steps: int = 0
     preemptions: int = 0
@@ -697,12 +684,12 @@ class ServeReport:
 
     @cached_property
     def results(self) -> list[RequestResult]:
-        """Per-request results in request-id order (``"full"`` and
-        ``"windows"`` only)."""
+        """Per-request results in request-id order (``"windows"``
+        only)."""
         if self.telemetry == "sketch":
             raise SimulationError(
                 f"telemetry='{self.telemetry}' keeps no per-request "
-                "results; use 'windows' or 'full'")
+                "results; use 'windows'")
         streams = [rec.latency_stream() for rec in self.recorders]
         out: list[RequestResult] = []
         for (rid, prompt_len, _, ttft, valid, e2e, reason, pre, rank,

@@ -100,99 +100,3 @@ def decode_traffic(model: ModelConfig, quant: QuantConfig,
         kv_write_pack_bytes=kv_write_packs,
         context=context,
     )
-
-
-@dataclass(frozen=True)
-class BatchDecodeTraffic:
-    """Byte breakdown of one *batched* decode step.
-
-    Weights, their metadata, and the norm reads cross the bus once for
-    the whole batch; embedding rows and KV writes are per member.  KV reads
-    are charged per *fetched* token: under a paged cache, blocks shared
-    between batch members stream from DRAM once and the other members
-    read them from on-chip staging, so ``kv_read_bytes`` shrinks with
-    prefix sharing while every member still attends over its full
-    context.
-    """
-
-    weight_bytes: float
-    embedding_row_bytes: float
-    norm_bytes: float
-    kv_read_bytes: float
-    #: what the KV reads would cost with every member fetching privately
-    #: (slotted behaviour); the sharing saving is the difference.
-    kv_read_private_bytes: float
-    kv_write_bytes: float
-    contexts: tuple[int, ...]
-    fetched: tuple[int, ...]
-
-    @property
-    def batch(self) -> int:
-        return len(self.contexts)
-
-    @property
-    def total_bytes(self) -> float:
-        return (self.weight_bytes + self.embedding_row_bytes
-                + self.norm_bytes + self.kv_read_bytes
-                + self.kv_write_bytes)
-
-    @property
-    def shared_savings_bytes(self) -> float:
-        """DRAM bytes per step that block sharing removed."""
-        return self.kv_read_private_bytes - self.kv_read_bytes
-
-
-def batched_decode_traffic(model: ModelConfig, quant: QuantConfig,
-                           contexts: "list[int] | tuple[int, ...]",
-                           fetched: "list[int] | tuple[int, ...] | None"
-                           = None, tp: int = 1) -> BatchDecodeTraffic:
-    """Traffic of one decode step shared by ``len(contexts)`` sequences.
-
-    ``fetched[i]`` (default: ``contexts[i]``) is the number of member
-    *i*'s cached tokens whose K/V must actually stream from DRAM — the
-    per-resident-block accounting of the paged KV cache, where a block
-    already fetched for an earlier member this step is free.  ``tp``
-    accounts one tensor-parallel shard (see :func:`decode_traffic`).
-    """
-    if not contexts:
-        raise SimulationError(
-            "batched traffic needs at least one context")
-    if fetched is None:
-        fetched = list(contexts)
-    if len(fetched) != len(contexts):
-        raise SimulationError(
-            f"fetched has {len(fetched)} entries for "
-            f"{len(contexts)} contexts")
-    base = decode_traffic(model, quant, 0, tp)
-    batch = len(contexts)
-    kv_read = 0.0
-    kv_read_private = 0.0
-    for ctx, fetch in zip(contexts, fetched):
-        if not 0 <= fetch <= ctx:
-            raise SimulationError(
-                f"fetched tokens {fetch} outside [0, {ctx}]")
-        t = decode_traffic(model, quant, fetch, tp)
-        kv_read += t.kv_read_bytes + t.kv_read_pack_bytes
-        p = t if fetch == ctx else decode_traffic(model, quant, ctx, tp)
-        kv_read_private += p.kv_read_bytes + p.kv_read_pack_bytes
-    return BatchDecodeTraffic(
-        weight_bytes=base.weight_bytes,
-        embedding_row_bytes=batch * base.embedding_row_bytes,
-        norm_bytes=base.norm_bytes,
-        kv_read_bytes=kv_read,
-        kv_read_private_bytes=kv_read_private,
-        kv_write_bytes=batch * (base.kv_write_bytes
-                                + base.kv_write_pack_bytes),
-        contexts=tuple(contexts),
-        fetched=tuple(fetched),
-    )
-
-
-def prefill_traffic(model: ModelConfig, quant: QuantConfig,
-                    prompt_len: int) -> float:
-    """Total weight bytes for a prefill pass (weights stream once for the
-    whole prompt batch — the GEMM reuse of Fig. 2A)."""
-    single = decode_traffic(model, quant, context=0)
-    kv_writes = prompt_len * (single.kv_write_bytes + single.kv_write_pack_bytes)
-    return single.weight_bytes + single.embedding_row_bytes * prompt_len \
-        + single.norm_bytes + kv_writes

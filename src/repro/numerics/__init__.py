@@ -17,11 +17,9 @@ from .fp16 import (
     FP16GridArray,
     as_fp16_grid,
     fp16,
-    fp16_add,
     fp16_batched_scores,
     fp16_batched_weighted_values,
     fp16_dot,
-    fp16_dot_tiled,
     fp16_matmul,
     fp16_matmul_t,
     fp16_matvec,
@@ -30,7 +28,6 @@ from .fp16 import (
     fp16_tiled_reduce,
     fp16_tree_combine,
     fp16_tree_sum,
-    is_fp16_exact,
 )
 from .lut import InvFreqRom, QuarterSineRom, RopeAngleGenerator
 from .rmsnorm import (batched_two_pass_rmsnorm, reference_rmsnorm,
@@ -45,11 +42,9 @@ __all__ = [
     "FP16GridArray",
     "as_fp16_grid",
     "fp16",
-    "fp16_add",
     "fp16_batched_scores",
     "fp16_batched_weighted_values",
     "fp16_dot",
-    "fp16_dot_tiled",
     "fp16_matmul",
     "fp16_matmul_t",
     "fp16_matvec",
@@ -58,7 +53,6 @@ __all__ = [
     "fp16_tiled_reduce",
     "fp16_tree_combine",
     "fp16_tree_sum",
-    "is_fp16_exact",
     "InvFreqRom",
     "QuarterSineRom",
     "RopeAngleGenerator",

@@ -31,24 +31,11 @@ def fp16(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float32).astype(np.float16)
 
 
-def is_fp16_exact(x) -> bool:
-    """True if every element of ``x`` is exactly representable in FP16."""
-    arr = np.asarray(x, dtype=np.float32)
-    return bool(np.all(arr == arr.astype(np.float16).astype(np.float32)))
-
-
 def fp16_mul(a, b) -> np.ndarray:
     """Elementwise FP16 multiply with per-op rounding."""
     a16 = fp16(a).astype(np.float32)
     b16 = fp16(b).astype(np.float32)
     return fp16(a16 * b16)
-
-
-def fp16_add(a, b) -> np.ndarray:
-    """Elementwise FP16 add with per-op rounding."""
-    a16 = fp16(a).astype(np.float32)
-    b16 = fp16(b).astype(np.float32)
-    return fp16(a16 + b16)
 
 
 #: Arrays up to this size round through NumPy's half casts: they are
@@ -430,18 +417,3 @@ def fp16_tree_combine(vectors) -> np.ndarray:
             merged.append(level[-1])
         level = merged
     return level[0]
-
-
-def fp16_dot_tiled(a, b, lanes: int = 128) -> np.float16:
-    """Dot product of arbitrary length, accumulated ``lanes`` at a time.
-
-    Models the VPU's accumulator: each group of ``lanes`` elements goes
-    through the multiplier array + adder tree, and partial sums accumulate
-    in an FP16 register.  A thin scalar wrapper over
-    :func:`fp16_tiled_reduce` — one rounding schedule, one implementation.
-    """
-    a = fp16(np.asarray(a).reshape(-1))
-    b = fp16(np.asarray(b).reshape(-1))
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return np.float16(fp16_tiled_reduce(a, b, lanes=lanes))

@@ -63,7 +63,7 @@ class StepWindow:
     starts: tuple[float, ...]
 
     def latencies(self) -> np.ndarray:
-        """Per-step seconds — the identical floats ``full`` telemetry
+        """Per-step seconds — the identical floats eager stepping
         records into every member's ``decode_step_s``."""
         return self.cycles / self.freq_hz
 

@@ -10,7 +10,7 @@
   capacity reporting (Fig. 1's 93.3%).
 """
 
-from .busformat import BUS_BITS, BUS_BYTES, beats_for, pad_to_beat, split_beats
+from .busformat import BUS_BITS, BUS_BYTES, pad_to_beat
 from .kv_layout import KVScaleZeroFifo, decode_pack_word, encode_pack
 from .memimage import MemoryImage, build_memory_image
 from .weight_layout import (
@@ -24,9 +24,7 @@ from .weight_layout import (
 __all__ = [
     "BUS_BITS",
     "BUS_BYTES",
-    "beats_for",
     "pad_to_beat",
-    "split_beats",
     "KVScaleZeroFifo",
     "decode_pack_word",
     "encode_pack",

@@ -7,17 +7,8 @@ of this bus word ("beat").
 
 from __future__ import annotations
 
-from ..errors import LayoutError
-
 BUS_BITS = 512
 BUS_BYTES = BUS_BITS // 8
-
-
-def beats_for(n_bytes: int, bus_bytes: int = BUS_BYTES) -> int:
-    """Number of whole bus beats needed to carry ``n_bytes``."""
-    if n_bytes < 0:
-        raise LayoutError(f"negative byte count {n_bytes}")
-    return -(-n_bytes // bus_bytes)
 
 
 def pad_to_beat(data: bytes, bus_bytes: int = BUS_BYTES) -> bytes:
@@ -26,12 +17,3 @@ def pad_to_beat(data: bytes, bus_bytes: int = BUS_BYTES) -> bytes:
     if remainder == 0:
         return data
     return data + b"\x00" * (bus_bytes - remainder)
-
-
-def split_beats(data: bytes, bus_bytes: int = BUS_BYTES) -> list[bytes]:
-    """Split a beat-aligned byte string into individual bus words."""
-    if len(data) % bus_bytes:
-        raise LayoutError(
-            f"{len(data)} bytes is not a whole number of {bus_bytes}-byte beats"
-        )
-    return [data[i : i + bus_bytes] for i in range(0, len(data), bus_bytes)]

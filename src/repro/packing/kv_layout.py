@@ -87,6 +87,9 @@ class KVScaleZeroFifo:
                 self._elements.append(_FifoElement((True, layer, head)))
         self._cursor = 0
         self.flushed_words: list[tuple[tuple, bytes]] = []
+        #: packs held across all elements, kept in step with every push,
+        #: retirement and flush instead of re-summed per push
+        self._buffered = 0
         self.peak_buffered_packs = 0
 
     @property
@@ -115,11 +118,13 @@ class KVScaleZeroFifo:
             word = b"".join(element.packs)
             self.flushed_words.append((element.stream_key, word))
             element.packs = []
+            self._buffered -= self.packs_per_word
             retired = word
         element.packs.append(encode_pack(params))
 
-        buffered = sum(len(e.packs) for e in self._elements)
-        self.peak_buffered_packs = max(self.peak_buffered_packs, buffered)
+        self._buffered += 1
+        self.peak_buffered_packs = max(self.peak_buffered_packs,
+                                       self._buffered)
         return retired
 
     def flush_all(self) -> list[tuple[tuple, bytes]]:
@@ -131,6 +136,7 @@ class KVScaleZeroFifo:
                 word += b"\x00" * (self.bus_bytes - len(word))
                 drained.append((element.stream_key, word))
                 element.packs = []
+        self._buffered = 0
         self.flushed_words.extend(drained)
         return drained
 

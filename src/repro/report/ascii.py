@@ -1,9 +1,7 @@
 """ASCII chart helpers for examples and benchmark artifacts.
 
 No plotting stack is available offline, so the figure-style outputs
-(memory breakdown bars, utilization comparisons, efficiency curves) are
-rendered as fixed-width text: horizontal bar charts and sparkline-ish
-series tables.
+are rendered as fixed-width text: the stacked memory-capacity bar.
 """
 
 from __future__ import annotations
@@ -11,42 +9,6 @@ from __future__ import annotations
 from ..errors import ReproError
 
 _BLOCKS = " ▏▎▍▌▋▊▉█"
-
-
-def bar_chart(items: dict[str, float], width: int = 48,
-              fmt: str = "{:.2f}") -> str:
-    """Horizontal bar chart: one labelled row per item."""
-    if not items:
-        raise ReproError("bar chart needs at least one item")
-    peak = max(items.values())
-    if peak <= 0:
-        raise ReproError("bar chart needs a positive maximum")
-    label_w = max(len(k) for k in items)
-    rows = []
-    for label, value in items.items():
-        filled = value / peak * width
-        whole = int(filled)
-        frac = int((filled - whole) * (len(_BLOCKS) - 1))
-        bar = "█" * whole + (_BLOCKS[frac] if frac else "")
-        rows.append(f"{label:<{label_w}} |{bar:<{width}}| "
-                    + fmt.format(value))
-    return "\n".join(rows)
-
-
-def series_table(x_label: str, y_label: str,
-                 series: dict[float, float], width: int = 40,
-                 x_fmt: str = "{:g}", y_fmt: str = "{:.3f}") -> str:
-    """An x/y table with inline bars — a text stand-in for a line plot."""
-    if not series:
-        raise ReproError("series table needs at least one point")
-    peak = max(series.values())
-    if peak <= 0:
-        raise ReproError("series needs a positive maximum")
-    rows = [f"{x_label:>10}  {y_label}"]
-    for x, y in series.items():
-        bar = "█" * max(1, int(y / peak * width))
-        rows.append(f"{x_fmt.format(x):>10}  {bar} " + y_fmt.format(y))
-    return "\n".join(rows)
 
 
 def stacked_capacity_bar(segments: dict[str, float], total: float,

@@ -153,11 +153,13 @@ class InferenceSession:
             eos_id=self.tokenizer.eos_id,
         )
         self._next_request_id += 1
-        self._engine.run([request])
-        state = self._engine.finished[-1]
+        state = self._engine.submit(request)
+        self._engine.run()
         perf.new_tokens = state.n_generated
         perf.prefill_cycles = state.prefill_cycles
-        perf.decode_cycles = list(state.decode_cycles)
+        # One request at batch one: every decode step is this request's.
+        perf.decode_cycles = [event.cycles for event in self._engine.events
+                              if event.batch]
         return list(state.generated), perf
 
     def generate(self, prompt: str, max_new_tokens: int = 32,

@@ -30,7 +30,7 @@ from .config import KV260, TINY_MODEL, ModelConfig, PlatformConfig, QuantConfig
 from .engine import (ContinuousBatchScheduler, EngineBackend, Request,
                      ServeReport, TenantSpec, build_backend,
                      iter_synthetic_trace, kv_discipline_kwargs)
-from .engine.backends import KV_MODES
+from .engine.backends import BACKEND_KINDS, KV_MODES
 from .engine.telemetry import TELEMETRY_LEVELS
 from .errors import ConfigError
 
@@ -71,10 +71,11 @@ class Scenario:
     retry_budget: int = 3
     #: hedge delay in seconds (0 disables)
     hedge: float = 0.0
-    telemetry: str = "full"
+    telemetry: str = "windows"
 
     def __post_init__(self) -> None:
-        for name, choices in (("kv", KV_MODES), ("router", POLICIES),
+        for name, choices in (("backend", BACKEND_KINDS), ("kv", KV_MODES),
+                              ("router", POLICIES),
                               ("telemetry", TELEMETRY_LEVELS)):
             if getattr(self, name) not in choices:
                 raise ConfigError(f"unknown {name} {getattr(self, name)!r}; "
@@ -113,8 +114,7 @@ class Scenario:
                 and self.model.total_params() > 50_000_000:
             raise ConfigError(
                 f"{self.model.name} is too large for the functional "
-                "backend (numpy forward pass); use the cycle or "
-                "analytical backend")
+                "backend (numpy forward pass); use the cycle backend")
         self.trace()  # checks the trace parameters eagerly
 
     def trace(self) -> Iterator[Request]:
@@ -218,18 +218,15 @@ class Deployment:
               max_steps: int | None = None) -> ServeReport:
         """Replay ``trace`` (default: the scenario's) at the scenario's
         telemetry level.  The default trace streams at O(in-flight)
-        memory, except into a full-telemetry cluster: that keeps
-        O(trace) state anyway, so it gets a list instead of re-routing
-        the generator once per replica.  ``max_steps`` (the engines'
-        non-convergence guard) grows with the trace by default."""
+        memory: a cluster re-routes the generator once per replica.
+        ``max_steps`` (the engines' non-convergence guard) grows with
+        the trace by default."""
         scenario = self.scenario
         steps = max_steps or max(1_000_000, 64 * scenario.requests)
         if self.router is None:
             return self.engines[0].run(
                 scenario.trace() if trace is None else trace,
                 max_steps=steps, telemetry=scenario.telemetry)
-        if trace is None:
-            trace = list(scenario.trace()) \
-                if scenario.telemetry == "full" else scenario.trace
-        return self.router.run(trace, telemetry=scenario.telemetry,
+        return self.router.run(scenario.trace if trace is None else trace,
+                               telemetry=scenario.telemetry,
                                max_steps=steps)

@@ -4,62 +4,13 @@ The paper mixes decimal and binary units in the way the storage industry
 does: *bandwidth* is decimal (19.2 GB/s means 19.2e9 bytes per second,
 because 64 bit x 2400 MT/s = 19.2e9 B/s exactly) while *capacity* is binary
 (the "4GB" KV260 DRAM is 4096 MiB, and the paper's 3556 MB weight figure is
-MiB).  These helpers make every conversion explicit so no module multiplies
-by the wrong constant.
+MiB).  These constants name each unit so no module multiplies by the
+wrong one.
 """
 
 from __future__ import annotations
 
-KIB = 1024
 MIB = 1024 * 1024
 GIB = 1024 * 1024 * 1024
 
-KB_DEC = 1_000
-MB_DEC = 1_000_000
 GB_DEC = 1_000_000_000
-
-BITS_PER_BYTE = 8
-
-
-def mib(n_bytes: float) -> float:
-    """Convert a byte count to binary mebibytes (the paper's "MB")."""
-    return n_bytes / MIB
-
-
-def gib(n_bytes: float) -> float:
-    """Convert a byte count to binary gibibytes (the paper's "GB" capacity)."""
-    return n_bytes / GIB
-
-
-def gb_per_s(bytes_per_s: float) -> float:
-    """Convert bytes/second to decimal GB/s (the paper's bandwidth unit)."""
-    return bytes_per_s / GB_DEC
-
-
-def bytes_from_gb_per_s(gbps: float) -> float:
-    """Convert a decimal GB/s figure to bytes/second."""
-    return gbps * GB_DEC
-
-
-def bits_to_bytes(n_bits: float) -> float:
-    """Convert a bit count to bytes (may be fractional for sub-byte widths)."""
-    return n_bits / BITS_PER_BYTE
-
-
-def mhz(hz: float) -> float:
-    """Convert hertz to megahertz."""
-    return hz / 1e6
-
-
-def seconds_from_cycles(cycles: float, freq_hz: float) -> float:
-    """Wall-clock seconds for ``cycles`` at clock frequency ``freq_hz``."""
-    if freq_hz <= 0:
-        raise ValueError(f"frequency must be positive, got {freq_hz}")
-    return cycles / freq_hz
-
-
-def tokens_per_second(cycles_per_token: float, freq_hz: float) -> float:
-    """Decoding rate implied by a per-token cycle count at ``freq_hz``."""
-    if cycles_per_token <= 0:
-        raise ValueError(f"cycles per token must be positive, got {cycles_per_token}")
-    return freq_hz / cycles_per_token

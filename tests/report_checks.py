@@ -48,29 +48,37 @@ def assert_reports_identical(a, b):
 
 
 def assert_levels_agree(run):
-    """``run(level)`` serves one scenario at a telemetry level.  Full
-    and windows must record identical run-store metrics (resilience
-    included), tenant stats, and TTFT and token-latency percentiles;
-    sketch matches every metric but token latency, which lands within
-    its t-digest's rank-error bound.  Returns the full report."""
-    full = run("full")
-    windows = run("windows")
-    assert report_metrics(windows) == report_metrics(full)
-    assert windows.tenant_stats == full.tenant_stats
-    assert windows.resilience == full.resilience
+    """``run(level, fast_forward)`` serves one scenario at a telemetry
+    level on fast-forwarding or eager engines.  Windows fast-forward
+    must report exactly what the eager oracle does at windows: the
+    run-store metrics (resilience included), tenant stats, TTFT and
+    token-latency percentiles, and every per-request result.  Sketch
+    matches every metric but token latency, which lands within its
+    t-digest's rank-error bound.  Returns the fast-forward windows
+    report."""
+    eager = run("windows", False)
+    windows = run("windows", True)
+    assert_reports_identical(windows, eager)
+    assert windows.resilience == eager.resilience
+    (metrics, sections), (want, want_sections) = \
+        report_metrics(windows), report_metrics(eager)
+    assert metrics == want
+    # Window stats count how the run was fast-forwarded, not what it
+    # served.
+    sections.pop("window_stats")
+    want_sections.pop("window_stats")
+    assert sections == want_sections
     for p in LEVEL_PERCENTILES:
         assert windows.latency_percentile_s(p) \
-            == full.latency_percentile_s(p), p
-        assert windows.ttft_percentile_s(p) \
-            == full.ttft_percentile_s(p), p
+            == eager.latency_percentile_s(p), p
 
-    sketch = run("sketch")
-    exact, sketched = report_metrics(full), report_metrics(sketch)
+    sketch = run("sketch", True)
+    exact, sketched = report_metrics(windows), report_metrics(sketch)
     for key, value in exact[0].items():
         if "token_lat" not in key:
             assert sketched[0][key] == value, key
     assert sketched[1] == exact[1]
-    ordered = np.repeat(*full.latency_runs())
+    ordered = np.repeat(*windows.latency_runs())
     digest = sketch.latency_digest()
     assert digest.n == len(ordered)
     for p in LEVEL_PERCENTILES:
@@ -80,7 +88,43 @@ def assert_levels_agree(run):
         target = p / 100 * (len(ordered) - 1)
         gap = max(lo - 1 - target, target - hi, 0) / len(ordered)
         assert gap <= digest.rank_error_bound, p
-    return full
+    return windows
+
+
+def record_charges(engine) -> list:
+    """Log what an eager ``engine`` really generated and charged: one
+    ``(request_id, tokens, decode cycles, finish reason)`` entry per
+    retirement of its latest run, in retire order — the row order of
+    that run's report.  Each decode step's cycles are logged as the
+    scheduler charges them (after any slowdown factor)."""
+    assert not engine.fast_forward, "only eager steps call decode_batch"
+    log: list = []
+    charged: dict = {}
+    decode, finalize, run = (engine.backend.decode_batch,
+                             engine._finalize, engine.run)
+
+    def logged_decode(states):
+        cycles = decode(states)
+        # The scheduler's own slowdown arithmetic, on the same floats.
+        step = cycles * engine._slow_factor \
+            if engine._slow_factor != 1.0 else cycles
+        for state in states:
+            charged.setdefault(state, []).append(step)
+        return cycles
+
+    def logged_finalize(state, reason):
+        finalize(state, reason)
+        log.append((state.request_id, tuple(state.generated),
+                    tuple(charged.pop(state, ())), state.finish_reason))
+
+    def logged_run(*args, **kwargs):
+        log.clear()
+        charged.clear()
+        return run(*args, **kwargs)
+
+    engine.backend.decode_batch = logged_decode
+    engine._finalize, engine.run = logged_finalize, logged_run
+    return log
 
 
 def count_steps(engine) -> dict:
@@ -102,10 +146,35 @@ def count_steps(engine) -> dict:
     return counts
 
 
+def assert_results_match_charges(report, logs):
+    """A report's per-request tokens and per-token latencies, built from
+    spans over the decode-latency stream and token replay, are what
+    the serving engines really generated and charged: row ``i`` of
+    recorder ``source`` is entry ``i`` of ``logs[source]`` (a
+    :func:`record_charges` log), and an unserved row (a router verdict)
+    has no tokens.  Returns the id each row was served as."""
+    served_as = []
+    for result, source, row in zip(report.results,
+                                   report.rows["source"].tolist(),
+                                   report.rows["row"].tolist()):
+        if source < 0:
+            assert result.tokens == () and result.decode_step_s == ()
+            served_as.append(result.request_id)
+            continue
+        rid, tokens, cycles, reason = logs[source][row]
+        freq = report.recorders[source].freq_hz
+        assert result.tokens == tokens, result.request_id
+        assert result.decode_step_s == tuple(c / freq for c in cycles), \
+            result.request_id
+        assert result.finish_reason is reason
+        served_as.append(rid)
+    return served_as
+
+
 def assert_windows_match_eager(make_engine, requests, check=None):
     """Serve ``requests`` on fresh ``make_engine(fast_forward)`` engines:
-    the eager oracle at full telemetry, then event-horizon windows at
-    full, windows and sketch telemetry, each materialized and
+    the eager oracle at windows telemetry, then event-horizon windows
+    at windows and sketch telemetry, each materialized and
     streamed.  Every windowed run reports what the eager one does (at
     sketch, which keeps no per-request tokens: every run-store metric
     but token latency, which its t-digest approximates, and every TTFT
@@ -115,7 +184,7 @@ def assert_windows_match_eager(make_engine, requests, check=None):
     eager_engine = make_engine(False)
     eager = eager_engine.run(list(requests))
     ordered = sorted(requests, key=lambda r: r.arrival_s)
-    for level in ("full", "windows", "sketch"):
+    for level in ("windows", "sketch"):
         for streamed in (False, True):
             engine = make_engine(True)
             counts = count_steps(engine)

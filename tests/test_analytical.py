@@ -11,7 +11,6 @@ from repro.config import (
     W4A16_KV8,
 )
 from repro.core.analytical import (
-    decode_roofline,
     effective_bandwidth_demand,
     intrinsic_utilization_ceiling,
     theoretical_tokens_per_s,
@@ -77,11 +76,3 @@ def test_intrinsic_ceiling_decreases_with_context():
     a = intrinsic_utilization_ceiling(LLAMA2_7B, W4A16_KV8, 64)
     b = intrinsic_utilization_ceiling(LLAMA2_7B, W4A16_KV8, 1024)
     assert b < a
-
-
-def test_roofline_consistency():
-    roof = decode_roofline(LLAMA2_7B, KV260, W4A16_KV8, 512,
-                           ddr_efficiency=0.95)
-    assert roof["achievable_tokens_per_s"] < roof["theoretical_tokens_per_s"]
-    assert roof["utilization_ceiling"] == pytest.approx(
-        roof["achievable_tokens_per_s"] / roof["theoretical_tokens_per_s"])

@@ -3,46 +3,7 @@
 import pytest
 
 from repro.errors import ReproError
-from repro.report.ascii import bar_chart, series_table, stacked_capacity_bar
-
-
-class TestBarChart:
-    def test_renders_all_labels(self):
-        art = bar_chart({"alpha": 1.0, "beta": 2.0})
-        assert "alpha" in art and "beta" in art
-
-    def test_longest_bar_is_peak(self):
-        art = bar_chart({"small": 1.0, "big": 4.0}, width=20)
-        lines = {l.split()[0]: l for l in art.splitlines()}
-        assert lines["big"].count("█") > lines["small"].count("█")
-
-    def test_values_printed(self):
-        art = bar_chart({"x": 3.14159}, fmt="{:.1f}")
-        assert "3.1" in art
-
-    def test_empty_rejected(self):
-        with pytest.raises(ReproError):
-            bar_chart({})
-
-    def test_nonpositive_peak_rejected(self):
-        with pytest.raises(ReproError):
-            bar_chart({"x": 0.0})
-
-
-class TestSeriesTable:
-    def test_header_and_rows(self):
-        art = series_table("ctx", "token/s", {0: 5.3, 512: 5.1, 1023: 4.9})
-        assert art.splitlines()[0].strip().startswith("ctx")
-        assert len(art.splitlines()) == 4
-
-    def test_bars_scale(self):
-        art = series_table("x", "y", {1: 1.0, 2: 2.0}, width=10)
-        rows = art.splitlines()[1:]
-        assert rows[1].count("█") > rows[0].count("█")
-
-    def test_empty_rejected(self):
-        with pytest.raises(ReproError):
-            series_table("x", "y", {})
+from repro.report.ascii import stacked_capacity_bar
 
 
 class TestStackedBar:

@@ -1,19 +1,17 @@
 """Cross-backend differential harness.
 
 One parametrized suite that replays the same trace through the
-functional, cycle-model, and analytical backends, under both the
-slotted and the paged KV discipline, and checks that the engine's
-observable behaviour is invariant to the backend/KV combination:
+functional and cycle-model backends, under both the slotted and the
+paged KV discipline, and checks that the engine's observable behaviour
+is invariant to the backend/KV combination:
 
 * token streams — the functional/slotted run is the reference; its
   recorded streams become the token oracle of the timing-only
-  backends, so all six combinations must retire every request with
+  backend, so all four combinations must retire every request with
   exactly the same tokens;
 * timing — the functional and cycle-model backends share one cost
   model, so their clocks must agree to float precision; batch=1 engine
-  steps must equal the single-sequence cycle model exactly; and the
-  analytical roofline must track the cycle model within tolerance in
-  the bandwidth-bound regime it models (LLaMA2-7B);
+  steps must equal the single-sequence cycle model exactly;
 * paging — the paged runs must never be slower than slotted on a
   shared-prefix trace, and the functional paged run proves the shared
   blocks hold bit-identical K/V (else its argmax streams would drift).
@@ -22,11 +20,9 @@ observable behaviour is invariant to the backend/KV combination:
 import numpy as np
 import pytest
 
-from repro.cluster import TEN_GIG_ETHERNET
 from repro.config import LLAMA2_7B, TINY_MODEL, W4A16_KV8, QuantConfig
 from repro.core.cyclemodel import CycleModel
 from repro.engine import (
-    AnalyticalBackend,
     ContinuousBatchScheduler,
     CycleModelBackend,
     FunctionalBackend,
@@ -39,11 +35,10 @@ from repro.engine.backends import (
     _stream_token,
     _stream_tokens,
 )
-from repro.memory.traffic import batched_decode_traffic
 
 from report_checks import assert_reports_identical
 
-BACKENDS = ("functional", "cycle", "analytical")
+BACKENDS = ("functional", "cycle")
 KV_MODES = ("slotted", "paged")
 
 BLOCK_SIZE = 8
@@ -71,8 +66,8 @@ def make_backend(name, kv_mode, qweights, quant, oracle=None,
               n_kv_blocks=BUDGET_TOKENS // BLOCK_SIZE)
     if name == "functional":
         return FunctionalBackend(qweights, n_slots=n_slots, **kv)
-    cls = CycleModelBackend if name == "cycle" else AnalyticalBackend
-    return cls(model, quant, n_slots=n_slots, token_oracle=oracle, **kv)
+    return CycleModelBackend(model, quant, n_slots=n_slots,
+                             token_oracle=oracle, **kv)
 
 
 def run_engine(backend, requests, max_batch=MAX_BATCH):
@@ -173,37 +168,11 @@ class TestBatchOneMatchesSingleSequenceModel:
                                n_slots=1)
         engine = ContinuousBatchScheduler(backend, max_batch=1,
                                           kv_token_budget=BUDGET_TOKENS)
-        engine.run([Request(0, prompt, 3)])
+        state = engine.submit(Request(0, prompt, 3))
+        engine.run()
         cm = CycleModel(TINY_MODEL, quant32)
-        assert engine.finished[0].prefill_cycles \
+        assert state.prefill_cycles \
             == pytest.approx(cm.prefill_cycles(len(prompt)), rel=1e-12)
-
-
-class TestAnalyticalTracksCycleModel:
-    @pytest.mark.parametrize("kv_mode", KV_MODES)
-    def test_bandwidth_bound_regime(self, kv_mode):
-        """On LLaMA2-7B the roofline and the cycle model must agree
-        closely: decode is DRAM-bound and both charge the same bytes."""
-        trace = synthetic_trace(LLAMA2_7B, 6, arrival_rate_rps=1e9,
-                                seed=3, shared_prefix_len=16)
-        times = {}
-        for name in ("cycle", "analytical"):
-            backend = make_backend(name, kv_mode, None, W4A16_KV8,
-                                   model=LLAMA2_7B)
-            times[name] = run_engine(backend, trace).total_time_s
-        ratio = times["analytical"] / times["cycle"]
-        assert ratio == pytest.approx(1.0, rel=0.05)
-
-    def test_roofline_is_a_lower_bound_on_tiny(self, quant32, oracle):
-        """The tiny model is overhead-dominated; the roofline may be
-        optimistic but must never charge more than the cycle model."""
-        times = {}
-        for name in ("cycle", "analytical"):
-            backend = make_backend(name, "slotted", None, quant32,
-                                   oracle=oracle)
-            times[name] = run_engine(
-                backend, shared_prefix_trace()).total_time_s
-        assert times["analytical"] <= times["cycle"]
 
 
 class BuilderCycleBackend(CycleModelBackend):
@@ -218,48 +187,23 @@ class BuilderCycleBackend(CycleModelBackend):
         return self.cycles.prefill_cycles(n_tokens, start)
 
 
-class BuilderAnalyticalBackend(AnalyticalBackend):
-    """Oracle: every roofline step built from the per-member
-    ``batched_decode_traffic`` breakdown, prompts one step per
-    position."""
-
-    def step_cycles(self, contexts, fetched=None):
-        m = self.model_config
-        traffic = batched_decode_traffic(m, self.quant, contexts, fetched,
-                                         tp=self.tp)
-        bandwidth_s = traffic.total_bytes \
-            / (self.platform.bandwidth_bytes_per_s * self.ddr_efficiency)
-        sharded = (m.decode_stream_params() - m.norm_params()) / self.tp \
-            + m.norm_params()
-        compute_s = len(contexts) * sharded / (self.lanes * self.freq_hz)
-        return max(bandwidth_s, compute_s) * self.freq_hz
-
-    def prefill_cycles(self, n_tokens, start=0):
-        return sum(self.step_cycles([pos])
-                   for pos in range(start, n_tokens))
-
-
 class TestFastForwardEquivalence:
     """The fast-forward path and the memoized step costs are pure
     accelerations: every per-step observable — sampled tokens, per-step
     cycles and latencies, step counts, clocks — must be bit-identical
     to the eager step loop over the original builders (the
-    ``Builder*Backend`` oracles), under both KV disciplines and with
+    ``BuilderCycleBackend`` oracle), under both KV disciplines and with
     arrival-gated traffic forcing windows to break mid-run.
     """
 
     @pytest.mark.parametrize("kv_mode", KV_MODES)
-    @pytest.mark.parametrize("name", ["cycle", "analytical"])
     @pytest.mark.parametrize("arrival_rate", [1e9, 300.0])
-    def test_fast_forward_is_bit_identical(self, name, kv_mode,
-                                           arrival_rate, quant32):
+    def test_fast_forward_is_bit_identical(self, kv_mode, arrival_rate,
+                                           quant32):
         trace = synthetic_trace(TINY_MODEL, 20,
                                 arrival_rate_rps=arrival_rate, seed=9,
                                 prompt_len=(3, 10), decode_len=(4, 30),
                                 shared_prefix_len=8)
-        cls, oracle = (CycleModelBackend, BuilderCycleBackend) \
-            if name == "cycle" \
-            else (AnalyticalBackend, BuilderAnalyticalBackend)
         kv = dict(kv_mode=kv_mode, block_size=BLOCK_SIZE,
                   n_kv_blocks=BUDGET_TOKENS // BLOCK_SIZE)
         budget = BUDGET_TOKENS if kv_mode == "slotted" else None
@@ -271,9 +215,9 @@ class TestFastForwardEquivalence:
                 fast_forward=fast_forward)
             return engine.run(trace)
 
-        reference = run(oracle, False)
-        assert_reports_identical(run(cls, False), reference)
-        assert_reports_identical(run(cls, True), reference)
+        reference = run(BuilderCycleBackend, False)
+        assert_reports_identical(run(CycleModelBackend, False), reference)
+        assert_reports_identical(run(CycleModelBackend, True), reference)
 
     def test_llama2_7b_paged_shared_prefix_is_bit_identical(self):
         """The paper's deployment (LLaMA2-7B, paged KV, a 16-token
@@ -350,14 +294,14 @@ class TestFastForwardEquivalence:
         assert tokens == [_stream_token(request_id, j, vocab, vocab - 1)
                           for j in range(step + 1)]
 
-    @pytest.mark.parametrize("cls", [CycleModelBackend, AnalyticalBackend])
-    def test_sharded_fast_forward_is_bit_identical(self, cls, quant32):
+    def test_sharded_fast_forward_is_bit_identical(self, quant32):
         trace = synthetic_trace(TINY_MODEL, 12, arrival_rate_rps=500.0,
                                 seed=4, prompt_len=(3, 10),
                                 decode_len=(4, 24))
 
         def run(fast_forward):
-            backend = cls(TINY_MODEL, quant32, tp=2, n_slots=MAX_BATCH)
+            backend = CycleModelBackend(TINY_MODEL, quant32, tp=2,
+                                        n_slots=MAX_BATCH)
             engine = ContinuousBatchScheduler(
                 backend, max_batch=MAX_BATCH,
                 kv_token_budget=BUDGET_TOKENS, fast_forward=fast_forward)
@@ -440,9 +384,8 @@ class TestShardedEquivalence:
 
     The functional TP=2 (and TP=4) group must retire every request with
     exactly the token stream of the single-device reference — the FP16
-    tree reduction reproducing the DOT engine's rounding — and the
-    sharded analytical roofline must stay within tolerance of the
-    sharded cycle model in the bandwidth-bound regime.
+    tree reduction reproducing the DOT engine's rounding — and keep the
+    sharded cycle model's clock.
     """
 
     @pytest.mark.parametrize("kv_mode", KV_MODES)
@@ -474,18 +417,3 @@ class TestShardedEquivalence:
         fn_report = run_engine(fn, shared_prefix_trace())
         cy_report = run_engine(cy, shared_prefix_trace())
         assert fn_report.total_time_s == cy_report.total_time_s
-
-    def test_analytical_tp_tracks_sharded_cycle_model(self):
-        """On LLaMA2-7B the sharded roofline and the sharded cycle
-        model must agree closely: both charge 1/tp of the DRAM bytes
-        plus the identical collective time."""
-        trace = synthetic_trace(LLAMA2_7B, 6, arrival_rate_rps=1e9,
-                                seed=3, shared_prefix_len=16)
-        times = {}
-        for cls in (CycleModelBackend, AnalyticalBackend):
-            backend = cls(LLAMA2_7B, W4A16_KV8, tp=2,
-                          interconnect=TEN_GIG_ETHERNET,
-                          n_slots=MAX_BATCH)
-            times[cls] = run_engine(backend, trace).total_time_s
-        ratio = times[AnalyticalBackend] / times[CycleModelBackend]
-        assert ratio == pytest.approx(1.0, rel=0.05)

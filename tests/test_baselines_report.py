@@ -6,7 +6,6 @@ from repro.baselines.entries import (
     OUR_ENTRY,
     TABLE_II_ENTRIES,
     TABLE_III_ENTRIES,
-    all_entries,
 )
 from repro.report.figures import (
     ddr_burst_curve,
@@ -51,10 +50,6 @@ class TestBaselineEntries:
                  "llama.cpp (Pi)"]
         utils = [by_name[n] for n in order]
         assert all(a > b for a, b in zip(utils, utils[1:]))
-
-    def test_all_entries_count(self):
-        # 5 FPGA rows + 5 edge rows + ours.
-        assert len(all_entries()) == 11
 
 
 class TestTables:

@@ -1,31 +1,10 @@
 """512-bit bus-word primitives."""
 
-import pytest
-
-from repro.errors import LayoutError
-from repro.packing.busformat import BUS_BYTES, beats_for, pad_to_beat, split_beats
+from repro.packing.busformat import BUS_BYTES, pad_to_beat
 
 
 def test_bus_is_64_bytes():
     assert BUS_BYTES == 64
-
-
-def test_beats_for_exact():
-    assert beats_for(128) == 2
-
-
-def test_beats_for_rounds_up():
-    assert beats_for(65) == 2
-    assert beats_for(1) == 1
-
-
-def test_beats_for_zero():
-    assert beats_for(0) == 0
-
-
-def test_beats_for_negative_raises():
-    with pytest.raises(LayoutError):
-        beats_for(-1)
 
 
 def test_pad_to_beat_idempotent():
@@ -38,15 +17,3 @@ def test_pad_to_beat_pads_with_zeros():
     assert len(padded) == 64
     assert padded[:3] == b"abc"
     assert padded[3:] == b"\x00" * 61
-
-
-def test_split_beats():
-    data = b"a" * 64 + b"b" * 64
-    beats = split_beats(data)
-    assert len(beats) == 2
-    assert beats[0] == b"a" * 64
-
-
-def test_split_unaligned_raises():
-    with pytest.raises(LayoutError):
-        split_beats(b"x" * 65)

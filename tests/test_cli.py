@@ -110,12 +110,13 @@ def test_serve_sim_functional_backend(capsys):
     assert "functional backend" in out
 
 
-def test_serve_sim_analytical_7b(capsys):
-    code, out = run(capsys, "serve-sim", "--model", "LLaMA2-7B",
-                    "--backend", "analytical", "--requests", "3",
-                    "--arrival-rate", "0.5", "--decode-max", "8")
-    assert code == 0
-    assert "LLaMA2-7B" in out
+def test_serve_sim_analytical_backend_is_gone(capsys):
+    """The retired roofline backend fails at argument parsing, naming
+    the remaining choices."""
+    with pytest.raises(SystemExit) as exc:
+        main(["serve-sim", "--backend", "analytical"])
+    assert exc.value.code == 2
+    assert "choose from 'cycle', 'functional'" in capsys.readouterr().err
 
 
 def test_serve_sim_kv_budget_forces_preemption(capsys):

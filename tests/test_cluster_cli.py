@@ -50,8 +50,7 @@ def test_serve_sim_tp_must_divide_model():
 
 def test_serve_sim_drain_migrates_without_losing_work(capsys):
     code, out = run(capsys, "serve-sim", "--model", "tiny-test",
-                    "--requests", "48", "--replicas", "3", "--drain",
-                    "--telemetry", "full")
+                    "--requests", "48", "--replicas", "3", "--drain")
     assert code == 0
     assert "drains 1: migrated" in out
     assert "lost 0" in out
@@ -61,7 +60,7 @@ def test_serve_sim_drain_migrates_without_losing_work(capsys):
 def test_serve_sim_chaos_domains(capsys):
     code, out = run(capsys, "serve-sim", "--model", "tiny-test",
                     "--requests", "48", "--replicas", "4", "--chaos",
-                    "--domains", "2", "--telemetry", "full")
+                    "--domains", "2")
     assert code == 0
     assert "chaos" in out
     assert "lost 0" in out
@@ -70,8 +69,7 @@ def test_serve_sim_chaos_domains(capsys):
 def test_serve_sim_hedge_rides_drain(capsys):
     code, out = run(capsys, "serve-sim", "--model", "tiny-test",
                     "--requests", "48", "--replicas", "3", "--chaos",
-                    "--drain", "--hedge", "0.002",
-                    "--telemetry", "full")
+                    "--drain", "--hedge", "0.002")
     assert code == 0
     assert "hedged" in out
 

@@ -9,10 +9,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.sharding import (
-    PROJECTION_AXES,
     functional_reduction_is_exact,
-    projection_shapes,
-    shard_kv_bytes_per_token,
     shard_model_config,
     shard_quant_params,
     shard_stream_params,
@@ -60,18 +57,6 @@ class TestShardShapes:
         assert shard_model_config(TINY_MODEL, 1) is TINY_MODEL
 
     @pytest.mark.parametrize("tp", [1, 2, 4])
-    def test_projection_shapes_tile_the_full_matrices(self, tp):
-        full = projection_shapes(LLAMA2_7B, 1)
-        sharded = projection_shapes(LLAMA2_7B, tp)
-        for name, (out, inp) in sharded.items():
-            axis = PROJECTION_AXES[name]
-            f_out, f_inp = full[name]
-            if axis == "column":
-                assert (out * tp, inp) == (f_out, f_inp)
-            else:
-                assert (out, inp * tp) == (f_out, f_inp)
-
-    @pytest.mark.parametrize("tp", [1, 2, 4])
     def test_stream_params_tile_back(self, tp):
         """tp shards together stream the full projections, and each
         repeats only the (replicated) norm weights."""
@@ -79,11 +64,6 @@ class TestShardShapes:
         total = per_shard * tp
         replicated_norms = (tp - 1) * LLAMA2_7B.norm_params()
         assert total == LLAMA2_7B.decode_stream_params() + replicated_norms
-
-    @pytest.mark.parametrize("tp", [1, 2, 4])
-    def test_kv_bytes_tile_back(self, tp):
-        assert shard_kv_bytes_per_token(LLAMA2_7B, tp) * tp \
-            == LLAMA2_7B.kv_bytes_per_token()
 
     @pytest.mark.parametrize("tp", [1, 2])
     def test_kv_region_tiling(self, tp):

@@ -8,7 +8,6 @@ import pytest
 from repro.cluster import GIG_ETHERNET, TEN_GIG_ETHERNET
 from repro.config import KV260, LLAMA2_7B, TINY_MODEL, W4A16_KV8, QuantConfig
 from repro.engine import (
-    AnalyticalBackend,
     ContinuousBatchScheduler,
     CycleModelBackend,
     FunctionalBackend,
@@ -86,17 +85,6 @@ class TestShardedTiming:
         comm4 = backend.comm.prefill_cycles(4)
         comm8 = backend.comm.prefill_cycles(8)
         assert full - comm8 > resumed - comm4
-
-    def test_analytical_step_follows_tp(self):
-        """The sharded roofline's single step shrinks with tp but never
-        by the full factor (replicated norms + comm keep it above)."""
-        steps = {}
-        for tp in (1, 2):
-            backend = AnalyticalBackend(LLAMA2_7B, W4A16_KV8, tp=tp,
-                                        interconnect=TEN_GIG_ETHERNET)
-            steps[tp] = backend.step_cycles([512] * 4)
-        assert steps[1] / 2 < steps[2] < steps[1]
-
 
 class TestShardedCapacity:
     def test_budget_grows_superlinearly_with_tp(self):
@@ -221,17 +209,14 @@ class TestBuildBackendFactory:
         backend = build_backend("cycle", TINY_MODEL, quant32, tp=2)
         assert type(backend) is CycleModelBackend
         assert backend.tp == 2 and backend.comm.link == TEN_GIG_ETHERNET
-        backend = build_backend("analytical", TINY_MODEL, quant32, tp=2,
+        backend = build_backend("cycle", TINY_MODEL, quant32, tp=2,
                                 interconnect=GIG_ETHERNET)
-        assert type(backend) is AnalyticalBackend
         assert backend.tp == 2 and backend.comm.link == GIG_ETHERNET
 
     def test_dispatches_plain_kinds(self, quant32):
         backend = build_backend("cycle", TINY_MODEL, quant32)
         assert isinstance(backend, CycleModelBackend)
         assert backend.comm is None
-        backend = build_backend("analytical", TINY_MODEL, quant32)
-        assert isinstance(backend, AnalyticalBackend)
 
     def test_functional_without_weights_raises(self, quant32):
         with pytest.raises(SimulationError):
@@ -244,6 +229,8 @@ class TestBuildBackendFactory:
         assert backend.tp == 2 and backend.functional.tp == 2
         assert backend.comm.link == TEN_GIG_ETHERNET
 
-    def test_unknown_kind_raises(self, quant32):
-        with pytest.raises(SimulationError):
-            build_backend("spice", TINY_MODEL, quant32)
+    @pytest.mark.parametrize("kind", ["spice", "analytical"])
+    def test_unknown_kind_raises(self, quant32, kind):
+        with pytest.raises(SimulationError, match=r"choose from \('cycle', "
+                                                  r"'functional'\)"):
+            build_backend(kind, TINY_MODEL, quant32)

@@ -5,7 +5,6 @@ import pytest
 from repro.config import LLAMA2_7B, TINY_MODEL, W4A16_KV8, QuantConfig
 from repro.core.accelerator import Accelerator
 from repro.engine import (
-    AnalyticalBackend,
     ContinuousBatchScheduler,
     CycleModelBackend,
     FinishReason,
@@ -159,10 +158,11 @@ class TestFunctionalBackend:
         want_tokens, want_perf = acc.decode([256, 1, 2], 6)
         backend = FunctionalBackend(tiny_qweights, n_slots=1)
         engine = ContinuousBatchScheduler(backend, max_batch=1)
-        engine.run([Request(0, (256, 1, 2), 6)])
-        state = engine.finished[0]
+        state = engine.submit(Request(0, (256, 1, 2), 6))
+        engine.run()
         assert state.generated == want_tokens
-        assert state.decode_cycles == pytest.approx(want_perf.decode_cycles)
+        assert [e.cycles for e in engine.events if e.batch] \
+            == pytest.approx(want_perf.decode_cycles)
         assert state.prefill_cycles == pytest.approx(want_perf.prefill_cycles)
 
     def test_batching_does_not_change_tokens(self, tiny_qweights):
@@ -194,24 +194,6 @@ class TestFunctionalBackend:
         prompt = tuple([1] * (TINY_MODEL.max_context - 2))
         report = engine.run([Request(0, prompt, 10)])
         assert len(report.results[0].tokens) <= 2
-
-
-class TestAnalyticalBackend:
-    def test_serves_trace(self):
-        backend = AnalyticalBackend(LLAMA2_7B, W4A16_KV8, n_slots=4)
-        engine = ContinuousBatchScheduler(backend, max_batch=4)
-        trace = synthetic_trace(LLAMA2_7B, n_requests=6,
-                                arrival_rate_rps=1.0, seed=2)
-        report = engine.run(trace)
-        assert len(report.results) == 6
-        # A 7B on the KV260 decodes a few tokens per second, batched.
-        assert 1.0 < report.aggregate_tokens_per_s < 12.0
-
-    def test_batched_step_sublinear(self):
-        backend = AnalyticalBackend(LLAMA2_7B, W4A16_KV8)
-        one = backend.step_cycles([512])
-        four = backend.step_cycles([512] * 4)
-        assert one < four < 4 * one
 
 
 class TestSyntheticTrace:

@@ -151,8 +151,7 @@ class TestEosAtPrefillBoundary:
         steps and release every block."""
         ref = FunctionalBackend(tiny_qweights, n_slots=1)
         eng = ContinuousBatchScheduler(ref, max_batch=1)
-        eng.run([Request(0, (256, 1, 2), 1)])
-        first = eng.finished[0].generated[0]
+        first = eng.run([Request(0, (256, 1, 2), 1)]).results[0].tokens[0]
 
         backend = FunctionalBackend(tiny_qweights, n_slots=1,
                                     kv_mode="paged", block_size=4,
@@ -202,11 +201,11 @@ class TestDirectSubmitOrder:
             backend = CycleModelBackend(TINY_MODEL, quant32, n_slots=2)
             engine = ContinuousBatchScheduler(backend, max_batch=2,
                                               fast_forward=fast_forward)
-            engine.submit(Request(0, (1, 2, 3), 4, arrival_s=0.005))
-            engine.submit(Request(1, (4, 5, 6), 4, arrival_s=0.001))
+            states = [
+                engine.submit(Request(0, (1, 2, 3), 4, arrival_s=0.005)),
+                engine.submit(Request(1, (4, 5, 6), 4, arrival_s=0.001))]
             reports.append(engine.run(max_steps=2000))
-            first_token = {s.request_id: s.first_token_s
-                           for s in engine.finished}
+            first_token = {s.request_id: s.first_token_s for s in states}
             # FIFO within the class: submission order, not arrival.
             assert 0.005 < first_token[0] < first_token[1]
         windows, eager = reports

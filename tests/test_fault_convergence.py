@@ -64,8 +64,9 @@ class JacobiRouter(ReplicaRouter):
 
 def fault_run(router_cls, *, n_replicas, n_requests, seed, kinds, kv,
               domain=False, hedge=False, zero_handoff=False,
-              shared_prefix=0):
-    """Serve one generated fault schedule; returns (report, router)."""
+              shared_prefix=0, ff=True):
+    """Serve one generated fault schedule; returns (report, router).
+    ``ff=False`` serves it on eager engines."""
     h = n_requests / RATE
     topology = (FailureDomain("rack", (0, 1)),) if domain else None
     faults = FaultSchedule.generate(
@@ -79,7 +80,7 @@ def fault_run(router_cls, *, n_replicas, n_requests, seed, kinds, kv,
         backend_kv, scheduler_kv = kv_discipline_kwargs(kv)
         engine = ContinuousBatchScheduler(
             build_backend("cycle", TINY_MODEL, QuantConfig(), **backend_kv),
-            max_batch=8, **scheduler_kv)
+            max_batch=8, fast_forward=ff, **scheduler_kv)
         engine.flight = FlightRecorder(replica=idx)
         engines.append(engine)
     migration = MigrationPolicy(serialize_s=0.0, link=ZERO_LINK) \
@@ -90,7 +91,7 @@ def fault_run(router_cls, *, n_replicas, n_requests, seed, kinds, kv,
     trace = synthetic_trace(TINY_MODEL, n_requests=n_requests,
                             arrival_rate_rps=RATE, seed=seed,
                             shared_prefix_len=shared_prefix)
-    return router.run(trace, telemetry="full"), router
+    return router.run(trace), router
 
 
 def assert_same_fixed_point(a, router_a, b, router_b):
@@ -154,14 +155,22 @@ class TestWorklistMatchesJacobi:
     def test_reruns_only_changed_shares(self):
         """The drain replica runs first in causal order; the replicas
         its handoffs land on run after it in the same sweep, so the
-        worklist needs fewer sweeps than Jacobi needs rounds."""
+        worklist needs fewer sweeps than Jacobi needs rounds.  Eager
+        engines converge on the identical fixed point."""
         case = dict(n_replicas=4, n_requests=600, seed=29,
                     kinds=set(WEIGHTS), kv="paged")
-        report, _ = fault_run(ReplicaRouter, **case)
+        report, router = fault_run(ReplicaRouter, **case)
         oracle, _ = fault_run(JacobiRouter, **case)
         assert report.resilience["n_migrated"] > 0
         assert report.resilience["retry_rounds"] \
             < oracle.resilience["retry_rounds"]
+        eager, eager_router = fault_run(ReplicaRouter, ff=False, **case)
+        assert_reports_identical(report, eager)
+        assert report.resilience == eager.resilience
+        for engine, oracle_engine in zip(router.engines,
+                                         eager_router.engines):
+            assert engine.killed == oracle_engine.killed
+            assert engine.drained == oracle_engine.drained
 
 
 class _RestlessRouter(ReplicaRouter):

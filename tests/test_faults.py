@@ -38,7 +38,9 @@ from repro.stats import percentile_of_sorted
 from report_checks import (
     assert_levels_agree,
     assert_reports_identical,
+    assert_results_match_charges,
     assert_windows_match_eager,
+    record_charges,
 )
 from test_telemetry_equivalence import LOW_RATE_KWARGS, idle_gaps, make_engine
 
@@ -152,7 +154,7 @@ def run_with_plan(ff, plan, n=24, rate=3000.0, seed=0, requests=None):
     eng.flight = FlightRecorder()
     if requests is None:
         requests = trace(n=n, rate=rate, seed=seed)
-    report = eng.run(requests, telemetry="full")
+    report = eng.run(requests)
     return eng, report
 
 
@@ -225,7 +227,7 @@ class TestEngineFaults:
 
     def test_slowdown_extends_compute_bound_run(self):
         base = make_engine("cycle", "slotted")
-        healthy = base.run(trace(rate=1e9), telemetry="full")
+        healthy = base.run(trace(rate=1e9))
         plan = FaultSchedule([FaultEvent(
             "slowdown", 0, 0.0, healthy.total_time_s * 10,
             factor=2.0)]).plan_for(0)
@@ -359,12 +361,12 @@ class TestEngineFaults:
     def test_fault_plan_is_inert_between_runs(self):
         """Clearing ``fault_plan`` restores healthy behavior exactly."""
         eng = make_engine("cycle", "slotted")
-        baseline = eng.run(trace(), telemetry="full")
+        baseline = eng.run(trace())
         eng.fault_plan = FaultSchedule.single_crash(
             0, 0.3 * span_s(), 0.25 * span_s()).plan_for(0)
-        eng.run(trace(), telemetry="full")
+        eng.run(trace())
         eng.fault_plan = None
-        again = eng.run(trace(), telemetry="full")
+        again = eng.run(trace())
         assert not eng.killed
         assert_reports_identical(baseline, again)
 
@@ -410,31 +412,10 @@ LEVEL_SCENARIOS = {
 }
 
 
-def assert_results_match_states(report, engines):
-    """A full-level cluster report's per-request tokens and per-token
-    latencies are the serving engines' own: each row's recorder row is
-    its engine's retire-order ``finished`` index, and an unserved row
-    (a router verdict) has no tokens."""
-    rows = report.rows
-    for result, source, row in zip(report.results,
-                                   rows["source"].tolist(),
-                                   rows["row"].tolist()):
-        if source < 0:
-            assert result.tokens == () and result.decode_step_s == ()
-            continue
-        engine = engines[source]
-        state = engine.finished[row]
-        assert result.tokens == tuple(state.generated), result.request_id
-        assert result.decode_step_s == tuple(
-            c / engine.backend.freq_hz for c in state.decode_cycles), \
-            result.request_id
-        assert result.finish_reason is state.finish_reason
-
-
 class TestRouterResilience:
     def test_crash_redispatch_no_lost_requests(self):
         router = cluster(faults=SATURATED_CRASH)
-        report = router.run(saturated_trace(), telemetry="full")
+        report = router.run(saturated_trace())
         res = report.resilience
         assert res["n_killed"] > 0
         assert res["n_redispatched"] == res["n_killed"]
@@ -446,7 +427,7 @@ class TestRouterResilience:
 
     def test_resilience_is_tier_identical(self):
         reports = [cluster(ff=ff, faults=SATURATED_CRASH)
-                   .run(saturated_trace(), telemetry="full")
+                   .run(saturated_trace())
                    for ff in FF_TIERS]
         for other in reports[1:]:
             assert reports[0].resilience == other.resilience
@@ -455,7 +436,7 @@ class TestRouterResilience:
     def test_same_seed_replay_is_bit_identical(self):
         faults = FaultSchedule.generate(3, horizon_s=span_s(48),
                                         seed=9, mean_gap_s=span_s(48) / 3)
-        runs = [cluster(faults=faults).run(trace(n=48), telemetry="full")
+        runs = [cluster(faults=faults).run(trace(n=48))
                 for _ in range(2)]
         assert runs[0].resilience == runs[1].resilience
         assert_reports_identical(runs[0], runs[1])
@@ -467,7 +448,7 @@ class TestRouterResilience:
         faults = FaultSchedule([FaultEvent("crash", 0, 0.1 * s, 4 * s)])
         router = cluster(n=1, faults=faults,
                          retry=RetryPolicy(budget=1))
-        report = router.run(trace(n=n, rate=rate), telemetry="full")
+        report = router.run(trace(n=n, rate=rate))
         res = report.resilience
         assert res["n_failed"] > 0 and res["n_lost"] == 0
         failed = [r for r in report.results
@@ -480,7 +461,7 @@ class TestRouterResilience:
     def test_degraded_mode_sheds_only_low_classes(self):
         router = cluster(faults=crash_schedule(),
                          degraded=DegradedModeConfig())
-        report = router.run(trace(n=48, mix=MIX), telemetry="full")
+        report = router.run(trace(n=48, mix=MIX))
         res = report.resilience
         assert res["n_shed"] > 0 and res["n_lost"] == 0
         stats = report.tenant_stats
@@ -493,7 +474,7 @@ class TestRouterResilience:
         """During the outage, new arrivals land on healthy replicas."""
         faults = crash_schedule()
         router = cluster(faults=faults)
-        router.run(trace(n=48), telemetry="full")
+        router.run(trace(n=48))
         start, end = faults.events[0].start_s, faults.events[0].end_s
         tr = trace(n=48)
         detect = router._health.detection_delay_s
@@ -502,17 +483,18 @@ class TestRouterResilience:
                        and router.assignments[r.request_id] == 1]
         assert not routed_down
 
-    def test_streamed_chaos_matches_full_counts(self):
-        """Telemetry levels agree under faults.  Crash and drain runs
-        record the identical run-store metrics, tenant stats, and
-        latency percentiles at full and windows, and sketch lands
-        within its digest's rank-error bound: token latency is
+    def test_streamed_chaos_matches_eager_counts(self):
+        """Fast-forward agrees with the eager oracle under faults, and
+        telemetry levels agree.  Crash and drain runs record the
+        identical run-store metrics, tenant stats, latency percentiles
+        and results fast-forwarded and eager at windows, and sketch
+        lands within its digest's rank-error bound: token latency is
         the board's decode-step stream at every level, so the decodes
         of a request a crash later kills count everywhere.  The shed
         scenario checks the router's verdict rows at every level."""
         for name, (faults, rate, kind) in LEVEL_SCENARIOS.items():
-            def run(level):
-                return cluster(faults=faults,
+            def run(level, ff):
+                return cluster(ff=ff, faults=faults,
                                degraded=DegradedModeConfig()) \
                     .run(lambda: iter(trace(n=48, rate=rate, mix=MIX)),
                          telemetry=level)
@@ -523,13 +505,21 @@ class TestRouterResilience:
         """A hedged report collapses each hedge set to one row, so
         tokens and tenant stats count each client request once, while
         token latency stays the raw decode-step stream of every
-        replica, losing copies included."""
-        router = ReplicaRouter(
-            [make_engine("cycle", "slotted") for _ in range(3)],
-            faults=FaultSchedule([FaultEvent("hang", 0, 0.0002, 0.004)]),
-            hedge=HedgePolicy(0.0005))
-        report = router.run(trace(n=48, rate=1e9, mix=MIX),
-                            telemetry="full")
+        replica, losing copies included.  The hedged run is served eager
+        (its results checked against what the engines really charged)
+        and fast-forwarded, with identical reports."""
+        def hedged(ff):
+            return ReplicaRouter(
+                [make_engine("cycle", "slotted", ff=ff) for _ in range(3)],
+                faults=FaultSchedule([FaultEvent("hang", 0, 0.0002,
+                                                 0.004)]),
+                hedge=HedgePolicy(0.0005))
+
+        router = hedged(False)
+        logs = [record_charges(engine) for engine in router.engines]
+        report = router.run(trace(n=48, rate=1e9, mix=MIX))
+        assert_reports_identical(
+            hedged(True).run(trace(n=48, rate=1e9, mix=MIX)), report)
         res = report.resilience
         assert res["n_hedged"] > 0 and res["n_hedge_wins"] > 0
         assert [r.request_id for r in report.results] == list(range(48))
@@ -543,32 +533,37 @@ class TestRouterResilience:
         for p in PERCENTILES:
             assert report.latency_percentile_s(p) \
                 == percentile_of_sorted(stream, p), p
-        assert_results_match_states(report, router.engines)
-        rows = report.rows
-        served_as = [router.engines[src].finished[i].request_id
-                     for src, i in zip(rows["source"].tolist(),
-                                       rows["row"].tolist())]
+        served_as = assert_results_match_charges(report, logs)
         # Some rows are a winning copy's, re-keyed to the primary id.
-        assert served_as != rows["request_id"].tolist()
+        assert served_as != report.rows["request_id"].tolist()
 
-    @pytest.mark.parametrize("ff", FF_TIERS)
     @pytest.mark.parametrize("name", sorted(LEVEL_SCENARIOS))
-    def test_full_results_are_the_engines_own(self, name, ff):
-        """At full, ``results`` are built the way windows builds them
-        (spans over the decode-latency stream, token replay); they must
-        equal what the engines really generated and charged, through
-        crash kills, drain migrations and router sheds."""
+    def test_results_are_the_engines_own(self, name):
+        """``results`` are built from spans over the decode-latency
+        stream and token replay; on eager engines they must equal what
+        the engines really generated and charged, through crash kills,
+        drain migrations and router sheds, and the fast-forwarded run
+        must report the same."""
         faults, rate, kind = LEVEL_SCENARIOS[name]
-        router = cluster(ff=ff, faults=faults,
-                         degraded=DegradedModeConfig())
-        report = router.run(trace(n=48, rate=rate, mix=MIX),
-                            telemetry="full")
+
+        def serve(ff):
+            router = cluster(ff=ff, faults=faults,
+                             degraded=DegradedModeConfig())
+            logs = None if ff else [record_charges(engine)
+                                    for engine in router.engines]
+            return router.run(trace(n=48, rate=rate, mix=MIX)), logs
+
+        report, logs = serve(False)
         assert report.resilience[kind] > 0
-        assert_results_match_states(report, router.engines)
-        for replica, engine in zip(report.replica_reports,
-                                   router.engines):
-            assert len(replica.results) == len(engine.finished)
-            assert_results_match_states(replica, [engine])
+        assert_results_match_charges(report, logs)
+        for replica, log in zip(report.replica_reports, logs):
+            assert len(replica.results) == len(log)
+            assert_results_match_charges(replica, [log])
+        windowed, _ = serve(True)
+        assert_reports_identical(windowed, report)
+        for replica, eager in zip(windowed.replica_reports,
+                                  report.replica_reports):
+            assert_reports_identical(replica, eager)
 
 
 # ---------------------------------------------------------------------
@@ -604,8 +599,7 @@ class TestQuotaLedgerUnderFaults:
             warmup_s=0.05 * horizon)
         router = cluster(faults=faults, degraded=DegradedModeConfig())
         report = router.run(
-            trace(n=n_requests, rate=rate, seed=seed, mix=QMIX),
-            telemetry="full")
+            trace(n=n_requests, rate=rate, seed=seed, mix=QMIX))
         for engine in router.engines:
             assert all(v == 0 for v in engine._tenant_cached.values()), \
                 engine._tenant_cached

@@ -8,13 +8,11 @@ from hypothesis import strategies as st
 from repro.numerics.fp16 import (
     FP16_MAX,
     fp16,
-    fp16_add,
     fp16_dot,
-    fp16_dot_tiled,
     fp16_matvec,
     fp16_mul,
+    fp16_tiled_reduce,
     fp16_tree_sum,
-    is_fp16_exact,
 )
 
 
@@ -24,20 +22,10 @@ def test_fp16_rounds_to_half():
     assert float(fp16(1.0 + 2**-10)) == 1.0 + 2**-10
 
 
-def test_is_fp16_exact():
-    assert is_fp16_exact([1.0, 0.5, 2048.0])
-    assert not is_fp16_exact([1.0 + 2**-11])
-
-
 def test_fp16_mul_rounds_result():
     # 3.0003 rounds on input; the product rounds again on output.
     out = fp16_mul(1.0009765625, 1.0009765625)
     assert out.dtype == np.float16
-
-
-def test_fp16_add_commutative():
-    a, b = 1.25, -3.5
-    assert fp16_add(a, b) == fp16_add(b, a)
 
 
 def test_tree_sum_empty_is_zero():
@@ -66,15 +54,12 @@ def test_dot_matches_float64_within_fp16_error(rng):
     assert approx == pytest.approx(exact, abs=0.25)
 
 
-def test_dot_tiled_shape_mismatch_raises():
-    with pytest.raises(ValueError):
-        fp16_dot_tiled(np.ones(4), np.ones(5))
-
-
-def test_dot_tiled_matches_dot_for_short_vectors(rng):
-    a = rng.standard_normal(100)
-    b = rng.standard_normal(100)
-    assert fp16_dot_tiled(a, b, lanes=128) == fp16_dot(a, b)
+def test_tiled_kernel_matches_dot_for_short_vectors(rng):
+    """One tile: the shared tiled kernel is the scalar multiplier +
+    adder-tree dot."""
+    a = fp16(rng.standard_normal(100))
+    b = fp16(rng.standard_normal(100))
+    assert fp16_tiled_reduce(a, b, lanes=128) == fp16_dot(a, b)
 
 
 def test_matvec_matches_rowwise_dots(rng):
@@ -82,7 +67,7 @@ def test_matvec_matches_rowwise_dots(rng):
     x = rng.standard_normal(256)
     out = fp16_matvec(w, x, lanes=128)
     for i in range(6):
-        assert out[i] == fp16_dot_tiled(w[i], x, lanes=128)
+        assert out[i] == fp16_tiled_reduce(w[i], x, lanes=128)
 
 
 def test_matvec_rejects_bad_shapes():

@@ -119,9 +119,22 @@ class TestFifo:
         fifo = KVScaleZeroFifo(32, 32)
         assert fifo.buffer_bytes() == 2048 * 64
 
-    def test_peak_occupancy_bounded(self):
+    @pytest.mark.parametrize("flush_after", [None, 20])
+    def test_peak_occupancy_bounded(self, flush_after):
+        """The running peak equals a brute-force recount of every
+        element after every push, also across a mid-stream flush."""
         fifo = KVScaleZeroFifo(2, 2)
-        self._feed(fifo, 2, 2, 40)
+        peak = 0
+        for token in range(40):
+            if token == flush_after:
+                fifo.flush_all()
+            for layer in range(2):
+                for head in range(2):
+                    for is_value in (False, True):
+                        fifo.push(layer, head, is_value, _pack())
+                        peak = max(peak, sum(len(e.packs)
+                                             for e in fifo._elements))
+        assert fifo.peak_buffered_packs == peak
         assert fifo.peak_buffered_packs <= fifo.n_streams * 16
 
     def test_rejects_bad_geometry(self):

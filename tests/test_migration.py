@@ -100,7 +100,7 @@ class TestMigrationPolicy:
             HedgePolicy(delay_s=0.001, max_hedges=0)
 
     def test_hedge_from_report_reads_ttft_tail(self):
-        rep = cluster().run(trace(), telemetry="full")
+        rep = cluster().run(trace())
         policy = HedgePolicy.from_report(rep, quantile=95.0)
         assert policy.delay_s == rep.ttft_percentile_s(95.0)
 
@@ -203,7 +203,7 @@ class TestFailureDomains:
 class TestDrainMigration:
     def test_drain_loses_nothing_and_recomputes_nothing(self):
         router = cluster(faults=DRAIN)
-        report = router.run(trace(), telemetry="full")
+        report = router.run(trace())
         res = report.resilience
         assert res["n_drains"] == 1
         assert res["n_migrated"] > 0
@@ -220,14 +220,14 @@ class TestDrainMigration:
 
     def test_drain_is_tier_identical(self):
         reports = [cluster(ff=ff, faults=DRAIN)
-                   .run(trace(), telemetry="full") for ff in FF_TIERS]
+                   .run(trace()) for ff in FF_TIERS]
         for other in reports[1:]:
             assert reports[0].resilience == other.resilience
             assert_reports_identical(reports[0], other)
 
     def test_drain_is_tier_identical_paged(self):
         reports = [cluster(ff=ff, kv="paged", faults=DRAIN)
-                   .run(trace(), telemetry="full") for ff in FF_TIERS]
+                   .run(trace()) for ff in FF_TIERS]
         for other in reports[1:]:
             assert reports[0].resilience == other.resilience
             assert_reports_identical(reports[0], other)
@@ -236,8 +236,8 @@ class TestDrainMigration:
         """Migration changes *where* a request decodes, never *what*
         it decodes: per-request token streams are pure functions of the
         request id, so every result matches the fault-free run."""
-        clean = cluster().run(trace(), telemetry="full")
-        drained = cluster(faults=DRAIN).run(trace(), telemetry="full")
+        clean = cluster().run(trace())
+        drained = cluster(faults=DRAIN).run(trace())
         clean_tokens = {r.request_id: r.tokens for r in clean.results}
         for res in drained.results:
             assert res.tokens == clean_tokens[res.request_id]
@@ -247,8 +247,8 @@ class TestDrainMigration:
         zero prefill work, and beats the identical-instant crash on
         tail interactive TTFT — the crash recomputes everything from
         scratch after the retry backoff."""
-        drained = cluster(faults=DRAIN).run(trace(), telemetry="full")
-        crashed = cluster(faults=CRASH).run(trace(), telemetry="full")
+        drained = cluster(faults=DRAIN).run(trace())
+        crashed = cluster(faults=CRASH).run(trace())
         assert drained.resilience["n_lost"] == 0
         assert drained.resilience["n_killed"] == 0
         assert crashed.resilience["n_killed"] > 0
@@ -258,14 +258,13 @@ class TestDrainMigration:
         assert drained.ttft_percentile_s(99) \
             < crashed.ttft_percentile_s(99)
 
-    def test_drain_streamed_matches_full_counts(self):
-        full = cluster(faults=DRAIN).run(trace(), telemetry="full")
-        streamed = cluster(faults=DRAIN).run(trace(),
-                                             telemetry="sketch")
-        assert streamed.resilience == full.resilience
-        assert streamed.n_requests == full.n_requests
-        assert streamed.total_new_tokens == full.total_new_tokens
-        assert streamed.total_time_s == full.total_time_s
+    def test_drain_sketch_matches_eager_counts(self):
+        eager = cluster(ff=False, faults=DRAIN).run(trace())
+        sketch = cluster(faults=DRAIN).run(trace(), telemetry="sketch")
+        assert sketch.resilience == eager.resilience
+        assert sketch.n_requests == eager.n_requests
+        assert sketch.total_new_tokens == eager.total_new_tokens
+        assert sketch.total_time_s == eager.total_time_s
 
     def test_drain_during_folded_admissions_is_tier_identical(self):
         """Past the knee every retirement's slot refills inside a
@@ -277,11 +276,11 @@ class TestDrainMigration:
                       tenant_mix=KNEE_MIX)
         drain = FaultSchedule([FaultEvent("drain", 1, 0.002, 0.0002)])
         eager = cluster(ff=False, faults=drain).run(
-            synthetic_trace(TINY_MODEL, **kwargs), telemetry="full")
+            synthetic_trace(TINY_MODEL, **kwargs))
         assert eager.resilience["n_migrated"] > 0
         assert eager.resilience["migrated_kv_bytes"] > 0
         windowed = cluster(faults=drain).run(
-            synthetic_trace(TINY_MODEL, **kwargs), telemetry="full")
+            synthetic_trace(TINY_MODEL, **kwargs))
         streamed = cluster(faults=drain).run(
             lambda: iter_synthetic_trace(TINY_MODEL, **kwargs),
             telemetry="windows")
@@ -334,7 +333,7 @@ class TestDrainMigration:
                                     request_id=r.request_id + 1000)
                 for r in trace(n=12, decode=(4, 8))]
         router = cluster(faults=DRAIN)
-        report = router.run(trace() + late, telemetry="full")
+        report = router.run(trace() + late)
         assert report.resilience["n_lost"] == 0
         assert any(router.assignments[r.request_id] == 1 for r in late)
 
@@ -351,7 +350,7 @@ class TestDrainMigration:
         for e in engines:
             e.flight = FlightRecorder()
         router = ReplicaRouter(engines, faults=DRAIN)
-        router.run(trace(), telemetry="full")
+        router.run(trace())
         names = {ev["name"] for e in engines
                  for ev in e.flight.chrome_events()
                  if ev["ph"] == "i"}
@@ -367,7 +366,7 @@ class TestDrainMigration:
              FaultEvent("drain", 1, 0.0005, 0.0005)],
             topology=topo)
         reports = [cluster(ff=ff, n=4, faults=sched)
-                   .run(trace(n=48), telemetry="full")
+                   .run(trace(n=48))
                    for ff in FF_TIERS]
         res = reports[0].resilience
         assert res["n_drains"] == 2 and res["n_lost"] == 0
@@ -390,8 +389,7 @@ class TestRetryAwareTTFT:
         faults = FaultSchedule.single_crash(1, 0.0005, 0.001,
                                             warmup_s=0.0005)
         router = cluster(faults=faults)
-        report = router.run(trace(n=48, decode=(4, 16)),
-                            telemetry="full")
+        report = router.run(trace(n=48, decode=(4, 16)))
         results = {r.request_id: r for r in report.results}
         first_kill = {}
         for engine in router.engines:
@@ -416,8 +414,8 @@ class TestRetryAwareTTFT:
         """Same ledger rule for migration: the handoff transfer delay
         is inside the client's E2E, and a first token streamed before
         the drain keeps its original TTFT."""
-        clean = cluster().run(trace(), telemetry="full")
-        drained = cluster(faults=DRAIN).run(trace(), telemetry="full")
+        clean = cluster().run(trace())
+        drained = cluster(faults=DRAIN).run(trace())
         clean_res = {r.request_id: r for r in clean.results}
         moved = slower = 0
         for res in drained.results:
@@ -444,10 +442,9 @@ STALL = FaultSchedule([FaultEvent("hang", 0, 0.0002, 0.004)])
 
 class TestHedgedDispatch:
     def test_hedging_cuts_tail_ttft_vs_retry_only(self):
-        base = cluster(faults=STALL).run(trace(n=48, decode=(8, 24)),
-                                         telemetry="full")
+        base = cluster(faults=STALL).run(trace(n=48, decode=(8, 24)))
         hedged = cluster(faults=STALL, hedge=HedgePolicy(0.0005)) \
-            .run(trace(n=48, decode=(8, 24)), telemetry="full")
+            .run(trace(n=48, decode=(8, 24)))
         res = hedged.resilience
         assert res["n_hedged"] > 0 and res["n_hedge_wins"] > 0
         assert hedged.ttft_percentile_s(99) < base.ttft_percentile_s(99)
@@ -455,14 +452,14 @@ class TestHedgedDispatch:
 
     def test_hedged_report_has_no_duplicate_requests(self):
         hedged = cluster(faults=STALL, hedge=HedgePolicy(0.0005)) \
-            .run(trace(n=48, decode=(8, 24)), telemetry="full")
+            .run(trace(n=48, decode=(8, 24)))
         ids = [r.request_id for r in hedged.results]
         assert len(ids) == len(set(ids)) == 48
         assert hedged.resilience["n_lost"] == 0
 
     def test_hedged_run_is_deterministic(self):
         runs = [cluster(faults=STALL, hedge=HedgePolicy(0.0005))
-                .run(trace(n=48, decode=(8, 24)), telemetry="full")
+                .run(trace(n=48, decode=(8, 24)))
                 for _ in range(2)]
         assert runs[0].resilience == runs[1].resilience
         assert_reports_identical(runs[0], runs[1])
@@ -470,13 +467,14 @@ class TestHedgedDispatch:
     def test_hedging_agrees_across_telemetry_levels(self):
         """The router reads first-token times off report rows, which
         every level keeps: a hang plus a crash, hedged, serves the same
-        run at full and windows (sketch within its bound)."""
+        run fast-forwarded and eager at windows (sketch within its
+        bound)."""
         faults = FaultSchedule([
             FaultEvent("hang", 0, 0.0002, 0.004),
             FaultEvent("crash", 1, 0.0004, 0.002, warmup_s=0.0005)])
 
-        def run(level):
-            return cluster(faults=faults, hedge=HedgePolicy(0.0005),
+        def run(level, ff):
+            return cluster(ff=ff, faults=faults, hedge=HedgePolicy(0.0005),
                            degraded=DegradedModeConfig()).run(
                 lambda: iter(trace(n=48, decode=(8, 24), mix=QMIX)),
                 telemetry=level)
@@ -541,8 +539,7 @@ class TestSimultaneousDomainOutages:
                          retry=RetryPolicy(budget=4))
         report = router.run(
             trace(n=n_requests, rate=rate, seed=seed,
-                  decode=(4, 16), mix=QMIX),
-            telemetry="full")
+                  decode=(4, 16), mix=QMIX))
         res = report.resilience
         assert res["n_lost"] == 0
         assert res["lost_request_ids"] == ()

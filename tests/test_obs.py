@@ -329,17 +329,18 @@ class TestColumnarRecords:
 
     def test_engine_windows_level_uses_columns(self):
         """telemetry='windows' stores records columnar, and the stream
-        expands to the identical events of a list-backed full run."""
+        expands to the identical events the eager loop records one step
+        at a time."""
         kwargs = dict(arrival_rate_rps=800.0, seed=5, prompt_len=(3, 8),
                       decode_len=(4, 24))
         eng_win = make_engine()
-        eng_win.run(iter_synthetic_trace(TINY_MODEL, 20, **kwargs),
-                    telemetry="windows")
+        eng_win.run(iter_synthetic_trace(TINY_MODEL, 20, **kwargs))
         assert isinstance(eng_win._recorder.records, ColumnarRecords)
-        eng_full = make_engine()
-        eng_full.run(synthetic_trace(TINY_MODEL, 20, **kwargs))
-        assert isinstance(eng_full._recorder.records, list)
-        assert eng_win.events == eng_full.events
+        eng_eager = make_engine(fast_forward=False)
+        eng_eager.run(synthetic_trace(TINY_MODEL, 20, **kwargs))
+        assert eng_eager._recorder.records.n_windows == 0
+        assert eng_win._recorder.records.n_windows > 0
+        assert eng_win.events == eng_eager.events
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from repro.config import KV260, TINY_MODEL, QuantConfig
 from repro.core.cyclemodel import CycleModel
 from repro.errors import CapacityError, ScheduleError, SimulationError
 from repro.kv import PagedKVCache, blocks_for_tokens
-from repro.memory.traffic import batched_decode_traffic
 from repro.model.quantized import QuantizedModel
 
 
@@ -236,20 +235,6 @@ class TestFetchedCostThreading:
             cm.batched_decode_step([8, 8], fetched=[8])
         with pytest.raises(ScheduleError):
             cm.batched_decode_step([8], fetched=[9])
-
-    def test_batched_traffic_per_resident_block(self, quant32):
-        shared = batched_decode_traffic(TINY_MODEL, quant32, [32, 32],
-                                        fetched=[32, 4])
-        private = batched_decode_traffic(TINY_MODEL, quant32, [32, 32])
-        assert shared.kv_read_bytes < private.kv_read_bytes
-        assert shared.shared_savings_bytes > 0
-        assert private.shared_savings_bytes == 0
-        assert shared.kv_write_bytes == private.kv_write_bytes
-        assert shared.weight_bytes == private.weight_bytes
-        with pytest.raises(SimulationError):
-            batched_decode_traffic(TINY_MODEL, quant32, [])
-        with pytest.raises(SimulationError):
-            batched_decode_traffic(TINY_MODEL, quant32, [8], fetched=[9])
 
     def test_prefill_start_skips_leading_positions(self, quant32):
         cm = CycleModel(TINY_MODEL, quant32, KV260)

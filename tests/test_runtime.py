@@ -1,5 +1,8 @@
 """Bare-metal capacity model, inference session, and tracing."""
 
+import hashlib
+
+import numpy as np
 import pytest
 
 from repro.config import (
@@ -19,6 +22,11 @@ from repro.runtime.baremetal import (
 )
 from repro.runtime.session import InferenceSession
 from repro.runtime.trace import Trace
+
+#: sha256 of the tokens and ``float.hex`` cycles of
+#: ``test_generate_tokens_perf_is_frozen``'s two sessions.
+SESSION_GOLDEN = \
+    "43c6bc65d70266e0f26e95efbab0bc51e65d390f7d11d43d01f89253cfe96744"
 
 
 class TestBareMetal:
@@ -91,6 +99,37 @@ class TestInferenceSession:
         assert tokens == []
         assert perf.ttft_s > 0  # the prompt was still prefilled
 
+    def test_generate_tokens_perf_is_frozen(self, tiny_qweights):
+        """Tokens and every prefill/decode cycle count of two sessions,
+        bit for bit: one runs to its token budget, one is cut by an EOS
+        sampled on its fourth token."""
+
+        class EosOnFourth:
+            def __init__(self, eos_id):
+                self.eos_id = eos_id
+                self.calls = 0
+
+            def sample(self, logits):
+                self.calls += 1
+                return self.eos_id if self.calls == 4 \
+                    else int(np.argmax(logits))
+
+        digest = hashlib.sha256()
+        for prompt, eos_cut in (([256, 72, 105, 33], False),
+                                ([256, 7], True)):
+            session = InferenceSession(tiny_qweights, check_capacity=False)
+            if eos_cut:
+                session.sampler = EosOnFourth(session.tokenizer.eos_id)
+            tokens, perf = session.generate_tokens(prompt, 9)
+            digest.update(repr(tokens).encode())
+            digest.update(perf.prefill_cycles.hex().encode())
+            digest.update(";".join(c.hex()
+                                   for c in perf.decode_cycles).encode())
+            assert perf.new_tokens == len(tokens)
+        assert tokens[-1] == session.tokenizer.eos_id
+        assert len(tokens) == 4 and len(perf.decode_cycles) == 3
+        assert digest.hexdigest() == SESSION_GOLDEN
+
     def test_immediate_eos_has_no_decode_steps(self, tiny_qweights):
         """Intended post-EOS-fix semantics: an empty reply has TTFT but no
         decode-phase timing (the EOS token is never forwarded)."""
@@ -151,19 +190,19 @@ class TestTrace:
 
 class TestTokenScheduleTrace:
     def test_from_token_schedule(self):
-        from repro.core.scheduler import build_token_schedule
+        from repro.core.scheduler import TokenScheduler
 
-        schedule = build_token_schedule(LLAMA2_7B, W4A16_KV8, context=64)
+        schedule = TokenScheduler(LLAMA2_7B, W4A16_KV8).build(context=64)
         trace = Trace.from_token_schedule(schedule)
         dense = [e for e in trace.events if e.lane == "dense"]
         assert len(dense) == len(schedule.segments)
         assert trace.span == pytest.approx(schedule.total_cycles)
 
     def test_exposed_misc_marked(self):
-        from repro.core.scheduler import build_token_schedule
+        from repro.core.scheduler import TokenScheduler
 
-        schedule = build_token_schedule(LLAMA2_7B, W4A16_KV8, context=64,
-                                        mode="coarse")
+        schedule = TokenScheduler(LLAMA2_7B, W4A16_KV8).build(
+            context=64, mode="coarse")
         trace = Trace.from_token_schedule(schedule)
         misc = [e for e in trace.events if e.lane == "misc"]
         assert misc  # coarse mode exposes misc work

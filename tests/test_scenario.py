@@ -59,6 +59,8 @@ REJECTED = {
                              "fault-tolerant path"),
     "functional 7B": (dict(model=LLAMA2_7B, backend="functional"),
                       "too large for the functional"),
+    "analytical backend": (dict(backend="analytical"),
+                           r"choose from \('cycle', 'functional'\)"),
     "trace checked eagerly": (dict(requests=0), "n_requests"),
     "nan share": (dict(tenant_mix=((TenantSpec("fg"), float("nan")),)),
                   "share must be positive"),
@@ -117,19 +119,19 @@ def test_serve_sim_has_no_context_flag(capsys):
     assert "unrecognized arguments: --context" in capsys.readouterr().err
 
 
-def test_summary_telemetry_level_is_gone(capsys):
-    """Every entry point rejects the retired ``summary`` level and names
-    the remaining choices."""
-    assert TELEMETRY_LEVELS == ("full", "windows", "sketch")
-    choices = "'full', 'windows', 'sketch'"
+@pytest.mark.parametrize("level", ["summary", "full"])
+def test_retired_telemetry_level_is_gone(capsys, level):
+    """Every entry point rejects the retired ``summary`` and ``full``
+    levels and names the remaining choices."""
+    assert TELEMETRY_LEVELS == ("windows", "sketch")
+    choices = "'windows', 'sketch'"
     with pytest.raises(ConfigError, match=choices):
-        Scenario(telemetry="summary")
+        Scenario(telemetry=level)
     scenario = Scenario(requests=2)
     with pytest.raises(SimulationError, match=choices):
-        scenario.build().engines[0].run(scenario.trace(),
-                                         telemetry="summary")
+        scenario.build().engines[0].run(scenario.trace(), telemetry=level)
     with pytest.raises(SystemExit) as exc:
-        main(["serve-sim", "--telemetry", "summary"])
+        main(["serve-sim", "--telemetry", level])
     assert exc.value.code == 2
     assert f"choose from {choices}" in capsys.readouterr().err
 
@@ -165,7 +167,7 @@ def test_record_config_covers_the_scenario(tmp_path, capsys):
         "command": "serve-sim", "model": "tiny-test",
         "platform": Scenario().platform.name, "backend": "cycle",
         "requests": 8, "max_batch": 8, "kv": "slotted",
-        "telemetry": "full", "tp": 1, "replicas": 2,
+        "telemetry": "windows", "tp": 1, "replicas": 2,
         "router": "round_robin", "seed": 0, "chaos": False,
         "fault_seed": 0, "drain": True, "domains": 0, "hedge": 0.0}
     assert config["arrival_rate"] == 1e6

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import GPT2_1_5B, LLAMA2_7B, TINYLLAMA_1_1B, W4A16_KV8
-from repro.core.scheduler import TokenScheduler, build_token_schedule
+from repro.core.scheduler import TokenScheduler
 from repro.errors import ScheduleError
 
 
@@ -63,14 +63,8 @@ def test_bad_mode_rejected(sched):
 
 
 def test_ungated_model_has_no_gate_segment():
-    ts = build_token_schedule(GPT2_1_5B, W4A16_KV8, context=16)
+    ts = TokenScheduler(GPT2_1_5B, W4A16_KV8).build(context=16)
     assert not any("gate" in s.name for s in ts.segments)
-
-
-def test_convenience_wrapper_matches_class(sched):
-    a = build_token_schedule(LLAMA2_7B, W4A16_KV8, context=32)
-    b = sched.build(context=32)
-    assert a.total_cycles == pytest.approx(b.total_cycles)
 
 
 def assemble(sched, attention, mode, batch=1):

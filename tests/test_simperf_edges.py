@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.config import TINY_MODEL, QuantConfig
-from repro.engine import AnalyticalBackend, CycleModelBackend
+from repro.engine import CycleModelBackend
 from repro.errors import ConfigError, SimulationError
 from repro.numerics.fp16 import (as_fp16_grid, fp16_matmul, fp16_matmul_t,
                                  fp16_matvec, fp16_tiled_reduce)
@@ -46,20 +46,19 @@ class TestKernelValidation:
 
 class TestStepCycleValidation:
     def test_batch_validations(self, quant32):
-        for backend in (CycleModelBackend(TINY_MODEL, quant32),
-                        AnalyticalBackend(TINY_MODEL, quant32)):
-            with pytest.raises(SimulationError):
-                backend.step_cycles([])
-            with pytest.raises(SimulationError):
-                backend.step_cycles([4, -1])
-            with pytest.raises(SimulationError):
-                backend.step_cycles([4, 4], fetched=[1])
-            with pytest.raises(SimulationError):
-                backend.step_cycles([4], fetched=[5])
-            with pytest.raises(SimulationError):
-                backend.prefill_cycles(0)
-            with pytest.raises(SimulationError):
-                backend.prefill_cycles(4, start=4)
+        backend = CycleModelBackend(TINY_MODEL, quant32)
+        with pytest.raises(SimulationError):
+            backend.step_cycles([])
+        with pytest.raises(SimulationError):
+            backend.step_cycles([4, -1])
+        with pytest.raises(SimulationError):
+            backend.step_cycles([4, 4], fetched=[1])
+        with pytest.raises(SimulationError):
+            backend.step_cycles([4], fetched=[5])
+        with pytest.raises(SimulationError):
+            backend.prefill_cycles(0)
+        with pytest.raises(SimulationError):
+            backend.prefill_cycles(4, start=4)
 
 
 class TestPercentiles:

@@ -20,7 +20,6 @@ from repro.config import TINY_MODEL, QuantConfig
 from repro.engine import (
     DEFAULT_TENANT,
     PRIORITY_CLASSES,
-    AnalyticalBackend,
     ContinuousBatchScheduler,
     CycleModelBackend,
     FinishReason,
@@ -44,13 +43,12 @@ BG = TenantSpec("bg", "best_effort", kv_quota_tokens=48)
 MIX = ((FG, 0.3), (BULK, 0.5), (BG, 0.2))
 
 
-def make_engine(kind, kv_mode, tp=1, ff=True, max_batch=MAX_BATCH,
+def make_engine(kv_mode, tp=1, ff=True, max_batch=MAX_BATCH,
                 budget=BUDGET_TOKENS):
     kv = dict(kv_mode=kv_mode, block_size=BLOCK_SIZE,
               n_kv_blocks=budget // BLOCK_SIZE)
-    cls = CycleModelBackend if kind == "cycle" or tp > 1 \
-        else AnalyticalBackend
-    backend = cls(TINY_MODEL, QUANT32, tp=tp, n_slots=max_batch, **kv)
+    backend = CycleModelBackend(TINY_MODEL, QUANT32, tp=tp,
+                                n_slots=max_batch, **kv)
     token_budget = budget if kv_mode == "slotted" else None
     return ContinuousBatchScheduler(backend, max_batch=max_batch,
                                     kv_token_budget=token_budget,
@@ -92,7 +90,7 @@ class TestPriorityAdmission:
         request is admitted first even though the batch request was
         submitted first, so its TTFT does not pay for the batch
         prefill-and-decode turn (FIFO would admit request 0 first)."""
-        eng = make_engine("cycle", "slotted", max_batch=1)
+        eng = make_engine("slotted", max_batch=1)
         reqs = [Request(0, tuple(range(1, 9)), 6, arrival_s=0.0),
                 Request(1, (21, 22, 23), 4, arrival_s=0.0, tenant=FG)]
         report = eng.run(reqs)
@@ -103,7 +101,7 @@ class TestPriorityAdmission:
     def test_kv_pressure_evicts_lower_class_for_interactive(self):
         """An arrived interactive head that does not fit evicts running
         best-effort work — and never the other way around."""
-        eng = make_engine("cycle", "slotted", max_batch=2, budget=48)
+        eng = make_engine("slotted", max_batch=2, budget=48)
         reqs = [Request(0, (1, 2, 3), 40, arrival_s=0.0, tenant=BG),
                 Request(1, tuple(range(10, 40)), 4, arrival_s=2e-4,
                         tenant=FG)]
@@ -149,7 +147,7 @@ class TestQuota:
         for its sibling to retire even though pool and batch have room —
         and its TTFT shows the serialization."""
         tenant = TenantSpec("capped", "batch", kv_quota_tokens=8)
-        eng = make_engine("cycle", "slotted")
+        eng = make_engine("slotted")
         reqs = [Request(0, (1, 2, 3, 4), 4, tenant=tenant),
                 Request(1, (5, 6, 7, 8), 4, arrival_s=1e-6,
                         tenant=tenant)]
@@ -162,7 +160,7 @@ class TestQuota:
         """A quota-blocked head must not block classes below it — only
         a *pool*-blocked head does (strict priority)."""
         capped = TenantSpec("capped", "batch", kv_quota_tokens=8)
-        eng = make_engine("cycle", "slotted")
+        eng = make_engine("slotted")
         reqs = [Request(0, (1, 2, 3, 4), 12, tenant=capped),
                 Request(1, (5, 6, 7, 8), 12, arrival_s=1e-6,
                         tenant=capped),
@@ -177,7 +175,7 @@ class TestQuota:
         """Decode growth past quota evicts the offending tenant's own
         youngest sequence, not a bystander."""
         capped = TenantSpec("capped", "batch", kv_quota_tokens=24)
-        eng = make_engine("cycle", "slotted")
+        eng = make_engine("slotted")
         reqs = [Request(0, (1, 2, 3), 12, tenant=capped),
                 Request(1, (4, 5, 6), 12, arrival_s=1e-6, tenant=capped),
                 Request(2, (7, 8, 9), 12, arrival_s=2e-6)]
@@ -189,7 +187,7 @@ class TestQuota:
 
     def test_block_quota_converts_through_pool(self):
         tenant = TenantSpec("paged-capped", "batch", kv_quota_blocks=2)
-        eng = make_engine("cycle", "paged")
+        eng = make_engine("paged")
         reqs = [Request(0, tuple(range(1, 9)), 6, tenant=tenant),
                 Request(1, tuple(range(11, 19)), 6, arrival_s=1e-6,
                         tenant=tenant)]
@@ -199,12 +197,12 @@ class TestQuota:
 
     def test_block_quota_on_slotted_backend_rejected(self):
         tenant = TenantSpec("t", "batch", kv_quota_blocks=2)
-        eng = make_engine("cycle", "slotted")
+        eng = make_engine("slotted")
         with pytest.raises(SimulationError, match="paged"):
             eng.submit(Request(0, (1, 2), 4, tenant=tenant))
 
     def test_conflicting_quotas_for_one_name_rejected(self):
-        eng = make_engine("cycle", "slotted")
+        eng = make_engine("slotted")
         eng.submit(Request(0, (1, 2), 4,
                            tenant=TenantSpec("t", kv_quota_tokens=32)))
         with pytest.raises(SimulationError, match="conflicting"):
@@ -212,7 +210,7 @@ class TestQuota:
                                tenant=TenantSpec("t", kv_quota_tokens=16)))
 
     def test_prompt_exceeding_quota_raises_on_submit(self):
-        eng = make_engine("cycle", "slotted")
+        eng = make_engine("slotted")
         with pytest.raises(CapacityError, match="quota"):
             eng.submit(Request(0, tuple(range(20)), 4,
                                tenant=TenantSpec("t", kv_quota_tokens=8)))
@@ -231,7 +229,7 @@ class TestQuota:
                                 arrival_rate_rps=arrival_rate, seed=seed,
                                 prompt_len=(3, 10), decode_len=(4, 30),
                                 tenant_mix=MIX)
-        eng = make_engine("cycle", "slotted", budget=64)
+        eng = make_engine("slotted", budget=64)
         for request in trace:
             eng.submit(request)
         while eng.waiting or eng.running:
@@ -254,12 +252,13 @@ class TestRejection:
                       arrival_s=good[3].arrival_s, tenant=BG)
         return sorted(good + [bad], key=lambda r: r.arrival_s)
 
-    @pytest.mark.parametrize("telemetry", ("full", "windows"))
-    def test_poisoned_stream_drains_and_reports(self, telemetry):
+    @pytest.mark.parametrize("ff", (True, False))
+    def test_poisoned_stream_drains_and_reports(self, ff):
         """A mid-trace request that can never fit must not abort the
-        run: it surfaces as a REJECTED result and the rest completes."""
-        eng = make_engine("cycle", "slotted", budget=64)
-        report = eng.run(iter(self.poisoned()), telemetry=telemetry)
+        run: it surfaces as a REJECTED result and the rest completes,
+        fast-forwarded and eager alike."""
+        eng = make_engine("slotted", budget=64, ff=ff)
+        report = eng.run(iter(self.poisoned()))
         results = {r.request_id: r for r in report.results}
         bad = results[100]
         assert bad.finish_reason == FinishReason.REJECTED
@@ -273,15 +272,14 @@ class TestRejection:
 
     def test_poisoned_materialized_run_matches_stream(self):
         trace = self.poisoned()
-        full = make_engine("cycle", "slotted", budget=64).run(trace)
-        streamed = make_engine("cycle", "slotted", budget=64).run(
-            iter(trace), telemetry="windows")
-        assert_reports_identical(streamed, full)
+        materialized = make_engine("slotted", budget=64).run(trace)
+        streamed = make_engine("slotted", budget=64).run(iter(trace))
+        assert_reports_identical(streamed, materialized)
 
     def test_direct_submit_still_raises(self):
         """run()/streams reject; explicit submit() keeps the loud
         contract the PR 1 suite pinned."""
-        eng = make_engine("cycle", "slotted", budget=32)
+        eng = make_engine("slotted", budget=32)
         with pytest.raises(CapacityError):
             eng.submit(Request(0, tuple(range(40)), 4))
 
@@ -289,7 +287,7 @@ class TestRejection:
 class TestBestEffortDrop:
     def run_thrash(self, ff):
         bg = TenantSpec("bg", "best_effort")  # quota-free: evictions,
-        eng = make_engine("cycle", "slotted", budget=64, ff=ff)  # not caps
+        eng = make_engine("slotted", budget=64, ff=ff)  # not caps
         reqs = [Request(0, (1, 2, 3), 55, arrival_s=0.0, tenant=bg)]
         for i in range(1, 25):
             reqs.append(Request(i, tuple(range(2, 14)), 12,
@@ -315,26 +313,23 @@ class TestBestEffortDrop:
 
 class TestTenancyTiersAgree:
     """Satellite: the differential harness over mixed-tenant traces —
-    event-horizon windows == eager across backends, KV modes, and
-    TP=2."""
+    event-horizon windows == eager across KV modes and TP=2."""
 
     @pytest.mark.parametrize("kv_mode", ("slotted", "paged"))
-    @pytest.mark.parametrize("kind", ("cycle", "analytical"))
     @settings(deadline=None, max_examples=8)
     @given(seed=st.integers(0, 10_000),
            arrival_rate=st.sampled_from([1e9, 20000.0, 800.0]),
            n_requests=st.integers(4, 24),
            decode_hi=st.integers(8, 48))
-    def test_mixed_tenant_tiers_agree(self, kind, kv_mode, seed,
-                                      arrival_rate, n_requests,
-                                      decode_hi):
+    def test_mixed_tenant_tiers_agree(self, kv_mode, seed, arrival_rate,
+                                      n_requests, decode_hi):
         trace = synthetic_trace(TINY_MODEL, n_requests,
                                 arrival_rate_rps=arrival_rate, seed=seed,
                                 prompt_len=(3, 10),
                                 decode_len=(4, decode_hi),
                                 tenant_mix=MIX)
-        eager = make_engine(kind, kv_mode, ff=False).run(trace)
-        windowed = make_engine(kind, kv_mode).run(trace)
+        eager = make_engine(kv_mode, ff=False).run(trace)
+        windowed = make_engine(kv_mode).run(trace)
         assert_reports_identical(windowed, eager)
 
     def test_mixed_tenant_contention_tiers_agree(self):
@@ -344,10 +339,10 @@ class TestTenancyTiersAgree:
                       prompt_len=(3, 10), decode_len=(16, 48),
                       tenant_mix=MIX)
         trace = synthetic_trace(TINY_MODEL, 80, **kwargs)
-        eager = make_engine("cycle", "slotted", ff=False,
+        eager = make_engine("slotted", ff=False,
                             budget=64).run(trace)
         assert eager.preemptions > 0
-        windowed = make_engine("cycle", "slotted", budget=64).run(trace)
+        windowed = make_engine("slotted", budget=64).run(trace)
         assert_reports_identical(windowed, eager)
 
     @pytest.mark.parametrize("kv_mode", ("slotted", "paged"))
@@ -365,16 +360,16 @@ class TestTenancyTiersAgree:
         budget = BUDGET_TOKENS if kv_mode == "slotted" \
             else 12 * BLOCK_SIZE
         trace = synthetic_trace(TINY_MODEL, 80, **kwargs)
-        eager_eng = make_engine("cycle", kv_mode, ff=False, budget=budget)
+        eager_eng = make_engine(kv_mode, ff=False, budget=budget)
         eager = eager_eng.run(trace)
         assert eager.preemptions > 0
-        eng = make_engine("cycle", kv_mode, budget=budget)
+        eng = make_engine(kv_mode, budget=budget)
         counts = count_steps(eng)
         assert_reports_identical(eng.run(trace), eager)
         assert eng.events == eager_eng.events
         # Owed steps: decode halves the windows ran after admitting.
         assert counts["decode"] > counts["step"]
-        streamed_eng = make_engine("cycle", kv_mode, budget=budget)
+        streamed_eng = make_engine(kv_mode, budget=budget)
         streamed = streamed_eng.run(
             iter_synthetic_trace(TINY_MODEL, 80, **kwargs),
             telemetry="windows")
@@ -393,12 +388,12 @@ class TestTenancyTiersAgree:
                       prompt_len=(3, 10), decode_len=(8, 32),
                       tenant_mix=MIX)
         trace = synthetic_trace(TINY_MODEL, 80, **kwargs)
-        eager_eng = make_engine("cycle", "paged", ff=False, budget=64)
+        eager_eng = make_engine("paged", ff=False, budget=64)
         eager = eager_eng.run(trace)
-        eng = make_engine("cycle", "paged", budget=64)
+        eng = make_engine("paged", budget=64)
         assert_reports_identical(eng.run(trace), eager)
         assert eng.events == eager_eng.events
-        streamed = make_engine("cycle", "paged", budget=64).run(
+        streamed = make_engine("paged", budget=64).run(
             iter_synthetic_trace(TINY_MODEL, 80, **kwargs),
             telemetry="windows")
         assert_reports_identical(streamed, eager)
@@ -415,10 +410,10 @@ class TestTenancyTiersAgree:
                           TenantSpec("fg", "interactive"),
                           TenantSpec("bulk", "batch"),
                           TenantSpec("bg", "best_effort"))))
-        eager_eng = make_engine("cycle", "slotted", ff=False, max_batch=8,
+        eager_eng = make_engine("slotted", ff=False, max_batch=8,
                                 budget=48)
         eager = eager_eng.run(synthetic_trace(TINY_MODEL, 46, **kwargs))
-        eng = make_engine("cycle", "slotted", max_batch=8, budget=48)
+        eng = make_engine("slotted", max_batch=8, budget=48)
         streamed = eng.run(iter_synthetic_trace(TINY_MODEL, 46, **kwargs),
                            telemetry="windows")
         assert_reports_identical(streamed, eager)
@@ -428,22 +423,22 @@ class TestTenancyTiersAgree:
         trace = synthetic_trace(TINY_MODEL, 16, arrival_rate_rps=2000.0,
                                 seed=5, prompt_len=(3, 10),
                                 decode_len=(8, 30), tenant_mix=MIX)
-        eager = make_engine("cycle", "slotted", tp=2, ff=False).run(trace)
-        windowed = make_engine("cycle", "slotted", tp=2).run(trace)
+        eager = make_engine("slotted", tp=2, ff=False).run(trace)
+        windowed = make_engine("slotted", tp=2).run(trace)
         assert_reports_identical(windowed, eager)
 
     @pytest.mark.parametrize("telemetry", ("windows", "sketch"))
-    def test_streamed_tenant_stats_match_full(self, telemetry):
+    def test_streamed_tenant_stats_match_eager(self, telemetry):
         """Tenant stats are per-request scalars, exact at every level —
         including ``"sketch"``, which only sketches decode latencies."""
         kwargs = dict(arrival_rate_rps=5000.0, seed=9, prompt_len=(3, 8),
                       decode_len=(4, 20), tenant_mix=MIX)
-        full = make_engine("cycle", "paged").run(
+        eager = make_engine("paged", ff=False).run(
             synthetic_trace(TINY_MODEL, 30, **kwargs))
-        streamed = make_engine("cycle", "paged").run(
+        streamed = make_engine("paged").run(
             iter_synthetic_trace(TINY_MODEL, 30, **kwargs),
             telemetry=telemetry)
-        assert streamed.tenant_stats == full.tenant_stats
+        assert streamed.tenant_stats == eager.tenant_stats
 
     def test_cluster_merged_tenant_stats_match_materialized(self):
         kwargs = dict(arrival_rate_rps=8000.0, seed=2, prompt_len=(3, 8),
@@ -451,7 +446,7 @@ class TestTenancyTiersAgree:
         trace = synthetic_trace(TINY_MODEL, 40, **kwargs)
 
         def engines():
-            return [make_engine("cycle", "slotted") for _ in range(2)]
+            return [make_engine("slotted") for _ in range(2)]
 
         eager = ReplicaRouter(engines()).run(trace)
         streamed = ReplicaRouter(engines()).run(
@@ -502,7 +497,7 @@ class TestDefaultTenantUnchanged:
         trace = synthetic_trace(TINY_MODEL, 10, arrival_rate_rps=1000.0,
                                 seed=1, prompt_len=(3, 8),
                                 decode_len=(4, 12))
-        report = make_engine("cycle", "slotted").run(trace)
+        report = make_engine("slotted").run(trace)
         assert set(report.tenant_stats) == {"batch"}
         stats = report.tenant_stats["batch"]
         assert stats["n_requests"] == 10
@@ -521,8 +516,8 @@ class TestDefaultTenantUnchanged:
         named = [dataclasses.replace(
             r, tenant=TenantSpec(r.tenant.name, "batch"))
             for r in trace]
-        ref = make_engine("cycle", "slotted").run(plain)
-        got = make_engine("cycle", "slotted").run(named)
+        ref = make_engine("slotted").run(plain)
+        got = make_engine("slotted").run(named)
         assert ref.total_time_s == got.total_time_s
         assert ref.preemptions == got.preemptions
         for ra, rb in zip(ref.results, got.results):

@@ -1,21 +1,18 @@
 """Tensor-parallel group pricing, pinned bit for bit.
 
 A TP group's step, prompt and window prices are the per-shard cycle
-model (or roofline) plus the interconnect collectives, and its KV
+model plus the interconnect collectives, and its KV
 capacity is what one board's DRAM holds after its shard of the
 weights.  The golden hashes every such price as ``float.hex`` over the
-grid of models x TP degrees x links x timing kinds x KV disciplines, so
+grid of models x TP degrees x links x KV disciplines, so
 any change to how a group is priced or sized changes the digest.
 """
 
 import hashlib
 
-import pytest
-
 from repro.cluster import INTERCONNECT_PRESETS, validate_tp
 from repro.config import LLAMA2_7B, TINY_MODEL, W4A16_KV8, QuantConfig
 from repro.engine import (
-    AnalyticalBackend,
     ContinuousBatchScheduler,
     CycleModelBackend,
     Request,
@@ -35,7 +32,7 @@ MAX_BATCH = 8
 WIDE_BATCH = 4096
 
 PRICING_GOLDEN = \
-    "634849815d4cfbbcc387e492e5c897be8f3ee41c8c5383b535a17f3576d8edf4"
+    "2cb5416771e42dc9329c08093fd26c48c4c997fad145a6d3278e2c456c30a817"
 
 
 def scheduler_budget(backend, max_batch: int) -> int:
@@ -43,11 +40,10 @@ def scheduler_budget(backend, max_batch: int) -> int:
                                     max_batch=max_batch).kv_token_budget
 
 
-def group_prices(kind: str, kv_mode: str, model, quant, tp: int,
-                 link: str) -> str:
+def group_prices(kv_mode: str, model, quant, tp: int, link: str) -> str:
     """Every price and capacity of one TP group, as one string."""
     def build(n_slots):
-        return build_backend(kind, model, quant, tp=tp,
+        return build_backend("cycle", model, quant, tp=tp,
                              interconnect=INTERCONNECT_PRESETS[link],
                              n_slots=n_slots, kv_mode=kv_mode)
 
@@ -83,32 +79,28 @@ def grid():
             except ConfigError:
                 continue
             for link in LINKS:
-                for kind in ("cycle", "analytical"):
-                    for kv_mode in ("slotted", "paged"):
-                        yield kind, kv_mode, model, quant, tp, link
+                for kv_mode in ("slotted", "paged"):
+                    yield kv_mode, model, quant, tp, link
 
 
 def test_tp_group_pricing_golden():
     digest = hashlib.sha256()
-    for kind, kv_mode, model, quant, tp, link in grid():
-        digest.update(f"{model.name}/{tp}/{link}/{kind}/{kv_mode}:".encode())
-        digest.update(group_prices(kind, kv_mode, model, quant, tp,
+    for kv_mode, model, quant, tp, link in grid():
+        digest.update(f"{model.name}/{tp}/{link}/cycle/{kv_mode}:".encode())
+        digest.update(group_prices(kv_mode, model, quant, tp,
                                    link).encode())
     assert digest.hexdigest() == PRICING_GOLDEN
 
 
-@pytest.mark.parametrize("cls, kind", [(CycleModelBackend, "cycle"),
-                                       (AnalyticalBackend, "analytical")])
-def test_constructor_prices_the_whole_group(cls, kind):
+def test_constructor_prices_the_whole_group():
     """A backend constructed with ``tp=2`` is the whole TP group: the
     all-reduce is in every step and the KV budget is one board's share
     of DRAM after its shard of the weights — never half a group."""
-    direct = cls(LLAMA2_7B, W4A16_KV8, tp=2)
-    built = build_backend(kind, LLAMA2_7B, W4A16_KV8, tp=2)
+    direct = CycleModelBackend(LLAMA2_7B, W4A16_KV8, tp=2)
+    built = build_backend("cycle", LLAMA2_7B, W4A16_KV8, tp=2)
     assert direct.step_cycles([100, 200]) == built.step_cycles([100, 200])
     assert direct.prefill_cycles(9, 2) == built.prefill_cycles(9, 2)
     assert scheduler_budget(direct, 8) == scheduler_budget(built, 8) == 8192
-    paged = cls(LLAMA2_7B, W4A16_KV8, tp=2, kv_mode="paged")
+    paged = CycleModelBackend(LLAMA2_7B, W4A16_KV8, tp=2, kv_mode="paged")
     assert paged.paged_kv.n_total_blocks == 512
-    if kind == "cycle":
-        assert direct.step_cycles([100, 200]) == 52971994.48870469
+    assert direct.step_cycles([100, 200]) == 52971994.48870469

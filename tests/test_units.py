@@ -1,6 +1,4 @@
-"""Unit-convention helpers."""
-
-import pytest
+"""Unit-convention constants."""
 
 from repro import units
 
@@ -10,41 +8,6 @@ def test_binary_capacity_constants():
     assert units.GIB == 1024 * units.MIB
 
 
-def test_mib_of_4gib_is_4096():
-    assert units.mib(4 * units.GIB) == 4096
-
-
-def test_gb_per_s_is_decimal():
-    assert units.gb_per_s(19.2e9) == pytest.approx(19.2)
-
-
-def test_bytes_from_gb_per_s_roundtrip():
-    assert units.gb_per_s(units.bytes_from_gb_per_s(12.8)) == pytest.approx(12.8)
-
-
-def test_bits_to_bytes_fractional():
-    assert units.bits_to_bytes(4) == 0.5
-
-
-def test_seconds_from_cycles():
-    assert units.seconds_from_cycles(300e6, 300e6) == pytest.approx(1.0)
-
-
-def test_seconds_from_cycles_rejects_zero_freq():
-    with pytest.raises(ValueError):
-        units.seconds_from_cycles(100, 0)
-
-
-def test_tokens_per_second():
-    # 60M cycles per token at 300 MHz -> 5 token/s.
-    assert units.tokens_per_second(60e6, 300e6) == pytest.approx(5.0)
-
-
-def test_tokens_per_second_rejects_nonpositive_cycles():
-    with pytest.raises(ValueError):
-        units.tokens_per_second(0, 300e6)
-
-
 def test_kv260_ddr_peak_is_exact():
-    # 64-bit x 2400 MT/s = 19.2e9 B/s exactly.
-    assert 64 / 8 * 2400e6 == units.bytes_from_gb_per_s(19.2)
+    # 64-bit x 2400 MT/s = 19.2e9 B/s exactly: bandwidth is decimal.
+    assert 64 / 8 * 2400e6 == 19.2 * units.GB_DEC
