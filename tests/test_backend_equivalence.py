@@ -11,7 +11,9 @@ is invariant to the backend/KV combination:
   exactly the same tokens;
 * timing — the functional and cycle-model backends share one cost
   model, so their clocks must agree to float precision; batch=1 engine
-  steps must equal the single-sequence cycle model exactly;
+  steps must equal the single-sequence cycle model exactly; and no
+  decode step may beat the bandwidth roofline of its bus traffic, which
+  it tracks within 10% in the DRAM-bound regime (LLaMA2-7B);
 * paging — the paged runs must never be slower than slotted on a
   shared-prefix trace, and the functional paged run proves the shared
   blocks hold bit-identical K/V (else its argmax streams would drift).
@@ -20,7 +22,7 @@ is invariant to the backend/KV combination:
 import numpy as np
 import pytest
 
-from repro.config import LLAMA2_7B, TINY_MODEL, W4A16_KV8, QuantConfig
+from repro.config import KV260, LLAMA2_7B, TINY_MODEL, W4A16_KV8, QuantConfig
 from repro.core.cyclemodel import CycleModel
 from repro.engine import (
     ContinuousBatchScheduler,
@@ -35,6 +37,7 @@ from repro.engine.backends import (
     _stream_token,
     _stream_tokens,
 )
+from repro.memory.traffic import decode_traffic
 
 from report_checks import assert_reports_identical
 
@@ -175,16 +178,75 @@ class TestBatchOneMatchesSingleSequenceModel:
             == pytest.approx(cm.prefill_cycles(len(prompt)), rel=1e-12)
 
 
+def roofline_s(model, quant, context, tp=1):
+    """DDR-bound time of one batch-1 decode step: its bus bytes at the
+    platform's peak bandwidth."""
+    return decode_traffic(model, quant, context, tp).total_bytes \
+        / KV260.bandwidth_bytes_per_s
+
+
+def single_steps(backend, prompt, n_new):
+    """``(context, step seconds)`` of one request decoded alone."""
+    report = run_engine(backend, [Request(0, prompt, n_new)], max_batch=1)
+    (result,) = report.results
+    return [(len(prompt) + i, step_s)
+            for i, step_s in enumerate(result.decode_step_s)]
+
+
+class TestCycleModelRespectsRoofline:
+    """The cycle model and the bandwidth roofline charge the same bus
+    bytes: a decode step never beats the DDR-bound time of its traffic,
+    and where decode is DRAM-bound (LLaMA2-7B) it lands within 10% of
+    it — the paper's near-peak bandwidth utilization."""
+
+    @pytest.mark.parametrize("kv_mode", KV_MODES)
+    def test_bandwidth_bound_regime(self, kv_mode):
+        backend = make_backend("cycle", kv_mode, None, W4A16_KV8,
+                               model=LLAMA2_7B, n_slots=1)
+        steps = single_steps(backend, tuple(range(1, 17)), 6)
+        assert len(steps) == 6
+        for context, step_s in steps:
+            roof = roofline_s(LLAMA2_7B, W4A16_KV8, context)
+            assert roof <= step_s < roof / 0.9, context
+
+    def test_roofline_is_a_lower_bound_on_tiny(self, quant32):
+        """The tiny model is overhead-dominated: far off the roofline,
+        but never under it."""
+        backend = make_backend("cycle", "slotted", None, quant32,
+                               n_slots=1)
+        for context, step_s in single_steps(backend, (5, 6, 7, 8), 12):
+            assert roofline_s(TINY_MODEL, quant32, context) <= step_s
+
+    def test_sharded_step_respects_the_shard_roofline(self):
+        """A TP=2 shard streams half the projections and KV; its step
+        (all-reduce included) stays above the shard's roofline and
+        within 10% of it on LLaMA2-7B, and under the unsharded step."""
+        backend = CycleModelBackend(LLAMA2_7B, W4A16_KV8, tp=2, n_slots=1)
+        single = CycleModelBackend(LLAMA2_7B, W4A16_KV8, n_slots=1)
+        for context, step_s in single_steps(backend, tuple(range(1, 9)),
+                                            4):
+            roof = roofline_s(LLAMA2_7B, W4A16_KV8, context, tp=2)
+            assert roof <= step_s < roof / 0.9, context
+            assert step_s < single.step_cycles([context]) \
+                / single.freq_hz
+
+
 class BuilderCycleBackend(CycleModelBackend):
     """Oracle: every step and prompt priced by the cycle model's full
     schedule builders instead of the memoized decomposition."""
 
     def step_cycles(self, contexts, fetched=None):
-        return self.cycles.batched_decode_step(contexts, self.mode,
-                                               fetched).cycles
+        cycles = self.cycles.batched_decode_step(contexts, self.mode,
+                                                 fetched).cycles
+        if self.comm is None:
+            return cycles
+        return cycles + self.comm.decode_step_cycles(len(contexts))
 
     def prefill_cycles(self, n_tokens, start=0):
-        return self.cycles.prefill_cycles(n_tokens, start)
+        total = self.cycles.prefill_cycles(n_tokens, start)
+        if self.comm is None:
+            return total
+        return total + self.comm.prefill_cycles(n_tokens - start)
 
 
 class TestFastForwardEquivalence:
@@ -196,9 +258,10 @@ class TestFastForwardEquivalence:
     arrival-gated traffic forcing windows to break mid-run.
     """
 
+    @pytest.mark.parametrize("tp", [1, 2])
     @pytest.mark.parametrize("kv_mode", KV_MODES)
     @pytest.mark.parametrize("arrival_rate", [1e9, 300.0])
-    def test_fast_forward_is_bit_identical(self, kv_mode, arrival_rate,
+    def test_fast_forward_is_bit_identical(self, kv_mode, arrival_rate, tp,
                                            quant32):
         trace = synthetic_trace(TINY_MODEL, 20,
                                 arrival_rate_rps=arrival_rate, seed=9,
@@ -209,7 +272,8 @@ class TestFastForwardEquivalence:
         budget = BUDGET_TOKENS if kv_mode == "slotted" else None
 
         def run(cls, fast_forward):
-            backend = cls(TINY_MODEL, quant32, n_slots=MAX_BATCH, **kv)
+            backend = cls(TINY_MODEL, quant32, tp=tp, n_slots=MAX_BATCH,
+                          **kv)
             engine = ContinuousBatchScheduler(
                 backend, max_batch=MAX_BATCH, kv_token_budget=budget,
                 fast_forward=fast_forward)
@@ -219,17 +283,18 @@ class TestFastForwardEquivalence:
         assert_reports_identical(run(CycleModelBackend, False), reference)
         assert_reports_identical(run(CycleModelBackend, True), reference)
 
-    def test_llama2_7b_paged_shared_prefix_is_bit_identical(self):
+    @pytest.mark.parametrize("tp", [1, 2])
+    def test_llama2_7b_paged_shared_prefix_is_bit_identical(self, tp):
         """The paper's deployment (LLaMA2-7B, paged KV, a 16-token
-        shared prefix): windows and eager steps both equal the
-        reference schedule builders, with arrivals spread over the run
-        so windows break mid-decode."""
+        shared prefix), alone and as a TP=2 group: windows and eager
+        steps both equal the reference schedule builders, with arrivals
+        spread over the run so windows break mid-decode."""
         trace = synthetic_trace(LLAMA2_7B, 8, arrival_rate_rps=2.0,
                                 seed=5, prompt_len=(3, 8),
                                 decode_len=(8, 40), shared_prefix_len=16)
 
         def run(cls, fast_forward):
-            backend = cls(LLAMA2_7B, W4A16_KV8, n_slots=MAX_BATCH,
+            backend = cls(LLAMA2_7B, W4A16_KV8, tp=tp, n_slots=MAX_BATCH,
                           kv_mode="paged", block_size=BLOCK_SIZE)
             engine = ContinuousBatchScheduler(
                 backend, max_batch=MAX_BATCH, fast_forward=fast_forward)

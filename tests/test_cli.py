@@ -110,6 +110,14 @@ def test_serve_sim_functional_backend(capsys):
     assert "functional backend" in out
 
 
+def test_serve_sim_cycle_7b(capsys):
+    code, out = run(capsys, "serve-sim", "--model", "LLaMA2-7B",
+                    "--requests", "3", "--arrival-rate", "0.5",
+                    "--decode-max", "8")
+    assert code == 0
+    assert "LLaMA2-7B" in out
+
+
 def test_serve_sim_analytical_backend_is_gone(capsys):
     """The retired roofline backend fails at argument parsing, naming
     the remaining choices."""

@@ -57,6 +57,27 @@ class TestShardShapes:
         assert shard_model_config(TINY_MODEL, 1) is TINY_MODEL
 
     @pytest.mark.parametrize("tp", [1, 2, 4])
+    def test_projection_shapes_tile_the_full_matrices(self, tp):
+        """The shard config the cycle model prices: column-parallel
+        outputs (Q/K/V heads, gate/up channels) and row-parallel inputs
+        (O, down) are 1/tp of the full matrices, so tp shards tile
+        them back; the hidden width each shard reduces over stays
+        whole per head."""
+        shard = shard_model_config(LLAMA2_7B, tp)
+        assert shard.num_heads * shard.head_dim * tp \
+            == LLAMA2_7B.num_heads * LLAMA2_7B.head_dim
+        assert shard.kv_dim * tp == LLAMA2_7B.kv_dim
+        assert shard.intermediate_size * tp == LLAMA2_7B.intermediate_size
+        assert shard.hidden_size * tp == LLAMA2_7B.hidden_size
+        assert shard.num_layers == LLAMA2_7B.num_layers
+
+    @pytest.mark.parametrize("tp", [1, 2, 4])
+    def test_kv_bytes_tile_back(self, tp):
+        """Each shard appends the K/V of its own heads only."""
+        assert shard_model_config(LLAMA2_7B, tp).kv_bytes_per_token() * tp \
+            == LLAMA2_7B.kv_bytes_per_token()
+
+    @pytest.mark.parametrize("tp", [1, 2, 4])
     def test_stream_params_tile_back(self, tp):
         """tp shards together stream the full projections, and each
         repeats only the (replicated) norm weights."""

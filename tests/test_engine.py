@@ -196,6 +196,26 @@ class TestFunctionalBackend:
         assert len(report.results[0].tokens) <= 2
 
 
+class TestCycleModelBackend7B:
+    def test_serves_trace(self):
+        backend = CycleModelBackend(LLAMA2_7B, W4A16_KV8, n_slots=4)
+        engine = ContinuousBatchScheduler(backend, max_batch=4)
+        trace = synthetic_trace(LLAMA2_7B, n_requests=6,
+                                arrival_rate_rps=1.0, seed=2)
+        report = engine.run(trace)
+        assert len(report.results) == 6
+        # A 7B on the KV260 decodes a few tokens per second, batched.
+        assert 1.0 < report.aggregate_tokens_per_s < 12.0
+
+    def test_batched_step_sublinear(self):
+        """The weight stream is shared by the batch: four members cost
+        more than one but far less than four single steps."""
+        backend = CycleModelBackend(LLAMA2_7B, W4A16_KV8)
+        one = backend.step_cycles([512])
+        four = backend.step_cycles([512] * 4)
+        assert one < four < 4 * one
+
+
 class TestSyntheticTrace:
     def test_deterministic(self):
         a = synthetic_trace(TINY_MODEL, 8, seed=5)

@@ -376,8 +376,9 @@ class TestEngineFaults:
 # ---------------------------------------------------------------------
 
 def cluster(ff=True, n=3, faults=None, retry=None, degraded=None,
-            policy="round_robin"):
-    engines = [make_engine("cycle", "slotted", ff=ff) for _ in range(n)]
+            policy="round_robin", tp=1):
+    engines = [make_engine("cycle", "slotted", tp=tp, ff=ff)
+               for _ in range(n)]
     return ReplicaRouter(engines, policy=policy, faults=faults,
                          retry=retry, degraded=degraded)
 
@@ -425,18 +426,20 @@ class TestRouterResilience:
         reasons = {r.finish_reason for r in report.results}
         assert FinishReason.FAILED not in reasons
 
-    def test_resilience_is_tier_identical(self):
-        reports = [cluster(ff=ff, faults=SATURATED_CRASH)
+    @pytest.mark.parametrize("tp", (1, 2))
+    def test_resilience_is_tier_identical(self, tp):
+        reports = [cluster(ff=ff, tp=tp, faults=SATURATED_CRASH)
                    .run(saturated_trace())
                    for ff in FF_TIERS]
         for other in reports[1:]:
             assert reports[0].resilience == other.resilience
             assert_reports_identical(reports[0], other)
 
-    def test_same_seed_replay_is_bit_identical(self):
+    @pytest.mark.parametrize("tp", (1, 2))
+    def test_same_seed_replay_is_bit_identical(self, tp):
         faults = FaultSchedule.generate(3, horizon_s=span_s(48),
                                         seed=9, mean_gap_s=span_s(48) / 3)
-        runs = [cluster(faults=faults).run(trace(n=48))
+        runs = [cluster(tp=tp, faults=faults).run(trace(n=48))
                 for _ in range(2)]
         assert runs[0].resilience == runs[1].resilience
         assert_reports_identical(runs[0], runs[1])
@@ -483,7 +486,8 @@ class TestRouterResilience:
                        and router.assignments[r.request_id] == 1]
         assert not routed_down
 
-    def test_streamed_chaos_matches_eager_counts(self):
+    @pytest.mark.parametrize("tp", (1, 2))
+    def test_streamed_chaos_matches_eager_counts(self, tp):
         """Fast-forward agrees with the eager oracle under faults, and
         telemetry levels agree.  Crash and drain runs record the
         identical run-store metrics, tenant stats, latency percentiles
@@ -494,7 +498,7 @@ class TestRouterResilience:
         scenario checks the router's verdict rows at every level."""
         for name, (faults, rate, kind) in LEVEL_SCENARIOS.items():
             def run(level, ff):
-                return cluster(ff=ff, faults=faults,
+                return cluster(ff=ff, tp=tp, faults=faults,
                                degraded=DegradedModeConfig()) \
                     .run(lambda: iter(trace(n=48, rate=rate, mix=MIX)),
                          telemetry=level)
@@ -537,8 +541,9 @@ class TestRouterResilience:
         # Some rows are a winning copy's, re-keyed to the primary id.
         assert served_as != report.rows["request_id"].tolist()
 
+    @pytest.mark.parametrize("tp", (1, 2))
     @pytest.mark.parametrize("name", sorted(LEVEL_SCENARIOS))
-    def test_results_are_the_engines_own(self, name):
+    def test_results_are_the_engines_own(self, name, tp):
         """``results`` are built from spans over the decode-latency
         stream and token replay; on eager engines they must equal what
         the engines really generated and charged, through crash kills,
@@ -547,7 +552,7 @@ class TestRouterResilience:
         faults, rate, kind = LEVEL_SCENARIOS[name]
 
         def serve(ff):
-            router = cluster(ff=ff, faults=faults,
+            router = cluster(ff=ff, tp=tp, faults=faults,
                              degraded=DegradedModeConfig())
             logs = None if ff else [record_charges(engine)
                                     for engine in router.engines]

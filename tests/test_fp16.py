@@ -22,10 +22,23 @@ def test_fp16_rounds_to_half():
     assert float(fp16(1.0 + 2**-10)) == 1.0 + 2**-10
 
 
+def test_is_fp16_exact():
+    """Values on the FP16 grid survive the rounding cast unchanged."""
+    exact = np.array([1.0, 0.5, 2048.0, -3.25, FP16_MAX])
+    assert np.array_equal(fp16(exact).astype(np.float64), exact)
+    assert float(fp16(1.0 + 2**-11)) != 1.0 + 2**-11
+
+
 def test_fp16_mul_rounds_result():
     # 3.0003 rounds on input; the product rounds again on output.
     out = fp16_mul(1.0009765625, 1.0009765625)
     assert out.dtype == np.float16
+
+
+def test_fp16_add_commutative():
+    """The adder tree's two-input node rounds a + b and b + a alike."""
+    a, b = 1.25, -3.5
+    assert fp16_tree_sum([a, b]) == fp16_tree_sum([b, a])
 
 
 def test_tree_sum_empty_is_zero():
@@ -52,6 +65,11 @@ def test_dot_matches_float64_within_fp16_error(rng):
                          fp16(b).astype(np.float64)))
     approx = float(fp16_dot(a, b))
     assert approx == pytest.approx(exact, abs=0.25)
+
+
+def test_dot_tiled_shape_mismatch_raises():
+    with pytest.raises(ValueError, match="reduction axis mismatch"):
+        fp16_tiled_reduce(np.ones(4), np.ones(5))
 
 
 def test_tiled_kernel_matches_dot_for_short_vectors(rng):

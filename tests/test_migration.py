@@ -60,8 +60,8 @@ def trace(n=32, rate=1e9, seed=0, decode=(64, 128), mix=None):
                            tenant_mix=mix)
 
 
-def cluster(ff=True, n=3, kv="slotted", **kwargs):
-    engines = [make_engine("cycle", kv, ff=ff) for _ in range(n)]
+def cluster(ff=True, n=3, kv="slotted", tp=1, **kwargs):
+    engines = [make_engine("cycle", kv, tp=tp, ff=ff) for _ in range(n)]
     return ReplicaRouter(engines, **kwargs)
 
 
@@ -201,8 +201,9 @@ class TestFailureDomains:
 # ---------------------------------------------------------------------
 
 class TestDrainMigration:
-    def test_drain_loses_nothing_and_recomputes_nothing(self):
-        router = cluster(faults=DRAIN)
+    @pytest.mark.parametrize("tp", (1, 2))
+    def test_drain_loses_nothing_and_recomputes_nothing(self, tp):
+        router = cluster(tp=tp, faults=DRAIN)
         report = router.run(trace())
         res = report.resilience
         assert res["n_drains"] == 1
@@ -218,26 +219,29 @@ class TestDrainMigration:
         ids = [r.request_id for r in report.results]
         assert len(ids) == len(set(ids)) == 32
 
-    def test_drain_is_tier_identical(self):
-        reports = [cluster(ff=ff, faults=DRAIN)
+    @pytest.mark.parametrize("tp", (1, 2))
+    def test_drain_is_tier_identical(self, tp):
+        reports = [cluster(ff=ff, tp=tp, faults=DRAIN)
                    .run(trace()) for ff in FF_TIERS]
         for other in reports[1:]:
             assert reports[0].resilience == other.resilience
             assert_reports_identical(reports[0], other)
 
-    def test_drain_is_tier_identical_paged(self):
-        reports = [cluster(ff=ff, kv="paged", faults=DRAIN)
+    @pytest.mark.parametrize("tp", (1, 2))
+    def test_drain_is_tier_identical_paged(self, tp):
+        reports = [cluster(ff=ff, kv="paged", tp=tp, faults=DRAIN)
                    .run(trace()) for ff in FF_TIERS]
         for other in reports[1:]:
             assert reports[0].resilience == other.resilience
             assert_reports_identical(reports[0], other)
 
-    def test_migrated_tokens_match_fault_free_run(self):
+    @pytest.mark.parametrize("tp", (1, 2))
+    def test_migrated_tokens_match_fault_free_run(self, tp):
         """Migration changes *where* a request decodes, never *what*
         it decodes: per-request token streams are pure functions of the
         request id, so every result matches the fault-free run."""
-        clean = cluster().run(trace())
-        drained = cluster(faults=DRAIN).run(trace())
+        clean = cluster(tp=tp).run(trace())
+        drained = cluster(tp=tp, faults=DRAIN).run(trace())
         clean_tokens = {r.request_id: r.tokens for r in clean.results}
         for res in drained.results:
             assert res.tokens == clean_tokens[res.request_id]
@@ -258,9 +262,11 @@ class TestDrainMigration:
         assert drained.ttft_percentile_s(99) \
             < crashed.ttft_percentile_s(99)
 
-    def test_drain_sketch_matches_eager_counts(self):
-        eager = cluster(ff=False, faults=DRAIN).run(trace())
-        sketch = cluster(faults=DRAIN).run(trace(), telemetry="sketch")
+    @pytest.mark.parametrize("tp", (1, 2))
+    def test_drain_sketch_matches_eager_counts(self, tp):
+        eager = cluster(ff=False, tp=tp, faults=DRAIN).run(trace())
+        sketch = cluster(tp=tp, faults=DRAIN).run(trace(),
+                                                  telemetry="sketch")
         assert sketch.resilience == eager.resilience
         assert sketch.n_requests == eager.n_requests
         assert sketch.total_new_tokens == eager.total_new_tokens

@@ -138,21 +138,22 @@ def assert_percentiles_identical(a, b):
 class TestWindowedExpansionIsExact:
     """Satellite: hypothesis property over backends x KV modes x TP."""
 
+    @pytest.mark.parametrize("tp", (1, 2))
     @pytest.mark.parametrize("kv_mode", ("slotted", "paged"))
     @settings(deadline=None, max_examples=12)
     @given(seed=st.integers(0, 10_000),
            arrival_rate=st.sampled_from([1e9, 5000.0, 300.0]),
            n_requests=st.integers(4, 24),
            decode_hi=st.integers(6, 40))
-    def test_windows_expand_to_eager(self, kv_mode, seed, arrival_rate,
+    def test_windows_expand_to_eager(self, kv_mode, tp, seed, arrival_rate,
                                      n_requests, decode_hi):
         kwargs = dict(arrival_rate_rps=arrival_rate, seed=seed,
                       prompt_len=(3, 10), decode_len=(4, decode_hi),
                       shared_prefix_len=8)
         trace = synthetic_trace(TINY_MODEL, n_requests, **kwargs)
-        eng_eager = make_engine("cycle", kv_mode, ff=False)
+        eng_eager = make_engine("cycle", kv_mode, tp=tp, ff=False)
         eager = eng_eager.run(trace)
-        eng_win = make_engine("cycle", kv_mode)
+        eng_win = make_engine("cycle", kv_mode, tp=tp)
         windows = eng_win.run(
             iter_synthetic_trace(TINY_MODEL, n_requests, **kwargs))
         assert_reports_identical(windows, eager)
@@ -162,7 +163,7 @@ class TestWindowedExpansionIsExact:
         # Expanded event streams (clocks included) match bit for bit.
         assert eng_win.events == eng_eager.events
 
-        sketch = make_engine("cycle", kv_mode).run(
+        sketch = make_engine("cycle", kv_mode, tp=tp).run(
             iter_synthetic_trace(TINY_MODEL, n_requests, **kwargs),
             telemetry="sketch")
         assert sketch.total_time_s == eager.total_time_s
@@ -243,11 +244,20 @@ class TestWindowedExpansionIsExact:
         with pytest.raises(SimulationError):
             eng.events
 
-    def test_unknown_level_rejected(self):
+    @pytest.mark.parametrize("level", ("everything", "full", "summary"))
+    def test_unknown_level_rejected(self, level):
+        """The engine and the router refuse any level but the two kept
+        ones (the retired ``full`` and ``summary`` included), naming
+        them."""
+        choices = r"choose from \('windows', 'sketch'\)"
         eng = make_engine("cycle", "slotted")
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match=choices):
             eng.run([Request(0, (1, 2), max_new_tokens=4)],
-                    telemetry="everything")
+                    telemetry=level)
+        router = ReplicaRouter([make_engine("cycle", "slotted")])
+        with pytest.raises(SimulationError, match=choices):
+            router.run([Request(0, (1, 2), max_new_tokens=4)],
+                       telemetry=level)
 
 
 class TestEventHorizonTiers:
@@ -256,13 +266,14 @@ class TestEventHorizonTiers:
     every observable, while the recorded window count collapses on
     retirement-dominated traces."""
 
+    @pytest.mark.parametrize("tp", (1, 2))
     @pytest.mark.parametrize("kv_mode", ("slotted", "paged"))
     @settings(deadline=None, max_examples=8)
     @given(seed=st.integers(0, 10_000),
            arrival_rate=st.sampled_from([1e9, 2000.0, 150.0]),
            n_requests=st.integers(3, 12),
            decode_hi=st.integers(30, 80))
-    def test_long_decode_tiers_agree(self, kv_mode, seed, arrival_rate,
+    def test_long_decode_tiers_agree(self, kv_mode, tp, seed, arrival_rate,
                                      n_requests, decode_hi):
         """Long decodes make predicted-retirement segments fire; the
         windows must stay bit-identical to the eager loop through
@@ -271,13 +282,14 @@ class TestEventHorizonTiers:
                       prompt_len=(3, 10), decode_len=(25, decode_hi),
                       shared_prefix_len=8)
         trace = synthetic_trace(TINY_MODEL, n_requests, **kwargs)
-        eager = make_engine("cycle", kv_mode, ff=False).run(trace)
-        windowed = make_engine("cycle", kv_mode).run(trace)
+        eager = make_engine("cycle", kv_mode, tp=tp, ff=False).run(trace)
+        windowed = make_engine("cycle", kv_mode, tp=tp).run(trace)
         assert_reports_identical(windowed, eager)
         assert_percentiles_identical(windowed, eager)
 
+    @pytest.mark.parametrize("tp", (1, 2))
     @pytest.mark.parametrize("kv_mode", ("slotted", "paged"))
-    def test_oracle_mixed_eos_length_tiers_agree(self, kv_mode):
+    def test_oracle_mixed_eos_length_tiers_agree(self, kv_mode, tp):
         """Mixed EOS and LENGTH finishes inside one batch: predicted
         retirements of both kinds fold at segment boundaries without
         disturbing the token streams."""
@@ -293,7 +305,7 @@ class TestEventHorizonTiers:
 
         def engine(ff):
             backend = CycleModelBackend(
-                TINY_MODEL, QUANT32, n_slots=MAX_BATCH,
+                TINY_MODEL, QUANT32, tp=tp, n_slots=MAX_BATCH,
                 token_oracle=oracle, kv_mode=kv_mode,
                 block_size=BLOCK_SIZE,
                 n_kv_blocks=BUDGET_TOKENS // BLOCK_SIZE)
@@ -310,9 +322,11 @@ class TestEventHorizonTiers:
         assert {r.finish_reason for r in windowed.results} \
             == {FinishReason.EOS, FinishReason.LENGTH}
 
+    @pytest.mark.parametrize("tp", (1, 2))
     @pytest.mark.parametrize("kv_mode", ("slotted", "paged"))
     @pytest.mark.parametrize("eos_step", range(1, 12))
-    def test_oracle_eos_at_every_segment_position(self, kv_mode, eos_step):
+    def test_oracle_eos_at_every_segment_position(self, kv_mode, eos_step,
+                                                  tp):
         """One oracle EOS swept across a window whose segments end at
         two LENGTH retirements (decode steps 5 and 9; step ``k``
         samples token ``k``): it lands on a segment's first step (1, 6,
@@ -327,7 +341,7 @@ class TestEventHorizonTiers:
 
         def engine(ff):
             backend = CycleModelBackend(
-                TINY_MODEL, QUANT32, n_slots=MAX_BATCH,
+                TINY_MODEL, QUANT32, tp=tp, n_slots=MAX_BATCH,
                 token_oracle=oracle, kv_mode=kv_mode,
                 block_size=BLOCK_SIZE,
                 n_kv_blocks=BUDGET_TOKENS // BLOCK_SIZE)
@@ -442,8 +456,9 @@ class TestEventHorizonTiers:
         assert sum(stats["breaks"].values()) <= stats["n_windows"]
         assert stats["folded_admissions"] > 0
 
+    @pytest.mark.parametrize("tp", (1, 2))
     @pytest.mark.parametrize("kv_mode", ("slotted", "paged"))
-    def test_knee_folded_admissions_match_eager(self, kv_mode):
+    def test_knee_folded_admissions_match_eager(self, kv_mode, tp):
         """Admissions fold into the windows at segment starts: the
         materialized and the streamed run both reproduce the eager
         loop, events included — each admission's count lands on the
@@ -453,14 +468,14 @@ class TestEventHorizonTiers:
         at a block frontier."""
         n = 120
         trace = synthetic_trace(TINY_MODEL, n, **knee_kwargs(3))
-        eager_eng = make_engine("cycle", kv_mode, ff=False)
+        eager_eng = make_engine("cycle", kv_mode, tp=tp, ff=False)
         eager = eager_eng.run(trace)
-        eng = make_engine("cycle", kv_mode)
+        eng = make_engine("cycle", kv_mode, tp=tp)
         windowed = eng.run(trace)
         assert_reports_identical(windowed, eager)
         assert eng.events == eager_eng.events
 
-        streamed_eng = make_engine("cycle", kv_mode)
+        streamed_eng = make_engine("cycle", kv_mode, tp=tp)
         streamed = streamed_eng.run(
             iter_synthetic_trace(TINY_MODEL, n, **knee_kwargs(3)),
             telemetry="windows")
@@ -787,8 +802,9 @@ class TestIdleAndEvictionFolds:
     the prefix-cache evictions of a full paged pool: every telemetry
     level, materialized or streamed, reports what the eager loop does."""
 
+    @pytest.mark.parametrize("tp", (1, 2))
     @pytest.mark.parametrize("kv_mode", ("slotted", "paged"))
-    def test_low_rate_trace_takes_no_eager_step(self, kv_mode):
+    def test_low_rate_trace_takes_no_eager_step(self, kv_mode, tp):
         """Requests arrive one at a time and drain before the next: each
         arrival is an idle jump the window folds into an admitting
         segment, so the run takes no eager step and owes no decode
@@ -804,8 +820,8 @@ class TestIdleAndEvictionFolds:
                 assert engine.events == eager_engine.events
 
         _, eager = assert_windows_match_eager(
-            lambda ff: make_engine("cycle", kv_mode, ff=ff), requests,
-            check)
+            lambda ff: make_engine("cycle", kv_mode, tp=tp, ff=ff),
+            requests, check)
         # Idle gaps are real: most requests arrive to an idle engine.
         assert len(idle_gaps(requests, eager)) > len(requests) // 2
 

@@ -285,9 +285,9 @@ class TestRejection:
 
 
 class TestBestEffortDrop:
-    def run_thrash(self, ff):
+    def run_thrash(self, ff, tp=1):
         bg = TenantSpec("bg", "best_effort")  # quota-free: evictions,
-        eng = make_engine("slotted", budget=64, ff=ff)  # not caps
+        eng = make_engine("slotted", tp=tp, budget=64, ff=ff)  # not caps
         reqs = [Request(0, (1, 2, 3), 55, arrival_s=0.0, tenant=bg)]
         for i in range(1, 25):
             reqs.append(Request(i, tuple(range(2, 14)), 12,
@@ -306,30 +306,32 @@ class TestBestEffortDrop:
         fg = report.tenant_stats["interactive"]
         assert fg["n_rejected"] == 0 and fg["n_requests"] == 24
 
-    def test_drop_is_tier_invariant(self):
-        assert_reports_identical(self.run_thrash(ff=True),
-                                 self.run_thrash(ff=False))
+    @pytest.mark.parametrize("tp", (1, 2))
+    def test_drop_is_tier_invariant(self, tp):
+        assert_reports_identical(self.run_thrash(ff=True, tp=tp),
+                                 self.run_thrash(ff=False, tp=tp))
 
 
 class TestTenancyTiersAgree:
     """Satellite: the differential harness over mixed-tenant traces —
     event-horizon windows == eager across KV modes and TP=2."""
 
+    @pytest.mark.parametrize("tp", (1, 2))
     @pytest.mark.parametrize("kv_mode", ("slotted", "paged"))
     @settings(deadline=None, max_examples=8)
     @given(seed=st.integers(0, 10_000),
            arrival_rate=st.sampled_from([1e9, 20000.0, 800.0]),
            n_requests=st.integers(4, 24),
            decode_hi=st.integers(8, 48))
-    def test_mixed_tenant_tiers_agree(self, kv_mode, seed, arrival_rate,
+    def test_mixed_tenant_tiers_agree(self, kv_mode, tp, seed, arrival_rate,
                                       n_requests, decode_hi):
         trace = synthetic_trace(TINY_MODEL, n_requests,
                                 arrival_rate_rps=arrival_rate, seed=seed,
                                 prompt_len=(3, 10),
                                 decode_len=(4, decode_hi),
                                 tenant_mix=MIX)
-        eager = make_engine(kv_mode, ff=False).run(trace)
-        windowed = make_engine(kv_mode).run(trace)
+        eager = make_engine(kv_mode, tp=tp, ff=False).run(trace)
+        windowed = make_engine(kv_mode, tp=tp).run(trace)
         assert_reports_identical(windowed, eager)
 
     def test_mixed_tenant_contention_tiers_agree(self):
