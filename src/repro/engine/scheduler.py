@@ -30,9 +30,9 @@ from __future__ import annotations
 
 import bisect
 from collections import deque
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from ..errors import CapacityError, SimulationError
 from .backends import EngineBackend, derive_kv_token_budget
@@ -124,7 +124,7 @@ class _ClassQueues:
     exactly the old single-deque discipline, applied per class.  A
     streamed run appends in arrival order, but direct ``submit()`` calls
     may not: the idle jump therefore targets the minimum over the class
-    heads (see :meth:`min_head_arrival`), which needs no sortedness.
+    heads (see :meth:`head_arrivals`), which needs no sortedness.
     """
 
     __slots__ = ("queues", "_n")
@@ -140,10 +140,6 @@ class _ClassQueues:
     def __bool__(self) -> bool:
         return self._n > 0
 
-    def __iter__(self):
-        for q in self.queues:
-            yield from q
-
     def append(self, state: RequestState) -> None:
         self.queues[state.request.tenant.rank].append(state)
         self._n += 1
@@ -157,19 +153,12 @@ class _ClassQueues:
         self._n -= 1
         return state
 
-    def min_head_arrival(self) -> float | None:
-        """Earliest arrival among class heads: the earliest moment
-        anything waiting can be admitted.  Admission is FIFO within a
+    def head_arrivals(self) -> list[float]:
+        """Arrival times of the class heads.  Admission is FIFO within a
         class, so nothing behind a head is admitted before it — an
         earlier arrival queued behind a later head waits for that head
         either way, sorted queue or not."""
-        best: float | None = None
-        for q in self.queues:
-            if q:
-                arrival = q[0].request.arrival_s
-                if best is None or arrival < best:
-                    best = arrival
-        return best
+        return [q[0].request.arrival_s for q in self.queues if q]
 
     def remove_if(self, predicate) -> list[RequestState]:
         """Remove and return every member matching ``predicate``,
@@ -188,17 +177,51 @@ class _ClassQueues:
         self._n -= len(removed)
         return removed
 
-    def next_future_arrival(self, clock_s: float) -> float | None:
-        """Earliest class-head arrival strictly after ``clock_s``.
-        An already-arrived head hides its successors, matching the
-        in-class FIFO rule: nothing behind it can be admitted first."""
-        best: float | None = None
-        for q in self.queues:
-            if q:
-                arrival = q[0].request.arrival_s
-                if arrival > clock_s and (best is None or arrival < best):
-                    best = arrival
-        return best
+
+#: the admission verdict with no admissible head (see
+#: :meth:`ContinuousBatchScheduler._admission_scan`)
+_NO_HEAD = (-1, None, False, False)
+
+
+class _SegmentPlan(NamedTuple):
+    """A segment's event horizon (see
+    :meth:`ContinuousBatchScheduler._segment_horizon`)."""
+
+    steps: int
+    reason: str | None
+    planned: Sequence[list[int]] = ()
+    bounds: Sequence[int] = ()
+    kinds: Sequence[FinishReason] = ()
+    cut_s: float | None = None
+    arrival_s: float | None = None
+
+
+class _Window:
+    """One fast-forward pass: what its last segment start admitted (and
+    the verdict left after), what it folded, the busy stretch traced as
+    one flight ``window`` span, and why it ended."""
+
+    __slots__ = ("admitted", "forced", "verdict", "step_start_s",
+                 "segments", "steps", "stretch", "end_s", "reason", "note")
+
+    def __init__(self, clock_s: float) -> None:
+        self.admitted, self.forced, self.verdict = 0, False, _NO_HEAD
+        self.step_start_s = self.end_s = clock_s
+        self.segments = self.steps = 0
+        #: start clock, first batch, segments, steps
+        self.stretch = [clock_s, 0, 0, 0]
+        self.reason: str | None = None
+        #: fault boundaries are part of the event horizon: a chain that
+        #: ends exactly AT a known fault start (or drain deadline) is a
+        #: planned termination, not a mid-window break — it records no
+        #: break note.
+        self.note = True
+
+    def trace(self, flight, reason: str) -> None:
+        """Draw the busy stretch as one flight ``window`` span."""
+        start_s, batch, segments, steps = self.stretch
+        flight.span("window", start_s, self.end_s, batch=batch,
+                    steps=steps, segments=segments, reason=reason)
 
 
 class ContinuousBatchScheduler:
@@ -243,27 +266,13 @@ class ContinuousBatchScheduler:
             raise CapacityError("KV token budget must be positive")
         self.kv_token_budget = int(kv_token_budget)
 
-        self.clock_s = 0.0
         self.waiting = _ClassQueues()
         self.running: list[RequestState] = []
-        self._recorder = TelemetryRecorder(
-            "windows", backend.freq_hz,
-            token_replay=getattr(backend, "replay_tokens", None))
         #: optional request-lifecycle trace recorder
         #: (:class:`repro.obs.FlightRecorder`).  Off by default; when
         #: None every hook site is a single attribute check, so
         #: untraced runs pay nothing.
         self.flight = None
-        self._preemptions = 0
-        self._n_finished = 0
-        #: global decode-step counter — the index space request spans
-        #: point into.
-        self._decode_steps = 0
-        #: the run's arrival source (an arrival-sorted Request
-        #: iterator), pulled by :meth:`_refill`; None once exhausted.
-        self._stream: Iterator[Request] | None = None
-        self._stream_head: Request | None = None
-        self._last_stream_arrival = 0.0
         #: running sum of cached tokens across the running set, kept in
         #: lockstep by admit/retire/preempt/decode instead of re-summed
         #: every scheduler step.
@@ -272,7 +281,6 @@ class ContinuousBatchScheduler:
         #: per-tenant cached-token counters, populated only for tenants
         #: that declare a quota so the default path pays nothing.
         self._quota_specs: dict[str, int] = {}
-        self._tenant_cached: dict[str, int] = {}
         #: deterministic fault plan for this replica — any object with
         #: a sorted ``actions`` tuple of ``(kind, start_s, duration_s,
         #: factor)`` entries (see :class:`repro.cluster.faults.
@@ -284,6 +292,26 @@ class ContinuousBatchScheduler:
         #: for goodput-during-recovery accounting — set by the router
         #: alongside the plan.
         self.degraded_spans: tuple[tuple[float, float], ...] = ()
+        self._begin_run("windows")
+
+    def _begin_run(self, telemetry: str) -> None:
+        """Start the per-run state over: the clock, the recorder, the
+        arrival stream, and the fault and recovery ledgers."""
+        self.clock_s = 0.0
+        self._recorder = TelemetryRecorder(
+            telemetry, self.backend.freq_hz,
+            token_replay=getattr(self.backend, "replay_tokens", None))
+        self._preemptions = 0
+        self._n_finished = 0
+        #: global decode-step counter — the index space request spans
+        #: point into.
+        self._decode_steps = 0
+        #: the run's arrival source (an arrival-sorted Request
+        #: iterator), pulled by :meth:`_refill`; None once exhausted.
+        self._stream: Iterator[Request] | None = None
+        self._stream_head: Request | None = None
+        self._last_stream_arrival = 0.0
+        self._tenant_cached = {name: 0 for name in self._quota_specs}
         #: requests lost to crashes in the current/last run
         #: (:class:`KilledRequest`, in kill order) — what the router
         #: re-dispatches to surviving replicas or fails.
@@ -292,7 +320,8 @@ class ContinuousBatchScheduler:
         #: (:class:`MigratedRequest`, in migration order) — what the
         #: router re-admits on a healthy replica after a handoff charge.
         self.drained: list[MigratedRequest] = []
-        self._fault_actions: tuple = ()
+        self._fault_actions = tuple(self.fault_plan.actions) \
+            if self.fault_plan is not None else ()
         self._fault_next = 0
         self._slow_factor = 1.0
         self._slow_until: float | None = None
@@ -306,8 +335,9 @@ class ContinuousBatchScheduler:
                               "drain": 0}
         self._downtime_s = 0.0
         self._degraded_tokens = 0
-        self._degraded_starts: list[float] = []
-        self._degraded_ends: list[float] = []
+        spans = sorted(self.degraded_spans)
+        self._degraded_starts = [s for s, _ in spans]
+        self._degraded_ends = [e for _, e in spans]
 
     @property
     def events(self) -> list[StepEvent]:
@@ -392,9 +422,6 @@ class ContinuousBatchScheduler:
 
     # -- internals ---------------------------------------------------------
 
-    def _cached_tokens(self) -> int:
-        return self._cached_total
-
     def _growth_blocks(self, states: Iterable[RequestState]) -> int:
         """Fresh blocks the coming one-token appends would claim."""
         assert self.paged_kv is not None
@@ -415,7 +442,7 @@ class ContinuousBatchScheduler:
                 state.sequence_tokens())
             return fresh + self._growth_blocks(self.running) <= claimable
         needed = state.prompt_len + state.n_generated + 1
-        return self._cached_tokens() + len(self.running) + needed \
+        return self._cached_total + len(self.running) + needed \
             <= self.kv_token_budget
 
     def _growth_overflows(self, pending: list[RequestState]) -> bool:
@@ -423,7 +450,7 @@ class ContinuousBatchScheduler:
         if self.paged_kv is not None:
             return self._growth_blocks(pending) \
                 > self.paged_kv.n_available_blocks
-        return self._cached_tokens() + len(pending) > self.kv_token_budget
+        return self._cached_total + len(pending) > self.kv_token_budget
 
     # -- tenant quota discipline -------------------------------------------
     #
@@ -719,9 +746,14 @@ class ContinuousBatchScheduler:
             "degraded_tokens": self._degraded_tokens,
         }
 
-    def _note_sampled(self, state: RequestState, token: int) -> None:
-        """Record a sampled token; retire on EOS or when the budget is hit
-        with nothing left to forward."""
+    def _sample_next(self, state: RequestState) -> None:
+        """A member's forward just ended: sample its next token, or
+        retire it at the length limit when its budget (or context) is
+        spent and that forward was its final token's."""
+        if self._samples_left((state,))[0] <= 0:
+            self._retire(state, FinishReason.LENGTH)
+            return
+        token = self.backend.sample(state)
         state.generated.append(token)
         if state.first_token_s is None:
             state.first_token_s = self.clock_s
@@ -917,7 +949,7 @@ class ContinuousBatchScheduler:
             # Draining: admission is closed outright.  Arrivals inside
             # the drain window were already handed over, so nothing an
             # open scan would admit can be waiting anyway.
-            return -1, None, False, False
+            return _NO_HEAD
         for rank, queue in enumerate(self.waiting.queues):
             if not queue:
                 continue
@@ -931,25 +963,28 @@ class ContinuousBatchScheduler:
             pool_blocked = not any(s.request.tenant.rank > rank
                                    for s in self.running)
             return rank, head, False, pool_blocked
-        return -1, None, False, False
+        return _NO_HEAD
 
-    def _admit_ready(self) -> int:
+    def _admit_ready(self, verdict: tuple | None = None) -> tuple[int, tuple]:
         """Admit arrived heads in priority order until none fits (or the
-        batch is full), prefilling each and sampling its first token;
-        returns how many were admitted.  The eager step and the window's
+        batch is full), prefilling each and sampling its first token.
+        Starts from ``verdict``, a fresh :meth:`_admission_scan` (a
+        window's segment start), if given; returns the admits and the
+        verdict left after them.  The eager step and the window's
         segment starts both admit through here, so admissions happen in
         one order either way."""
         admitted = 0
         while len(self.running) < self.max_batch:
-            # Streamed runs: each admission advances the clock through
-            # its prefill, so requests may arrive mid-loop — pull them
-            # in before looking at the heads, exactly like a
-            # materialized queue would already hold them.
-            self._refill()
-            rank, state, fits, pool_blocked = \
-                self._admission_scan()
+            if verdict is None:
+                # Streamed runs: each admission advances the clock
+                # through its prefill, so requests may arrive mid-loop —
+                # pull them in before looking at the heads, exactly like
+                # a materialized queue would already hold them.
+                self._refill()
+                verdict = self._admission_scan()
+            rank, state, fits, pool_blocked = verdict
             if state is None or pool_blocked:
-                break
+                return admitted, verdict
             if not fits:
                 # An arrived higher-class head: evict strictly-lower
                 # -class work until it fits (or nothing is left to
@@ -959,11 +994,13 @@ class ContinuousBatchScheduler:
                         fits = True
                         break
                 if not fits:
-                    break
+                    return admitted, self._admission_scan()
             try:
                 self.backend.admit(state)
             except SimulationError:
-                break  # no free KV slot
+                # No free KV slot; evictions may have changed the heads.
+                return admitted, self._admission_scan()
+            verdict = None
             self.waiting.popleft(rank)
             if self.flight is not None:
                 self.flight.request_phase(state.request_id, "prefill",
@@ -1000,28 +1037,34 @@ class ContinuousBatchScheduler:
             admitted += 1
             # First token (or, after preemption, the next token) samples
             # the moment prefill ends.
-            if state.n_generated < state.request.max_new_tokens \
-                    and state.position < self.backend.model_config.max_context:
-                self._note_sampled(state, self.backend.sample(state))
-            else:
-                self._retire(state, FinishReason.LENGTH)
-        return admitted
+            self._sample_next(state)
+        return admitted, _NO_HEAD
+
+    def _samples_left(self, states: Iterable[RequestState]) -> list[int]:
+        """Tokens each member may still sample once all it holds is
+        forwarded: its length budget or context room, whichever binds
+        first (0: its next forward is its last)."""
+        max_context = self.backend.model_config.max_context
+        return [min(s.request.max_new_tokens,
+                    max_context - len(s.request.prompt)) - len(s.generated)
+                for s in states]
+
+    def _idle_jump(self) -> tuple[float, bool] | None:
+        """Where an idle engine jumps: ``(next arrival, False)``, or
+        ``(fault boundary, True)`` when one lies strictly inside the gap
+        (the fault is serviced first); None unless the engine idles
+        before an arrival."""
+        if self.running or not self.waiting:
+            return None
+        arrival = min(self.waiting.head_arrivals())
+        if arrival <= self.clock_s:
+            return None
+        boundary = self._fault_boundary()
+        if boundary is not None and self.clock_s < boundary < arrival:
+            return boundary, True
+        return arrival, False
 
     # -- fast forward --------------------------------------------------------
-
-    def _next_admission_arrival(self) -> float | None:
-        """Earliest future arrival that could flip the admission
-        verdict mid-window: a not-yet-arrived class head, or the
-        unsubmitted stream look-ahead.  The look-ahead binds even behind
-        waiting same-class siblings: the stream is arrival-sorted, so
-        it bounds every request still unseen behind it — any of which
-        may head another class."""
-        nxt = self.waiting.next_future_arrival(self.clock_s)
-        head = self._stream_head
-        if head is not None and head.arrival_s > self.clock_s \
-                and (nxt is None or head.arrival_s < nxt):
-            nxt = head.arrival_s
-        return nxt
 
     def _fast_forward(self) -> int:
         """Advance a multi-segment window: piecewise-static segments
@@ -1035,323 +1078,308 @@ class ContinuousBatchScheduler:
         replay — and paged block allocation is arithmetic on context
         length, so the event horizon (the next *unavoidable* scheduler
         state change) is computable without stepping.  Each segment is
-        charged in one ``fast_forward_cycles`` call; between segments
-        the batch shrink and block-table growth are folded in the same
-        member order as the eager loop (commit, then retire in pending
-        order), so every clock, event, latency, and token stream stays
-        bit-identical.
-
-        A segment that starts with an empty batch first makes the eager
-        idle jump to the next arrival (unless a fault boundary lies
-        inside the gap: that jump is left to ``step()``, which lands on
-        the fault).  A segment then admits, through the eager
-        ``_admit_ready``, whenever an arrived head fits without
-        preemption: its prefill advances the clock between segments,
-        and the eager step that admits always charges one decode step
-        next, so a segment that admitted applies its first step even
-        past an arrival or fault boundary (cuts bind from its second
-        step on).  Should that step need what a window cannot fold (a
-        pressure eviction, or an empty batch), the window ends and the
-        eager step's decode half charges it.  Windows break only when
-        an admission needs a preemption, at arrival cuts, and at
-        genuine preemption risk.  The flight recorder draws one
-        ``window`` span per busy stretch: an idle gap is no window work.
+        opened (:meth:`_segment_start`), planned
+        (:meth:`_segment_horizon`), charged in one
+        ``fast_forward_cycles`` call (:meth:`_segment_charge`) and
+        folded in the eager loop's member order
+        (:meth:`_segment_fold`) before the next is planned, so every
+        clock, event, latency, and token stream stays bit-identical.
+        Windows break only when an admission needs a preemption, at
+        arrival cuts, and at genuine preemption risk.  The flight
+        recorder draws one ``window`` span per busy stretch: an idle
+        gap is no window work.
         """
-        rec = self._recorder
-        freq = self.backend.freq_hz
-        max_context = self.backend.model_config.max_context
-        end_s = self.clock_s
-        n_segments = total_applied = 0
-        #: the busy stretch traced as one window span: its start clock,
-        #: first batch, segments and steps
-        stretch = [self.clock_s, 0, 0, 0]
-        break_reason: str | None = None
-        #: fault boundaries are part of the event horizon: a chain that
-        #: ends exactly AT a known fault start (or drain deadline) is a
-        #: planned termination, not a mid-window break — it leaves
-        #: ``break_reason`` driving the loop but records no break note.
-        note_break = True
+        win = _Window(self.clock_s)
         #: the segment start admitted but cannot fold the step the eager
         #: loop charges right after; the eager decode half owes it.
         owed = False
-
-        while True:
-            # Re-gate at every segment start: folded retirements free
-            # capacity (and slots), so the admission verdict and the
-            # stream head must be re-read exactly where the eager loop
-            # would next check them.
-            self._refill()
-            if self._fault_actions:
-                fault_boundary = self._fault_boundary()
-                if fault_boundary is not None \
-                        and self.clock_s >= fault_boundary:
-                    # A folded segment's final step (or an admitting
-                    # segment's first) crossed the fault boundary
-                    # (cut == n_seg): stop the window so the
-                    # run loop services the fault before any new
-                    # segment.  Never binds on the first iteration —
-                    # loop-top servicing guarantees clock < boundary.
-                    break_reason = self._boundary_reason(fault_boundary)
-                    note_break = False
-                    break
-            # Members of a charged segment sampled at every step (or
-            # retired), so only the window's first segment can meet one
-            # that owes no forward.
-            if not n_segments and any(not s.has_pending_forward
-                                      for s in self.running):
-                break_reason = "retirement-unpredicted"
-                break
-            idle = not self.running and bool(self.waiting)
-            if idle:
-                next_arrival = self.waiting.min_head_arrival()
-                if next_arrival > self.clock_s:
-                    boundary = self._fault_in_gap(next_arrival)
-                    if boundary is not None:
-                        # step() lands on the fault, not the arrival.
-                        break_reason = self._boundary_reason(boundary)
-                        note_break = False
-                        break
-                    if self.flight is not None and stretch[3]:
-                        self._flight_window(stretch, end_s, "idle")
-                    self.clock_s = next_arrival
-                    stretch = [next_arrival, 0, 0, 0]
-            admitted = 0
-            forced = head_waiting = False
-            #: the arrived head waiting on pool capacity, if any
-            blocker: RequestState | None = None
-            step_start_s = self.clock_s
-            if len(self.running) < self.max_batch and self.waiting:
-                _, head, fits, pool_blocked = \
-                    self._admission_scan()
-                if head is not None and not pool_blocked:
-                    if not fits:
-                        break_reason = "admission"
-                        break
-                    admitted = self._admit_ready()
-                    forced = True
-                    head, pool_blocked = None, False
-                    if len(self.running) < self.max_batch \
-                            and self.waiting:
-                        _, head, _, pool_blocked = \
-                            self._admission_scan()
-                        # A head still admissible (its admit found no
-                        # free slot) is retried after one step.
-                        head_waiting = head is not None \
-                            and not pool_blocked
-                # Quota-blocked heads stay blocked within a segment
-                # (tenant usage only grows until the re-gate after the
-                # next folded retirement); a *pool*-blocked head's
-                # verdict can flip at paged block frontiers, which the
-                # static-shape rule below guards, and at its own quota,
-                # which the quota caps below guard.
-                if pool_blocked:
-                    blocker = head
+        while self._segment_start(win):
             pending = list(self.running)
             if not pending:
-                # Nothing is left waiting, or an admission retired at
-                # its first sample, or the idle jump found nothing it
-                # can admit: the eager step records that zero-batch
-                # step.
-                owed = forced or idle
+                # An admission retired at its first sample, or the idle
+                # jump found nothing it can admit: the eager step
+                # records that zero-batch step.
+                owed = True
                 break
-            can_admit = len(pending) < self.max_batch
-            batch = len(pending)
-            # Event horizon: L_i is the 0-based step index at which
-            # member i forwards its final pending token and retires at
-            # the length/context budget — unless a planned EOS retires
-            # it earlier.
-            length_caps = [
-                min(s.request.max_new_tokens - len(s.generated),
-                    max_context - 1 - s.position)
-                for s in pending]
-            horizon = min(length_caps)
-            # Static capacity cap: how many steps are provably free of
-            # preemption and eviction.
-            if self.paged_kv is not None:
-                cap = self.paged_kv.window_advance_cap(
-                    [s.slot for s in pending], horizon + 1)
-                cap_reason = "block-frontier"
-                if blocker is not None:
-                    # Paged admission fitness can flip as frontiers
-                    # cross (freed growth, shrunk claimable supply), and
-                    # the eager loop re-checks it every step — so while
-                    # an arrived head waits, segments keep the static
-                    # no-crossing shape under which "unfit" provably
-                    # holds to the segment end.
-                    block = self.paged_kv.block_size
-                    for s in pending:
-                        assert s.slot is not None
-                        if self.paged_kv.append_needs_block(s.slot):
-                            cap = 0
-                            break
-                        room = s.position % block
-                        cap = min(cap, block - room if room else block)
-            else:
-                cap = (self.kv_token_budget - self._cached_total) // batch
-                cap_reason = "preemption-risk"
-            if self._quota_specs:
-                for name, quota in self._quota_specs.items():
-                    members = sum(1 for s in pending
-                                  if s.request.tenant.name == name)
-                    if not members:
-                        continue
-                    qcap = (quota - self._tenant_cached[name]) // members
-                    if qcap < cap:
-                        cap, cap_reason = qcap, "quota"
-                if blocker is not None:
-                    # Strict priority holds lower classes back only
-                    # while the blocker is under its tenant's quota.
-                    # Its tenant's growth makes it quota-blocked after
-                    # ``k`` steps, and from then on the scan moves on
-                    # to the lower classes it was holding back.
-                    name = blocker.request.tenant.name
-                    quota = self._quota_specs.get(name)
-                    members = sum(1 for s in pending
-                                  if s.request.tenant.name == name)
-                    if quota is not None and members:
-                        needed = blocker.prompt_len \
-                            + blocker.n_generated + 1
-                        k = (quota - self._tenant_cached[name] - members
-                             - needed) // members + 1
-                        if k < cap:
-                            cap, cap_reason = k, "quota"
-            seg_cap = min(horizon + 1, cap)
-            if head_waiting:
-                seg_cap = min(seg_cap, 1)
-            if seg_cap <= 0:
-                break_reason = cap_reason
-                owed = forced
+            plan = self._segment_horizon(pending, win)
+            if not plan.steps:
+                win.reason = plan.reason
+                owed = win.forced
                 break
-            if not forced and not total_applied and seg_cap == 1 \
-                    and horizon >= 1:
-                # A lone static step with no boundary to fold is not
-                # worth a window; the eager loop takes it.
-                break_reason = cap_reason
-                break
-            # Planned tokens up to each member's own horizon — never
-            # past it: a recorded oracle stream ends at the retirement.
-            planned = self.backend.planned_token_grid(
-                pending, [min(c, seg_cap) for c in length_caps])
-            bounds = list(length_caps)
-            kinds = [FinishReason.LENGTH] * batch
-            for i, s in enumerate(pending):
-                eos = s.request.eos_id
-                if eos is not None and eos in planned[i]:
-                    hit = planned[i].index(eos)
-                    if hit < bounds[i]:
-                        bounds[i] = hit
-                        kinds[i] = FinishReason.EOS
-            boundary = min(bounds)
-            n_seg = min(boundary + 1, seg_cap)
-            seg_cycles = self.backend.fast_forward_cycles(pending, n_seg)
-            if self._slow_factor != 1.0:
-                seg_cycles = [c * self._slow_factor for c in seg_cycles]
-            seg_deltas = [c / freq for c in seg_cycles]
-            # Sequential prefix fold seeded with the running clock — the
-            # same IEEE adds as stepping ``clock += cycles / freq``,
-            # chained across segments.
-            clock = self.clock_s
-            clocks = [clock]
-            for delta in seg_deltas:
-                clock += delta
-                clocks.append(clock)
-            applied = n_seg
-            if can_admit:
-                next_arrival = self._next_admission_arrival()
-                if next_arrival is not None:
-                    # Steps apply while the clock has not reached the
-                    # next arrival; step() admits the head right after.
-                    cut = bisect.bisect_left(clocks, next_arrival, 0, n_seg)
-                    if cut < applied:
-                        applied, break_reason = cut, "arrival"
-            if self._fault_actions:
-                fault_boundary = self._fault_boundary()
-                if fault_boundary is not None:
-                    cut = bisect.bisect_left(clocks, fault_boundary, 0,
-                                             n_seg)
-                    if cut < applied:
-                        # The chain ends exactly at the boundary (the
-                        # first unapplied step's pre-step clock has
-                        # reached it) — a planned, note-free chain end.
-                        applied = cut
-                        break_reason = \
-                            self._boundary_reason(fault_boundary)
-                        note_break = False
-            if forced:
-                # The admitting step decodes whatever its prefills
-                # crossed, exactly as step() would.
-                applied = max(applied, 1)
-            if applied <= 0:
+            charged = self._segment_charge(pending, plan, win)
+            if not charged[0]:
                 break  # the first possible step already crosses a cut
-            at_boundary = applied == n_seg and boundary < seg_cap
-            self.clock_s = end_s = clocks[applied]
-            self._decode_steps += applied
-            for i, s in enumerate(pending):
-                if at_boundary and bounds[i] == boundary \
-                        and kinds[i] is FinishReason.LENGTH:
-                    # The boundary step forwards the retiree's final
-                    # pending token but samples nothing.
-                    s.generated.extend(planned[i][:applied - 1])
-                else:
-                    s.generated.extend(planned[i][:applied])
-            self.backend.commit_fast_forward(pending, applied)
-            self._cached_total += applied * batch
-            if self._quota_specs:
-                self._grow_tenants(pending, applied)
-            retired = 0
-            if at_boundary:
-                for i, s in enumerate(pending):
-                    if bounds[i] == boundary:
-                        self._retire(s, kinds[i])
-                        retired += 1
-            # Into the recorder as charged: a window may span a whole
-            # run, so its steps are never buffered here.
-            rec.record_segment(clocks[0], seg_cycles[:applied],
-                               seg_deltas[:applied], batch, admitted,
-                               retired)
-            if not stretch[2]:
-                stretch[1] = batch
-            stretch[2] += 1
-            stretch[3] += applied
-            n_segments += 1
-            total_applied += applied
-            if break_reason is not None:
+            self._segment_fold(pending, plan, charged, win)
+            if win.reason is not None:
                 break
-
-        if total_applied:
+        if win.steps:
             # Only a recorded window notes why it ended: a pass that
             # applied nothing leaves no window for a break to belong to.
-            if break_reason is not None and note_break:
-                rec.note_break(break_reason)
-            rec.record_window()
-            if self.flight is not None and stretch[3]:
-                self._flight_window(stretch, end_s,
-                                    break_reason or "drained")
-        if owed:
-            self._decode_step(admitted, step_start_s)
-            total_applied += 1
-        return total_applied
+            if win.reason is not None and win.note:
+                self._recorder.note_break(win.reason)
+            self._recorder.record_window()
+            if self.flight is not None and win.stretch[3]:
+                win.trace(self.flight, win.reason or "drained")
+        if not owed:
+            return win.steps
+        self._decode_step(win.admitted, win.step_start_s)
+        return win.steps + 1
 
-    def _flight_window(self, stretch: list, end_s: float,
-                       reason: str) -> None:
-        """Trace one busy stretch of a window, ``[start clock, first
-        batch, segments, steps]``, as a window span ending at
-        ``end_s``."""
-        assert self.flight is not None
-        start_s, batch, segments, steps = stretch
-        self.flight.span("window", start_s, end_s, batch=batch,
-                         steps=steps, segments=segments, reason=reason)
+    def _segment_start(self, win: _Window) -> bool:
+        """Open a segment where the eager loop would next decide:
+        refill, make the idle jump, scan admission once and admit,
+        through the eager ``_admit_ready``, whatever fits without
+        preemption.  False when the window ends here instead."""
+        # Re-gate at every segment start: folded retirements free
+        # capacity (and slots), so the admission verdict and the stream
+        # head must be re-read exactly where the eager loop would next
+        # check them.
+        self._refill()
+        if self._fault_actions:
+            boundary = self._fault_boundary()
+            if boundary is not None and self.clock_s >= boundary:
+                # A folded segment's final step (or an admitting
+                # segment's first) crossed the fault boundary: stop so
+                # the run loop services the fault before any new
+                # segment.  Never binds on the first segment — loop-top
+                # servicing guarantees clock < boundary.
+                win.reason, win.note = self._boundary_reason(boundary), False
+                return False
+        # Members of a charged segment sampled at every step (or
+        # retired), so only the window's first segment can meet one
+        # that owes no forward.
+        if not win.segments and any(not s.has_pending_forward
+                                    for s in self.running):
+            win.reason = "retirement-unpredicted"
+            return False
+        if not self.running and not self.waiting:
+            return False
+        jump = None if self.running else self._idle_jump()
+        if jump is not None:
+            target, at_fault = jump
+            if at_fault:
+                # step() lands on the fault, not the arrival.
+                win.reason, win.note = self._boundary_reason(target), False
+                return False
+            if self.flight is not None and win.stretch[3]:
+                win.trace(self.flight, "idle")
+            self.clock_s = target
+            win.stretch = [target, 0, 0, 0]
+            self._refill()
+        win.step_start_s = self.clock_s
+        win.admitted, win.forced, win.verdict = 0, False, _NO_HEAD
+        if len(self.running) < self.max_batch and self.waiting:
+            win.verdict = self._admission_scan()
+            _, head, fits, pool_blocked = win.verdict
+            if head is not None and not pool_blocked:
+                if not fits:
+                    win.reason = "admission"
+                    return False
+                win.admitted, win.verdict = self._admit_ready(win.verdict)
+                win.forced = True
+        return True
 
-    def _fault_in_gap(self, arrival: float) -> float | None:
-        """The fault boundary strictly between the clock and an idle
-        engine's next ``arrival``, if any: the jump must land there so
-        the fault is serviced before anything arrives."""
-        if not self._fault_actions:
-            return None
-        boundary = self._fault_boundary()
-        if boundary is not None and self.clock_s < boundary < arrival:
-            return boundary
-        return None
+    def _segment_horizon(self, pending: list[RequestState],
+                         win: _Window) -> _SegmentPlan:
+        """Plan the segment ``pending`` decodes from the current clock,
+        a pure function of the batch, the clock, the queues and the
+        pool: the steps before the first retirement (length budget or
+        planned EOS) or capacity cap, each member's planned tokens and
+        retirement, and the earliest arrival or fault boundary to cut
+        the charged clocks at.  Zero steps end the window uncharged."""
+        _, head, _, pool_blocked = win.verdict
+        # Quota-blocked heads stay blocked within a segment (tenant
+        # usage only grows until the re-gate after the next folded
+        # retirement); a *pool*-blocked head's verdict can flip at paged
+        # block frontiers and at its own quota, which the capacity cap
+        # guards.
+        blocker = head if pool_blocked else None
+        batch = len(pending)
+        # Event horizon: L_i is the 0-based step index at which member i
+        # forwards its final pending token and retires at the
+        # length/context budget — unless a planned EOS retires it
+        # earlier.
+        length_caps = self._samples_left(pending)
+        horizon = min(length_caps)
+        cap, cap_reason = self._capacity_cap(pending, blocker, horizon)
+        seg_cap = min(horizon + 1, cap)
+        if head is not None and not pool_blocked:
+            # A head still admissible after its admit found no free slot
+            # is retried after one step.
+            seg_cap = min(seg_cap, 1)
+        if seg_cap <= 0 or (not win.forced and not win.segments
+                            and seg_cap == 1 and horizon >= 1):
+            # No step is free, or a lone static step with no boundary to
+            # fold is not worth a window: the eager loop takes it.
+            return _SegmentPlan(0, cap_reason)
+        # Planned tokens up to each member's own horizon — never past
+        # it: a recorded oracle stream ends at the retirement.
+        planned = self.backend.planned_token_grid(
+            pending, [min(c, seg_cap) for c in length_caps])
+        bounds = list(length_caps)
+        kinds = [FinishReason.LENGTH] * batch
+        for i, s in enumerate(pending):
+            eos = s.request.eos_id
+            if eos is not None and eos in planned[i]:
+                hit = planned[i].index(eos)
+                if hit < bounds[i]:
+                    bounds[i] = hit
+                    kinds[i] = FinishReason.EOS
+        # An arrival cuts only while the batch has room: the next
+        # not-yet-arrived class head (an arrived head hides its
+        # successors), or the unsubmitted stream look-ahead — which
+        # binds even behind waiting same-class siblings, since the
+        # stream is arrival-sorted and bounds every request still unseen
+        # behind it, any of which may head another class.
+        arrival = None
+        if batch < self.max_batch:
+            future = self.waiting.head_arrivals()
+            if self._stream_head is not None:
+                future.append(self._stream_head.arrival_s)
+            arrival = min((t for t in future if t > self.clock_s),
+                          default=None)
+        cut_s = self._fault_boundary() if self._fault_actions else None
+        if cut_s is None or (arrival is not None and arrival < cut_s):
+            cut_s = arrival
+        return _SegmentPlan(min(min(bounds) + 1, seg_cap), None, planned,
+                            bounds, kinds, cut_s, arrival)
+
+    def _capacity_cap(self, pending: list[RequestState],
+                      blocker: RequestState | None,
+                      horizon: int) -> tuple[int, str]:
+        """Static capacity cap of a segment: how many steps are provably
+        free of preemption and eviction under the pool (or token
+        budget) and every tenant quota, and which of them binds.
+        ``blocker`` is the arrived head waiting on pool capacity."""
+        if self.paged_kv is not None:
+            cap = self.paged_kv.window_advance_cap(
+                [s.slot for s in pending], horizon + 1)
+            cap_reason = "block-frontier"
+            if blocker is not None:
+                # Paged admission fitness can flip as frontiers cross
+                # (freed growth, shrunk claimable supply), and the eager
+                # loop re-checks it every step — so while an arrived
+                # head waits, segments keep the static no-crossing shape
+                # under which "unfit" provably holds to the segment end.
+                block = self.paged_kv.block_size
+                for s in pending:
+                    assert s.slot is not None
+                    if self.paged_kv.append_needs_block(s.slot):
+                        cap = 0
+                        break
+                    room = s.position % block
+                    cap = min(cap, block - room if room else block)
+        else:
+            cap = (self.kv_token_budget - self._cached_total) \
+                // len(pending)
+            cap_reason = "preemption-risk"
+        if self._quota_specs:
+            for name, quota in self._quota_specs.items():
+                members = sum(1 for s in pending
+                              if s.request.tenant.name == name)
+                if not members:
+                    continue
+                qcap = (quota - self._tenant_cached[name]) // members
+                if qcap < cap:
+                    cap, cap_reason = qcap, "quota"
+            if blocker is not None:
+                # Strict priority holds lower classes back only while the
+                # blocker is under its tenant's quota.  Its tenant's
+                # growth makes it quota-blocked after ``k`` steps, and
+                # from then on the scan moves on to the lower classes it
+                # was holding back.
+                name = blocker.request.tenant.name
+                quota = self._quota_specs.get(name)
+                members = sum(1 for s in pending
+                              if s.request.tenant.name == name)
+                if quota is not None and members:
+                    needed = blocker.prompt_len + blocker.n_generated + 1
+                    k = (quota - self._tenant_cached[name] - members
+                         - needed) // members + 1
+                    if k < cap:
+                        cap, cap_reason = k, "quota"
+        return cap, cap_reason
+
+    def _segment_charge(self, pending: list[RequestState],
+                        plan: _SegmentPlan, win: _Window) -> tuple:
+        """Price the planned steps in one ``fast_forward_cycles`` call,
+        fold their clocks and cut them at the plan's boundary: steps
+        apply while the clock has not reached it.  Returns ``(applied,
+        cycles, deltas, clocks)``."""
+        steps = plan.steps
+        cycles = self.backend.fast_forward_cycles(pending, steps)
+        if self._slow_factor != 1.0:
+            cycles = [c * self._slow_factor for c in cycles]
+        freq = self.backend.freq_hz
+        deltas = [c / freq for c in cycles]
+        # Sequential prefix fold seeded with the running clock — the
+        # same IEEE adds as stepping ``clock += cycles / freq``, chained
+        # across segments.
+        clock = self.clock_s
+        clocks = [clock]
+        for delta in deltas:
+            clock += delta
+            clocks.append(clock)
+        applied = steps
+        if plan.cut_s is not None:
+            cut = bisect.bisect_left(clocks, plan.cut_s, 0, steps)
+            if cut < steps:
+                applied = cut
+                if plan.arrival_s is not None \
+                        and plan.arrival_s <= clocks[cut]:
+                    # The arrival cuts here (it wins a tie with a fault
+                    # on the same step); step() admits the head next.
+                    win.reason = "arrival"
+                else:
+                    # The chain ends exactly at the fault boundary (the
+                    # first unapplied step's pre-step clock has reached
+                    # it) — a planned, note-free chain end.
+                    win.reason = self._boundary_reason(plan.cut_s)
+                    win.note = False
+        if win.forced:
+            # The admitting step decodes whatever its prefills crossed,
+            # exactly as step() would.
+            applied = max(applied, 1)
+        return applied, cycles, deltas, clocks
+
+    def _segment_fold(self, pending: list[RequestState],
+                      plan: _SegmentPlan, charged: tuple,
+                      win: _Window) -> None:
+        """Apply the charged steps in the eager loop's member order —
+        commit tokens and KV, then retire in pending order whoever
+        finished on the last step — and record the segment."""
+        applied, cycles, deltas, clocks = charged
+        _, _, planned, bounds, kinds, _, _ = plan
+        last = applied - 1
+        self.clock_s = win.end_s = clocks[applied]
+        self._decode_steps += applied
+        for i, s in enumerate(pending):
+            if bounds[i] == last and kinds[i] is FinishReason.LENGTH:
+                # The boundary step forwards the retiree's final
+                # pending token but samples nothing.
+                s.generated.extend(planned[i][:last])
+            else:
+                s.generated.extend(planned[i][:applied])
+        self.backend.commit_fast_forward(pending, applied)
+        self._cached_total += applied * len(pending)
+        if self._quota_specs:
+            self._grow_tenants(pending, applied)
+        retired = 0
+        for i, s in enumerate(pending):
+            if bounds[i] == last:
+                self._retire(s, kinds[i])
+                retired += 1
+        # Into the recorder as charged: a window may span a whole run,
+        # so its steps are never buffered here.
+        self._recorder.record_segment(clocks[0], cycles[:applied],
+                                      deltas[:applied], len(pending),
+                                      win.admitted, retired)
+        if not win.stretch[2]:
+            win.stretch[1] = len(pending)
+        win.stretch[2] += 1
+        win.stretch[3] += applied
+        win.segments += 1
+        win.steps += applied
 
     # -- the scheduling loop -------------------------------------------------
 
@@ -1365,14 +1393,11 @@ class ContinuousBatchScheduler:
         # resume.  The zero-work step this produces is identical with
         # fast-forward on or off, since the window leaves exactly this
         # jump to step().
-        if not self.running and self.waiting:
-            next_arrival = self.waiting.min_head_arrival()
-            if next_arrival > self.clock_s:
-                boundary = self._fault_in_gap(next_arrival)
-                self.clock_s = next_arrival if boundary is None \
-                    else boundary
+        jump = self._idle_jump()
+        if jump is not None:
+            self.clock_s = jump[0]
         step_start_s = self.clock_s
-        return self._decode_step(self._admit_ready(), step_start_s)
+        return self._decode_step(self._admit_ready()[0], step_start_s)
 
     def _decode_step(self, admitted: int,
                      step_start_s: float) -> StepEvent:
@@ -1420,17 +1445,9 @@ class ContinuousBatchScheduler:
             self._advance(cycles)
             self._decode_steps += 1
             for state in pending:
-                if state.n_generated < state.request.max_new_tokens \
-                        and state.position \
-                        < self.backend.model_config.max_context:
-                    before = self._n_finished
-                    self._note_sampled(state, self.backend.sample(state))
-                    retired += self._n_finished - before
-                else:
-                    # Budget (or context) reached and the final token's
-                    # forward was just charged: retire at the length limit.
-                    self._retire(state, FinishReason.LENGTH)
-                    retired += 1
+                before = self._n_finished
+                self._sample_next(state)
+                retired += self._n_finished - before
 
         event = StepEvent(clock_s=self.clock_s, batch=len(pending),
                           cycles=cycles, admitted=admitted,
@@ -1513,6 +1530,12 @@ class ContinuousBatchScheduler:
         streamed the same way.  Requests queued by direct
         :meth:`submit` calls before the run are served alongside.
 
+        An engine serves what it is handed, a repeated request id
+        included.  One verdict per request is a cluster contract,
+        checked by :meth:`ServeReport.merge`: a fault run's fixed point
+        re-runs engines on intermediate shares, which may carry one
+        request twice before the plan converges.
+
         ``telemetry`` picks the recording level: ``"windows"`` (the
         exact record) keeps columnar run-length records that expand
         lazily to one event per decode step, ``"sketch"`` drops
@@ -1523,38 +1546,8 @@ class ContinuousBatchScheduler:
         """
         if self.running:
             raise SimulationError("engine is already mid-run")
-        self.clock_s = 0.0
         self.backend.reset_kv()
-        self._preemptions = 0
-        self._n_finished = 0
-        self._decode_steps = 0
-        self._recorder = TelemetryRecorder(
-            telemetry, self.backend.freq_hz,
-            token_replay=getattr(self.backend, "replay_tokens", None))
-        self._stream = None
-        self._stream_head = None
-        self._last_stream_arrival = 0.0
-        self._tenant_cached = {name: 0 for name in self._quota_specs}
-        self.killed = []
-        self.drained = []
-        self._fault_actions = tuple(self.fault_plan.actions) \
-            if self.fault_plan is not None else ()
-        self._fault_next = 0
-        self._slow_factor = 1.0
-        self._slow_until = None
-        self._down_start = 0.0
-        self._down_until = None
-        self._drain_start = 0.0
-        self._drain_until = None
-        self._n_resumed = 0
-        self._resume_recompute_tokens = 0
-        self._fault_counts = {"crash": 0, "stall": 0, "slow": 0,
-                              "drain": 0}
-        self._downtime_s = 0.0
-        self._degraded_tokens = 0
-        spans = sorted(self.degraded_spans)
-        self._degraded_starts = [s for s, _ in spans]
-        self._degraded_ends = [e for _, e in spans]
+        self._begin_run(telemetry)
         if requests is not None:
             if not isinstance(requests, Iterator):
                 requests = iter(sorted(requests, key=lambda r: r.arrival_s))

@@ -487,7 +487,9 @@ class ServeReport:
         t-digests combine on query, counters add.  ``verdicts`` are
         router-decided outcomes no replica served — ``(request,
         reason, e2e_s)`` for degraded-mode sheds and retry-budget
-        failures; they get rows with zero tokens and no TTFT."""
+        failures; they get rows with zero tokens and no TTFT.  Each
+        request reaches exactly one verdict, so a request id on two
+        rows (a trace that repeats an id) raises."""
         if not reports:
             raise SimulationError("no replica reports to merge")
         parts = []
@@ -507,6 +509,11 @@ class ServeReport:
                           in zip(ROW_COLUMNS.items(), zip(*made))})
         rows = _by_request_id({name: np.concatenate([p[name] for p in parts])
                                for name in ROW_COLUMNS})
+        ids = rows["request_id"]
+        twice = np.flatnonzero(ids[1:] == ids[:-1])
+        if len(twice):
+            raise SimulationError(
+                f"request {ids[twice[0]]} was served twice")
         return cls(
             telemetry=reports[0].telemetry,
             total_time_s=max(r.total_time_s for r in reports),

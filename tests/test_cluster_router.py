@@ -1,5 +1,7 @@
 """Data-parallel replica routing and merged cluster reports."""
 
+import dataclasses
+
 import pytest
 
 from repro.cluster import ReplicaRouter
@@ -147,14 +149,18 @@ class TestRouterGuards:
         with pytest.raises(SimulationError):
             router.route(request)
 
-    def test_repeated_request_id_rejected(self, quant32):
-        """A materialized trace that repeats a request id is refused by
-        the duplicate guard."""
+    @pytest.mark.parametrize("factory,match", [
+        (False, "already routed"), (True, "request 1 was served twice")],
+        ids=["list", "factory"])
+    def test_repeated_request_id_rejected(self, quant32, factory, match):
+        """A sorted trace that repeats a request id is refused: a list
+        by the routing guard, a streamed factory (which keeps no id
+        map) when the replica reports merge."""
         requests = trace(4)
-        requests.append(requests[1])
+        requests[2] = dataclasses.replace(requests[2], request_id=1)
         router = ReplicaRouter(engines(quant32, 2))
-        with pytest.raises(SimulationError, match="already routed"):
-            router.run(requests)
+        with pytest.raises(SimulationError, match=match):
+            router.run((lambda: iter(requests)) if factory else requests)
 
     def test_streaming_factory_run_records_no_assignments(self, quant32):
         """A factory run keeps no O(trace) id map: ``assignments`` stays

@@ -9,12 +9,15 @@ and preempted requests re-admitting through their own cached prefix.
 import pytest
 
 from repro.config import TINY_MODEL, QuantConfig
+from repro.cluster import FaultEvent, FaultSchedule
 from repro.engine import (
+    DEFAULT_TENANT,
     ContinuousBatchScheduler,
     CycleModelBackend,
     FinishReason,
     FunctionalBackend,
     Request,
+    TenantSpec,
 )
 from repro.errors import CapacityError
 from report_checks import assert_reports_identical
@@ -212,3 +215,48 @@ class TestDirectSubmitOrder:
         assert_reports_identical(windows, eager)
         assert windows.n_requests == 2
         assert all(len(r.tokens) == 4 for r in windows.results)
+
+
+class TestSegmentHorizon:
+    def test_horizon_is_pure(self, quant32, monkeypatch):
+        """The window's horizon plan reads the engine and changes
+        nothing: probed mid-run on a quota tenant's paged pool, with an
+        arrived head blocked on the pool and a fault still pending,
+        planning twice gives the same plan and leaves the clock, the
+        queues, the batch, the token ledgers and the free blocks as
+        they were."""
+        quota = TenantSpec("fg", "batch", kv_quota_blocks=12)
+        requests = [Request(i, tuple(range(1 + 3 * i, 9 + 3 * i)), 12,
+                            arrival_s=2e-5 * i,
+                            tenant=quota if i % 2 else DEFAULT_TENANT)
+                    for i in range(12)]
+        engine, backend = paged_engine(quant32, n_blocks=14)
+        engine.fault_plan = FaultSchedule([FaultEvent(
+            "slowdown", 0, 1.0, 1.0, factor=2.0)]).plan_for(0)
+        pool = backend.paged_kv
+
+        def snapshot():
+            return (engine.clock_s, [list(q) for q in engine.waiting.queues],
+                    list(engine.running), engine._cached_total,
+                    dict(engine._tenant_cached), pool.n_free_blocks,
+                    pool.n_available_blocks)
+
+        plan = ContinuousBatchScheduler._segment_horizon
+        probed = []
+
+        def probe(self, pending, win):
+            if win.verdict[3]:
+                before = snapshot()
+                plans = [plan(self, pending, win) for _ in "ab"]
+                assert plans[0] == plans[1]
+                assert snapshot() == before
+                probed.append(plans[0][:2])
+            return plan(self, pending, win)
+
+        monkeypatch.setattr(ContinuousBatchScheduler, "_segment_horizon",
+                            probe)
+        report = engine.run(requests)
+        assert probed and engine._quota_specs
+        assert engine.fault_stats()["slowdowns"] == 0
+        assert report.n_requests == 12
+        pool.audit()

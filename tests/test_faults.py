@@ -358,6 +358,41 @@ class TestEngineFaults:
                       "slowdown": "slowdowns"}[kind]] == 1
         assert bool(eager_engine.killed) == (kind == "crash")
 
+    @pytest.mark.parametrize("kind,stats", [
+        # (windows, segments, folded retirements, folded admissions,
+        # arrival breaks), pinned from the single-loop window code
+        ("slowdown", (6, 29, 24, 24, 4)),
+        ("hang", (3, 26, 24, 24, 2)),
+        ("crash", (3, 20, 18, 19, 2)),
+        ("drain", (4, 21, 19, 19, 2)),
+    ])
+    def test_fault_at_an_arrival_is_an_arrival_cut(self, kind, stats):
+        """A fault action starting exactly at a request's arrival, while
+        a window that can still admit is decoding: the arrival cut and
+        the fault cut fall on the same step.  The arrival wins that tie
+        (the window ends there with its break noted) and the fault is
+        serviced at the next loop top, so windows report what the
+        eager loop does."""
+        requests = trace()
+        # Request 17 arrives while request 16 decodes alone.
+        plan = FaultSchedule([FaultEvent(
+            kind, 0, requests[17].arrival_s, 0.1 * span_s(),
+            factor=2.0 if kind == "slowdown" else 1.0)]).plan_for(0)
+        eng_w, rep_w = run_with_plan(True, plan, requests=requests)
+        eng_e, rep_e = run_with_plan(False, plan, requests=requests)
+        assert eng_w.fault_stats() == eng_e.fault_stats()
+        assert eng_w.killed == eng_e.killed
+        assert eng_w.drained == eng_e.drained
+        assert_reports_identical(rep_w, rep_e)
+        assert eng_w.events == eng_e.events
+        windows, segments, retirements, admissions, arrivals = stats
+        breaks = {reason: 0 for reason in WINDOW_BREAK_REASONS}
+        breaks["arrival"] = arrivals
+        assert rep_w.window_stats == {
+            "n_windows": windows, "n_segments": segments,
+            "folded_retirements": retirements,
+            "folded_admissions": admissions, "breaks": breaks}
+
     def test_fault_plan_is_inert_between_runs(self):
         """Clearing ``fault_plan`` restores healthy behavior exactly."""
         eng = make_engine("cycle", "slotted")
