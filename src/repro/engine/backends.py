@@ -82,11 +82,8 @@ class EngineBackend(Protocol):
     platform: PlatformConfig
     #: boards of the tensor-parallel group one step is priced over
     tp: int
-
-    @property
-    def freq_hz(self) -> float:
-        """Clock that converts charged cycles into seconds."""
-        ...
+    #: clock that converts charged cycles into seconds
+    freq_hz: float
 
     def admit(self, state: RequestState) -> None:
         """Claim per-sequence resources (a KV slot) for ``state``."""
@@ -301,13 +298,6 @@ def _stream_tokens(request_id: int, base: int, n: int, vocab_size: int,
     return tokens
 
 
-def _synthetic_token(state: RequestState, vocab_size: int,
-                     eos_id: int | None) -> int:
-    """The next :func:`_stream_token` of one request state."""
-    return _stream_token(state.request_id, state.n_generated, vocab_size,
-                         eos_id)
-
-
 def _build_paged_kv(model_config: ModelConfig, quant: QuantConfig,
                     platform: PlatformConfig, n_slots: int,
                     block_size: int, n_kv_blocks: int | None,
@@ -356,10 +346,6 @@ class _KVMixin:
                 n_kv_blocks, store_data, tp)
         else:
             self._slots = _SlotCounter(n_slots)
-
-    @property
-    def n_slots(self) -> int:
-        return self._n_slots
 
     def lose_kv(self) -> None:
         """The board lost its KV (a crash): forget every cached prefix.
@@ -437,8 +423,9 @@ class _TimingStreamMixin:
     def sample(self, state: RequestState) -> int:
         if self.token_oracle is not None:
             return self.token_oracle(state.request_id, state.n_generated)
-        return _synthetic_token(state, self.model_config.vocab_size,
-                                state.request.eos_id)
+        return _stream_token(state.request_id, state.n_generated,
+                             self.model_config.vocab_size,
+                             state.request.eos_id)
 
     def planned_tokens(self, state: RequestState,
                        n: int) -> list[int]:
@@ -461,26 +448,12 @@ class _TimingStreamMixin:
         return _stream_tokens(state.request_id, base, n,
                               self.model_config.vocab_size, eos)
 
-    def planned_token_grid(self, states: Sequence[RequestState],
-                           ns: Sequence[int]) -> list[list[int]]:
-        """:meth:`planned_tokens` of every state at once: row ``i``
-        starts with the next up-to-``ns[i]`` samples of ``states[i]``.
-        Synthetic rows run ``max(ns)`` wide, past which no caller may
-        read; a recorded oracle's row stops at its EOS."""
-        if self.token_oracle is not None:
-            return [self.planned_tokens(state, n)
-                    for state, n in zip(states, ns)]
-        width = max(ns, default=0)
-        vocab = self.model_config.vocab_size
-        return [_stream_tokens(s.request.request_id, len(s.generated),
-                               width, vocab, s.request.eos_id)
-                for s in states]
-
     def replay_tokens(self, request_id: int, n: int,
                       eos_id: int | None = None) -> tuple[int, ...]:
         """The first ``n`` tokens request ``request_id`` generated —
-        the stream is a pure function of its arguments, so windowed
-        telemetry stores only the count and replays tokens on demand."""
+        the stream is a pure function of its arguments, so request
+        states and windowed telemetry keep only the count and replay
+        tokens on demand."""
         if self.token_oracle is not None:
             return tuple(self.token_oracle(request_id, j)
                          for j in range(n))
@@ -535,6 +508,8 @@ class _CycleTimedBackend(_KVMixin):
         self.platform = platform
         self.mode = mode
         self.tp = tp
+        #: clock that converts charged cycles into seconds
+        self.freq_hz = platform.pl_freq_hz
         self.comm = _collectives(model_config, quant, tp, interconnect,
                                  self.freq_hz)
         self.cycles = CycleModel(model_config, quant, platform, tp=tp)
@@ -546,6 +521,7 @@ class _CycleTimedBackend(_KVMixin):
         self._ff_stream: dict[float, float] = {}
         self._ff_const: dict[tuple[int, str], tuple] = {}
         self._ff_prefill: dict[int, float] = {}
+        self._prefill_sums: dict[tuple[int, int], float] = {}
         # The per-context terms, filled densely from index 0: entry
         # ``i`` holds the exposed-misc cycles at context ``i``, and a
         # member's two attention candidates, ``2 * heads`` times the KV
@@ -555,10 +531,6 @@ class _CycleTimedBackend(_KVMixin):
         self._ff_exp = array("d")
         self._ff_kv = array("d")
         self._ff_cmp = array("d")
-
-    @property
-    def freq_hz(self) -> float:
-        return self.platform.pl_freq_hz
 
     def step_cycles(self, contexts: Sequence[int],
                     fetched: Sequence[int] | None = None) -> float:
@@ -573,14 +545,18 @@ class _CycleTimedBackend(_KVMixin):
 
     def prefill_cycles(self, n_tokens: int, start: int = 0) -> float:
         """Memoized :meth:`CycleModel.prefill_cycles`: one decode-step
-        schedule per *distinct* prompt position ever seen, then pure
-        float sums — the same value, since the per-position totals are
-        deterministic and the sum order is unchanged."""
+        schedule per *distinct* prompt position ever seen, summed once
+        per distinct ``(start, n_tokens)`` — the same value, since the
+        per-position totals are deterministic and the sum order is
+        unchanged."""
         if n_tokens <= 0:
             raise SimulationError("prompt_len must be positive")
         if not 0 <= start < n_tokens:
             raise SimulationError(
                 f"prefill start {start} outside prompt of {n_tokens}")
+        total = self._prefill_sums.get((start, n_tokens))
+        if total is not None:
+            return total
         total = 0
         for pos in range(start, n_tokens):
             tok = self._ff_prefill.get(pos)
@@ -588,9 +564,10 @@ class _CycleTimedBackend(_KVMixin):
                 tok = self.cycles.token_schedule(pos, "fused").total_cycles
                 self._ff_prefill[pos] = tok
             total = total + tok
-        if self.comm is None:
-            return total
-        return total + self.comm.prefill_cycles(n_tokens - start)
+        if self.comm is not None:
+            total = total + self.comm.prefill_cycles(n_tokens - start)
+        self._prefill_sums[(start, n_tokens)] = total
+        return total
 
     # -- fast-forward decomposition -----------------------------------------
     #
@@ -770,25 +747,27 @@ class CycleModelBackend(_TimingStreamMixin, _CycleTimedBackend):
         self.token_oracle = token_oracle
 
     def prefill(self, state: RequestState) -> float:
-        tokens = state.sequence_tokens()
+        n_tokens = state.prompt_len + state.n_generated
         cached = self._cached_prefix(state)
         if self.paged_kv is not None:
             assert state.slot is not None
-            self.paged_kv.advance(state.slot, len(tokens) - cached)
-            self.paged_kv.commit_prefix(state.slot, tokens)
-        state.position = len(tokens)
+            self.paged_kv.advance(state.slot, n_tokens - cached)
+            self.paged_kv.commit_prefix(state.slot, state.sequence_tokens())
+        state.position = n_tokens
         state.logits = None
         # Migration resume: KV that arrived with the checkpoint costs
         # link transfer (charged by the router), never compute here.
-        start = min(max(cached, state.resume_skip), len(tokens))
-        return self.prefill_cycles(len(tokens), start=start)
+        start = min(max(cached, state.resume_skip), n_tokens)
+        return self.prefill_cycles(n_tokens, start=start)
 
     def decode_batch(self, states: Sequence[RequestState]) -> float:
         contexts = [s.context for s in states]
         cycles = self.step_cycles(contexts, self._fetch_plan(states,
                                                              contexts))
         for state in states:
-            state.pending_token  # validates the step is owed
+            if not state.has_pending_forward:
+                raise SimulationError(
+                    f"request {state.request_id}: no pending forward")
             if self.paged_kv is not None:
                 assert state.slot is not None
                 self.paged_kv.advance(state.slot)

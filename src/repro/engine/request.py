@@ -21,6 +21,7 @@ single-request engine reproduces ``Accelerator.decode`` step for step:
 from __future__ import annotations
 
 import enum
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 from ..errors import SimulationError
@@ -132,7 +133,18 @@ class RequestState:
 
     request: Request
     status: RequestStatus = RequestStatus.QUEUED
-    generated: list[int] = field(default_factory=list)
+    #: tokens sampled so far: the one count every length, position,
+    #: cap, quota and ledger path reads.
+    n_generated: int = 0
+    #: ``replay(request_id, n, eos_id)`` of a backend whose token stream
+    #: is a pure function of request and step; None when the backend
+    #: samples from logits, and the values are kept in ``generated``.
+    replay: Callable[[int, int, int | None], Sequence[int]] | None = \
+        field(default=None, repr=False)
+    generated: list[int] | None = field(default=None, init=False)
+    #: tokens this request may sample in all: its length budget or its
+    #: context room, whichever binds first (set at submission).
+    sample_cap: int = 0
     #: tokens fed through the model so far (prompt + forwarded generated);
     #: equals the KV-cache occupancy of this sequence.
     position: int = 0
@@ -156,6 +168,10 @@ class RequestState:
     spans: list[tuple[int, int]] = field(default_factory=list)
     _span_start: int = field(default=0, repr=False)
 
+    def __post_init__(self) -> None:
+        if self.replay is None:
+            self.generated = []
+
     # -- identity ---------------------------------------------------------
 
     @property
@@ -165,10 +181,6 @@ class RequestState:
     @property
     def prompt_len(self) -> int:
         return len(self.request.prompt)
-
-    @property
-    def n_generated(self) -> int:
-        return len(self.generated)
 
     # -- decode state machine ----------------------------------------------
 
@@ -183,7 +195,7 @@ class RequestState:
         if not self.has_pending_forward:
             raise SimulationError(
                 f"request {self.request_id}: no pending forward")
-        return self.generated[self.position - self.prompt_len]
+        return self.generated_tokens()[self.position - self.prompt_len]
 
     @property
     def has_pending_forward(self) -> bool:
@@ -192,15 +204,19 @@ class RequestState:
         # reads lengths directly instead of through sibling properties.
         return (self.status == RequestStatus.RUNNING
                 and self.position < len(self.request.prompt)
-                + len(self.generated))
+                + self.n_generated)
 
-    @property
-    def done(self) -> bool:
-        return self.status == RequestStatus.FINISHED
+    def generated_tokens(self) -> Sequence[int]:
+        """The tokens sampled so far — the one read of token values:
+        the kept ones, or the replayed stream of a replayable backend."""
+        if self.generated is not None:
+            return self.generated
+        return self.replay(self.request.request_id, self.n_generated,
+                           self.request.eos_id)
 
     def sequence_tokens(self) -> list[int]:
         """Prompt plus everything generated so far (recompute input)."""
-        return list(self.request.prompt) + self.generated
+        return [*self.request.prompt, *self.generated_tokens()]
 
     # -- timing -----------------------------------------------------------
 

@@ -106,7 +106,6 @@ class MigratedRequest:
     #: generated) — what the target's resume prefill may skip.
     position: int = 0
     n_generated: int = 0
-    tokens: tuple[int, ...] = ()
     first_token_s: float | None = None
     preemptions: int = 0
     #: checkpoint payload: the *logical* sequence KV — the target
@@ -189,7 +188,6 @@ class _SegmentPlan(NamedTuple):
 
     steps: int
     reason: str | None
-    planned: Sequence[list[int]] = ()
     bounds: Sequence[int] = ()
     kinds: Sequence[FinishReason] = ()
     cut_s: float | None = None
@@ -246,6 +244,9 @@ class ContinuousBatchScheduler:
         #: the oracle the differential tests pin the windows to.
         self.fast_forward = fast_forward \
             and bool(getattr(backend, "supports_fast_forward", False))
+        #: the backend's token replay (see :attr:`RequestState.replay`):
+        #: a replayable stream keeps each request's count, not its tokens.
+        self._replay = getattr(backend, "replay_tokens", None)
         model = backend.model_config
         self.paged_kv = getattr(backend, "paged_kv", None)
         if self.paged_kv is not None:
@@ -299,8 +300,7 @@ class ContinuousBatchScheduler:
         arrival stream, and the fault and recovery ledgers."""
         self.clock_s = 0.0
         self._recorder = TelemetryRecorder(
-            telemetry, self.backend.freq_hz,
-            token_replay=getattr(self.backend, "replay_tokens", None))
+            telemetry, self.backend.freq_hz, token_replay=self._replay)
         self._preemptions = 0
         self._n_finished = 0
         #: global decode-step counter — the index space request spans
@@ -365,22 +365,21 @@ class ContinuousBatchScheduler:
                 f"request {request.request_id}: prompt alone exceeds the "
                 f"KV budget of {self.kv_token_budget} tokens")
         self._register_tenant(request)
-        state = RequestState(request=request)
+        state = RequestState(
+            request=request, replay=self._replay,
+            sample_cap=min(request.max_new_tokens,
+                           model.max_context - len(request.prompt)))
         resume = request.resume
         if resume is not None:
-            # Migration handoff: re-seed the generated suffix from the
-            # deterministic token stream and mark the transferred KV as
-            # skippable by the first prefill.
-            replay = getattr(self.backend, "replay_tokens", None)
-            if replay is None:
+            # Migration handoff: re-seed the generated suffix's count
+            # (its tokens replay from the deterministic stream) and mark
+            # the transferred KV as skippable by the first prefill.
+            if self._replay is None:
                 raise SimulationError(
                     f"request {request.request_id}: migration resume "
                     "needs a replayable token stream; this backend "
                     "computes real logits and cannot re-seed one")
-            if resume.n_generated:
-                state.generated = list(replay(
-                    request.request_id, resume.n_generated,
-                    request.eos_id))
+            state.n_generated = resume.n_generated
             state.first_token_s = resume.first_token_s
             state.resume_skip = min(
                 resume.kv_position,
@@ -610,7 +609,7 @@ class ContinuousBatchScheduler:
         for state in list(self.running):
             self._leave_batch(state)
             self._log_kill(state.request, action.start_s, "running",
-                           len(state.generated))
+                           state.n_generated)
         # The board lost all KV, cached prefixes included.
         self.backend.lose_kv()
         for state in self.waiting.remove_if(
@@ -618,7 +617,7 @@ class ContinuousBatchScheduler:
             self._log_kill(state.request,
                            max(action.start_s, state.request.arrival_s),
                            _fault_phase(state.request, action.start_s),
-                           len(state.generated))
+                           state.n_generated)
         # Outage arrivals still in the stream die in _refill, with the
         # same kill time and phase.  The clock stays put: the replica
         # itself resumes scheduling surviving arrivals the moment the
@@ -658,16 +657,21 @@ class ContinuousBatchScheduler:
                                drain_s=action.duration_s)
         for state in self.waiting.remove_if(
                 lambda s: s.request.arrival_s < deadline):
-            self._log_migration(MigratedRequest(
-                request=state.request,
-                migrate_s=max(action.start_s, state.request.arrival_s),
-                phase=_fault_phase(state.request, action.start_s),
-                n_generated=state.n_generated,
-                tokens=tuple(state.generated),
-                first_token_s=state.first_token_s,
-                preemptions=state.preemptions))
+            self._hand_over_queued(
+                state, max(action.start_s, state.request.arrival_s),
+                _fault_phase(state.request, action.start_s))
         # Mid-drain arrivals still in the stream hand over in _refill,
         # with the same migration time and phase.
+
+    def _hand_over_queued(self, state: RequestState, migrate_s: float,
+                          phase: str) -> None:
+        """Hand a sequence with nothing KV-resident over as it stands:
+        a zero-byte checkpoint of its count and first-token time."""
+        self._log_migration(MigratedRequest(
+            request=state.request, migrate_s=migrate_s, phase=phase,
+            n_generated=state.n_generated,
+            first_token_s=state.first_token_s,
+            preemptions=state.preemptions))
 
     def _finish_drain(self) -> None:
         """Drain deadline reached: checkpoint every still-running
@@ -700,7 +704,6 @@ class ContinuousBatchScheduler:
         ckpt = MigratedRequest(
             request=state.request, migrate_s=migrate_s, phase="running",
             position=state.position, n_generated=state.n_generated,
-            tokens=tuple(state.generated),
             first_token_s=state.first_token_s,
             preemptions=state.preemptions,
             kv_bytes=kv_bytes, blocks=blocks)
@@ -750,11 +753,13 @@ class ContinuousBatchScheduler:
         """A member's forward just ended: sample its next token, or
         retire it at the length limit when its budget (or context) is
         spent and that forward was its final token's."""
-        if self._samples_left((state,))[0] <= 0:
+        if state.n_generated >= state.sample_cap:
             self._retire(state, FinishReason.LENGTH)
             return
         token = self.backend.sample(state)
-        state.generated.append(token)
+        state.n_generated += 1
+        if state.generated is not None:
+            state.generated.append(token)
         if state.first_token_s is None:
             state.first_token_s = self.clock_s
         if state.request.eos_id is not None \
@@ -767,13 +772,13 @@ class ContinuousBatchScheduler:
         state.status = RequestStatus.FINISHED
         state.finish_reason = reason
         self._n_finished += 1
-        if self._degraded_ends and state.generated:
+        if self._degraded_ends and state.n_generated:
             # Goodput-during-recovery: tokens of work retired while the
             # cluster ran at reduced capacity.
             t = state.finish_s
             i = bisect.bisect_right(self._degraded_starts, t) - 1
             if i >= 0 and t < self._degraded_ends[i]:
-                self._degraded_tokens += len(state.generated)
+                self._degraded_tokens += state.n_generated
         if self.flight is not None:
             rid = state.request_id
             self.flight.request_phase(rid, None, state.finish_s)
@@ -781,7 +786,7 @@ class ContinuousBatchScheduler:
                 "rejected" if reason is FinishReason.REJECTED
                 else "retired",
                 state.finish_s, rid, reason=reason.name.lower(),
-                tokens=len(state.generated),
+                tokens=state.n_generated,
                 tenant=state.request.tenant.name)
         # The request folds into the report columns; retired work must
         # not grow with the trace.
@@ -813,8 +818,10 @@ class ContinuousBatchScheduler:
         request retired with zero reported tokens must not carry a
         first-token time."""
         if state.has_pending_forward:
-            state.generated.pop()
-            if not state.generated:
+            state.n_generated -= 1
+            if state.generated is not None:
+                state.generated.pop()
+            if not state.n_generated:
                 state.first_token_s = None
 
     def _retire_overgrown(self, state: RequestState) -> None:
@@ -899,7 +906,13 @@ class ContinuousBatchScheduler:
             self._retire_overgrown(victim)
             return "retired"
         self._evict(victim)
-        self.waiting.appendleft(victim)
+        if self._drain_until is not None:
+            # Admission stays closed until the deadline, and nothing
+            # would advance the clock to it once the batch empties: hand
+            # the victim over now, as queued work.
+            self._hand_over_queued(victim, self.clock_s, "queued")
+        else:
+            self.waiting.appendleft(victim)
         return "preempted"
 
     def _preempt_for(self, rank: int) -> bool:
@@ -1040,15 +1053,6 @@ class ContinuousBatchScheduler:
             self._sample_next(state)
         return admitted, _NO_HEAD
 
-    def _samples_left(self, states: Iterable[RequestState]) -> list[int]:
-        """Tokens each member may still sample once all it holds is
-        forwarded: its length budget or context room, whichever binds
-        first (0: its next forward is its last)."""
-        max_context = self.backend.model_config.max_context
-        return [min(s.request.max_new_tokens,
-                    max_context - len(s.request.prompt)) - len(s.generated)
-                for s in states]
-
     def _idle_jump(self) -> tuple[float, bool] | None:
         """Where an idle engine jumps: ``(next arrival, False)``, or
         ``(fault boundary, True)`` when one lies strictly inside the gap
@@ -1074,7 +1078,7 @@ class ContinuousBatchScheduler:
 
         Retirement steps are pure functions of each member's planned
         token stream — the length budget is arithmetic and the EOS
-        position comes from the backend's pure ``planned_token_grid``
+        position comes from the backend's pure ``planned_tokens``
         replay — and paged block allocation is arithmetic on context
         length, so the event horizon (the next *unavoidable* scheduler
         state change) is computable without stepping.  Each segment is
@@ -1195,11 +1199,11 @@ class ContinuousBatchScheduler:
         # guards.
         blocker = head if pool_blocked else None
         batch = len(pending)
-        # Event horizon: L_i is the 0-based step index at which member i
-        # forwards its final pending token and retires at the
-        # length/context budget — unless a planned EOS retires it
-        # earlier.
-        length_caps = self._samples_left(pending)
+        # Event horizon: L_i, the samples member i has left, is the
+        # 0-based step index at which it forwards its final pending
+        # token and retires at the length/context budget — unless a
+        # planned EOS retires it earlier.
+        length_caps = [s.sample_cap - s.n_generated for s in pending]
         horizon = min(length_caps)
         cap, cap_reason = self._capacity_cap(pending, blocker, horizon)
         seg_cap = min(horizon + 1, cap)
@@ -1212,19 +1216,18 @@ class ContinuousBatchScheduler:
             # No step is free, or a lone static step with no boundary to
             # fold is not worth a window: the eager loop takes it.
             return _SegmentPlan(0, cap_reason)
-        # Planned tokens up to each member's own horizon — never past
-        # it: a recorded oracle stream ends at the retirement.
-        planned = self.backend.planned_token_grid(
-            pending, [min(c, seg_cap) for c in length_caps])
         bounds = list(length_caps)
         kinds = [FinishReason.LENGTH] * batch
         for i, s in enumerate(pending):
             eos = s.request.eos_id
-            if eos is not None and eos in planned[i]:
-                hit = planned[i].index(eos)
-                if hit < bounds[i]:
-                    bounds[i] = hit
-                    kinds[i] = FinishReason.EOS
+            if eos is None:
+                continue  # only a sampled EOS retires early
+            # Planned tokens up to the member's own horizon — never past
+            # it: a recorded oracle stream ends at the retirement.
+            planned = self.backend.planned_tokens(s, min(bounds[i], seg_cap))
+            if eos in planned:
+                bounds[i] = planned.index(eos)
+                kinds[i] = FinishReason.EOS
         # An arrival cuts only while the batch has room: the next
         # not-yet-arrived class head (an arrived head hides its
         # successors), or the unsubmitted stream look-ahead — which
@@ -1241,8 +1244,8 @@ class ContinuousBatchScheduler:
         cut_s = self._fault_boundary() if self._fault_actions else None
         if cut_s is None or (arrival is not None and arrival < cut_s):
             cut_s = arrival
-        return _SegmentPlan(min(min(bounds) + 1, seg_cap), None, planned,
-                            bounds, kinds, cut_s, arrival)
+        return _SegmentPlan(min(min(bounds) + 1, seg_cap), None, bounds,
+                            kinds, cut_s, arrival)
 
     def _capacity_cap(self, pending: list[RequestState],
                       blocker: RequestState | None,
@@ -1311,13 +1314,15 @@ class ContinuousBatchScheduler:
         if self._slow_factor != 1.0:
             cycles = [c * self._slow_factor for c in cycles]
         freq = self.backend.freq_hz
-        deltas = [c / freq for c in cycles]
         # Sequential prefix fold seeded with the running clock — the
         # same IEEE adds as stepping ``clock += cycles / freq``, chained
         # across segments.
         clock = self.clock_s
         clocks = [clock]
-        for delta in deltas:
+        deltas = []
+        for c in cycles:
+            delta = c / freq
+            deltas.append(delta)
             clock += delta
             clocks.append(clock)
         applied = steps
@@ -1346,29 +1351,29 @@ class ContinuousBatchScheduler:
                       plan: _SegmentPlan, charged: tuple,
                       win: _Window) -> None:
         """Apply the charged steps in the eager loop's member order —
-        commit tokens and KV, then retire in pending order whoever
-        finished on the last step — and record the segment."""
+        commit the KV, then count each member's samples and retire, in
+        pending order, whoever finished on the last step — and record
+        the segment."""
         applied, cycles, deltas, clocks = charged
-        _, _, planned, bounds, kinds, _, _ = plan
+        _, _, bounds, kinds, _, _ = plan
         last = applied - 1
         self.clock_s = win.end_s = clocks[applied]
         self._decode_steps += applied
-        for i, s in enumerate(pending):
-            if bounds[i] == last and kinds[i] is FinishReason.LENGTH:
-                # The boundary step forwards the retiree's final
-                # pending token but samples nothing.
-                s.generated.extend(planned[i][:last])
-            else:
-                s.generated.extend(planned[i][:applied])
         self.backend.commit_fast_forward(pending, applied)
         self._cached_total += applied * len(pending)
         if self._quota_specs:
             self._grow_tenants(pending, applied)
         retired = 0
         for i, s in enumerate(pending):
-            if bounds[i] == last:
-                self._retire(s, kinds[i])
-                retired += 1
+            if bounds[i] != last:
+                s.n_generated += applied
+                continue
+            # The boundary step forwards a LENGTH retiree's final
+            # pending token but samples nothing.
+            s.n_generated += last if kinds[i] is FinishReason.LENGTH \
+                else applied
+            self._retire(s, kinds[i])
+            retired += 1
         # Into the recorder as charged: a window may span a whole run,
         # so its steps are never buffered here.
         self._recorder.record_segment(clocks[0], cycles[:applied],

@@ -319,7 +319,7 @@ class TelemetryRecorder:
         c = self.columns
         c["request_id"].append(state.request_id)
         c["prompt_len"].append(state.prompt_len)
-        c["n_tokens"].append(len(state.generated))
+        c["n_tokens"].append(state.n_generated)
         c["ttft_s"].append(state.ttft_s if has_ttft else 0.0)
         c["ttft_valid"].append(has_ttft)
         c["e2e_s"].append(state.e2e_s)
@@ -335,7 +335,7 @@ class TelemetryRecorder:
             self.span_bounds.append(lo)
             self.span_bounds.append(hi)
         if self.stored_tokens is not None:
-            self.stored_tokens.append(tuple(state.generated))
+            self.stored_tokens.append(tuple(state.generated_tokens()))
 
     def request_spans(self, i: int) -> list[tuple[int, int]]:
         """Request ``i``'s (retire-order) decode spans — ``(lo, hi)``

@@ -160,7 +160,7 @@ class InferenceSession:
         # One request at batch one: every decode step is this request's.
         perf.decode_cycles = [event.cycles for event in self._engine.events
                               if event.batch]
-        return list(state.generated), perf
+        return list(state.generated_tokens()), perf
 
     def generate(self, prompt: str, max_new_tokens: int = 32,
                  ) -> SessionResult:

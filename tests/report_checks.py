@@ -95,13 +95,17 @@ def record_charges(engine) -> list:
     """Log what an eager ``engine`` really generated and charged: one
     ``(request_id, tokens, decode cycles, finish reason)`` entry per
     retirement of its latest run, in retire order — the row order of
-    that run's report.  Each decode step's cycles are logged as the
-    scheduler charges them (after any slowdown factor)."""
+    that run's report.  Tokens are logged as the backend samples them,
+    and each decode step's cycles as the scheduler charges them (after
+    any slowdown factor)."""
     assert not engine.fast_forward, "only eager steps call decode_batch"
     log: list = []
     charged: dict = {}
-    decode, finalize, run = (engine.backend.decode_batch,
-                             engine._finalize, engine.run)
+    sampled: dict = {}
+    backend = engine.backend
+    decode, sample, drop, finalize, run = (
+        backend.decode_batch, backend.sample, engine._drop_pending_token,
+        engine._finalize, engine.run)
 
     def logged_decode(states):
         cycles = decode(states)
@@ -112,17 +116,35 @@ def record_charges(engine) -> list:
             charged.setdefault(state, []).append(step)
         return cycles
 
+    def logged_sample(state):
+        token = sample(state)
+        sampled.setdefault(state, []).append(token)
+        return token
+
+    def logged_drop(state):
+        if state.has_pending_forward:
+            sampled[state].pop()
+        drop(state)
+
     def logged_finalize(state, reason):
         finalize(state, reason)
-        log.append((state.request_id, tuple(state.generated),
+        # A migration resume re-seeds its head from the token stream,
+        # as the source generated it; every later token is a sample.
+        resume = state.request.resume
+        head = () if resume is None else backend.replay_tokens(
+            state.request_id, resume.n_generated, state.request.eos_id)
+        log.append((state.request_id,
+                    tuple(head) + tuple(sampled.pop(state, ())),
                     tuple(charged.pop(state, ())), state.finish_reason))
 
     def logged_run(*args, **kwargs):
         log.clear()
         charged.clear()
+        sampled.clear()
         return run(*args, **kwargs)
 
-    engine.backend.decode_batch = logged_decode
+    backend.decode_batch, backend.sample = logged_decode, logged_sample
+    engine._drop_pending_token = logged_drop
     engine._finalize, engine.run = logged_finalize, logged_run
     return log
 

@@ -19,6 +19,7 @@ from repro.engine import (
     Request,
     TenantSpec,
 )
+from repro.engine.backends import _stream_token
 from repro.errors import CapacityError
 from report_checks import assert_reports_identical
 
@@ -91,10 +92,10 @@ class TestBlockPressure:
         engine.submit(Request(0, (1, 2, 3), 8))
         engine._admit_ready()
         (state,) = engine.running
-        assert state.generated and state.first_token_s is not None
+        assert state.n_generated == 1 and state.first_token_s is not None
         engine._retire_overgrown(state)
         assert state.finish_reason == FinishReason.LENGTH
-        assert state.generated == [] and state.first_token_s is None
+        assert state.n_generated == 0 and state.first_token_s is None
         assert not engine.running
         result = engine._report().results[0]
         assert result.tokens == () and result.ttft_s is None
@@ -112,6 +113,39 @@ class TestBlockPressure:
         assert all(len(r.tokens) == 12 for r in report.results)
         # The preempted request's re-prefill found its own blocks.
         assert backend.paged_kv.prefix_reused_tokens > 0
+        backend.paged_kv.audit()
+
+
+    def test_recompute_replays_the_counted_stream(self, quant32):
+        """A preempted timing request keeps its count, not its tokens;
+        the sequence its re-prefill hashes into the prefix cache is the
+        prompt plus the replayed stream, EOS remap included."""
+        engine, backend = paged_engine(quant32, n_blocks=8, block_size=4,
+                                       max_batch=2)
+        vocab = TINY_MODEL.vocab_size
+        eos = _stream_token(1, 0, vocab, None)  # request 1's raw first
+        reqs = [Request(0, tuple(range(1, 9)), 12),
+                Request(1, tuple(range(9, 17)), 12, eos_id=eos)]
+        prefill, recomputed = backend.prefill, []
+
+        def logged_prefill(state):
+            if state.preemptions:
+                assert state.generated is None
+                recomputed.append((state.request, state.n_generated,
+                                   state.sequence_tokens()))
+            return prefill(state)
+
+        backend.prefill = logged_prefill
+        report = engine.run(reqs)
+        assert all(len(r.tokens) == 12 for r in report.results)
+        assert any(req.eos_id is not None and n
+                   for req, n, _ in recomputed)
+        for req, n, tokens in recomputed:
+            stream = [_stream_token(req.request_id, j, vocab, req.eos_id)
+                      for j in range(n)]
+            assert tokens == [*req.prompt, *stream]
+            if req.eos_id is not None:
+                assert tokens[len(req.prompt)] == (eos + 1) % vocab
         backend.paged_kv.audit()
 
 

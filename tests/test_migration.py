@@ -29,6 +29,8 @@ from repro.cluster import (
 )
 from repro.config import TINY_MODEL
 from repro.engine import (
+    ContinuousBatchScheduler,
+    CycleModelBackend,
     FinishReason,
     Request,
     StepEvent,
@@ -46,6 +48,7 @@ from report_checks import (
 from test_telemetry_equivalence import (
     KNEE_MIX,
     LOW_RATE_KWARGS,
+    QUANT32,
     idle_gaps,
     make_engine,
 )
@@ -331,6 +334,36 @@ class TestDrainMigration:
                                                      check)
         assert eager_engine.fault_stats()["drains"] == 1
         assert [m.phase for m in eager_engine.drained] == ["arrival"]
+
+    def test_drain_preemption_hands_the_victim_over(self):
+        """A sequence evicted for KV pressure while a drain holds
+        admission closed hands over at once, as queued work with its
+        count, instead of requeueing behind the closed gate — where an
+        engine with nothing else to run would record zero-batch steps
+        at one clock, never reaching the deadline that reopens
+        admission.  Both tiers hand over the same victims."""
+        requests = synthetic_trace(TINY_MODEL, 40, arrival_rate_rps=5000.0,
+                                   seed=2, eos_id=7, shared_prefix_len=6)
+        span = max(r.arrival_s for r in requests)
+        start, duration = 0.4 * span, 0.2 * span
+        plan = FaultSchedule([FaultEvent("drain", 0, start, duration)]) \
+            .plan_for(0)
+        runs = []
+        for ff in FF_TIERS:
+            engine = ContinuousBatchScheduler(
+                CycleModelBackend(TINY_MODEL, QUANT32, n_slots=4),
+                max_batch=4, kv_token_budget=96, fast_forward=ff)
+            engine.fault_plan = plan
+            runs.append((engine, engine.run(requests, max_steps=20_000)))
+        (windows, fast), (eager, slow) = runs
+        assert_reports_identical(fast, slow)
+        assert windows.drained == eager.drained
+        assert len(slow.results) + len(eager.drained) == len(requests)
+        handed = [m for m in eager.drained if m.preemptions
+                  and start < m.migrate_s < start + duration]
+        assert handed and all(
+            m.phase == "queued" and m.n_generated and not m.kv_bytes
+            for m in handed)
 
     def test_drain_reopens_admission_after_deadline(self):
         """Post-deadline arrivals are served by the drained replica
